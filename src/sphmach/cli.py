@@ -303,21 +303,26 @@ def cmd_split(args):
 def cmd_promote(args):
     mf1 = _load_machine_file(args.machine)
     mf2 = _load_machine_file(args.other)
+    G1, G2 = mf1.machine.source, mf2.machine.source
+
+    def tag(lbl, G):
+        if lbl.startswith("c") and lbl[1:].isdigit():
+            return ("curve", int(lbl[1:]))
+        try:
+            return ("puncture", G.index_of(lbl))
+        except KeyError:
+            raise CliError(f"--map: unknown generator {lbl!r}")
+
+    h = {}
+    for pair in args.map.split(","):
+        labels = [x.strip() for x in pair.split(":")]
+        if len(labels) != 2:
+            raise CliError(f"--map: expected label:label, got {pair.strip()!r}")
+        h[tag(labels[0], G1)] = tag(labels[1], G2)
     c1 = _curves_for(mf1, args.curves)
     c2 = _curves_for(mf2, args.curves_other)
-    t1 = mc_to_gog(mf1.machine.source, c1, bound=args.bound)
-    t2 = mc_to_gog(mf2.machine.source, c2, bound=args.bound)
-    h = {}
-    G1, G2 = mf1.machine.source, mf2.machine.source
-    for pair in args.map.split(","):
-        a, b = [x.strip() for x in pair.split(":")]
-
-        def tag(lbl, G):
-            if lbl.startswith("c") and lbl[1:].isdigit():
-                return ("curve", int(lbl[1:]))
-            return ("puncture", G.index_of(lbl))
-
-        h[tag(a, G1)] = tag(b, G2)
+    t1 = mc_to_gog(G1, c1, bound=args.bound)
+    t2 = mc_to_gog(G2, c2, bound=args.bound)
     try:
         got = promote_bijection(t1, t2, h)
     except PromoteFailed as exc:

@@ -7,6 +7,15 @@ decoration product along any loop at the basepoint evaluates (symbols
 substituted by the given generators) to the loop's label word.  Tracing
 a word therefore decides membership and yields an expression at once,
 with no assumption that the generators are a free basis.
+
+Folding runs off a worklist.  Each vertex maps a signed letter to its
+edges there, and every (vertex, letter) that holds two edges is queued.
+A fold gauges the endpoint with fewer incident edges (never the base),
+rewrites only that endpoint's edges and moves them to the other one,
+queueing the clashes this creates.  As in union by size, the moves total
+O(E log E) for E petal edges; each multiplies a decoration by the gauge
+word.  The folded graph does not depend on the fold order, though the
+decorations, and so the expressions found, may.
 """
 
 from __future__ import annotations
@@ -19,88 +28,92 @@ class SubgroupGraph:
 
     def __init__(self, gens):
         self.gens = [tuple(w) for w in gens]
-        self._parent: list[int] = [0]
         nonzero = [(i, w) for i, w in enumerate(self.gens) if w]
         self._symbol_of = [i for i, _ in nonzero]
-        edges: list[list] = []  # [u, letter>0, v, decoration] (alive entries)
+        # adj[v][a]: edges at v read along signed letter a.  An edge is
+        # [u, x, v, decoration] with x > 0; read from v along -x it carries
+        # the inverse decoration.  A loop at v sits under both x and -x.
+        adj: list[dict[int, list] | None] = [{}]
+        work: list[tuple[int, int]] = []
+
+        def attach(v, a, e):
+            bucket = adj[v].setdefault(a, [])
+            bucket.append(e)
+            if len(bucket) == 2:
+                work.append((v, a))
+
         for k, (_, w) in enumerate(nonzero):
             u = 0
             for pos, x in enumerate(w):
-                v = 0 if pos == len(w) - 1 else self._new_state()
-                dec = (k + 1,) if pos == len(w) - 1 else EPSILON
-                if x > 0:
-                    edges.append([u, x, v, dec])
+                if pos == len(w) - 1:
+                    v, dec = 0, (k + 1,)
                 else:
-                    edges.append([v, -x, u, winv(dec)])
+                    v, dec = len(adj), EPSILON
+                    adj.append({})
+                e = [u, x, v, dec] if x > 0 else [v, -x, u, winv(dec)]
+                attach(e[0], e[1], e)
+                attach(e[2], -e[1], e)
                 u = v
-        self._edges = self._fold(edges)
+        degree = [sum(map(len, a.values())) for a in adj]
+
+        while work:
+            p, a = work.pop()
+            if adj[p] is None or len(adj[p].get(a, ())) < 2:
+                continue
+            bucket = adj[p][a]
+            e1, e2 = bucket[0], bucket[1]
+            if len(bucket) > 2:
+                work.append((p, a))
+            # other endpoints and decorations read from p along a
+            if a > 0:
+                t1, t2, d1, d2 = e1[2], e2[2], e1[3], e2[3]
+            else:
+                t1, t2, d1, d2 = e1[0], e2[0], winv(e1[3]), winv(e2[3])
+            # e2 goes: it is parallel to e1 now or once t1 and t2 merge
+            _remove(bucket, e2)
+            _remove(adj[t2][-a], e2)
+            degree[p] -= 1
+            degree[t2] -= 1
+            if t1 == t2:
+                continue  # expressions differ by a relation among the gens
+            # gauge the endpoint with fewer edges (never the base) so the
+            # two decorations agree, then move its edges to the other one
+            if t2 != 0 and (t1 == 0 or degree[t2] <= degree[t1]):
+                t, s, c = t2, t1, wmul(winv(d2), d1)
+            else:
+                t, s, c = t1, t2, wmul(winv(d1), d2)
+            cinv = winv(c)
+            moved, adj[t] = adj[t], None
+            degree[s] += degree[t]
+            for b, edges in moved.items():
+                for e in edges:
+                    if b > 0:
+                        e[0] = s
+                        e[3] = wmul(cinv, e[3])
+                    else:
+                        e[2] = s
+                        e[3] = wmul(e[3], c)
+                    attach(s, b, e)
+
+        # every edge sits once under a positive letter, at its source
+        self._edges = [e for at in adj if at
+                       for b, edges in at.items() if b > 0 for e in edges]
         self._trans: dict[tuple[int, int], tuple[int, Word]] = {}
         for u, x, v, dec in self._edges:
             self._trans[(u, x)] = (v, dec)
             self._trans[(v, -x)] = (u, winv(dec))
 
-    def _new_state(self) -> int:
-        self._parent.append(len(self._parent))
-        return len(self._parent) - 1
-
-    def _find(self, v: int) -> int:
-        while self._parent[v] != v:
-            self._parent[v] = self._parent[self._parent[v]]
-            v = self._parent[v]
-        return v
-
-    def _fold(self, edges):
-        while True:
-            for e in edges:
-                e[0] = self._find(e[0])
-                e[2] = self._find(e[2])
-            buckets: dict[tuple[int, int, int], list] = {}
-            dup = None
-            for e in edges:
-                u, x, v, _ = e
-                for key in ((0, u, x), (1, v, x)):
-                    if key in buckets:
-                        dup = (buckets[key], e, key[0])
-                        break
-                    buckets[key] = e
-                if dup:
-                    break
-            if not dup:
-                return edges
-            e1, e2, side = dup
-            if side == 0:  # same source and letter: merge targets
-                t1, t2, d1, d2 = e1[2], e2[2], e1[3], e2[3]
-            else:  # same target and letter: merge sources
-                t1, t2, d1, d2 = e1[0], e2[0], winv(e1[3]), winv(e2[3])
-            if t1 == t2:
-                edges.remove(e2)  # parallel edge; expressions differ by a
-                continue           # relation among the generators
-            # gauge the non-base vertex so both decorations agree, then union
-            if t2 != 0:
-                t, c = t2, wmul(winv(d2), d1)
-            else:
-                t, c = t1, wmul(winv(d1), d2)
-            for e in edges:
-                into = self._find(e[2]) == t
-                outof = self._find(e[0]) == t
-                if into:
-                    e[3] = wmul(e[3], c)
-                if outof:
-                    e[3] = wmul(winv(c), e[3])
-            self._parent[t] = t1 if t == t2 else t2
-            edges.remove(e2)
-
     def trace(self, w: Word):
         """(end state, decoration product) after reading w from the base,
         or None if w leaves the graph."""
-        v, dec = 0, EPSILON
+        v, decs = 0, []
         for x in w:
             step = self._trans.get((v, x))
             if step is None:
                 return None
             v, d = step
-            dec = wmul(dec, d)
-        return v, dec
+            decs.append(d)
+        return v, wmul(*decs)
 
     def contains(self, w) -> bool:
         got = self.trace(tuple(w))
@@ -139,6 +152,15 @@ class SubgroupGraph:
         )
 
 
+def _remove(edges: list, e) -> None:
+    """Remove e from edges by identity: decorated edges compare by value."""
+    for i, f in enumerate(edges):
+        if f is e:
+            del edges[i]
+            return
+    raise AssertionError("edge not attached")
+
+
 def express_in_subgroup(gens, target) -> Word | None:
     """target as a word over the given generators (signed 1-based positions),
     or None when target is not in <gens>.
@@ -152,12 +174,10 @@ def express_in_subgroup(gens, target) -> Word | None:
 
 
 def expand_expression(expr: Word, gens) -> Word:
-    """Substitute gens into an expression word and freely reduce."""
+    """Substitute gens (freely reduced words) into an expression word and
+    freely reduce."""
     gens = [tuple(w) for w in gens]
-    out: Word = EPSILON
-    for x in expr:
-        out = wmul(out, gens[x - 1] if x > 0 else winv(gens[-x - 1]))
-    return out
+    return wmul(*[gens[x - 1] if x > 0 else winv(gens[-x - 1]) for x in expr])
 
 
 def subgroup_contains(gens, target) -> bool:

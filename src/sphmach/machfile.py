@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import perms
 from .words import Word, EPSILON, SphereGroup, Automorphism, reduce_word
 from .machine import SphereMachine, WreathElement, BasisChange
-from .mcbiset import MappingClassBiset, TableEdge
+from .mcbiset import MappingClassBiset, TableEdge, twist_word_str
 from .multicurve import Multicurve
 
 
@@ -295,12 +295,6 @@ def print_machine_file(mf: MachineFile) -> str:
 # ---------------------------------------------------------------------------
 # mapping class biset JSON
 
-def _twist_word_str(alphabet, w) -> str:
-    from .mcbiset import twist_word_str
-
-    return twist_word_str(alphabet, w)
-
-
 def parse_twist_word(text: str, alphabet) -> tuple[int, ...]:
     index = {nm: i + 1 for i, nm in enumerate(alphabet)}
     if not text.strip():
@@ -326,7 +320,7 @@ def mcb_to_json(mcb: MappingClassBiset) -> dict:
             "to": mcb.basis_names[edge.target],
         }
         if edge.knitting_word is not None:
-            rec["knitting"] = _twist_word_str(mcb.alphabet, edge.knitting_word)
+            rec["knitting"] = twist_word_str(mcb.alphabet, edge.knitting_word)
         if edge.knitting_auto is not None:
             G = edge.knitting_auto.group
             rec["knitting_images"] = [G.word_str(w)
@@ -353,42 +347,98 @@ def mcb_to_json(mcb: MappingClassBiset) -> dict:
     return data
 
 
+_SHAPES = {
+    str: "a string",
+    dict: "an object",
+    (list, str): "a list of strings",
+    (list, int): "a list of integers",
+    (list, dict): "a list of objects",
+    (list, list): "a list of lists",
+}
+
+
+def _check(val, shape, what: str):
+    """val, or ParseError unless it has the JSON shape (a type, or
+    (list, item type))."""
+    if isinstance(shape, tuple):
+        ok = isinstance(val, list) and all(
+            isinstance(x, shape[1]) and not isinstance(x, bool) for x in val)
+    else:
+        ok = isinstance(val, shape)
+    if not ok:
+        raise ParseError(f".mcb: {what} must be {_SHAPES[shape]}")
+    return val
+
+
+def _field(obj: dict, key: str, shape, default=None):
+    """obj[key] checked by _check; default when absent, ParseError when
+    absent and required (no default)."""
+    if key not in obj:
+        if default is None:
+            raise ParseError(f".mcb: missing field {key!r}")
+        return default
+    return _check(obj[key], shape, f"field {key!r}")
+
+
 def mcb_from_json(data: dict) -> MappingClassBiset:
-    alphabet = tuple(data["alphabet"])
-    basis = tuple(data["basis"])
+    """Rebuild a biset from its JSON form; ParseError on a malformed one."""
+    if not isinstance(data, dict):
+        raise ParseError(".mcb: top level must be an object")
+    alphabet = tuple(_field(data, "alphabet", (list, str)))
+    basis = tuple(_field(data, "basis", (list, str)))
+    if not basis:
+        raise ParseError(".mcb: empty basis")
     pos = {nm: i for i, nm in enumerate(basis)}
+
+    def basis_index(name):
+        if name not in pos:
+            raise ParseError(f".mcb: unknown basis element {name!r}")
+        return pos[name]
+
     machines = None
     gens: dict[str, Automorphism] = {}
     group = None
     if "group" in data:
-        group = SphereGroup(data["group"]["generators"],
-                            relator=data["group"].get("relator"))
+        gdata = _field(data, "group", dict)
+        names = _field(gdata, "generators", (list, str))
+        relator = (_field(gdata, "relator", (list, str))
+                   if "relator" in gdata else None)
+        try:
+            group = SphereGroup(names, relator=relator)
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f".mcb: bad group: {exc}")
         machines = []
-        for rows_text in data["machines"]:
+        for rows_text in _field(data, "machines", (list, list)):
+            _check(rows_text, (list, str), "machine rows")
             text = "group: " + ",".join(group.names) + "\n" + \
                 "relator: " + "*".join(group.names[i - 1]
                                        for i in group.relator) + "\n" + \
                 "\n".join(rows_text)
             machines.append(parse_machine_file(text).machine)
-        for name, images in data.get("generators", {}).items():
+        for name, images in _field(data, "generators", dict, {}).items():
             gens[name] = Automorphism(
-                group, [parse_word(w, group) for w in images])
+                group, [parse_word(w, group) for w in
+                        _check(images, (list, str), f"generator {name!r}")])
     table: dict[tuple[str, int], TableEdge] = {}
-    for rec in data["table"]:
-        src, dst = pos[rec["from"]], pos[rec["to"]]
-        edge = TableEdge(rec["gen"], src, dst)
+    for rec in _field(data, "table", (list, dict)):
+        src = basis_index(_field(rec, "from", str))
+        dst = basis_index(_field(rec, "to", str))
+        edge = TableEdge(_field(rec, "gen", str), src, dst)
         if "knitting" in rec:
-            edge.knitting_word = parse_twist_word(rec["knitting"], alphabet)
+            edge.knitting_word = parse_twist_word(
+                _field(rec, "knitting", str), alphabet)
         if "knitting_images" in rec and group is not None:
             edge.knitting_auto = Automorphism(
-                group, [parse_word(w, group) for w in rec["knitting_images"]])
+                group, [parse_word(w, group)
+                        for w in _field(rec, "knitting_images", (list, str))])
         if "basis_change" in rec and group is not None:
-            bc = rec["basis_change"]
+            bc = _field(rec, "basis_change", dict)
             edge.basis_change = BasisChange(
-                tuple(parse_word(w, group) for w in bc["conjugators"]),
-                tuple(p - 1 for p in bc["relabel"]))
+                tuple(parse_word(w, group)
+                      for w in _field(bc, "conjugators", (list, str))),
+                tuple(p - 1 for p in _field(bc, "relabel", (list, int))))
         table[(rec["gen"], src)] = edge
-    base = pos[data.get("base", basis[0])]
+    base = basis_index(_field(data, "base", str, basis[0]))
     return MappingClassBiset(alphabet, basis, table, machines, gens, base)
 
 

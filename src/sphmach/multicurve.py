@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
     winv, wmul, conjugate, cyclic_canonical, is_conjugate,
 )
-from .folding import SubgroupGraph
+from .folding import SubgroupGraph, expand_expression
 from .machine import SphereMachine, multiset_of_lifts
 from .mcbiset import MappingClassBiset, twist_fingerprint, _canon_fingerprint
 
@@ -330,25 +331,24 @@ class LinExpr:
         return sum((Fraction(values[k]) * v for k, v in self.coeffs),
                    self.const)
 
-    def normalized(self) -> "LinExpr":
-        """Primitive integer form with positive leading coefficient."""
+    def content(self) -> Fraction:
+        """The positive rational c with self = +-c * normalized() (1 for 0)."""
         items = [v for _, v in self.coeffs] + ([self.const] if self.const else [])
-        if not items:
-            return self
-        from math import gcd
         denom = 1
         for v in items:
             denom = denom * v.denominator // gcd(denom, v.denominator)
-        nums = [int(v * denom) for v in items]
         g = 0
-        for x in nums:
-            g = gcd(g, abs(x))
-        g = g or 1
-        scale = Fraction(denom, g)
-        lead = (self.coeffs[0][1] if self.coeffs else self.const) * scale
-        if lead < 0:
-            scale = -scale
-        return self.scale(scale)
+        for v in items:
+            g = gcd(g, abs(int(v * denom)))
+        return Fraction(g or 1, denom)
+
+    def normalized(self) -> "LinExpr":
+        """Primitive integer form with positive leading coefficient."""
+        if self.is_zero():
+            return self
+        scale = 1 / self.content()
+        lead = self.coeffs[0][1] if self.coeffs else self.const
+        return self.scale(scale if lead > 0 else -scale)
 
     def __str__(self):
         parts = []
@@ -474,7 +474,13 @@ def solve_twist_fixed_point(problem: TwistFixedPointProblem) -> TwistFixedPointS
             expr = rhs[i].scale(Fraction(1, d))
             if any(v.denominator != 1 for _, v in expr.coeffs) \
                     or expr.const.denominator != 1:
-                congruences.append((rhs[i].normalized(), d))
+                # rhs = +-c * N with N primitive and c = p/q in lowest
+                # terms: c * N / d is an integer exactly when
+                # N = 0 mod q*d / gcd(p, q*d)
+                c = rhs[i].content()
+                q = c.denominator * d
+                congruences.append((rhs[i].normalized(),
+                                    q // gcd(c.numerator, q)))
             w.append(expr)
     solution = []
     for i in range(n):
@@ -711,11 +717,7 @@ def mc_to_gog(G: SphereGroup, curves: Multicurve, bound: int = 4) -> TreeOfGroup
         order_in, conjs_in, order_out, conjs_out, q = accepted
 
         def expand(w: Word) -> Word:
-            out = EPSILON
-            for x in w:
-                e = piece.embeds[x - 1] if x > 0 else winv(piece.embeds[-x - 1])
-                out = wmul(out, e)
-            return out
+            return expand_expression(w, piece.embeds)
 
         names_a = [P.names[i - 1] for i in order_in] + [f"e{cid + 1}"]
         A = SphereGroup(names_a)

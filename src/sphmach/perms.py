@@ -7,8 +7,6 @@ right action of group elements on machine basis points.
 
 from __future__ import annotations
 
-from itertools import permutations as _all_perms
-
 
 Perm = tuple[int, ...]
 
@@ -129,7 +127,3 @@ def group_closure(gens: list[Perm], limit: int | None = None) -> set[Perm]:
                         raise ValueError("permutation group larger than limit")
         frontier = nxt
     return elems
-
-
-def all_permutations(d: int):
-    return _all_perms(range(d))

@@ -8,11 +8,21 @@ been eliminated through gn = (g1*...*g_{n-1})^-1.
 
 Words are tuples of signed 1-based generator indices (-i is the
 inverse of i), always freely reduced.
+
+Products of reduced words cancel only at each junction, so one kernel,
+_append_reduced, does all free reduction of products: it walks a short
+cancellation letter by letter, finds a long one by comparing list
+slices in doubling, then halving, chunks, and copies the rest with one
+extend.  wmul, automorphism application and expression expansion
+(folding.expand_expression) thus cost time linear in the letters
+written, at C speed, plus O(log k) interpreted steps per junction that
+cancels k letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 
 Word = tuple[int, ...]
@@ -37,19 +47,68 @@ def reduce_word(letters) -> Word:
     return tuple(out)
 
 
+_WALK = 8  # cancellations up to this long are walked letter by letter
+
+
+def _append_reduced(out: list[int], w, w_inv: list[int] | None = None) -> None:
+    """Append the reduced word w to the reduced list out, in place.
+
+    Only the junction can cancel.  A short cancellation, the common case,
+    is walked letter by letter.  A longer one is the longest suffix of
+    out equal to a suffix of w_inv, the inverse of w as a list (built
+    here when not given): list slices are compared in chunks that double
+    while they match, then halve inside the first chunk that does not, so
+    k cancelled letters cost O(log k) comparisons of total length O(k).
+    The rest of w is copied with one extend.
+    """
+    n, m = len(out), len(w)
+    lim = min(n, m)
+    k = 0
+    while k < lim and k < _WALK and out[n - 1 - k] == -w[k]:
+        k += 1
+    if k == _WALK:
+        if w_inv is None:
+            w_inv = list(map(neg, reversed(w)))
+        step = _WALK
+        while k < lim:
+            s = min(step, lim - k)
+            if out[n - k - s:n - k] != w_inv[m - k - s:m - k]:
+                break
+            k += s
+            step *= 2
+        else:
+            step = 1
+        step //= 2
+        while step:
+            if k + step <= lim and \
+                    out[n - k - step:n - k] == w_inv[m - k - step:m - k]:
+                k += step
+            step //= 2
+    if k:
+        del out[n - k:]
+        out.extend(w[k:])
+    else:
+        out.extend(w)
+
+
 def wmul(*words: Word) -> Word:
+    """Product of freely reduced words, freely reduced.
+
+    Linear in the total length: each factor cancels only at its junction
+    with the product so far (see _append_reduced).
+    """
     out: list[int] = []
     for w in words:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
+        # most junctions cancel nothing: skip the kernel's call for them
+        if out and w and out[-1] == -w[0]:
+            _append_reduced(out, w)
+        else:
+            out.extend(w)
     return tuple(out)
 
 
 def winv(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def wpow(w: Word, k: int) -> Word:
@@ -89,10 +148,6 @@ def cyclic_canonical(w: Word, up_to_inversion: bool = False) -> Word:
     if up_to_inversion:
         best = min(best, min(rotations(winv(core))))
     return best
-
-
-def cyclic_eq(u: Word, v: Word, up_to_inversion: bool = False) -> bool:
-    return cyclic_canonical(u, up_to_inversion) == cyclic_canonical(v, up_to_inversion)
 
 
 class SphereGroup:
@@ -237,10 +292,6 @@ class SphereGroup:
         for x in self.normal_form(w):
             v[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(v)
-
-
-def normal_form(w, G: SphereGroup) -> Word:
-    return G.normal_form(w)
 
 
 class ConjClass:
@@ -454,14 +505,17 @@ class Automorphism:
         return cls(group, [by_index[i] for i in range(1, group.n + 1)], check=False)
 
     def __call__(self, w) -> Word:
+        # signed images and their inverses, built per call for the letters
+        # met; nothing is kept on the automorphism
+        images = self.images
+        pieces: dict[int, tuple[Word, Word]] = {}
         out: list[int] = []
         for x in self.group.normal_form(w):
-            img = self.images[x - 1] if x > 0 else winv(self.images[-x - 1])
-            for y in img:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
+            piece = pieces.get(x)
+            if piece is None:
+                img = images[x - 1] if x > 0 else winv(images[-x - 1])
+                piece = pieces[x] = (img, list(map(neg, reversed(img))))
+            _append_reduced(out, *piece)
         return tuple(out)
 
     def __eq__(self, other):

@@ -139,6 +139,33 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     assert run_cli("validate", str(tmp_path / "missing.mach")) == 3
 
 
+def test_cli_promote_unknown_map_label_exit_code(capsys):
+    mach = str(MACHINES / "centralizer7.mach")
+    assert run_cli("promote", mach, mach, "--map", "zz:x1") == 3
+    assert "unknown generator 'zz'" in capsys.readouterr().err
+    assert run_cli("promote", mach, mach, "--map", "x1") == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "top level must be an object"),
+    ('{"alphabet": ["t"], "basis": ["a"], "table": {}}',
+     "field 'table' must be a list of objects"),
+    ('{"alphabet": ["t"], "basis": ["a"], '
+     '"table": [{"gen": "t", "from": "a", "to": "a", "knitting": 3}]}',
+     "field 'knitting' must be a string"),
+    ('{"alphabet": ["t"], "basis": ["a"], '
+     '"table": [{"gen": "t", "from": "a", "to": "b"}]}',
+     "unknown basis element 'b'"),
+])
+def test_cli_malformed_mcb_exit_code(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.mcb"
+    bad.write_text(text)
+    assert run_cli("classify-twist", str(bad), "t") == 3
+    assert message in capsys.readouterr().err
+    with pytest.raises(ParseError):
+        mcb_from_json(json.loads(text))
+
+
 def test_cli_mcbiset_and_reload(tmp_path, capsys):
     out = tmp_path / "z5.mcb"
     assert run_cli("mcbiset", str(MACHINES / "z5belyi.mach"),

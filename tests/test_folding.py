@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from sphmach.folding import (
     SubgroupGraph, express_in_subgroup, expand_expression, subgroup_contains,
 )
@@ -73,3 +75,84 @@ def test_generators_need_not_be_free():
     expr = express_in_subgroup(gens, target)
     assert expr is not None
     assert expand_expression(expr, gens) == target
+
+
+# ---------------------------------------------------------------------------
+# worklist folding against a plain Stallings fold
+
+def plain_stallings(gens):
+    """Undecorated fold: merge two targets of one (vertex, letter) until
+    none clash.  Returns the transition map (vertex, signed letter) ->
+    vertex of the folded graph."""
+    edges, fresh = set(), 1
+    for w in gens:
+        u = 0
+        for pos, x in enumerate(w):
+            v = 0 if pos == len(w) - 1 else fresh
+            fresh += v != 0
+            edges.add((u, x, v) if x > 0 else (v, -x, u))
+            u = v
+    while True:
+        seen, clash = {}, None
+        for u, x, v in edges:
+            for key, end in (((u, x), v), ((v, -x), u)):
+                if seen.setdefault(key, end) != end:
+                    clash = sorted((seen[key], end))
+        if clash is None:
+            break
+        keep, gone = clash  # the base 0 always stays
+        edges = {(keep if u == gone else u, x, keep if v == gone else v)
+                 for u, x, v in edges}
+    trans = {}
+    for u, x, v in edges:
+        trans[(u, x)] = v
+        trans[(v, -x)] = u
+    return trans
+
+
+def plain_member(trans, w):
+    v = 0
+    for x in w:
+        v = trans.get((v, x))
+        if v is None:
+            return False
+    return v == 0
+
+
+LETTERS2 = [1, -1, 2, -2]
+
+
+def words2(max_size):
+    return st.lists(st.sampled_from(LETTERS2), max_size=max_size).map(reduce_word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(words2(8), min_size=1, max_size=5),
+       st.lists(st.integers(-5, 5).filter(bool), max_size=8),
+       st.lists(words2(10), max_size=6))
+def test_fold_matches_plain_stallings(gens, expr, probes):
+    graph = SubgroupGraph(gens)
+    trans = plain_stallings(gens)
+    states = {0} | {v for v, _ in trans} | set(trans.values())
+    assert len(graph.states()) == len(states)
+    complete = all((v, x) in trans for v in states for x in LETTERS2)
+    assert graph.index_in(2) == (len(states) if complete else None)
+    # no two edges share a (vertex, signed letter)
+    assert len(graph._trans) == 2 * len(graph._edges)
+    expr = tuple(x for x in expr if abs(x) <= len(gens))
+    member = expand_expression(reduce_word(expr), gens)
+    for w in [member] + probes:
+        assert graph.contains(w) == plain_member(trans, w)
+        if graph.contains(w):
+            assert expand_expression(graph.express(w), gens) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(words2(40), min_size=1, max_size=4), st.data())
+def test_expand_expression_matches_reduce_word(gens, data):
+    n = len(gens)
+    expr = data.draw(st.lists(st.integers(-n, n).filter(bool), max_size=12))
+    letters = []
+    for x in expr:
+        letters.extend(gens[x - 1] if x > 0 else winv(gens[-x - 1]))
+    assert expand_expression(expr, gens) == reduce_word(letters)

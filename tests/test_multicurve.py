@@ -171,6 +171,22 @@ def test_solver_fixture():
     assert not verify_fixed_point(sol, prob, bad)
 
 
+def test_solver_congruence_modulus_drops_the_content():
+    # (I - T) v = theta reads -8 v2 = 2a and -8 v2 = 2b: 2a = 0 mod 8,
+    # so a = 0 mod 4 (a = b = 4 gives v2 = -1), not a = 0 mod 8
+    T = ThurstonMatrix(["x", "y"], ["x", "y"],
+                       [[Fraction(1), Fraction(8)], [Fraction(0), Fraction(9)]])
+    prob = TwistFixedPointProblem(
+        T, [LinExpr.var("a").scale(2), LinExpr.var("b").scale(2)])
+    sol = solve_twist_fixed_point(prob)
+    assert [(str(c), m) for c, m in sol.congruences] == [("a", 4)]
+    assert [str(c) for c in sol.constraints] == ["a - b"]
+    values = {"a": 4, "b": 4}
+    values.update({p: 0 for p in sol.free_params})
+    assert verify_fixed_point(sol, prob, values)
+    assert sol.solution[1].evaluate(values) == -1
+
+
 def test_solver_trivial_and_invertible():
     T0 = ThurstonMatrix(["x"], ["x"], [[Fraction(0)]])
     sol = solve_twist_fixed_point(TwistFixedPointProblem(T0, [LinExpr()]))

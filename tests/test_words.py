@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, FiniteOrderUnsupported,
@@ -207,3 +208,63 @@ def test_conjclass_equality_and_inversion():
     assert ConjClass(G, (-2, -1)).peripheral_index() == 3
     assert ConjClass(G, (1, 2, -1)).peripheral_index() == 2
     assert ConjClass(G, (1, 1)).peripheral_index() is None
+
+
+# ---------------------------------------------------------------------------
+# junction cancellation: every product agrees with reducing the plain
+# concatenation, also when the cancelled stretch spans several chunks
+
+LETTERS3 = [1, -1, 2, -2, 3, -3]
+
+
+def reduced_words(max_size=90):
+    return st.lists(st.sampled_from(LETTERS3), max_size=max_size).map(reduce_word)
+
+
+@st.composite
+def cancelling_pair(draw):
+    """(a, a_tail^-1 * b): the second factor undoes a drawn tail of a."""
+    a = draw(reduced_words())
+    k = draw(st.integers(0, len(a)))
+    b = draw(reduced_words(20))
+    return a, reduce_word(winv(a[k:]) + b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_pair(), reduced_words(30))
+def test_wmul_matches_reduce_word(pair, c):
+    a, w = pair
+    assert wmul(a, w) == reduce_word(a + w)
+    assert wmul(a, w, c, winv(c)) == reduce_word(a + w + c + winv(c))
+    assert wmul(w, winv(w)) == ()
+
+
+@st.composite
+def sphere_automorphisms(draw):
+    """A product of Dehn twists and their inverses on four punctures:
+    long images whose application cancels heavily."""
+    G = SphereGroup(["a", "b", "c", "d"])
+    phi = Automorphism.identity(G)
+    pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 5)]
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=8)):
+        t = dehn_twist(i, j, G)
+        phi = phi.compose(t if draw(st.booleans()) else t.inverse())
+    return phi
+
+
+def _apply_by_concatenation(phi, w):
+    letters = []
+    for x in phi.group.normal_form(w):
+        img = phi.images[abs(x) - 1]
+        letters.extend(img if x > 0 else winv(img))
+    return reduce_word(letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_automorphisms(), sphere_automorphisms(), reduced_words(25))
+def test_automorphism_application_matches_reduce_word(phi, psi, w):
+    assert phi(w) == _apply_by_concatenation(phi, w)
+    both = phi.compose(psi)
+    assert both.images == tuple(_apply_by_concatenation(phi, im)
+                                for im in psi.images)
+    assert both(w) == phi(psi(w))
