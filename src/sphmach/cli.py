@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import perms
+from .words import run_length_str
 from .machine import (
     BasisChange, validate_sphere, multiset_of_lifts, portrait,
     tensor, change_basis, MachineError,
@@ -208,9 +209,7 @@ def cmd_classify_twist(args):
         raise CliError(f"{args.mcb}: {exc}")
     word = parse_twist_word(args.word, mcb.alphabet)
     term = conjugacy_iterate(mcb, (word, mcb.base), max_steps=args.max_steps)
-    from .mcbiset import twist_word_str
-
-    states = [{"twist": twist_word_str(mcb.alphabet, w) or "1",
+    states = [{"twist": run_length_str(mcb.alphabet, w) or "1",
                "basis": mcb.basis_names[k]} for w, k in term.states]
     result = {"kind": term.kind, "steps": term.steps, "terminal": states}
     return result, 0 if term.kind != "max-steps" else 2

@@ -22,9 +22,11 @@ import re
 from dataclasses import dataclass, field
 
 from . import perms
-from .words import Word, EPSILON, SphereGroup, Automorphism, reduce_word
+from .words import (
+    Word, EPSILON, SphereGroup, Automorphism, reduce_word, run_length_str,
+)
 from .machine import SphereMachine, WreathElement, BasisChange
-from .mcbiset import MappingClassBiset, TableEdge, twist_word_str
+from .mcbiset import MappingClassBiset, TableEdge
 from .multicurve import Multicurve
 
 
@@ -108,13 +110,49 @@ class _WordParser:
             self.error(f"unexpected {self.text[self.pos:self.pos + 8]!r}")
 
 
+class _WordReader:
+    """Reads words over one group, remembering the letters of each
+    '*'-separated factor text it has read.
+
+    Printed words repeat a handful of factor texts (x1, x3^-2, ...) many
+    times over, so a reader kept for a whole file parses each distinct
+    factor once.  _WordParser reads every new factor, and reads the
+    whole text when it has parentheses or a factor does not parse, so
+    the grammar and its error messages stay in one place.
+    """
+
+    def __init__(self, group: SphereGroup):
+        self.group = group
+        self.index = {nm: i + 1 for i, nm in enumerate(group.names)}
+        self.factors: dict[str, list[int]] = {}
+
+    def __call__(self, text: str, line=None) -> Word:
+        if not text.strip():
+            return EPSILON
+        if "(" not in text:
+            factors = self.factors
+            letters: list[int] = []
+            for f in text.split("*"):
+                got = factors.get(f)
+                if got is None:
+                    try:
+                        got = factors[f] = self._parse(f, line)
+                    except ParseError:
+                        break
+                letters += got
+            else:
+                return self.group.normal_form(letters)
+        return self.group.normal_form(self._parse(text, line))
+
+    def _parse(self, text: str, line) -> list[int]:
+        p = _WordParser(text, self.index, line)
+        w = p.parse_word()
+        p.expect_end()
+        return w
+
+
 def parse_word(text: str, group: SphereGroup, line=None) -> Word:
-    p = _WordParser(text, {nm: i + 1 for i, nm in enumerate(group.names)}, line)
-    if not text.strip():
-        return EPSILON
-    w = p.parse_word()
-    p.expect_end()
-    return group.normal_form(w)
+    return _WordReader(group)(text, line)
 
 
 _ROW = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*<(.*)>\s*((?:\([0-9,\s]*\))*)\s*$")
@@ -187,7 +225,10 @@ def parse_machine_file(text: str) -> MachineFile:
         elif low.startswith("target_relator:"):
             target_relator = (line[15:].strip(), ln)
         elif low.startswith("degree:"):
-            degree = int(line[7:].strip())
+            try:
+                degree = int(line[7:])
+            except ValueError:
+                raise ParseError(f"bad degree {line[7:].strip()!r}", ln)
         elif low.startswith("curves:"):
             curve_text = (line[7:].strip(), ln)
         elif low.startswith("auto "):
@@ -221,14 +262,14 @@ def parse_machine_file(text: str) -> MachineFile:
         if target_relator is not None:
             rel_line = [x.strip() for x in target_relator[0].split("*")]
             target = SphereGroup(target_names, relator=rel_line)
+    read_source, read_target = _WordReader(source), _WordReader(target)
     by_name: dict[str, tuple] = {}
     for name, entries_text, cycles_text, ln in rows_raw:
         if name not in source._index:
             raise ParseError(f"row for unknown generator {name!r}", ln)
         if name in by_name:
             raise ParseError(f"duplicate row for {name!r}", ln)
-        entries = [parse_word(e, target, ln)
-                   for e in _split_top_level(entries_text)]
+        entries = [read_target(e, ln) for e in _split_top_level(entries_text)]
         if degree is None:
             degree = len(entries)
         if len(entries) != degree:
@@ -253,13 +294,12 @@ def parse_machine_file(text: str) -> MachineFile:
     machine = SphereMachine(source, target, rows)
     curves = None
     if curve_text is not None:
-        reps = [parse_word(x.strip(), source, curve_text[1])
+        reps = [read_source(x.strip(), curve_text[1])
                 for x in _split_top_level(curve_text[0])]
         curves = Multicurve(source, reps)
     autos = {}
     for name, images_text, ln in auto_raw:
-        images = [parse_word(x, source, ln)
-                  for x in _split_top_level(images_text)]
+        images = [read_source(x, ln) for x in _split_top_level(images_text)]
         if len(images) != source.n:
             raise ParseError(
                 f"automorphism {name} needs {source.n} images", ln)
@@ -320,7 +360,7 @@ def mcb_to_json(mcb: MappingClassBiset) -> dict:
             "to": mcb.basis_names[edge.target],
         }
         if edge.knitting_word is not None:
-            rec["knitting"] = twist_word_str(mcb.alphabet, edge.knitting_word)
+            rec["knitting"] = run_length_str(mcb.alphabet, edge.knitting_word)
         if edge.knitting_auto is not None:
             G = edge.knitting_auto.group
             rec["knitting_images"] = [G.word_str(w)
@@ -415,9 +455,10 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
                                        for i in group.relator) + "\n" + \
                 "\n".join(rows_text)
             machines.append(parse_machine_file(text).machine)
+        read = _WordReader(group)
         for name, images in _field(data, "generators", dict, {}).items():
             gens[name] = Automorphism(
-                group, [parse_word(w, group) for w in
+                group, [read(w) for w in
                         _check(images, (list, str), f"generator {name!r}")])
     table: dict[tuple[str, int], TableEdge] = {}
     for rec in _field(data, "table", (list, dict)):
@@ -429,13 +470,12 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
                 _field(rec, "knitting", str), alphabet)
         if "knitting_images" in rec and group is not None:
             edge.knitting_auto = Automorphism(
-                group, [parse_word(w, group)
+                group, [read(w)
                         for w in _field(rec, "knitting_images", (list, str))])
         if "basis_change" in rec and group is not None:
             bc = _field(rec, "basis_change", dict)
             edge.basis_change = BasisChange(
-                tuple(parse_word(w, group)
-                      for w in _field(bc, "conjugators", (list, str))),
+                tuple(read(w) for w in _field(bc, "conjugators", (list, str))),
                 tuple(p - 1 for p in _field(bc, "relabel", (list, int))))
         table[(rec["gen"], src)] = edge
     base = basis_index(_field(data, "base", str, basis[0]))

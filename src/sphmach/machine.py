@@ -317,9 +317,9 @@ def pre_compose(M: SphereMachine, phi: Automorphism) -> SphereMachine:
         raise MachineError("pre_compose needs an automorphism of the source group")
     if not is_peripheral_preserving(phi):
         raise MachineError("automorphism does not preserve peripheral classes")
+    gens = (M.source.gen(i) for i in range(1, M.source.n + 1))
     return SphereMachine(M.source, M.target,
-                         [M.evaluate(phi(M.source.gen(i)))
-                          for i in range(1, M.source.n + 1)])
+                         [M.evaluate(w) for w in phi.apply_all(gens)])
 
 
 def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:
@@ -328,8 +328,10 @@ def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:
         raise MachineError("post_compose needs an automorphism of the target group")
     if not is_peripheral_preserving(psi):
         raise MachineError("automorphism does not preserve peripheral classes")
+    images = psi.apply_all(e for row in M.rows for e in row.entries)
     return SphereMachine(M.source, M.target,
-                         [WreathElement(tuple(psi(e) for e in row.entries), row.perm)
+                         [WreathElement(tuple(next(images) for _ in row.entries),
+                                        row.perm)
                           for row in M.rows])
 
 

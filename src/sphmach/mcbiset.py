@@ -269,12 +269,13 @@ class _KnitSolver:
             psi0 = Automorphism.from_images_of_free_gens(M1.target, images)
             # psi is pinned on <xs> = H, so the candidate either solves the
             # whole system exactly or this relabeling is wrong
-            if any(psi0(x) != y for x, y in zip(self.xs, ys)):
+            if any(img != y for img, y in zip(psi0.apply_all(self.xs), ys)):
                 continue
             knit, g = outer_normalize(psi0, return_conjugator=True)
             rho = perms.inverse(sigma)
             ginv = winv(g)
-            lam = [wmul(knit(self.alpha[p]), ginv, beta[p]) for p in range(d)]
+            lam = [wmul(a, ginv, b)
+                   for a, b in zip(knit.apply_all(self.alpha), beta)]
             b = BasisChange(tuple(lam[rho[i]] for i in range(d)), rho)
             return knit, b
         raise ReconstructionError(
@@ -298,21 +299,6 @@ def _same_left_orbit_full(M1, M2, d1=None, d2=None, solver=None):
 # twist words and the mapping class biset table
 
 TwistWord = tuple[int, ...]  # signed 1-based indices into the twist alphabet
-
-
-def twist_word_str(alphabet, w: TwistWord) -> str:
-    parts = []
-    i = 0
-    while i < len(w):
-        x = w[i]
-        j = i
-        while j < len(w) and w[j] == x:
-            j += 1
-        k = j - i
-        name = alphabet[abs(x) - 1]
-        parts.append(name if (x > 0 and k == 1) else f"{name}^{k if x > 0 else -k}")
-        i = j
-    return "*".join(parts)
 
 
 @dataclass

@@ -7,7 +7,11 @@ freely reduced words over g1..g_{n-1} only, the last generator having
 been eliminated through gn = (g1*...*g_{n-1})^-1.
 
 Words are tuples of signed 1-based generator indices (-i is the
-inverse of i), always freely reduced.
+inverse of i), always freely reduced.  Words passed between sphmach
+functions are normal-form tuples; SphereGroup.normal_form hands such a
+tuple back unchanged after two C-level scans (letters in range and none
+eliminated, no letter next to its inverse), so re-normalising costs a
+few linear passes at C speed and no rewriting.
 
 Products of reduced words cancel only at each junction, so one kernel,
 _append_reduced, does all free reduction of products: it walks a short
@@ -16,13 +20,15 @@ slices in doubling, then halving, chunks, and copies the rest with one
 extend.  wmul, automorphism application and expression expansion
 (folding.expand_expression) thus cost time linear in the letters
 written, at C speed, plus O(log k) interpreted steps per junction that
-cancels k letters.
+cancels k letters.  Automorphism.apply_all maps a batch of words and
+builds the signed images it needs once per batch; cyclic_reduce is
+linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import add, neg
 
 
 Word = tuple[int, ...]
@@ -62,7 +68,7 @@ def _append_reduced(out: list[int], w, w_inv: list[int] | None = None) -> None:
     The rest of w is copied with one extend.
     """
     n, m = len(out), len(w)
-    lim = min(n, m)
+    lim = n if n < m else m
     k = 0
     while k < lim and k < _WALK and out[n - 1 - k] == -w[k]:
         k += 1
@@ -71,7 +77,7 @@ def _append_reduced(out: list[int], w, w_inv: list[int] | None = None) -> None:
             w_inv = list(map(neg, reversed(w)))
         step = _WALK
         while k < lim:
-            s = min(step, lim - k)
+            s = step if step < lim - k else lim - k
             if out[n - k - s:n - k] != w_inv[m - k - s:m - k]:
                 break
             k += s
@@ -127,13 +133,16 @@ def conjugate(w: Word, by: Word) -> Word:
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Return (core, c) with w = c * core * c^-1 and core cyclically reduced."""
-    c: list[int] = []
-    w = list(w)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        c.append(w[0])
-        w = w[1:-1]
-    return tuple(w), tuple(c)
+    """Return (core, c) with w = c * core * c^-1 and core cyclically reduced.
+
+    Counts the stripped letter pairs, then slices once: linear in len(w).
+    """
+    w = tuple(w)
+    m = len(w)
+    k = 0
+    while m - 2 * k >= 2 and w[k] == -w[m - 1 - k]:
+        k += 1
+    return w[k:m - k], w[:k]
 
 
 def rotations(w: Word):
@@ -148,6 +157,26 @@ def cyclic_canonical(w: Word, up_to_inversion: bool = False) -> Word:
     if up_to_inversion:
         best = min(best, min(rotations(winv(core))))
     return best
+
+
+def run_length_str(names, w) -> str:
+    """Print a word over the given generator names, runs of one letter
+    as name^k ('' for the empty word)."""
+    parts = []
+    i = 0
+    while i < len(w):
+        x = w[i]
+        j = i
+        while j < len(w) and w[j] == x:
+            j += 1
+        k = j - i
+        name = names[abs(x) - 1]
+        if x > 0 and k == 1:
+            parts.append(name)
+        else:
+            parts.append(f"{name}^{k if x > 0 else -k}")
+        i = j
+    return "*".join(parts)
 
 
 class SphereGroup:
@@ -179,6 +208,9 @@ class SphereGroup:
                 raise ValueError("relator must use every generator exactly once")
             self.relator = rel
         self._eliminated = self.relator[-1] if self.n else None
+        # the letters of normal-form words
+        self._letters = frozenset(
+            s * i for i in self.free_gen_indices() for s in (1, -1))
 
     def __repr__(self):
         return f"SphereGroup({','.join(self.names)})"
@@ -202,7 +234,7 @@ class SphereGroup:
         return tuple(self.relator)
 
     def require_infinite_orders(self):
-        if any(o is not None for o in self.orders):
+        if self.orders.count(None) != self.n:
             raise FiniteOrderUnsupported(
                 "finite generator orders are parsed but not supported")
 
@@ -226,8 +258,17 @@ class SphereGroup:
 
     def normal_form(self, w) -> Word:
         """Rewrite w over the free generators by eliminating the last
-        relator generator, then freely reduce."""
+        relator generator, then freely reduce.
+
+        A word already in normal form comes back as a tuple, unchanged:
+        two C-level scans show that every letter is a kept generator or
+        its inverse and that no letter is followed by its inverse.  Any
+        other word is rewritten letter by letter.
+        """
         self.require_infinite_orders()
+        w = tuple(w)
+        if self._letters.issuperset(w) and all(map(add, w, w[1:])):
+            return w
         out: list[int] = []
 
         def push(x):
@@ -263,21 +304,7 @@ class SphereGroup:
 
     def word_str(self, w: Word) -> str:
         """Print a word in the machine text syntax (empty word prints '')."""
-        parts = []
-        i = 0
-        while i < len(w):
-            x = w[i]
-            j = i
-            while j < len(w) and w[j] == x:
-                j += 1
-            k = j - i
-            name = self.names[abs(x) - 1]
-            if x > 0 and k == 1:
-                parts.append(name)
-            else:
-                parts.append(f"{name}^{k if x > 0 else -k}")
-            i = j
-        return "*".join(parts)
+        return run_length_str(self.names, w)
 
     def peripheral_classes(self) -> list["ConjClass"]:
         return [ConjClass(self, self.gen(i)) for i in range(1, self.n + 1)]
@@ -505,18 +532,27 @@ class Automorphism:
         return cls(group, [by_index[i] for i in range(1, group.n + 1)], check=False)
 
     def __call__(self, w) -> Word:
-        # signed images and their inverses, built per call for the letters
-        # met; nothing is kept on the automorphism
+        return next(self.apply_all((w,)))
+
+    def apply_all(self, words):
+        """Yield self(w) for each w in words, in order.
+
+        The signed images and their inverse lists are built once per
+        batch, only for the letters met; nothing is kept on the
+        automorphism.
+        """
+        normal_form = self.group.normal_form
         images = self.images
-        pieces: dict[int, tuple[Word, Word]] = {}
-        out: list[int] = []
-        for x in self.group.normal_form(w):
-            piece = pieces.get(x)
-            if piece is None:
-                img = images[x - 1] if x > 0 else winv(images[-x - 1])
-                piece = pieces[x] = (img, list(map(neg, reversed(img))))
-            _append_reduced(out, *piece)
-        return tuple(out)
+        pieces: dict[int, tuple[Word, list[int]]] = {}
+        for w in words:
+            out: list[int] = []
+            for x in normal_form(w):
+                piece = pieces.get(x)
+                if piece is None:
+                    img = images[x - 1] if x > 0 else winv(images[-x - 1])
+                    piece = pieces[x] = (img, list(map(neg, reversed(img))))
+                _append_reduced(out, *piece)
+            yield tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, Automorphism)
@@ -535,7 +571,8 @@ class Automorphism:
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if self.group != other.group:
             raise ValueError("automorphisms over different groups")
-        return Automorphism(self.group, [self(w) for w in other.images], check=False)
+        return Automorphism(self.group, list(self.apply_all(other.images)),
+                            check=False)
 
     def is_identity_map(self) -> bool:
         return all(self.images[i - 1] == self.group.gen(i)

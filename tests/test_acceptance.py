@@ -61,19 +61,6 @@ class Budget:
         return False
 
 
-_PILGRIM_MCB = []
-
-
-def pilgrim_mcb():
-    """The 120-orbit run, computed once; the first caller pays inside its
-    budget."""
-    if not _PILGRIM_MCB:
-        mf = zoo.pilgrim()
-        gens = [(n, mf.autos[n]) for n in ("s", "t", "u")]
-        _PILGRIM_MCB.append(compute_mcbiset(mf.machine, gens))
-    return _PILGRIM_MCB[0]
-
-
 def test_criterion_1_validation_suite():
     with Budget(1, "validation of both fixtures plus mutations", 1.0):
         for mf in (zoo.pilgrim(), zoo.centralizer7()):
@@ -102,17 +89,18 @@ def test_criterion_2_monodromy():
         assert rep.transitive
 
 
-def test_criterion_3_mcbiset_enumeration():
+def test_criterion_3_mcbiset_enumeration(pilgrim_mcb):
+    # the session fixture builds on first call, inside this budget
     with Budget(3, "orbit counts 120 and 5", 60.0):
-        assert pilgrim_mcb().size == 120
+        assert pilgrim_mcb()[0].size == 120
         z5 = zoo.z5_marked().machine
         mcb5 = compute_mcbiset(z5, full_twist_generators(z5.source))
         assert mcb5.size == 5
 
 
-def test_criterion_4_lift_multisets():
+def test_criterion_4_lift_multisets(pilgrim_mcb):
     with Budget(4, "twist lift multisets and the weighted count 64", 60.0):
-        mcb = pilgrim_mcb()
+        mcb, _ = pilgrim_mcb()
 
         def counted(gen):
             ent = lift_multiset_in_mcbiset(mcb, gen)

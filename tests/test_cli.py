@@ -1,14 +1,17 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphmach import zoo
+from sphmach.words import SphereGroup, reduce_word
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
-    mcb_to_json, mcb_from_json,
+    mcb_to_json, mcb_from_json, _WordReader,
 )
 from sphmach.cli import main
 
@@ -52,6 +55,85 @@ def test_parse_errors_carry_positions():
     assert "unknown generator" in str(exc.value)
     with pytest.raises(ParseError):
         parse_machine_file("group: a,b\na=<,a>(1,3)\nb=<b,>(1,2)\n")
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file("group: a,b\ndegree: x\na=<,a>(1,2)\nb=<b,>(1,2)\n")
+    assert str(exc.value) == "bad degree 'x' at line 2"
+
+
+# the word parser: round trips, fuzzing, and its error messages
+
+FUZZ_GROUP = SphereGroup(["x1", "x2", "x10", "y"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=60))
+def test_printed_words_parse_back(letters):
+    G = FUZZ_GROUP
+    w = G.normal_form(reduce_word(letters))
+    assert parse_word(G.word_str(w), G) == w
+
+
+_TOKENS = ["x1", "x2", "x10", "y", "zz", "*", "^", "-", "(", ")", " ",
+           "1", "2", "3"]
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=16).map("".join)
+                .filter(lambda t: not re.search(r"\d{3}", t)), max_size=4))
+def test_random_text_parses_or_raises_parse_error(texts):
+    # at most two digits in a row keep exponents small; one reader kept
+    # over several texts, as a .mcb load keeps it, answers as fresh ones do
+    G = FUZZ_GROUP
+    shared = _WordReader(G)
+    for text in texts:
+        got = _outcome(lambda t: parse_word(t, G), text)
+        assert got == _outcome(shared, text)
+        assert isinstance(got, str) or got == G.normal_form(got)
+
+
+MALFORMED_WORDS = [
+    ("a*", "expected a generator name, found '' at line 4, column 3"),
+    ("*a", "expected a generator name, found '*a' at line 4, column 1"),
+    ("a**b", "expected a generator name, found '*b' at line 4, column 3"),
+    ("a^", "expected a generator name, found '' at line 4, column 3"),
+    ("a^(b", "missing ')' in exponent at line 4, column 5"),
+    ("a b", "unexpected 'b' at line 4, column 3"),
+    ("a^2^3", "unexpected '^3' at line 4, column 4"),
+    ("a*zz", "unknown generator 'zz' at line 4, column 3"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_WORDS)
+def test_malformed_words_keep_their_messages(tmp_path, capsys, text, message):
+    G = SphereGroup(["a", "b", "c"])
+    with pytest.raises(ParseError) as exc:
+        parse_word(text, G, 4)
+    assert str(exc.value) == message
+    short = message.split(" at line")[0]
+    with pytest.raises(ParseError) as exc:
+        parse_word(text, G)
+    assert str(exc.value) == short
+    data = {
+        "alphabet": ["t"], "basis": ["b0"],
+        "group": {"generators": ["a", "b", "c"]},
+        "machines": [["a=<a>", "b=<b>", "c=<c>"]],
+        "table": [{"gen": "t", "from": "b0", "to": "b0",
+                   "knitting_images": [text, "b", "c"]}],
+    }
+    bad = tmp_path / "bad.mcb"
+    bad.write_text(json.dumps(data))
+    assert run_cli("classify-twist", str(bad), "t") == 3
+    assert short in capsys.readouterr().err
+    # the same file with a well-formed image loads
+    data["table"][0]["knitting_images"][0] = "a"
+    assert mcb_from_json(data).table[("t", 0)].knitting_auto.is_identity_map()
 
 
 def test_finite_orders_parse_but_operations_reject():

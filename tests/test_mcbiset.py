@@ -269,21 +269,15 @@ def _pow(a, k):
     return out
 
 
-@pytest.fixture(scope="module")
-def pilgrim_mcb_stu():
-    mf = zoo.pilgrim()
-    return compute_mcbiset(mf.machine, [(n, mf.autos[n]) for n in "stu"]), mf
-
-
-def test_pilgrim_mcbiset_size_and_distinct_keys(pilgrim_mcb_stu):
-    mcb, _ = pilgrim_mcb_stu
+def test_pilgrim_mcbiset_size_and_distinct_keys(pilgrim_mcb):
+    mcb, _ = pilgrim_mcb()
     assert mcb.size == 120
     keys = {distill(m).key for m in mcb.machines}
     assert len(keys) == 120
 
 
-def test_pilgrim_mcbiset_edges_verify_sample(pilgrim_mcb_stu):
-    mcb, mf = pilgrim_mcb_stu
+def test_pilgrim_mcbiset_edges_verify_sample(pilgrim_mcb):
+    mcb, mf = pilgrim_mcb()
     rng = random.Random(9)
     edges = rng.sample(sorted(mcb.table.values(),
                               key=lambda e: (e.source, e.gen)), 40)
@@ -295,9 +289,9 @@ def test_pilgrim_mcbiset_edges_verify_sample(pilgrim_mcb_stu):
 
 
 @pytest.mark.slow
-def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb_stu):
+def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb):
     # the t_{i,j} generating set reaches the same 120 left orbits
-    mcb_stu, mf = pilgrim_mcb_stu
+    mcb_stu, mf = pilgrim_mcb()
     mcb_full = compute_mcbiset(mf.machine,
                                full_twist_generators(mf.machine.source))
     assert mcb_full.size == 120

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, FiniteOrderUnsupported,
-    reduce_word, wmul, winv, wpow, conjugate, cyclic_canonical,
+    reduce_word, wmul, winv, wpow, conjugate, cyclic_canonical, cyclic_reduce,
     is_conjugate, centralizer_root, power_exponent,
     simultaneous_conjugator, common_generator_conjugator,
     dehn_twist, outer_equal, outer_normalize, is_peripheral_preserving,
@@ -260,11 +260,106 @@ def _apply_by_concatenation(phi, w):
     return reduce_word(letters)
 
 
+# any letters of the four-puncture group, the eliminated d = 4 included,
+# not necessarily reduced
+LETTERS4 = [1, -1, 2, -2, 3, -3, 4, -4]
+
+
 @settings(max_examples=60, deadline=None)
-@given(sphere_automorphisms(), sphere_automorphisms(), reduced_words(25))
-def test_automorphism_application_matches_reduce_word(phi, psi, w):
+@given(sphere_automorphisms(), sphere_automorphisms(), reduced_words(25),
+       st.lists(st.lists(st.sampled_from(LETTERS4), max_size=25), max_size=6))
+def test_automorphism_application_matches_reduce_word(phi, psi, w, batch):
     assert phi(w) == _apply_by_concatenation(phi, w)
+    batch = [w] + batch + [tuple(v) for v in batch]
+    expected = [_apply_by_concatenation(phi, v) for v in batch]
+    assert list(phi.apply_all(batch)) == expected
+    assert list(phi.apply_all(iter(batch))) == [phi(v) for v in batch]
     both = phi.compose(psi)
     assert both.images == tuple(_apply_by_concatenation(phi, im)
                                 for im in psi.images)
     assert both(w) == phi(psi(w))
+
+
+# normal_form against a letter-by-letter reference, and cyclic_reduce on
+# long wings
+
+def _normal_form_reference(G, letters):
+    """Substitute the eliminated generator one letter at a time, pushing
+    each letter onto a freely reduced stack."""
+    gone, body = G.relator[-1], G.relator[:-1]
+    out = []
+    for x in letters:
+        if abs(x) == gone:
+            seq = [-i for i in reversed(body)] if x > 0 else list(body)
+        else:
+            seq = [x]
+        for y in seq:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
+@st.composite
+def group_and_letters(draw):
+    """A sphere group with a drawn relator order (so any generator may be
+    the eliminated one) and a sequence of its letters, unreduced pairs
+    and eliminated letters included."""
+    n = draw(st.integers(2, 5))
+    relator = draw(st.permutations(range(1, n + 1)))
+    G = SphereGroup([f"g{i}" for i in range(1, n + 1)], relator=relator)
+    letters = draw(st.lists(st.sampled_from(
+        [s * i for i in range(1, n + 1) for s in (1, -1)]), max_size=40))
+    return G, letters
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_and_letters(), st.booleans())
+def test_normal_form_matches_letter_by_letter_reference(drawn, as_list):
+    G, letters = drawn
+    expected = _normal_form_reference(G, letters)
+    got = G.normal_form(letters if as_list else tuple(letters))
+    assert type(got) is tuple and got == expected
+    # normal-form words come back unchanged, from lists too
+    assert G.normal_form(expected) is expected
+    assert G.normal_form(list(expected)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_and_letters(), st.integers(0, 40),
+       st.sampled_from([0, 6, -6, 99, -99]))
+def test_normal_form_rejects_out_of_range_letters(drawn, at, bad):
+    G, letters = drawn
+    letters.insert(min(at, len(letters)), bad)
+    with pytest.raises(IndexError):
+        G.normal_form(letters)
+    with pytest.raises(IndexError):
+        G.normal_form(tuple(letters))
+
+
+@st.composite
+def long_reduced_words(draw):
+    """A reduced word of 100 to 900 letters, grown from a drawn seed
+    (drawing that many letters one by one is slow)."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    size = draw(st.integers(100, 900))
+    w = []
+    while len(w) < size:
+        x = rng.choice(LETTERS3)
+        if not w or w[-1] != -x:
+            w.append(x)
+    return tuple(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_reduced_words(), reduced_words(20))
+def test_cyclic_reduce_splits_off_the_wings(c, u):
+    w = wmul(c, u, winv(c))
+    core, wing = cyclic_reduce(w)
+    assert wing + core + winv(wing) == w
+    assert len(core) < 2 or core[0] != -core[-1]
+    assert core == reduce_word(core)
+    # the wing is all of c unless u cancels into it
+    if u and u[0] != -u[-1] and (not c or c[-1] not in (-u[0], u[-1])):
+        assert wing == c and core == u
