@@ -91,7 +91,7 @@ def _report(args, command: str, digests: dict, result, started: float):
     if args.json:
         payload = {"command": command, "inputs": digests, "result": result}
         if args.timing:
-            payload["timing_ms"] = round((time.time() - started) * 1000, 3)
+            payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
         print(json.dumps(payload, sort_keys=True))
         return
     _print_plain(result)
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         result, code = args.fn(args)
     except CliError as exc:

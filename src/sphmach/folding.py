@@ -8,6 +8,14 @@ substituted by the given generators) to the loop's label word.  Tracing
 a word therefore decides membership and yields an expression at once,
 with no assumption that the generators are a free basis.
 
+Where two parallel edges fold together, the fold also records a relator
+among the generators (SubgroupGraph.relators), so it yields a
+presentation of the subgroup, as in Kapovich and Myasnikov, "Stallings
+foldings and subgroups of free groups", J. Algebra 248 (2002).  The
+generators are sent to given words by a homomorphism of the subgroup
+exactly when every relator is sent to 1, which checks such a map
+without applying it to the generators.
+
 Folding runs off a worklist.  Each vertex maps a signed letter to its
 edges there, and every (vertex, letter) that holds two edges is queued.
 A fold gauges the endpoint with fewer incident edges (never the base),
@@ -20,11 +28,38 @@ decorations, and so the expressions found, may.
 
 from __future__ import annotations
 
-from .words import Word, EPSILON, winv, wmul, reduce_word
+from .words import Word, EPSILON, winv, wmul, cyclic_reduce, substitute_all
 
 
 class SubgroupGraph:
-    """Folded core graph of <gens> with expression decorations."""
+    """Folded core graph of <gens> with expression decorations.
+
+    relators: cyclically reduced words over 1-based positions into gens,
+    one for each parallel-edge removal, and never empty.  A homomorphism
+    defined on <gens> sends them all to 1; conversely, if the assignment
+    gens[k] -> ys[k] (ys[k] = 1 where gens[k] is empty) sends every
+    relator to 1, then some homomorphism h on <gens> has h(gens[k]) =
+    ys[k] for all k, and h(w) is ys substituted into express(w).
+
+    Proof.  Write D(P) for the decoration product of a path P, a reduced
+    word over symbols.  A merge fold with its gauge keeps D(P) of every
+    path, as a word: the gauge word and its inverse cancel at the
+    gauged vertex, and the base is never gauged.  Removing e2, parallel
+    to e1 with decorations d1 and d2 in the same orientation, changes
+    D(P) of a path through e2 only by replacing d2 with d1.  The relator
+    recorded is d1 * d2^-1.  If each relator goes to 1 under symbols ->
+    ys, each such replacement keeps the value of D(P), so the petal of
+    gens[k], whose D was symbol k, still has value ys[k] after the last
+    fold; it now reads gens[k] from the base, so h := (ys substituted
+    into express) sends gens[k] to ys[k], and h is a homomorphism
+    because D is multiplicative along loops.  Conversely, each relator
+    is D of the loop L = P * e1 * e2^-1 * P^-1 for a path P from the
+    base, up to conjugation, and L's label is trivial; so any
+    homomorphism with gens[k] -> ys[k] sends it to 1.  The relator is
+    not empty: D is injective on loops at the base (it is at the start,
+    folds keep it so), and L is a nontrivial loop.  So there are
+    exactly (nonempty gens) - (E - V + 1) relators, one per rank lost.
+    """
 
     def __init__(self, gens):
         self.gens = [tuple(w) for w in gens]
@@ -55,6 +90,7 @@ class SubgroupGraph:
                 attach(e[2], -e[1], e)
                 u = v
         degree = [sum(map(len, a.values())) for a in adj]
+        relators: list[Word] = []
 
         while work:
             p, a = work.pop()
@@ -75,7 +111,9 @@ class SubgroupGraph:
             degree[p] -= 1
             degree[t2] -= 1
             if t1 == t2:
-                continue  # expressions differ by a relation among the gens
+                # e1 and e2 share their orientation; see relators
+                relators.append(wmul(e1[3], winv(e2[3])))
+                continue
             # gauge the endpoint with fewer edges (never the base) so the
             # two decorations agree, then move its edges to the other one
             if t2 != 0 and (t1 == 0 or degree[t2] <= degree[t1]):
@@ -102,6 +140,15 @@ class SubgroupGraph:
         for u, x, v, dec in self._edges:
             self._trans[(u, x)] = (v, dec)
             self._trans[(v, -x)] = (u, winv(dec))
+        self.relators = [cyclic_reduce(self._positions(r))[0]
+                         for r in relators]
+
+    def _positions(self, symbols: Word) -> Word:
+        """A word over symbols as a word over 1-based positions into gens
+        (one-to-one on letters, so it stays reduced)."""
+        sym = self._symbol_of
+        return tuple(sym[x - 1] + 1 if x > 0 else -sym[-x - 1] - 1
+                     for x in symbols)
 
     def trace(self, w: Word):
         """(end state, decoration product) after reading w from the base,
@@ -145,11 +192,7 @@ class SubgroupGraph:
         got = self.trace(tuple(w))
         if got is None or got[0] != 0:
             return None
-        return reduce_word(
-            self._symbol_of[abs(x) - 1] + 1 if x > 0
-            else -(self._symbol_of[abs(x) - 1] + 1)
-            for x in got[1]
-        )
+        return self._positions(got[1])
 
 
 def _remove(edges: list, e) -> None:
@@ -175,9 +218,8 @@ def express_in_subgroup(gens, target) -> Word | None:
 
 def expand_expression(expr: Word, gens) -> Word:
     """Substitute gens (freely reduced words) into an expression word and
-    freely reduce."""
-    gens = [tuple(w) for w in gens]
-    return wmul(*[gens[x - 1] if x > 0 else winv(gens[-x - 1]) for x in expr])
+    freely reduce: the one-word case of words.substitute_all."""
+    return next(substitute_all((expr,), gens))
 
 
 def subgroup_contains(gens, target) -> bool:

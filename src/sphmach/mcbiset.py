@@ -15,12 +15,11 @@ from . import perms
 from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, reduce_word, conjugate, cyclic_canonical,
+    winv, wmul, reduce_word, conjugate, cyclic_canonical, substitute_all,
     centralizer_root, power_exponent,
     simultaneous_conjugator, outer_normalize,
     common_generator_conjugator, is_peripheral_preserving,
 )
-from .folding import expand_expression
 from .machine import (
     SphereMachine, BasisChange, change_basis, pre_compose,
     normalize_basis, validate_sphere, MachineError,
@@ -50,11 +49,13 @@ class Distillation:
         self.degree = d
         self.perm_tuple: tuple[Perm, ...] = tuple(machine.monodromy_perms())
         self.labels: dict[tuple[int, int], ConjClass] = {}
+        keyed_cycles = []   # (generator, cycle, label key), keyed once
         for i in range(1, machine.source.n + 1):
             for cyc in perms.cycles(self.perm_tuple[i - 1]):
                 cls = ConjClass(machine.target, machine.cycle_product(i, cyc))
                 self.labels[(i, cyc[0])] = cls
-        self.key, self.numberings = self._canonicalize()
+                keyed_cycles.append((i, cyc, _label_key(cls)))
+        self.key, self.numberings = self._canonicalize(keyed_cycles)
 
     def _bfs_numbering(self, start: int):
         d = self.degree
@@ -74,32 +75,21 @@ class Distillation:
             raise MachineError("distillation requires a transitive machine")
         return tuple(num)
 
-    def _encode(self, num):
+    def _encode(self, num, keyed_cycles):
         inv = perms.inverse(num)
         new_perms = tuple(
             tuple(num[pi[inv[i]]] for i in range(self.degree))
             for pi in self.perm_tuple)
-        new_labels = []
-        for (i, p), cls in self.labels.items():
-            cyc = {num[q] for q in self._cycle_of(i, p)}
-            new_labels.append(((i, min(cyc)), _label_key(cls)))
-        return (new_perms, tuple(sorted(new_labels)))
+        new_labels = sorted(((i, min(num[q] for q in cyc)), key)
+                            for i, cyc, key in keyed_cycles)
+        return (new_perms, tuple(new_labels))
 
-    def _cycle_of(self, i, p):
-        pi = self.perm_tuple[i - 1]
-        cyc = [p]
-        q = pi[p]
-        while q != p:
-            cyc.append(q)
-            q = pi[q]
-        return cyc
-
-    def _canonicalize(self):
+    def _canonicalize(self, keyed_cycles):
         best = None
         maps = []
         for start in range(self.degree):
             num = self._bfs_numbering(start)
-            enc = self._encode(num)
+            enc = self._encode(num, keyed_cycles)
             if best is None or enc < best:
                 best, maps = enc, [num]
             elif enc == best:
@@ -209,8 +199,14 @@ class _KnitSolver:
 
     Writing the unknown conjugator at point p as  psi(alpha_p) * beta_p
     along a spanning tree of M1's action graph turns every non-tree edge
-    into an exact constraint  psi(X) = Y, where the X depend on M1 alone
-    and generate the target group.
+    k into an exact constraint  psi(x_k) = y_k, where the back-edge words
+    x_k depend on M1 alone and generate the target group.  Folding the
+    x_k pins psi0 := psi (up to the outer normalisation) through the
+    expressions of the free generators, and yields relators among the
+    x_k (SubgroupGraph.relators).  A candidate relabeling gives the y_k;
+    it solves the whole system exactly when y_k is empty wherever x_k
+    is, and every relator evaluates to 1 on the y_k.  So psi0 is never
+    applied to the x_k: the relators are far shorter than those images.
     """
 
     def __init__(self, M1: SphereMachine, d1: Distillation | None = None):
@@ -239,9 +235,11 @@ class _KnitSolver:
         self.alpha = alpha
         self.tree = tree
         self.back = back
-        self.xs = [wmul(winv(alpha[p]), M1.rows[r].entries[p], alpha[q])
-                   for p, r, q in back]
-        graph = SubgroupGraph(self.xs)
+        xs = [wmul(winv(alpha[p]), M1.rows[r].entries[p], alpha[q])
+              for p, r, q in back]
+        self.empty_backs = [k for k, x in enumerate(xs) if not x]
+        graph = SubgroupGraph(xs)
+        self.relators = graph.relators
         self.exprs = []
         for g in M1.target.free_gen_indices():
             expr = graph.express(M1.target.gen(g))
@@ -263,14 +261,12 @@ class _KnitSolver:
                 beta[q] = wmul(beta[p], M2.rows[r].entries[sigma[p]])
             ys = [wmul(beta[p], M2.rows[r].entries[sigma[p]], winv(beta[q]))
                   for p, r, q in self.back]
-            if any(not x and y for x, y in zip(self.xs, ys)):
+            # psi0(x_k) == y_k for every k, checked exactly on the relators
+            if any(ys[k] for k in self.empty_backs) or \
+                    any(substitute_all(self.relators, ys)):
                 continue
-            images = [expand_expression(expr, ys) for expr in self.exprs]
+            images = list(substitute_all(self.exprs, ys))
             psi0 = Automorphism.from_images_of_free_gens(M1.target, images)
-            # psi is pinned on <xs> = H, so the candidate either solves the
-            # whole system exactly or this relabeling is wrong
-            if any(img != y for img, y in zip(psi0.apply_all(self.xs), ys)):
-                continue
             knit, g = outer_normalize(psi0, return_conjugator=True)
             rho = perms.inverse(sigma)
             ginv = winv(g)
@@ -291,7 +287,9 @@ def _same_left_orbit_full(M1, M2, d1=None, d2=None, solver=None):
     if got is None:
         return None
     psi, b = got
-    assert is_peripheral_preserving(psi)
+    if not is_peripheral_preserving(psi):
+        raise ReconstructionError(
+            "knitting automorphism is not peripheral-preserving")
     return psi, b
 
 

@@ -17,12 +17,12 @@ Products of reduced words cancel only at each junction, so one kernel,
 _append_reduced, does all free reduction of products: it walks a short
 cancellation letter by letter, finds a long one by comparing list
 slices in doubling, then halving, chunks, and copies the rest with one
-extend.  wmul, automorphism application and expression expansion
-(folding.expand_expression) thus cost time linear in the letters
+extend.  wmul and substitution thus cost time linear in the letters
 written, at C speed, plus O(log k) interpreted steps per junction that
-cancels k letters.  Automorphism.apply_all maps a batch of words and
-builds the signed images it needs once per batch; cyclic_reduce is
-linear.
+cancels k letters.  substitute_all is the one substitution kernel: it
+maps a batch of words and builds the signed images it needs once per
+batch; Automorphism.apply_all and folding.expand_expression call it.
+cyclic_reduce is linear.
 """
 
 from __future__ import annotations
@@ -115,6 +115,26 @@ def wmul(*words: Word) -> Word:
 
 def winv(w: Word) -> Word:
     return tuple(map(neg, reversed(w)))
+
+
+def substitute_all(words, images):
+    """Yield, for each word in words, the freely reduced product of the
+    images it spells: images[i-1] for a letter i > 0, its inverse for -i.
+
+    The images must be freely reduced.  The signed pieces and their
+    inverse lists are built once per batch, only for the letters met, so
+    every product is one _append_reduced per letter.
+    """
+    pieces: dict[int, tuple[Word, list[int]]] = {}
+    for w in words:
+        out: list[int] = []
+        for x in w:
+            piece = pieces.get(x)
+            if piece is None:
+                img = images[x - 1] if x > 0 else winv(images[-x - 1])
+                piece = pieces[x] = (img, list(map(neg, reversed(img))))
+            _append_reduced(out, *piece)
+        yield tuple(out)
 
 
 def wpow(w: Word, k: int) -> Word:
@@ -487,7 +507,8 @@ def simultaneous_conjugator(us, vs, G: SphereGroup | None = None):
     if state is None:
         return EPSILON
     w = state[0]
-    assert all(conjugate(u, w) == v for u, v in zip(us, vs))
+    if any(conjugate(u, w) != v for u, v in zip(us, vs)):
+        raise ValueError("simultaneous conjugator failed its exact check")
     return w
 
 
@@ -535,24 +556,9 @@ class Automorphism:
         return next(self.apply_all((w,)))
 
     def apply_all(self, words):
-        """Yield self(w) for each w in words, in order.
-
-        The signed images and their inverse lists are built once per
-        batch, only for the letters met; nothing is kept on the
-        automorphism.
-        """
-        normal_form = self.group.normal_form
-        images = self.images
-        pieces: dict[int, tuple[Word, list[int]]] = {}
-        for w in words:
-            out: list[int] = []
-            for x in normal_form(w):
-                piece = pieces.get(x)
-                if piece is None:
-                    img = images[x - 1] if x > 0 else winv(images[-x - 1])
-                    piece = pieces[x] = (img, list(map(neg, reversed(img))))
-                _append_reduced(out, *piece)
-            yield tuple(out)
+        """Yield self(w) for each w in words, in order (see
+        substitute_all; nothing is kept on the automorphism)."""
+        return substitute_all(map(self.group.normal_form, words), self.images)
 
     def __eq__(self, other):
         return (isinstance(other, Automorphism)

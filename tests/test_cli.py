@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphmach import zoo
+from sphmach import cli, zoo
 from sphmach.words import SphereGroup, reduce_word
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
@@ -169,6 +170,19 @@ def test_cli_monodromy_json_deterministic(capsys):
     assert first == second
     data = json.loads(first)
     assert data["result"]["order"] == 120
+    assert "timing_ms" not in data
+
+
+def test_cli_timing_reads_perf_counter(monkeypatch, capsys):
+    ticks = itertools.count(0, 0.125)
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+    assert run_cli("--json", "monodromy", str(MACHINES / "fbiset.mach")) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert run_cli("--json", "--timing", "monodromy",
+                   str(MACHINES / "fbiset.mach")) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert timed.pop("timing_ms") == 125.0
+    assert timed == plain
 
 
 def test_cli_thurston_matrix(capsys):

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 from sphmach.folding import (
     SubgroupGraph, express_in_subgroup, expand_expression, subgroup_contains,
 )
-from sphmach.words import reduce_word, winv, wmul
+from sphmach.words import (
+    SphereGroup, Automorphism, dehn_twist, reduce_word, substitute_all,
+    winv, wmul,
+)
 
 
 def rand_word(rng, rank, length):
@@ -156,3 +159,48 @@ def test_expand_expression_matches_reduce_word(gens, data):
     for x in expr:
         letters.extend(gens[x - 1] if x > 0 else winv(gens[-x - 1]))
     assert expand_expression(expr, gens) == reduce_word(letters)
+
+
+# ---------------------------------------------------------------------------
+# relators recorded by the fold
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(words2(8), max_size=6))
+def test_relators_hold_and_count_the_rank_lost(gens):
+    graph = SubgroupGraph(gens)
+    assert all(graph.relators)
+    assert not any(substitute_all(graph.relators, gens))
+    edges, vertices = len(graph._edges), len(graph.states())
+    assert len(graph.relators) == \
+        sum(1 for w in gens if w) - (edges - vertices + 1)
+
+
+F2 = SphereGroup(["a", "b", "c"])  # free on a, b: c is eliminated
+TWISTS = [dehn_twist(i, j, F2) for i, j in ((1, 2), (2, 3), (1, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(words2(8), min_size=1, max_size=6),
+       st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=4),
+       st.one_of(st.none(), st.tuples(st.integers(0, 5),
+                                      st.sampled_from(LETTERS2))))
+def test_relator_check_matches_the_direct_check(gens, twists, perturb):
+    """gens[k] -> ys[k] extends to a homomorphism of <gens> exactly when
+    ys is empty wherever gens is and every relator evaluates to 1 on ys.
+    The direct check applies h = (ys substituted into express), which is
+    the knitting solver's psi0 restricted to <gens>, to each gens[k]."""
+    psi = Automorphism.identity(F2)
+    for k, inverse in twists:
+        psi = psi.compose(TWISTS[k].inverse() if inverse else TWISTS[k])
+    ys = list(psi.apply_all(gens))
+    if perturb is not None:
+        k = perturb[0] % len(gens)
+        ys[k] = wmul(ys[k], (perturb[1],))
+    graph = SubgroupGraph(gens)
+    by_relators = (not any(y for x, y in zip(gens, ys) if not x)
+                   and not any(substitute_all(graph.relators, ys)))
+    direct = all(expand_expression(graph.express(x), ys) == y
+                 for x, y in zip(gens, ys))
+    assert by_relators == direct
+    if perturb is None:
+        assert direct

@@ -1,8 +1,11 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from sphmach import perms, zoo
+from sphmach import mcbiset, perms, zoo
+from sphmach.cli import main
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, dehn_twist, outer_equal,
     outer_normalize, conjugate, winv, wmul,
@@ -96,13 +99,50 @@ def test_same_left_orbit_identity_and_twists():
 def test_same_left_orbit_distinguishes():
     P = zoo.pilgrim().machine
     z5 = zoo.z5_marked().machine
-    # different label multisets: not in the same orbit
-    assert same_left_orbit(P, pre_compose(P, zoo.pilgrim().autos["s"])) is None \
-        or True  # pre-compose may or may not preserve the orbit; key test below
-    d1 = distill(P)
-    d2 = distill(z5)
-    assert d1.key != d2.key
+    dP = distill(P)
+    for a in zoo.pilgrim().autos.values():
+        N = pre_compose(P, a)
+        assert same_left_orbit(P, N) is None
+        assert distill(N).key != dP.key
+    assert distill(z5).key != dP.key
     assert same_left_orbit(P, z5) is None
+
+
+def test_knit_solver_skips_bogus_relabelings(monkeypatch):
+    """Relabelings that carry no solution are skipped, and the first one
+    that does gives the same knitting.  Every other permutation of the
+    pilgrim's five points leaves some y_k nonempty where the back-edge
+    word x_k is empty, so it is that test, not the relator check, which
+    rejects them here (tests/test_folding.py checks the relators)."""
+    P = zoo.pilgrim().machine
+    targets = {name: post_compose(P, a)
+               for name, a in zoo.pilgrim().autos.items()}
+    expected = {name: same_left_orbit(P, N) for name, N in targets.items()}
+    real = mcbiset._candidate_relabelings
+    tried = []
+
+    def with_bogus(d1, d2):
+        good = real(d1, d2)
+        bogus = [s for s in itertools.permutations(range(d1.degree))
+                 if s not in good]
+        tried.append(len(bogus))
+        return bogus + good
+
+    monkeypatch.setattr(mcbiset, "_candidate_relabelings", with_bogus)
+    for name, N in targets.items():
+        got = same_left_orbit(P, N)
+        assert got is not None and got == expected[name]
+    assert tried == [119, 119, 119]
+
+
+def test_knitting_check_raises_not_asserts(monkeypatch, capsys):
+    monkeypatch.setattr(mcbiset, "is_peripheral_preserving", lambda psi: False)
+    P = zoo.pilgrim().machine
+    with pytest.raises(ReconstructionError, match="not peripheral-preserving"):
+        same_left_orbit(P, P)
+    fb = str(Path(__file__).resolve().parent.parent / "machines" / "fbiset.mach")
+    assert main(["iso", fb, fb]) == 3
+    assert "not peripheral-preserving" in capsys.readouterr().err
 
 
 def test_same_left_orbit_iff_distillations_match():

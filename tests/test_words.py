@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphmach import words
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, FiniteOrderUnsupported,
     reduce_word, wmul, winv, wpow, conjugate, cyclic_canonical, cyclic_reduce,
@@ -363,3 +364,13 @@ def test_cyclic_reduce_splits_off_the_wings(c, u):
     # the wing is all of c unless u cancels into it
     if u and u[0] != -u[-1] and (not c or c[-1] not in (-u[0], u[-1])):
         assert wing == c and core == u
+
+
+def test_simultaneous_conjugator_checks_its_answer(monkeypatch):
+    us = [(1,), (2,)]
+    w = (1, -2)
+    vs = [conjugate(u, w) for u in us]
+    assert simultaneous_conjugator(us, vs) == w
+    monkeypatch.setattr(words, "_coset_intersect", lambda *a: ((2,), None))
+    with pytest.raises(ValueError, match="failed its exact check"):
+        simultaneous_conjugator(us, vs)
