@@ -80,12 +80,13 @@ class SubgroupGraph:
         for k, (_, w) in enumerate(nonzero):
             u = 0
             for pos, x in enumerate(w):
+                # only the last edge of a petal carries its symbol, k + 1
                 if pos == len(w) - 1:
-                    v, dec = 0, (k + 1,)
+                    v, dec = 0, ((k + 1,) if x > 0 else (-k - 1,))
                 else:
                     v, dec = len(adj), EPSILON
                     adj.append({})
-                e = [u, x, v, dec] if x > 0 else [v, -x, u, winv(dec)]
+                e = [u, x, v, dec] if x > 0 else [v, -x, u, dec]
                 attach(e[0], e[1], e)
                 attach(e[2], -e[1], e)
                 u = v

@@ -27,7 +27,7 @@ from .words import (
 )
 from .machine import SphereMachine, WreathElement, BasisChange
 from .mcbiset import MappingClassBiset, TableEdge
-from .multicurve import Multicurve
+from .multicurve import Multicurve, MulticurveError
 
 
 class ParseError(ValueError):
@@ -258,10 +258,14 @@ def parse_machine_file(text: str) -> MachineFile:
     if target_names is None:
         target = source
     else:
-        target = SphereGroup(target_names)
+        rel_line = None
         if target_relator is not None:
             rel_line = [x.strip() for x in target_relator[0].split("*")]
+        try:
             target = SphereGroup(target_names, relator=rel_line)
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"bad target block: {exc}",
+                             target_relator[1] if target_relator else None)
     read_source, read_target = _WordReader(source), _WordReader(target)
     by_name: dict[str, tuple] = {}
     for name, entries_text, cycles_text, ln in rows_raw:
@@ -277,7 +281,10 @@ def parse_machine_file(text: str) -> MachineFile:
                 f"row has {len(entries)} entries, declared degree {degree}", ln)
         cycles = []
         for cm in _CYCLE.finditer(cycles_text):
-            pts = [int(x) for x in cm.group(1).split(",") if x.strip()]
+            try:
+                pts = [int(x) for x in cm.group(1).split(",") if x.strip()]
+            except ValueError:
+                raise ParseError(f"bad cycle point in ({cm.group(1)})", ln)
             if any(not 1 <= p <= degree for p in pts):
                 raise ParseError("cycle point outside 1..degree", ln)
             cycles.append(pts)
@@ -296,7 +303,10 @@ def parse_machine_file(text: str) -> MachineFile:
     if curve_text is not None:
         reps = [read_source(x.strip(), curve_text[1])
                 for x in _split_top_level(curve_text[0])]
-        curves = Multicurve(source, reps)
+        try:
+            curves = Multicurve(source, reps)
+        except MulticurveError as exc:
+            raise ParseError(f"bad curves: {exc}", curve_text[1])
     autos = {}
     for name, images_text, ln in auto_raw:
         images = [read_source(x, ln) for x in _split_top_level(images_text)]

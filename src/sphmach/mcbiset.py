@@ -17,7 +17,7 @@ from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
     winv, wmul, reduce_word, conjugate, cyclic_canonical, substitute_all,
     centralizer_root, power_exponent,
-    simultaneous_conjugator, outer_normalize,
+    outer_normalize,
     common_generator_conjugator, is_peripheral_preserving,
 )
 from .machine import (
@@ -123,79 +123,12 @@ def _candidate_relabelings(d1: Distillation, d2: Distillation):
     return out
 
 
-def machine_isomorphism(Ma: SphereMachine, Mb: SphereMachine,
-                        da: Distillation | None = None,
-                        db: Distillation | None = None) -> BasisChange | None:
-    """A BasisChange b with change_basis(Ma, b) == Mb, if one exists."""
-    if Ma.source != Mb.source or Ma.target != Mb.target or Ma.degree != Mb.degree:
-        return None
-    da = da or distill(Ma)
-    db = db or distill(Mb)
-    if da.key != db.key:
-        return None
-    d = Ma.degree
-    for numa in da.numberings:
-        for numb in db.numberings:
-            invb = perms.inverse(numb)
-            sigma = tuple(invb[numa[p]] for p in range(d))  # Ma point -> Mb point
-            rho = perms.inverse(sigma)                      # Mb point -> Ma point
-            if any(tuple(sigma[pa[rho[i]]] for i in range(d)) != pb
-                   for pa, pb in zip(da.perm_tuple, db.perm_tuple)):
-                continue
-            b = _solve_conjugators(Ma, Mb, rho)
-            if b is not None:
-                return b
-    return None
-
-
-def _solve_conjugators(Ma, Mb, rho: Perm) -> BasisChange | None:
-    """Conjugators for change_basis(Ma, (l, rho)) == Mb: the entries must
-    satisfy  Mb.e_i = l_i^-1 * Ma.e_{rho(i)} * l_j.  The basepoint value is
-    a free unknown solved by simultaneous conjugacy over the back edges."""
-    d = Ma.degree
-    P: list[Word | None] = [None] * d
-    Q: list[Word | None] = [None] * d
-    P[0] = Q[0] = EPSILON  # l_i = P_i * X * Q_i
-    order = [0]
-    k = 0
-    back: list[tuple[Word, Word]] = []
-    while k < len(order):
-        i = order[k]
-        k += 1
-        for r in range(Ma.source.n):
-            A = Ma.rows[r].entries[rho[i]]
-            B = Mb.rows[r].entries[i]
-            j = Mb.rows[r].perm[i]
-            if P[j] is None:
-                # l_j = A^-1 * l_i * B
-                P[j] = wmul(winv(A), P[i])
-                Q[j] = wmul(Q[i], B)
-                order.append(j)
-            else:
-                # X^-1 (P_i^-1 A P_j) X = Q_i B Q_j^-1
-                back.append((wmul(winv(P[i]), A, P[j]),
-                             wmul(Q[i], B, winv(Q[j]))))
-    if any(p is None for p in P):
-        return None
-    X = simultaneous_conjugator([u for u, _ in back], [v for _, v in back])
-    if X is None:
-        return None
-    ell = tuple(wmul(P[i], X, Q[i]) for i in range(d))
-    b = BasisChange(ell, rho)
-    return b if change_basis(Ma, b) == Mb else None
-
-
-def same_left_orbit(M1: SphereMachine, M2: SphereMachine):
-    """An automorphism m' with M2 isomorphic to m' . M1 (i.e. post_compose
-    (M1, m') and M2 differ by a basis change), or None."""
-    got = _same_left_orbit_full(M1, M2)
-    return got[0] if got else None
-
-
 class _KnitSolver:
     """Solves  M2 = change_basis(post_compose(M1, psi), b)  for psi and b,
     with the M1-dependent part precomputed so one machine can be matched
-    against many candidates cheaply.
+    against many candidates cheaply.  It serves the biset build
+    (compute_mcbiset), same_left_orbit, and machine_isomorphism, which is
+    the case of an inner knitting.
 
     Writing the unknown conjugator at point p as  psi(alpha_p) * beta_p
     along a spanning tree of M1's action graph turns every non-tree edge
@@ -248,11 +181,11 @@ class _KnitSolver:
                     "loop words of the machine do not generate the target group")
             self.exprs.append(expr)
 
-    def solve(self, M2: SphereMachine, d2: Distillation | None = None):
+    def matches(self, M2: SphereMachine, d2: Distillation):
+        """Yield (knit, b) for every candidate relabeling that solves the
+        system, in the order of _candidate_relabelings.  d2 is M2's
+        distillation and must have the key of M1's."""
         M1 = self.M1
-        d2 = d2 or distill(M2)
-        if self.d1.key != d2.key:
-            return None
         d = M1.degree
         for sigma in _candidate_relabelings(self.d1, d2):
             beta: list[Word | None] = [None] * d
@@ -272,25 +205,72 @@ class _KnitSolver:
             ginv = winv(g)
             lam = [wmul(a, ginv, b)
                    for a, b in zip(knit.apply_all(self.alpha), beta)]
-            b = BasisChange(tuple(lam[rho[i]] for i in range(d)), rho)
-            return knit, b
+            yield knit, BasisChange(tuple(lam[rho[i]] for i in range(d)), rho)
+
+    def solve(self, M2: SphereMachine, d2: Distillation | None = None):
+        """The first match of M2, or None when the distillations differ."""
+        d2 = d2 or distill(M2)
+        if self.d1.key != d2.key:
+            return None
+        for got in self.matches(M2, d2):
+            return got
         raise ReconstructionError(
             "matching distillations but no knitting automorphism found")
 
 
-def _same_left_orbit_full(M1, M2, d1=None, d2=None, solver=None):
+def same_left_orbit(M1: SphereMachine, M2: SphereMachine):
+    """An automorphism m' with M2 isomorphic to m' . M1 (i.e. post_compose
+    (M1, m') and M2 differ by a basis change), or None."""
     if (M1.source != M2.source or M1.target != M2.target
             or M1.degree != M2.degree):
         return None
-    solver = solver or _KnitSolver(M1, d1)
-    got = solver.solve(M2, d2)
+    got = _KnitSolver(M1).solve(M2)
     if got is None:
         return None
-    psi, b = got
+    psi = got[0]
     if not is_peripheral_preserving(psi):
         raise ReconstructionError(
             "knitting automorphism is not peripheral-preserving")
-    return psi, b
+    return psi
+
+
+def machine_isomorphism(Ma: SphereMachine, Mb: SphereMachine) -> BasisChange | None:
+    """A BasisChange b with change_basis(Ma, b) == Mb, if one exists.
+
+    This is the knitting solve with an inner knitting: Mb is a basis
+    change of Ma exactly when some match (knit, b) of _KnitSolver has knit
+    equal to conjugation by a word h, and then post-composing with knit
+    is the constant basis change by h, so (h * l_i, relabel) works.  Each
+    relabeling pins its knitting up to an inner automorphism, so testing
+    every match decides the question.  Innerness is tested exactly by
+    common_generator_conjugator on the images of the free generators:
+    the generators are distinct basis letters, so x2^a * x1^b is reduced
+    as written and its runs are read off D = w2 * w1^-1 with no slack.
+
+    Ma must be a sphere machine, whose loop words generate the target;
+    otherwise ReconstructionError is raised.
+    """
+    if (Ma.source != Mb.source or Ma.target != Mb.target
+            or Ma.degree != Mb.degree):
+        return None
+    da, db = distill(Ma), distill(Mb)
+    if da.key != db.key:
+        return None
+    G = Ma.target
+    free = G.free_gen_indices()
+    for knit, b in _KnitSolver(Ma, da).matches(Mb, db):
+        h = common_generator_conjugator(
+            G, free, [knit.images[i - 1] for i in free])
+        if h is None:
+            continue
+        found = BasisChange(tuple(wmul(h, l) for l in b.conjugators),
+                            b.relabel)
+        if change_basis(Ma, found) != Mb:
+            raise ReconstructionError(
+                "inner knitting found but its basis change does not map "
+                "the machines")
+        return found
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -602,11 +602,10 @@ def _words_of_length(rank: int, L: int):
                     stack.append(w + (x,))
 
 
-def _iddfs_products(P: SphereGroup, idxs: list[int], target_canon: Word,
-                    bound: int):
-    """Yield (order, conjugators, product) tuples with
-    gen_{i1}^{u1} * ... in the given cyclic class and total conjugator
-    length <= bound.  Iterative deepening over the total length; all
+def _iddfs(P: SphereGroup, idxs: list[int], bound: int, accept):
+    """Yield (order, conjugators, product, total) with product
+    gen_{i1}^{u1} * ... accepted and total conjugator length
+    total <= bound.  Iterative deepening over the total length; all
     cyclic rotations of the index order are tried."""
     s = len(idxs)
     rank = P.rank
@@ -616,39 +615,15 @@ def _iddfs_products(P: SphereGroup, idxs: list[int], target_canon: Word,
 
             def rec(pos, remaining, conjs, prefix):
                 if pos == s:
-                    if remaining == 0 and cyclic_canonical(prefix) == target_canon:
-                        yield list(conjs), prefix
+                    if remaining == 0 and accept(prefix):
+                        yield order, list(conjs), prefix, total
                     return
                 for L in range(remaining + 1):
                     for u in _words_of_length(rank, L):
                         yield from rec(pos + 1, remaining - L, conjs + [u],
                                        wmul(prefix, conjugate(P.gen(order[pos]), u)))
 
-            for conjs, prod in rec(0, total, [], EPSILON):
-                yield order, conjs, prod, total
-
-
-def _iddfs_exact(P: SphereGroup, idxs: list[int], target: Word, bound: int):
-    """Like _iddfs_products but requiring the product to equal the target
-    word exactly."""
-    s = len(idxs)
-    rank = P.rank
-    for total in range(bound + 1):
-        for shift in range(s):
-            order = idxs[shift:] + idxs[:shift]
-
-            def rec(pos, remaining, conjs, prefix):
-                if pos == s:
-                    if remaining == 0 and prefix == target:
-                        yield list(conjs)
-                    return
-                for L in range(remaining + 1):
-                    for u in _words_of_length(rank, L):
-                        yield from rec(pos + 1, remaining - L, conjs + [u],
-                                       wmul(prefix, conjugate(P.gen(order[pos]), u)))
-
-            for conjs in rec(0, total, [], EPSILON):
-                yield order, conjs
+            yield from rec(0, total, [], EPSILON)
 
 
 def mc_to_gog(G: SphereGroup, curves: Multicurve, bound: int = 4) -> TreeOfGroups:
@@ -694,10 +669,11 @@ def mc_to_gog(G: SphereGroup, curves: Multicurve, bound: int = 4) -> TreeOfGroup
         # must generate the piece (ruling out homologically-plausible
         # non-splittings)
         accepted = None
-        for order_in, conjs_in, q, used in _iddfs_products(
-                P, enclosed, cyclic_canonical(expr_w), bound):
-            for order_out, conjs_out in _iddfs_exact(
-                    P, rest, winv(q), bound - used):
+        canon = cyclic_canonical(expr_w)
+        for order_in, conjs_in, q, used in _iddfs(
+                P, enclosed, bound, lambda w: cyclic_canonical(w) == canon):
+            for order_out, conjs_out, _, _ in _iddfs(
+                    P, rest, bound - used, lambda w, t=winv(q): w == t):
                 side_in = [conjugate(P.gen(i), u)
                            for i, u in zip(order_in, conjs_in)]
                 side_out = [conjugate(P.gen(i), u)

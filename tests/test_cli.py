@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphmach import cli, zoo
-from sphmach.words import SphereGroup, reduce_word
+from sphmach.words import SphereGroup, FiniteOrderUnsupported, reduce_word
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
     mcb_to_json, mcb_from_json, _WordReader,
@@ -59,6 +59,73 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as exc:
         parse_machine_file("group: a,b\ndegree: x\na=<,a>(1,2)\nb=<b,>(1,2)\n")
     assert str(exc.value) == "bad degree 'x' at line 2"
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file("group: a,b\na=<,a>(1,2 2)\nb=<b,>(1,2)\n")
+    assert str(exc.value) == "bad cycle point in (1,2 2) at line 2"
+    target = ("group: a,b\ntarget: p,q\ntarget_relator: q*zz\n"
+              "a=<,p>(1,2)\nb=<q,>(1,2)\n")
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file(target)
+    assert str(exc.value) == "bad target block: 'zz' at line 3"
+    with pytest.raises(ParseError, match="bad target block"):
+        parse_machine_file(target.replace("target: p,q", "target: p,p"))
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file(zoo.CENTRALIZER7_TEXT.replace(
+            "curves: x3*x4,", "curves: x3,"))
+    assert str(exc.value) == "bad curves: curve x3 is peripheral at line 10"
+
+
+def test_machine_files_match_the_zoo():
+    texts = {"z2": zoo.Z2_TEXT, "fbiset": zoo.PILGRIM_TEXT,
+             "z5belyi": zoo.Z5_TEXT, "centralizer7": zoo.CENTRALIZER7_TEXT}
+    assert sorted(p.stem for p in MACHINES.glob("*.mach")) == sorted(texts)
+    for stem, text in texts.items():
+        on_disk = (MACHINES / f"{stem}.mach").read_text()
+        assert parse_machine_file(on_disk) == parse_machine_file(text)
+    assert json.loads((MACHINES / "rabbit.mcb").read_text()) == zoo.RABBIT_MCB
+
+
+# machine files with a target block, a declared degree and finite orders,
+# beside the zoo texts, as seeds for the parser fuzz test
+_MACHINE_TEXTS = [
+    zoo.Z2_TEXT, zoo.PILGRIM_TEXT, zoo.Z5_TEXT, zoo.CENTRALIZER7_TEXT,
+    "group: a,b\ntarget: p,q\ntarget_relator: q*p\ndegree: 2\n"
+    "a=<,p>(1,2)\nb=<q,>(1,2)\n",
+    "group: a,b,c\norders: a=3\nrelator: c*b*a\na=<a>\nb=<b>\nc=<c>\n",
+]
+_MACHINE_TOKENS = [
+    "a", "b", "q", "x1", "*", "^", "-1", "(", ")", ",", "<", ">", "=", " ",
+    "\n", "#", ":", "0", "1", "2", "3", "x", "a=2", "group:", "relator:",
+    "target:", "target_relator:", "orders:", "degree:", "curves:", "auto ",
+]
+
+
+@st.composite
+def mutated_machine_texts(draw):
+    text = draw(st.sampled_from(_MACHINE_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "repeat line"]))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(_MACHINE_TOKENS)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        else:
+            lines = text.splitlines()
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(lines)))
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_machine_texts())
+def test_mutated_machine_files_parse_or_raise_parse_error(text):
+    # finite orders are refused on purpose, with their own message
+    try:
+        parse_machine_file(text)
+    except (ParseError, FiniteOrderUnsupported):
+        pass
 
 
 # the word parser: round trips, fuzzing, and its error messages
@@ -233,6 +300,11 @@ def test_cli_input_error_exit_code(tmp_path, capsys):
     bad.write_text("group: a,b\na=<,a>(1,2)\n")
     assert run_cli("validate", str(bad)) == 3
     assert run_cli("validate", str(tmp_path / "missing.mach")) == 3
+    bad.write_text("group: a,b\ntarget: p,q\ntarget_relator: q*zz\n"
+                   "a=<,p>(1,2)\nb=<q,>(1,2)\n")
+    capsys.readouterr()
+    assert run_cli("validate", str(bad)) == 3
+    assert "bad target block: 'zz' at line 3" in capsys.readouterr().err
 
 
 def test_cli_promote_unknown_map_label_exit_code(capsys):

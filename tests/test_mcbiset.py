@@ -12,7 +12,7 @@ from sphmach.words import (
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError,
-    change_basis, pre_compose, post_compose, validate_sphere,
+    change_basis, pre_compose, post_compose, validate_sphere, tensor,
 )
 from sphmach.mcbiset import (
     distill, Distillation, machine_isomorphism, same_left_orbit,
@@ -72,20 +72,24 @@ def test_distill_requires_transitive():
 
 
 def test_machine_isomorphism_round_trip():
-    M = zoo.centralizer7().machine
-    rng = random.Random(0)
+    B = zoo.centralizer7().machine
     letters = [i for i in range(-6, 7) if i]
-    for _ in range(20):
-        conj = tuple(M.target.normal_form(
-            [rng.choice(letters) for _ in range(rng.randint(0, 5))])
-            for _ in range(6))
-        relabel = list(range(6))
-        rng.shuffle(relabel)
-        b = BasisChange(conj, tuple(relabel))
-        Mb = change_basis(M, b)
-        found = machine_isomorphism(M, Mb)
-        assert found is not None
-        assert change_basis(M, found) == Mb
+    # degree 6 with 20 cases, and the degree-36 tower machine B (x) B with
+    # relabelled bases, which once took over 10 s on most seeds
+    cases = [(B, random.Random(0), 20)] + [
+        (tensor(B, B), random.Random(seed), 1) for seed in range(1, 6)]
+    for M, rng, count in cases:
+        for _ in range(count):
+            conj = tuple(M.target.normal_form(
+                [rng.choice(letters) for _ in range(rng.randint(0, 5))])
+                for _ in range(M.degree))
+            relabel = list(range(M.degree))
+            rng.shuffle(relabel)
+            b = BasisChange(conj, tuple(relabel))
+            Mb = change_basis(M, b)
+            found = machine_isomorphism(M, Mb)
+            assert found is not None
+            assert change_basis(M, found) == Mb
 
 
 def test_same_left_orbit_identity_and_twists():
