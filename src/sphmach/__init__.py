@@ -5,7 +5,7 @@ and twist-conjugacy rewriting."""
 from .words import (
     SphereGroup, ConjClass, Automorphism, Word,
     reduce_word, wmul, winv, wpow, conjugate,
-    is_conjugate, centralizer_root, simultaneous_conjugator,
+    is_conjugate, centralizer_root,
     outer_equal, outer_normalize, dehn_twist, twist_about,
     is_peripheral_preserving,
 )

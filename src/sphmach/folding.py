@@ -101,11 +101,9 @@ class SubgroupGraph:
             e1, e2 = bucket[0], bucket[1]
             if len(bucket) > 2:
                 work.append((p, a))
-            # other endpoints and decorations read from p along a
-            if a > 0:
-                t1, t2, d1, d2 = e1[2], e2[2], e1[3], e2[3]
-            else:
-                t1, t2, d1, d2 = e1[0], e2[0], winv(e1[3]), winv(e2[3])
+            # other endpoints; read from p along a, the edges carry their
+            # decorations when a > 0 and the inverses when a < 0
+            t1, t2 = (e1[2], e2[2]) if a > 0 else (e1[0], e2[0])
             # e2 goes: it is parallel to e1 now or once t1 and t2 merge
             _remove(bucket, e2)
             _remove(adj[t2][-a], e2)
@@ -116,11 +114,13 @@ class SubgroupGraph:
                 relators.append(wmul(e1[3], winv(e2[3])))
                 continue
             # gauge the endpoint with fewer edges (never the base) so the
-            # two decorations agree, then move its edges to the other one
+            # two decorations agree, then move its edges to the other one:
+            # c = (dt read from p)^-1 * (ds read from p), one inversion
             if t2 != 0 and (t1 == 0 or degree[t2] <= degree[t1]):
-                t, s, c = t2, t1, wmul(winv(d2), d1)
+                t, s, dt, ds = t2, t1, e2[3], e1[3]
             else:
-                t, s, c = t1, t2, wmul(winv(d1), d2)
+                t, s, dt, ds = t1, t2, e1[3], e2[3]
+            c = wmul(winv(dt), ds) if a > 0 else wmul(dt, winv(ds))
             cinv = winv(c)
             moved, adj[t] = adj[t], None
             degree[s] += degree[t]

@@ -430,6 +430,14 @@ def _field(obj: dict, key: str, shape, default=None):
     return _check(obj[key], shape, f"field {key!r}")
 
 
+def _automorphism(read: _WordReader, texts, what: str) -> Automorphism:
+    images = [read(w) for w in texts]
+    try:
+        return Automorphism(read.group, images)
+    except ValueError as exc:
+        raise ParseError(f".mcb: {what}: {exc}")
+
+
 def mcb_from_json(data: dict) -> MappingClassBiset:
     """Rebuild a biset from its JSON form; ParseError on a malformed one."""
     if not isinstance(data, dict):
@@ -465,29 +473,43 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
                                        for i in group.relator) + "\n" + \
                 "\n".join(rows_text)
             machines.append(parse_machine_file(text).machine)
+        if len(machines) != len(basis):
+            raise ParseError(f".mcb: {len(machines)} machines for a basis "
+                             f"of {len(basis)}")
+        d = machines[0].degree
+        if any(m.degree != d for m in machines):
+            raise ParseError(".mcb: machines of different degrees")
         read = _WordReader(group)
         for name, images in _field(data, "generators", dict, {}).items():
-            gens[name] = Automorphism(
-                group, [read(w) for w in
-                        _check(images, (list, str), f"generator {name!r}")])
+            what = f"generator {name!r}"
+            gens[name] = _automorphism(
+                read, _check(images, (list, str), what), what)
     table: dict[tuple[str, int], TableEdge] = {}
     for rec in _field(data, "table", (list, dict)):
         src = basis_index(_field(rec, "from", str))
         dst = basis_index(_field(rec, "to", str))
         edge = TableEdge(_field(rec, "gen", str), src, dst)
+        where = f"edge {edge.gen!r} from {basis[src]!r}"
+        if edge.gen not in alphabet:
+            raise ParseError(f".mcb: {where}: generator not in the alphabet")
         if "knitting" in rec:
             edge.knitting_word = parse_twist_word(
                 _field(rec, "knitting", str), alphabet)
         if "knitting_images" in rec and group is not None:
-            edge.knitting_auto = Automorphism(
-                group, [read(w)
-                        for w in _field(rec, "knitting_images", (list, str))])
+            edge.knitting_auto = _automorphism(
+                read, _field(rec, "knitting_images", (list, str)),
+                f"{where}: knitting_images")
         if "basis_change" in rec and group is not None:
             bc = _field(rec, "basis_change", dict)
-            edge.basis_change = BasisChange(
-                tuple(read(w) for w in _field(bc, "conjugators", (list, str))),
-                tuple(p - 1 for p in _field(bc, "relabel", (list, int))))
-        table[(rec["gen"], src)] = edge
+            conj = tuple(read(w)
+                         for w in _field(bc, "conjugators", (list, str)))
+            relabel = tuple(p - 1 for p in _field(bc, "relabel", (list, int)))
+            if len(conj) != d or sorted(relabel) != list(range(d)):
+                raise ParseError(
+                    f".mcb: {where}: basis_change needs {d} conjugators "
+                    f"and a relabel that permutes 1..{d}")
+            edge.basis_change = BasisChange(conj, relabel)
+        table[(edge.gen, src)] = edge
     base = basis_index(_field(data, "base", str, basis[0]))
     return MappingClassBiset(alphabet, basis, table, machines, gens, base)
 

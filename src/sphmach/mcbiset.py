@@ -18,7 +18,7 @@ from .words import (
     winv, wmul, reduce_word, conjugate, cyclic_canonical, substitute_all,
     centralizer_root, power_exponent,
     outer_normalize,
-    common_generator_conjugator, is_peripheral_preserving,
+    common_generator_conjugator, is_conjugate, is_peripheral_preserving,
 )
 from .machine import (
     SphereMachine, BasisChange, change_basis, pre_compose,
@@ -237,15 +237,10 @@ def same_left_orbit(M1: SphereMachine, M2: SphereMachine):
 def machine_isomorphism(Ma: SphereMachine, Mb: SphereMachine) -> BasisChange | None:
     """A BasisChange b with change_basis(Ma, b) == Mb, if one exists.
 
-    This is the knitting solve with an inner knitting: Mb is a basis
-    change of Ma exactly when some match (knit, b) of _KnitSolver has knit
-    equal to conjugation by a word h, and then post-composing with knit
-    is the constant basis change by h, so (h * l_i, relabel) works.  Each
-    relabeling pins its knitting up to an inner automorphism, so testing
-    every match decides the question.  Innerness is tested exactly by
-    common_generator_conjugator on the images of the free generators:
-    the generators are distinct basis letters, so x2^a * x1^b is reduced
-    as written and its runs are read off D = w2 * w1^-1 with no slack.
+    This is the knitting solve with an inner knitting.  Each relabeling
+    pins its knitting up to an inner automorphism, and the knittings
+    _KnitSolver yields are outer-normalised, so a match is a basis change
+    exactly when its knitting is the identity map (see outer_normalize).
 
     Ma must be a sphere machine, whose loop words generate the target;
     otherwise ReconstructionError is raised.
@@ -256,20 +251,14 @@ def machine_isomorphism(Ma: SphereMachine, Mb: SphereMachine) -> BasisChange | N
     da, db = distill(Ma), distill(Mb)
     if da.key != db.key:
         return None
-    G = Ma.target
-    free = G.free_gen_indices()
     for knit, b in _KnitSolver(Ma, da).matches(Mb, db):
-        h = common_generator_conjugator(
-            G, free, [knit.images[i - 1] for i in free])
-        if h is None:
+        if not knit.is_identity_map():
             continue
-        found = BasisChange(tuple(wmul(h, l) for l in b.conjugators),
-                            b.relabel)
-        if change_basis(Ma, found) != Mb:
+        if change_basis(Ma, b) != Mb:
             raise ReconstructionError(
-                "inner knitting found but its basis change does not map "
+                "identity knitting found but its basis change does not map "
                 "the machines")
-        return found
+        return b
     return None
 
 
@@ -567,8 +556,6 @@ def twist_fingerprint(psi: Automorphism):
     is a homomorphism to Z; conjugate automorphisms get canonically
     equal fingerprints.  None if psi is not peripheral-preserving.
     """
-    from .words import is_conjugate
-
     G = psi.group
     free = G.free_gen_indices()
     ref = G.relator[-1]
@@ -579,7 +566,7 @@ def twist_fingerprint(psi: Automorphism):
         if got is None:
             return None
         counts = [0] * len(free)
-        for x in got.rep:
+        for x in got:
             j = abs(x)
             if j in col and j != i:
                 counts[col[j]] += 1 if x > 0 else -1

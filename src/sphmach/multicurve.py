@@ -12,11 +12,12 @@ from math import gcd
 
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, conjugate, cyclic_canonical, is_conjugate,
+    winv, wmul, conjugate, cyclic_canonical, is_conjugate, outer_equal,
+    is_peripheral_preserving,
 )
 from .folding import SubgroupGraph, expand_expression
 from .machine import SphereMachine, multiset_of_lifts
-from .mcbiset import MappingClassBiset, twist_fingerprint, _canon_fingerprint
+from .mcbiset import MappingClassBiset
 
 
 class MulticurveError(ValueError):
@@ -257,35 +258,32 @@ def twist_lift_check(mcb: MappingClassBiset, T: ThurstonMatrix,
                      twist_names: list[str]) -> list[str]:
     """Check that each Dehn twist generator along the multicurve lifts, on
     the base element, to the multitwist given by its Thurston matrix
-    column.  Returns a list of mismatch descriptions (empty = pass)."""
+    column: the knitting must equal the product of the twists
+    gens[r]^T[r][col] in Out, which outer_equal decides exactly.  Returns
+    a list of mismatch descriptions (empty = pass)."""
     if not T.is_integral():
         raise MulticurveError("twist lift check needs an integral matrix")
     if len(twist_names) != len(T.cols) or len(T.rows) != len(T.cols):
         raise MulticurveError("need one twist generator per curve")
     problems = []
     gens = mcb.gens
-    fp_of = {}
     for name in twist_names:
-        fp = twist_fingerprint(gens[name])
-        if fp is None:
+        if not is_peripheral_preserving(gens[name]):
             raise MulticurveError(f"{name} is not peripheral-preserving")
-        fp_of[name] = fp
     for col, name in enumerate(twist_names):
         edge = mcb.table[(name, mcb.base)]
         if edge.target != mcb.base:
             problems.append(f"{name}: base element not fixed")
             continue
-        want = None
-        for row, rname in enumerate(twist_names):
-            k = int(T.entries[row][col])
-            contrib = [tuple(k * x for x in r) for r in fp_of[rname]]
-            want = contrib if want is None else [
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(want, contrib)]
-        got = twist_fingerprint(edge.knitting_auto)
-        if got != _canon_fingerprint(want):
+        column = [int(T.entries[row][col]) for row in range(len(T.rows))]
+        want = Automorphism.identity(edge.knitting_auto.group)
+        for rname, k in zip(twist_names, column):
+            step = gens[rname] if k > 0 else gens[rname].inverse()
+            for _ in range(abs(k)):
+                want = want.compose(step)
+        if not outer_equal(edge.knitting_auto, want):
             problems.append(f"{name}: knitting does not match the twist "
-                            f"vector {[int(T.entries[r][col]) for r in range(len(T.rows))]}")
+                            f"vector {column}")
     return problems
 
 
@@ -819,5 +817,5 @@ def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
         got = is_conjugate(w.group.gen(tgt_index), src_word)
         if got is None:
             raise PromoteFailed(5, f"edge at {v.name} has no intertwiner")
-        edge_elems[(cid, si)] = got.rep
+        edge_elems[(cid, si)] = got
     return PromotedConjugator(vmap, isos, edge_elems)

@@ -27,7 +27,6 @@ cyclic_reduce is linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, neg
 
 
@@ -266,11 +265,6 @@ class SphereGroup:
             return winv(tuple(self.relator[:-1]))
         return (i,)
 
-    def gen_by_name(self, name: str) -> Word:
-        if name not in self._index:
-            raise KeyError(f"unknown generator {name!r}")
-        return self.gen(self._index[name])
-
     def index_of(self, name: str) -> int:
         if name not in self._index:
             raise KeyError(f"unknown generator {name!r}")
@@ -311,16 +305,6 @@ class SphereGroup:
                 for i in body:
                     push(i)
         return tuple(out)
-
-    def word_from_names(self, items) -> Word:
-        """items: iterable of (name, exponent); result in normal form."""
-        letters: list[int] = []
-        for name, exp in items:
-            i = self._index.get(name)
-            if i is None:
-                raise KeyError(f"unknown generator {name!r}")
-            letters.extend([i if exp > 0 else -i] * abs(exp))
-        return self.normal_form(letters)
 
     def word_str(self, w: Word) -> str:
         """Print a word in the machine text syntax (empty word prints '')."""
@@ -387,22 +371,6 @@ class ConjClass:
         return None
 
 
-@dataclass(frozen=True)
-class ConjugatorCoset:
-    """Solution set {w : u^w = v}, as rep * <root>.
-
-    root None means the singleton {rep}; whole_group means every word
-    is a solution (u = v = identity).
-    """
-
-    rep: Word
-    root: Word | None
-    whole_group: bool = False
-
-    def __iter__(self):
-        raise TypeError("ConjugatorCoset is not iterable; use .rep/.root")
-
-
 def centralizer_root(w: Word) -> Word:
     """The primitive r with w = r^k, k >= 1 maximal.  w must be non-trivial."""
     if not w:
@@ -434,82 +402,22 @@ def power_exponent(x: Word, r: Word):
     return None
 
 
-def is_conjugate(u, v, G: SphereGroup | None = None):
-    """Conjugator coset {w : u^w = v} in a free group, or None.
+def is_conjugate(u: Word, v: Word):
+    """A word w with u^w = v for reduced words u, v, or None.
 
-    When G is given, u and v are first brought to normal form.
+    () is a valid answer (u == v), so test the result with `is None`.
     """
-    if G is not None:
-        u, v = G.normal_form(u), G.normal_form(v)
-    else:
-        u, v = tuple(u), tuple(v)
     ucore, c = cyclic_reduce(u)
     vcore, e = cyclic_reduce(v)
     if len(ucore) != len(vcore):
         return None
     if not ucore:
-        return ConjugatorCoset(EPSILON, None, whole_group=True)
+        return EPSILON
     for k in range(len(ucore)):
         if ucore[k:] + ucore[:k] == vcore:
             # u^(c * ucore[:k] * e^-1) = v
-            w0 = wmul(c, ucore[:k], winv(e))
-            return ConjugatorCoset(w0, centralizer_root(v))
+            return wmul(c, ucore[:k], winv(e))
     return None
-
-
-def _coset_intersect(a: Word, r: Word | None, b: Word, s: Word | None):
-    """Intersect a<r> with b<s> (None root = singleton).  Returns (rep, root)
-    or None."""
-    if r is None and s is None:
-        return (a, None) if a == b else None
-    if r is None:
-        a, r, b, s = b, s, a, None
-    if s is None:
-        # solutions a*r^k == b
-        k = power_exponent(wmul(winv(a), b), r)
-        return (b, None) if k is not None else None
-    rcore, _ = cyclic_reduce(r)
-    bound = 4 + (2 * (len(a) + len(b)) + 4 * max(len(r), len(s))) // max(1, len(rcore))
-    sols = []
-    for k in range(-bound, bound + 1):
-        if power_exponent(wmul(winv(b), a, wpow(r, k)), s) is not None:
-            sols.append(k)
-            if len(sols) == 2:
-                break
-    if not sols:
-        return None
-    k0 = sols[0]
-    if len(sols) == 1:
-        return (wmul(a, wpow(r, k0)), None)
-    return (wmul(a, wpow(r, k0)), wpow(r, sols[1] - k0))
-
-
-def simultaneous_conjugator(us, vs, G: SphereGroup | None = None):
-    """A single w with u_i^w = v_i for all i, or None."""
-    if len(us) != len(vs):
-        raise ValueError("lists must have equal length")
-    if G is not None:
-        us = [G.normal_form(u) for u in us]
-        vs = [G.normal_form(v) for v in vs]
-    state = None  # None = unconstrained; else (rep, root-or-None)
-    for u, v in zip(us, vs):
-        coset = is_conjugate(u, v)
-        if coset is None:
-            return None
-        if coset.whole_group:
-            continue
-        if state is None:
-            state = (coset.rep, coset.root)
-        else:
-            state = _coset_intersect(state[0], state[1], coset.rep, coset.root)
-            if state is None:
-                return None
-    if state is None:
-        return EPSILON
-    w = state[0]
-    if any(conjugate(u, w) != v for u, v in zip(us, vs)):
-        raise ValueError("simultaneous conjugator failed its exact check")
-    return w
 
 
 class Automorphism:
@@ -627,21 +535,35 @@ def _signed_prefix_run(D: Word, core: Word) -> int:
 def _coset_pair_solve(g1: Word, w1: Word, g2: Word, w2: Word):
     """One element of <g1>w1 intersect <g2>w2, or None.
 
-    Requires g1, g2 cyclically reduced with distinct axes; then
-    g2^a * g1^b = w2 * w1^-1 has at most one solution (a, b), found by
-    reading the g2-run at the front with a small slack for boundary
-    cancellation.  Linear in the word lengths.
+    Requires g1, g2 cyclically reduced with distinct axes (no common
+    power).  An element g1^b * w1 = g2^-a * w2 solves g2^a * g1^b = D :=
+    w2 * w1^-1, and there is at most one: g2^(a-a') = g1^(b'-b) forces
+    both sides to be 1.  With p = |g2|, q = |g1|, slack = q // p + 2 and
+    run the signed number of whole copies of g2 or g2^-1 that D starts
+    with, every solution has |a| <= slack or |a - run| <= slack, so
+    trying those a and reading b off the rest is exact.  Linear in the
+    word lengths.
+
+    Proof of the slack.  g2^a and g1^b are reduced as written.  By Fine
+    and Wilf, a word with periods p and q and length at least p + q -
+    gcd(p, q) has period gcd(p, q).  (i) The part P cancelled at the
+    junction of g2^a * g1^b is a suffix of g2^a whose inverse is a
+    prefix of g1^b, so it has periods p and q.  Were |P| >= p + q -
+    gcd(p, q), its last p letters (g2 or g2^-1) and the inverse of its
+    first q letters (g1 or g1^-1) would be powers of its last gcd(p, q)
+    letters, and g1, g2 would share an axis.  So |P| <= p + q - 2, and D
+    starts with |a| - ceil(|P| / p) >= |a| - slack whole copies of g2
+    to the sign of a: if |a| > slack, run has the sign of a and |run| >=
+    |a| - slack.  (ii) If |run| = |a| + e with e > 0, then g1^b = g2^-a *
+    D is D with its first |a| copies cut off, so g1^b starts with e
+    copies of g2 or g2^-1; the argument of (i) on that common prefix
+    gives e * p <= p + q - 2, so e < slack.
     """
     D = wmul(w2, winv(w1))
     run = _signed_prefix_run(D, g2)
     slack = len(g1) // max(1, len(g2)) + 2
-    cands = set()
-    for t in range(slack + 1):
-        # boundary cancellation only eats into the visible run
-        cands.add(run + t if run >= 0 else run - t)
-    for t in range(-slack - 1, slack + 2):
-        cands.add(t)
-    for a in sorted(cands, key=abs):
+    cands = {c + t for c in (0, run) for t in range(-slack, slack + 1)}
+    for a in sorted(cands, key=lambda a: (abs(a), a)):
         rest = wmul(wpow(g2, -a), D)
         b = power_exponent(rest, g1) if rest else 0
         if b is not None:
@@ -653,40 +575,50 @@ def common_generator_conjugator(G: SphereGroup, idxs, targets):
     """A single w with gen_i^w = target_i for every pair, or None.
 
     Exact and linear-time: each constraint confines w to a coset
-    <gen_i> * w0_i, and two such cosets with distinct generators meet in
-    at most one element.
+    <gen_i> * w0_i; the first two, with distinct generators, meet in at
+    most one element (_coset_pair_solve), which is checked on every pair.
     """
     cosets = []
     for i, v in zip(idxs, targets):
-        got = is_conjugate(G.gen(i), v)
-        if got is None:
+        w0 = is_conjugate(G.gen(i), v)
+        if w0 is None:
             return None
-        cosets.append((G.gen(i), got.rep))
-    W = None
-    pending = None
-    for g, w in cosets:
-        if W is not None:
-            if power_exponent(wmul(W, winv(w)), g) is None:
-                return None
-        elif pending is None:
-            pending = (g, w)
-        else:
-            W = _coset_pair_solve(pending[0], pending[1], g, w)
-            if W is None:
-                return None
-    if W is None:
-        W = pending[1] if pending else EPSILON
-    for (g, w), i, v in zip(cosets, idxs, targets):
-        if conjugate(G.gen(i), W) != G.normal_form(v):
-            return None
+        cosets.append((G.gen(i), w0))
+    W = cosets[0][1] if cosets else EPSILON
+    if len(cosets) > 1:
+        W = _coset_pair_solve(*cosets[0], *cosets[1])
+    if W is None or any(conjugate(G.gen(i), W) != G.normal_form(v)
+                        for i, v in zip(idxs, targets)):
+        return None
     return W
 
 
 def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
-    """Inner-adjust an automorphism to greedily shrink the total image
-    length, stripping accumulated conjugation bloat.  Linear-time deque
-    walk; conjugating by a letter x turns w into x^-1*w*x, which changes
-    each image length by -2, 0 or +2 read off the end letters alone.
+    """Inner-adjust an automorphism to a least total image length,
+    stripping accumulated conjugation bloat.  Linear-time deque walk;
+    conjugating by a letter x turns w into x^-1*w*x, which changes each
+    image length by -2, 0 or +2 read off the end letters alone.  The
+    walk takes the best strictly shrinking letter until none shrinks.
+
+    phi is inner exactly when the result is the identity map, which
+    makes is_identity_map() of the result the one exact inner test
+    (outer_equal, machine_isomorphism).  Proof.  In the Cayley tree of
+    the free group, |g^-1 w g| = l(w) + 2 d(g, Axis(w)) for w != 1, with
+    l(w) the length of the cyclic core; so the total image length after
+    conjugating by g, F(g), is a constant plus a sum of distances to
+    subtrees, which is convex along every geodesic.  A convex function
+    on a tree has no local minimum that is not global: on the geodesic
+    from g to a lower point, F already drops at the first step.  One
+    letter moves g to a neighbour, so the walk stops at a global
+    minimum of F.  For phi = inn_h and rank >= 2, the free generators
+    are distinct letters a, b, and h^-1 a h conjugated by g is
+    cyclically reduced only when hg lies in <a>; as <a> and <b> meet
+    in 1, F attains its least value, the sum of the l(w), at the single
+    point g = h^-1, where the images are the generators themselves.  For
+    rank <= 1 the group is abelian, every inner map is the identity, and
+    an identity map stays as it is (no letter shrinks it).  Conversely
+    the result is phi followed by an inner map, so it is the identity
+    only if phi is inner.
 
     With return_conjugator, also return the word g with
     result(w) = phi(w)^g for every w.
@@ -732,15 +664,12 @@ def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
     return out
 
 
-def outer_equal(phi: Automorphism, psi: Automorphism, G: SphereGroup | None = None) -> bool:
-    """Do phi and psi agree as outer automorphisms?"""
-    G = G or phi.group
+def outer_equal(phi: Automorphism, psi: Automorphism) -> bool:
+    """Do phi and psi agree as outer automorphisms, that is, is
+    psi^-1 . phi inner?  Exact (see outer_normalize)."""
     if phi.group != psi.group:
         raise ValueError("automorphisms over different groups")
-    free = G.free_gen_indices()
-    us = [phi.images[i - 1] for i in free]
-    vs = [psi.images[i - 1] for i in free]
-    return simultaneous_conjugator(us, vs) is not None
+    return outer_normalize(psi.inverse().compose(phi)).is_identity_map()
 
 
 def dehn_twist(i: int, j: int, G: SphereGroup) -> Automorphism:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import re
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphmach import cli, zoo
+from sphmach.mcbiset import compute_mcbiset
 from sphmach.words import SphereGroup, FiniteOrderUnsupported, reduce_word
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
@@ -371,3 +373,114 @@ def test_cli_tensor_and_rebase(tmp_path, capsys):
                    "--conjugators", "a,") == 0
     text = capsys.readouterr().out
     assert parse_machine_file(text).machine.degree == 2
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench/run.py --trace wraps each (module, attribute) of
+    # tracer.TARGETS by name; a deleted or renamed one breaks traced runs
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for modname, attr, _ in tracer.TARGETS:
+        mod = importlib.import_module(f"sphmach.{modname}")
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            assert name in vars(getattr(mod, cls_name)), (modname, attr)
+        else:
+            assert callable(getattr(mod, attr)), (modname, attr)
+
+
+@functools.cache
+def _pilgrim_s_text():
+    mf = zoo.pilgrim()
+    return json.dumps(mcb_to_json(
+        compute_mcbiset(mf.machine, [("s", mf.autos["s"])])))
+
+
+def _nodes(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["drop", "retype", "shorten", "swap"]),
+                          st.integers(0, 10**6), st.integers(0, 10**6),
+                          _JSON_VALUES), min_size=1, max_size=3))
+def test_mutated_biset_json_loads_or_raises_parse_error(mutations):
+    # drop fields, retype them, shorten lists and swap names in the
+    # pilgrim biset under s: each result loads or raises ParseError
+    data = json.loads(_pilgrim_s_text())
+    for op, pick, other, value in mutations:
+        paths = list(_nodes(data))[1:]
+        if not paths:
+            break
+        *up, key = paths[pick % len(paths)]
+        parent = _at(data, up)
+        node = parent[key]
+        if op == "drop":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = value
+        elif op == "shorten" and isinstance(node, list) and node:
+            del node[other % len(node)]
+        elif op == "swap" and isinstance(node, (str, int)):
+            # another scalar of the same type from the document
+            pool = [v for path in paths
+                    if type(v := _at(data, path)) is type(node)]
+            parent[key] = pool[other % len(pool)]
+    try:
+        mcb_from_json(data)
+    except ParseError:
+        pass
+
+
+def _at(data, path):
+    for k in path:
+        data = data[k]
+    return data
+
+
+def _edge0(data):
+    return data["table"][0]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda d: _edge0(d)["knitting_images"].pop(),
+     "edge 's' from 'b0': knitting_images: expected 4 images, got 3"),
+    (lambda d: d["generators"]["s"].pop(),
+     "generator 's': expected 4 images, got 3"),
+    (lambda d: _edge0(d)["knitting_images"].__setitem__(1, "c"),
+     "generator images do not satisfy the relator"),
+    (lambda d: _edge0(d)["basis_change"].__setitem__("relabel", [1, 1, 3, 4, 5]),
+     "edge 's' from 'b0': basis_change needs 5 conjugators and a relabel "
+     "that permutes 1..5"),
+    (lambda d: _edge0(d)["basis_change"]["conjugators"].pop(),
+     "basis_change needs 5 conjugators"),
+    (lambda d: _edge0(d).__setitem__("gen", "t"),
+     "edge 't' from 'b0': generator not in the alphabet"),
+    (lambda d: d["machines"].pop(), "5 machines for a basis of 6"),
+    (lambda d: d["machines"].__setitem__(1, ["a=<a>", "b=<b>", "c=<c>", "d=<d>"]),
+     "machines of different degrees"),
+])
+def test_malformed_biset_fields_raise_parse_error(spoil, message):
+    data = json.loads(_pilgrim_s_text())
+    mcb_from_json(data)
+    spoil(data)
+    with pytest.raises(ParseError) as exc:
+        mcb_from_json(data)
+    assert message in str(exc.value)

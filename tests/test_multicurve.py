@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from sphmach import perms, zoo
-from sphmach.words import SphereGroup, ConjClass, winv, wmul, conjugate, is_conjugate
+from sphmach.words import (
+    SphereGroup, ConjClass, Automorphism, winv, wmul, conjugate, is_conjugate,
+    dehn_twist, outer_equal,
+)
 from sphmach.machine import SphereMachine, WreathElement, multiset_of_lifts
-from sphmach.mcbiset import compute_mcbiset
+from sphmach.mcbiset import compute_mcbiset, twist_fingerprint
 from sphmach.multicurve import (
     Multicurve, MulticurveError, SplitFailed, PromoteFailed,
     classify_lifts, thurston_matrix, ThurstonMatrix, charpoly,
@@ -138,6 +141,26 @@ def test_twist_lift_check_fixture():
     bad = ThurstonMatrix(T.rows, T.cols,
                          [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]])
     assert twist_lift_check(mcb, bad, ["sigma", "tau"])
+
+
+def test_twist_lift_check_sees_what_fingerprints_miss():
+    # a commutator of two twists about crossing curves has the fingerprint
+    # of the identity but is not inner: a base knitting spoiled by it
+    # passes the fingerprint comparison and fails the exact check
+    M, C, autos = fixture()
+    mcb = compute_mcbiset(M, [("sigma", autos["sigma"]), ("tau", autos["tau"])])
+    T = thurston_matrix(M, C)
+    G = M.target
+    a, b = dehn_twist(1, 2, G), dehn_twist(2, 3, G)
+    comm = a.compose(b).compose(a.inverse()).compose(b.inverse())
+    assert not outer_equal(comm, Automorphism.identity(G))
+    edge = mcb.table[("sigma", mcb.base)]
+    spoiled = edge.knitting_auto.compose(comm)
+    assert twist_fingerprint(spoiled) == twist_fingerprint(edge.knitting_auto)
+    edge.knitting_auto = spoiled
+    assert twist_lift_check(mcb, T, ["sigma", "tau"]) == [
+        "sigma: knitting does not match the twist vector "
+        f"{[int(T.entries[r][0]) for r in range(len(T.rows))]}"]
 
 
 def test_twist_lift_check_identity_machine():

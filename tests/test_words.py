@@ -8,7 +8,7 @@ from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, FiniteOrderUnsupported,
     reduce_word, wmul, winv, wpow, conjugate, cyclic_canonical, cyclic_reduce,
     is_conjugate, centralizer_root, power_exponent,
-    simultaneous_conjugator, common_generator_conjugator,
+    common_generator_conjugator,
     dehn_twist, outer_equal, outer_normalize, is_peripheral_preserving,
 )
 
@@ -67,7 +67,10 @@ def test_is_conjugate_examples():
     F = SphereGroup(["a", "b", "z"])  # free of rank 2 on a, b
     got = is_conjugate(F.normal_form([1, 2]), F.normal_form([2, 1]))
     assert got is not None
-    assert conjugate((1, 2), got.rep) == (2, 1)
+    assert conjugate((1, 2), got) == (2, 1)
+    # the empty conjugator is an answer, not a failure
+    assert is_conjugate((1, 2), (1, 2)) == ()
+    assert is_conjugate((), ()) == ()
     assert is_conjugate((1,), (2,)) is None
     assert is_conjugate((1, 1), (1, 1, 1)) is None
 
@@ -80,13 +83,11 @@ def test_conjugacy_is_an_equivalence_on_random_words():
         v = conjugate(u, c)
         got = is_conjugate(u, v)
         assert got is not None
-        if not got.whole_group:
-            assert conjugate(u, got.rep) == v
+        assert conjugate(u, got) == v
         # symmetry with inverted witness
         back = is_conjugate(v, u)
         assert back is not None
-        if not back.whole_group:
-            assert conjugate(v, back.rep) == u
+        assert conjugate(v, back) == u
 
 
 def test_centralizer_root():
@@ -98,15 +99,6 @@ def test_centralizer_root():
     assert power_exponent(w, root) == 3
     with pytest.raises(ValueError):
         centralizer_root(())
-
-
-def test_simultaneous_conjugator():
-    c = (2, 2, 1)
-    us = [(1,), (2,)]
-    vs = [conjugate((1,), c), conjugate((2,), c)]
-    assert simultaneous_conjugator(us, vs) == c
-    assert simultaneous_conjugator([(1,), (2,)], [(1,), (2,)]) == ()
-    assert simultaneous_conjugator([(1,), (2,)], [(2,), (1,)]) is None
 
 
 def test_swap_has_no_conjugator_by_brute_force():
@@ -141,6 +133,112 @@ def test_common_generator_conjugator_random():
     # no common conjugator when the targets disagree
     assert common_generator_conjugator(
         G, [1, 2], [conjugate(G.gen(1), (2,)), conjugate(G.gen(2), (1,))]) is None
+
+
+def _random_twist_product(rng, G, count):
+    twists = [dehn_twist(i, j, G) for i in range(1, G.n + 1)
+              for j in range(i + 1, G.n + 1)]
+    phi = Automorphism.identity(G)
+    for _ in range(count):
+        t = rng.choice(twists)
+        phi = phi.compose(t if rng.random() < 0.5 else t.inverse())
+    return phi
+
+
+def test_outer_normalize_sends_inner_maps_to_identity():
+    rng = random.Random(6)
+    for n in range(3, 8):
+        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
+        for _ in range(40):
+            h = rand_word(rng, n - 1, rng.randint(0, 30))
+            inn = Automorphism.inner(G, h)
+            out, g = outer_normalize(inn, return_conjugator=True)
+            assert out.is_identity_map()
+            assert conjugate(G.gen(1), wmul(h, g)) == G.gen(1)
+    # rank 1: the identity is the only inner map, and it stays as it is
+    G = SphereGroup(["a", "b"])
+    assert outer_normalize(Automorphism.inner(G, (1, 1, 1))).is_identity_map()
+
+
+def test_outer_equal_matches_a_common_conjugator_oracle():
+    # oracle: psi^-1 . phi is inner when one word conjugates every
+    # generator to its image
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
+        phi = _random_twist_product(rng, G, rng.randint(0, 3))
+        inn = Automorphism.inner(G, rand_word(rng, n - 1, rng.randint(0, 12)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            psi = phi.compose(inn)
+        elif kind == 1:
+            psi = inn.compose(phi)
+        else:
+            psi = _random_twist_product(rng, G, rng.randint(0, 3)).compose(inn)
+        chi = psi.inverse().compose(phi)
+        oracle = common_generator_conjugator(
+            G, range(1, n + 1), chi.images) is not None
+        assert outer_equal(phi, psi) == oracle
+        assert outer_equal(psi, phi) == oracle
+        if kind < 2:
+            assert oracle
+        seen[oracle] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _coset_pair_cases(rng):
+    """(g1, w1, g2, w2) over distinct generator words of 3-5 punctures,
+    then over random cyclically reduced words with distinct axes;
+    planted solutions with |a|, |b| <= 14 and random w2."""
+    for n in (3, 4, 5):
+        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    yield from _planted(rng, n - 1, G.gen(i), G.gen(j), 12)
+    pairs = 0
+    while pairs < 40:
+        g1 = cyclic_reduce(rand_word(rng, 2, rng.randint(1, 4)))[0]
+        g2 = cyclic_reduce(rand_word(rng, 2, rng.randint(1, 3)))[0]
+        if g1 and g2 and wmul(g1, g2) != wmul(g2, g1):
+            pairs += 1
+            yield from _planted(rng, 2, g1, g2, 6)
+
+
+def _planted(rng, rank, g1, g2, count):
+    for _ in range(count):
+        w1 = rand_word(rng, rank, rng.randint(0, 8))
+        if rng.random() < 0.6:
+            a, b = rng.randint(-14, 14), rng.randint(-14, 14)
+            w2 = wmul(wpow(g2, -a), wpow(g1, b), w1)
+        else:
+            w2 = rand_word(rng, rank, rng.randint(0, 10))
+        yield g1, w1, g2, w2
+
+
+def test_coset_pair_solve_matches_brute_force():
+    rng = random.Random(8)
+    found = cases = 0
+    for g1, w1, g2, w2 in _coset_pair_cases(rng):
+        cases += 1
+        right = {wmul(wpow(g2, a), w2) for a in range(-14, 15)}
+        brute = {x for x in (wmul(wpow(g1, b), w1) for b in range(-14, 15))
+                 if x in right}
+        got = words._coset_pair_solve(g1, w1, g2, w2)
+        assert len(brute) <= 1
+        if brute:
+            found += 1
+            assert {got} == brute, (g1, w1, g2, w2)
+        elif got is not None:
+            # a solution beyond the searched exponents: check it exactly
+            assert power_exponent(wmul(got, winv(w1)), g1) is not None
+            assert power_exponent(wmul(got, winv(w2)), g2) is not None
+    assert cases > found > 100
+    # the run of g2 at the front of D may overshoot a: here D = g2^10 * g1
+    # starts with g2^11, and a = 10 lies below the run
+    assert words._coset_pair_solve((1, 2), (), (1,), (1,) * 11 + (2,)) == (1, 2)
 
 
 def test_dehn_twist_formula():
@@ -364,13 +462,3 @@ def test_cyclic_reduce_splits_off_the_wings(c, u):
     # the wing is all of c unless u cancels into it
     if u and u[0] != -u[-1] and (not c or c[-1] not in (-u[0], u[-1])):
         assert wing == c and core == u
-
-
-def test_simultaneous_conjugator_checks_its_answer(monkeypatch):
-    us = [(1,), (2,)]
-    w = (1, -2)
-    vs = [conjugate(u, w) for u in us]
-    assert simultaneous_conjugator(us, vs) == w
-    monkeypatch.setattr(words, "_coset_intersect", lambda *a: ((2,), None))
-    with pytest.raises(ValueError, match="failed its exact check"):
-        simultaneous_conjugator(us, vs)
