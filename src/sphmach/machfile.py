@@ -11,6 +11,7 @@ automorphism blocks:
     curves: x3*x4, x2*x3*x4*x5
     auto sigma = x1,x2,x3^(x3*x4),x4^(x3*x4),x5,x6,x7
 
+Generators have infinite order: an ``orders:`` line is a ParseError.
 Parsing then printing then parsing is the identity on the canonical
 form.
 """
@@ -193,7 +194,6 @@ def _split_top_level(text: str) -> list[str]:
 def parse_machine_file(text: str) -> MachineFile:
     source_names = None
     relator = None
-    orders: dict[str, int] = {}
     target_names = None
     target_relator = None
     degree = None
@@ -210,16 +210,7 @@ def parse_machine_file(text: str) -> MachineFile:
         elif low.startswith("relator:"):
             relator = (line[8:].strip(), ln)
         elif low.startswith("orders:"):
-            for item in line[7:].split(","):
-                if not item.strip():
-                    continue
-                if "=" not in item:
-                    raise ParseError("orders entries look like name=k", ln)
-                nm, k = item.split("=", 1)
-                try:
-                    orders[nm.strip()] = int(k)
-                except ValueError:
-                    raise ParseError(f"bad order {k.strip()!r}", ln)
+            raise ParseError("finite generator orders are not supported", ln)
         elif low.startswith("target:"):
             target_names = [x.strip() for x in line[7:].split(",") if x.strip()]
         elif low.startswith("target_relator:"):
@@ -244,14 +235,12 @@ def parse_machine_file(text: str) -> MachineFile:
             rows_raw.append((m.group(1), m.group(2), m.group(3), ln))
     if source_names is None:
         raise ParseError("missing 'group:' line")
-    if not set(orders) <= set(source_names):
-        raise ParseError("orders given for unknown generators")
     rel_line = None
     if relator is not None:
         # the relator line lists each generator once, in cyclic order
         rel_line = [x.strip() for x in relator[0].split("*")]
     try:
-        source = SphereGroup(source_names, orders=orders, relator=rel_line)
+        source = SphereGroup(source_names, relator=rel_line)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad group block: {exc}",
                          relator[1] if relator else None)
@@ -325,10 +314,6 @@ def print_machine_file(mf: MachineFile) -> str:
     lines = [f"group: {','.join(M.source.names)}"]
     lines.append("relator: " + "*".join(
         M.source.names[i - 1] for i in M.source.relator))
-    finite = [(nm, o) for nm, o in zip(M.source.names, M.source.orders)
-              if o is not None]
-    if finite:
-        lines.append("orders: " + ",".join(f"{nm}={o}" for nm, o in finite))
     if M.target != M.source:
         lines.append(f"target: {','.join(M.target.names)}")
         lines.append("target_relator: " + "*".join(
@@ -509,6 +494,8 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
                     f".mcb: {where}: basis_change needs {d} conjugators "
                     f"and a relabel that permutes 1..{d}")
             edge.basis_change = BasisChange(conj, relabel)
+        if (edge.gen, src) in table:
+            raise ParseError(f".mcb: {where}: duplicate table record")
         table[(edge.gen, src)] = edge
     base = basis_index(_field(data, "base", str, basis[0]))
     return MappingClassBiset(alphabet, basis, table, machines, gens, base)

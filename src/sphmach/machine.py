@@ -57,10 +57,7 @@ class WreathElement:
 
 
 class SphereMachine:
-    def __init__(self, source: SphereGroup, target: SphereGroup,
-                 rows, name: str | None = None):
-        source.require_infinite_orders()
-        target.require_infinite_orders()
+    def __init__(self, source: SphereGroup, target: SphereGroup, rows):
         rows = list(rows)
         if len(rows) != source.n:
             raise MachineError(
@@ -74,7 +71,6 @@ class SphereMachine:
         self.rows: tuple[WreathElement, ...] = tuple(
             WreathElement(tuple(target.normal_form(e) for e in r.entries), r.perm)
             for r in rows)
-        self.name = name
 
     @classmethod
     def identity(cls, G: SphereGroup) -> "SphereMachine":
@@ -90,8 +86,7 @@ class SphereMachine:
         return hash((self.source, self.target, self.rows))
 
     def __repr__(self):
-        label = self.name or f"{self.source.n}gen/deg{self.degree}"
-        return f"SphereMachine({label})"
+        return f"SphereMachine({self.source.n}gen/deg{self.degree})"
 
     def row(self, i: int) -> WreathElement:
         return self.rows[i - 1]
@@ -140,16 +135,8 @@ class LiftMultiset:
     def __eq__(self, other):
         return isinstance(other, LiftMultiset) and self.sorted_key() == other.sorted_key()
 
-    def nontrivial(self):
-        return [(d, c) for d, c in self.entries if not c.is_trivial()]
-
     def total_degree(self) -> int:
         return sum(d for d, _ in self.entries)
-
-    def describe(self, suppress_trivial: bool = False) -> str:
-        items = self.nontrivial() if suppress_trivial else self.entries
-        return ", ".join(
-            f"({d}, {c.group.word_str(c.canonical) or '1'})" for d, c in items)
 
 
 def multiset_of_lifts(M: SphereMachine, c) -> LiftMultiset:
@@ -340,20 +327,9 @@ def normalize_basis(M: SphereMachine) -> tuple[SphereMachine, BasisChange]:
     tree of the action graph become trivial.  Keeps entries short after
     repeated twisting; the result presents the same biset."""
     d = M.degree
-    ell: list[Word | None] = [None] * d
-    ell[0] = EPSILON
-    order = [0]
-    k = 0
-    while k < len(order):
-        p = order[k]
-        k += 1
-        for row in M.rows:
-            q = row.perm[p]
-            if ell[q] is None:
-                ell[q] = wmul(ell[p], row.entries[p])
-                order.append(q)
-    if any(e is None for e in ell):
-        ell = [e if e is not None else EPSILON for e in ell]
+    ell: list[Word] = [EPSILON] * d
+    for p, r, q in perms.spanning_tree(M.monodromy_perms())[0]:
+        ell[q] = wmul(ell[p], M.rows[r].entries[p])
     # new entries are ell_i^-1 * e_i * ell_{pi(i)}, which vanish along tree
     # edges when the conjugators are the inverted accumulated tree words
     b = BasisChange(tuple(winv(e) for e in ell), perms.identity(d))
@@ -397,28 +373,13 @@ def stabilizer_subgroup(M: SphereMachine, s: int = 1) -> SubgroupPresentation:
     action = {i: M.evaluate(G.gen(i)).perm for i in free}
     if not perms.is_transitive(list(action.values()), d):
         raise MachineError("machine is not right-transitive")
-    base = s - 1
-    trans: list[Word | None] = [None] * d
-    trans[base] = EPSILON
-    order = [base]
-    k = 0
-    tree = set()
-    while k < len(order):
-        p = order[k]
-        k += 1
-        for i in free:
-            q = action[i][p]
-            if trans[q] is None:
-                trans[q] = wmul(trans[p], G.gen(i))
-                tree.add((p, i))
-                order.append(q)
-    gens = []
-    for p in order:
-        for i in free:
-            if (p, i) in tree:
-                continue
-            q = action[i][p]
-            gens.append(wmul(trans[p], G.gen(i), winv(trans[q])))
+    tree, back = perms.spanning_tree(
+        [action[i] for i in free], start=s - 1)
+    trans: list[Word] = [EPSILON] * d
+    for p, r, q in tree:
+        trans[q] = wmul(trans[p], G.gen(free[r]))
+    gens = [wmul(trans[p], G.gen(free[r]), winv(trans[q]))
+            for p, r, q in back]
     peripheral = []
     for i in range(1, G.n + 1):
         pi = M.evaluate(G.gen(i)).perm

@@ -109,17 +109,22 @@ def distill(M: SphereMachine) -> Distillation:
 
 def _candidate_relabelings(d1: Distillation, d2: Distillation):
     """Relabelings old1 -> old2 carrying the permutation tuple of d1 to d2,
-    derived from the canonical numberings."""
+    derived from the canonical numberings.
+
+    The first numbering of d1 suffices: the canonical numberings of one
+    machine differ by its automorphisms, so pairing it with every
+    numbering of d2 already meets each relabeling, once.
+    """
+    num1 = d1.numberings[0]
     out = []
-    for num1 in d1.numberings:
-        for num2 in d2.numberings:
-            inv2 = perms.inverse(num2)
-            sigma = tuple(inv2[num1[p]] for p in range(d1.degree))
-            if all(
-                tuple(sigma[pa[q]] for q in perms.inverse(sigma)) == pb
-                for pa, pb in zip(d1.perm_tuple, d2.perm_tuple)
-            ) and sigma not in out:
-                out.append(sigma)
+    for num2 in d2.numberings:
+        inv2 = perms.inverse(num2)
+        sigma = tuple(inv2[num1[p]] for p in range(d1.degree))
+        if all(
+            tuple(sigma[pa[q]] for q in perms.inverse(sigma)) == pb
+            for pa, pb in zip(d1.perm_tuple, d2.perm_tuple)
+        ):
+            out.append(sigma)
     return out
 
 
@@ -147,24 +152,11 @@ class _KnitSolver:
 
         self.M1 = M1
         self.d1 = d1 or distill(M1)
-        d = M1.degree
-        alpha: list[Word | None] = [None] * d
-        alpha[0] = EPSILON
-        order = [0]
-        tree: list[tuple[int, int, int]] = []   # (point, row, next)
-        back: list[tuple[int, int, int]] = []
-        k = 0
-        while k < len(order):
-            p = order[k]
-            k += 1
-            for r in range(M1.source.n):
-                q = M1.rows[r].perm[p]
-                if alpha[q] is None:
-                    alpha[q] = wmul(winv(M1.rows[r].entries[p]), alpha[p])
-                    tree.append((p, r, q))
-                    order.append(q)
-                else:
-                    back.append((p, r, q))
+        # edges (point, row, next) of the breadth-first walk
+        tree, back = perms.spanning_tree(M1.monodromy_perms())
+        alpha: list[Word] = [EPSILON] * M1.degree
+        for p, r, q in tree:
+            alpha[q] = wmul(winv(M1.rows[r].entries[p]), alpha[p])
         self.alpha = alpha
         self.tree = tree
         self.back = back
@@ -320,15 +312,9 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     """Saturate the basis under the right action of the given peripheral-
     preserving automorphisms, keying left orbits by distillation.
 
-    gens: list of (name, Automorphism) pairs or bare Automorphisms.
+    gens: list of (name, Automorphism) pairs.
     """
-    named = []
-    for k, g in enumerate(gens):
-        if isinstance(g, tuple):
-            named.append((g[0], g[1]))
-        else:
-            named.append((f"m{k + 1}", g))
-    for name, g in named:
+    for name, g in gens:
         if not is_peripheral_preserving(g):
             raise MachineError(f"generator {name} is not peripheral-preserving")
     rep = validate_sphere(M)
@@ -342,14 +328,16 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     table: dict[tuple[str, int], TableEdge] = {}
     k = 0
     while k < len(basis):
-        for name, g in named:
+        for name, g in gens:
             N = pre_compose(basis[k], g)
             dN = distill(N)
             hit = index.get(dN.key)
             if hit is None:
                 norm, bc = normalize_basis(N)
                 basis.append(norm)
-                dists.append(distill(norm))
+                # a conjugated basis keeps the permutations and the
+                # cycle classes, so dN serves norm as well
+                dists.append(dN)
                 solvers.append(None)
                 hit = len(basis) - 1
                 index[dN.key] = hit
@@ -365,11 +353,11 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
                     name, k, hit, knitting_auto=phi, basis_change=b)
         k += 1
     return MappingClassBiset(
-        alphabet=tuple(name for name, _ in named),
+        alphabet=tuple(name for name, _ in gens),
         basis_names=tuple(f"b{i}" for i in range(len(basis))),
         table=table,
         machines=basis,
-        gens=dict(named),
+        gens=dict(gens),
     )
 
 
@@ -384,35 +372,25 @@ def full_twist_generators(G: SphereGroup):
 def rewrite(mcb: MappingClassBiset, k: int, m: TwistWord):
     """Push a twist word through the recursion: Psi_k * m = m' * Psi_k'.
 
-    Returns (m', k') with m' a TwistWord when the table carries word
-    knittings, otherwise an Automorphism.
+    Returns (m', k').  Every edge met must carry a twist-word knitting;
+    the step words are multiplied once, so the cost is linear in m.
     """
-    use_words = mcb.word_knittings()
-    acc_word: TwistWord = EPSILON
-    acc_auto: Automorphism | None = None
+    steps = []
     for x in reduce_word(m):
         name = mcb.alphabet[abs(x) - 1]
         if x > 0:
             edge = mcb.table.get((name, k))
             if edge is None:
                 raise MachineError(f"table not closed at ({name}, {k})")
-            step_word, step_auto, k = edge.knitting_word, edge.knitting_auto, edge.target
+            k = edge.target
         else:
             edge = mcb.edge_into(name, k)
-            step_word = winv(edge.knitting_word) if edge.knitting_word is not None else None
-            step_auto = edge.knitting_auto.inverse() if edge.knitting_auto is not None else None
             k = edge.source
-        if use_words:
-            acc_word = wmul(acc_word, step_word)
-        else:
-            acc_auto = step_auto if acc_auto is None else acc_auto.compose(step_auto)
-    if use_words:
-        return acc_word, k
-    if acc_auto is None:
-        if mcb.machines is None:
-            raise MachineError("cannot build an identity knitting without machines")
-        acc_auto = Automorphism.identity(mcb.machines[0].target)
-    return acc_auto, k
+        if edge.knitting_word is None:
+            raise MachineError(f"edge ({name}, {edge.source}) has no "
+                               "twist-word knitting")
+        steps.append(edge.knitting_word if x > 0 else winv(edge.knitting_word))
+    return wmul(*steps), k
 
 
 @dataclass
@@ -460,7 +438,7 @@ def monodromy(M: SphereMachine) -> PermGroupReport:
     return PermGroupReport(
         degree=M.degree,
         generators=gens,
-        order=len(perms.group_closure(gens)),
+        order=perms.group_order(gens, M.degree),
         transitive=perms.is_transitive(gens, M.degree),
     )
 
@@ -579,16 +557,16 @@ def twist_fingerprint(psi: Automorphism):
     return _canon_fingerprint(fp)
 
 
-def fingerprint_table(candidates, max_power: int = 12):
-    """Map fingerprint -> (name, power) for powers of named automorphisms,
-    including the trivial class as ("1", 0)."""
+def fingerprint_table(candidates):
+    """Map fingerprint -> (name, power) for the powers 1..12 of named
+    automorphisms, including the trivial class as ("1", 0)."""
     table = {}
     fp1 = None
     for name, a in candidates:
         fp1 = twist_fingerprint(a)
         if fp1 is None:
             raise MachineError(f"candidate {name} is not peripheral-preserving")
-        for k in range(1, max_power + 1):
+        for k in range(1, 13):
             fp = _canon_fingerprint([tuple(k * x for x in row) for row in fp1])
             table.setdefault(fp, (name, k))
     if fp1 is not None:
@@ -649,22 +627,19 @@ class McbLiftEntry:
     label: tuple[str, int] | None   # (generator name, power) when identified
 
 
-def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str,
-                             candidates=None) -> list[McbLiftEntry]:
+def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str) -> list[McbLiftEntry]:
     """Degrees and knitting classes of the cycles of one generator's right
     action on the basis, like multiset_of_lifts on the recursion itself.
 
     Composite knittings are identified up to conjugacy as powers of the
-    candidate twists (default: the biset's own generators) by their
-    additive fingerprints; unidentified cycles keep label None.
+    biset's own generators by their additive fingerprints; unidentified
+    cycles keep label None.
     """
     pi = mcb.action_perm(gen)
     use_words = mcb.word_knittings()
     table = None
     if not use_words:
-        if candidates is None:
-            candidates = list(mcb.gens.items())
-        table = fingerprint_table(candidates)
+        table = fingerprint_table(list(mcb.gens.items()))
     out = []
     for cyc in perms.cycles(pi):
         if use_words:

@@ -225,9 +225,9 @@ class ObstructionReport:
     charpoly: list[Fraction]
 
 
-def is_obstructed(T: ThurstonMatrix, tol: float = 1e-9) -> ObstructionReport:
+def is_obstructed(T: ThurstonMatrix) -> ObstructionReport:
     """Exact decision whether the spectral radius is >= 1, plus a floating
-    bracket for the Perron root.
+    bracket, at most 1e-9 wide, for the Perron root.
 
     For a nonnegative matrix the spectral radius is the largest real root
     of the characteristic polynomial, so the decision is a Sturm count on
@@ -245,7 +245,7 @@ def is_obstructed(T: ThurstonMatrix, tol: float = 1e-9) -> ObstructionReport:
     if count_real_roots(p, lo - 1, hi) == 0:
         lo = hi = Fraction(0)  # nilpotent: radius 0
     else:
-        while hi - lo > Fraction(tol).limit_denominator(10**12):
+        while hi - lo > Fraction(1, 10**9):
             mid = (lo + hi) / 2
             if count_real_roots(p, mid, hi) > 0 or _poly_eval(p, mid) == 0:
                 lo = mid

@@ -7,6 +7,7 @@ right action of group elements on machine basis points.
 
 from __future__ import annotations
 
+from math import prod
 
 Perm = tuple[int, ...]
 
@@ -105,10 +106,11 @@ def is_transitive(gens: list[Perm], d: int) -> bool:
     return len(orbit_partition(gens, d)) <= 1
 
 
-def group_closure(gens: list[Perm], limit: int | None = None) -> set[Perm]:
+def group_closure(gens: list[Perm]) -> set[Perm]:
     """All elements of <gens> by breadth-first closure.
 
-    Intended for desk-scale degrees (d <= 8, order <= d!).
+    Intended for desk-scale degrees (d <= 8, order <= d!); group_order
+    counts larger groups without listing them.
     """
     if not gens:
         return {()}
@@ -123,7 +125,73 @@ def group_closure(gens: list[Perm], limit: int | None = None) -> set[Perm]:
                 if y not in elems:
                     elems.add(y)
                     nxt.append(y)
-                    if limit is not None and len(elems) > limit:
-                        raise ValueError("permutation group larger than limit")
         frontier = nxt
     return elems
+
+
+def group_order(gens: list[Perm], d: int) -> int:
+    """Order of <gens> on d points by deterministic Schreier-Sims.
+
+    Level l holds a base point b_l, generators S_l (S_0 = gens), a
+    transversal of the orbit of b_l under S_l (point -> (u, u^-1)) and
+    the (point, generator) pairs still to check.  A pair extends the
+    orbit or gives a Schreier generator, which is sifted through the
+    deeper levels; a residue left at level j joins S_{l+1}..S_j and the
+    walk resumes at level j.  <S_{l+1}> always lies in the stabiliser of
+    b_l in <S_l>, and contains it once no pair is left (Schreier's
+    lemma), so |<gens>| is the product of the orbit lengths.
+    """
+    levels: list[tuple[int, list, dict, list]] = []
+
+    def add(g: Perm, lev: int):
+        if lev == len(levels):
+            b = next(i for i in range(d) if g[i] != i)
+            levels.append((b, [], {b: (identity(d),) * 2}, []))
+        _, S, T, todo = levels[lev]
+        S.append(g)
+        todo.extend((x, g) for x in T)
+
+    for g in gens:
+        if not is_identity(g):
+            add(g, 0)
+    lev = len(levels) - 1
+    while lev >= 0:
+        _, S, T, todo = levels[lev]
+        if not todo:
+            lev -= 1
+            continue
+        x, s = todo.pop()
+        u, y = compose(T[x][0], s), s[x]
+        if y not in T:
+            T[y] = (u, inverse(u))
+            todo.extend((y, t) for t in S)
+            continue
+        h, j = compose(u, T[y][1]), lev + 1
+        while j < len(levels) and h[levels[j][0]] in levels[j][2]:
+            h = compose(h, levels[j][2][h[levels[j][0]]][1])
+            j += 1
+        if not is_identity(h):
+            for k in range(lev + 1, j + 1):
+                add(h, k)
+            lev = j
+    return prod(len(T) for _, _, T, _ in levels)
+
+
+def spanning_tree(gens: list[Perm], start: int = 0):
+    """Edges (p, r, q), q = gens[r][p], of the breadth-first walk from
+    start (points in the order reached, generators in list order), as
+    (tree, back) in the order met: a tree edge reaches a new point."""
+    order = [start]
+    seen = {start}
+    tree: list[tuple[int, int, int]] = []
+    back: list[tuple[int, int, int]] = []
+    for p in order:
+        for r, g in enumerate(gens):
+            q = g[p]
+            if q in seen:
+                back.append((p, r, q))
+            else:
+                seen.add(q)
+                tree.append((p, r, q))
+                order.append(q)
+    return tree, back

@@ -35,10 +35,6 @@ Word = tuple[int, ...]
 EPSILON: Word = ()
 
 
-class FiniteOrderUnsupported(ValueError):
-    """Raised when an operation meets a generator of finite order."""
-
-
 def reduce_word(letters) -> Word:
     """Freely reduce a sequence of signed generator indices."""
     out: list[int] = []
@@ -199,14 +195,13 @@ def run_length_str(names, w) -> str:
 
 
 class SphereGroup:
-    """A sphere group: n named generators with relator g1*...*gn.
+    """A sphere group: n named generators of infinite order with relator
+    g1*...*gn, or the generators in the order ``relator`` lists them.
 
-    ``orders`` may record finite generator orders for data-model
-    completeness, but every operation refuses to work with them
-    (orbisphere groups are not supported).
+    Orbisphere groups (generators of finite order) are not modelled.
     """
 
-    def __init__(self, names, orders=None, relator=None):
+    def __init__(self, names, relator=None):
         names = list(names)
         if len(names) == 1:
             raise ValueError("sphere groups have n = 0 or n >= 2 generators")
@@ -214,9 +209,6 @@ class SphereGroup:
             raise ValueError("duplicate generator names")
         self.names: tuple[str, ...] = tuple(names)
         self.n = len(names)
-        self.orders: tuple[object, ...] = tuple(
-            (orders or {}).get(nm, None) for nm in names
-        )
         self._index = {nm: i + 1 for i, nm in enumerate(names)}
         if relator is None:
             self.relator: tuple[int, ...] = tuple(range(1, self.n + 1))
@@ -236,10 +228,10 @@ class SphereGroup:
 
     def __eq__(self, other):
         return isinstance(other, SphereGroup) and self.names == other.names \
-            and self.orders == other.orders and self.relator == other.relator
+            and self.relator == other.relator
 
     def __hash__(self):
-        return hash((self.names, self.orders, self.relator))
+        return hash((self.names, self.relator))
 
     @property
     def rank(self) -> int:
@@ -251,11 +243,6 @@ class SphereGroup:
 
     def relator_word(self) -> Word:
         return tuple(self.relator)
-
-    def require_infinite_orders(self):
-        if self.orders.count(None) != self.n:
-            raise FiniteOrderUnsupported(
-                "finite generator orders are parsed but not supported")
 
     def gen(self, i: int) -> Word:
         """Generator number i (1-based) in normal form."""
@@ -279,7 +266,6 @@ class SphereGroup:
         its inverse and that no letter is followed by its inverse.  Any
         other word is rewritten letter by letter.
         """
-        self.require_infinite_orders()
         w = tuple(w)
         if self._letters.issuperset(w) and all(map(add, w, w[1:])):
             return w
@@ -428,7 +414,6 @@ class Automorphism:
     """
 
     def __init__(self, group: SphereGroup, images, check: bool = True):
-        group.require_infinite_orders()
         self.group = group
         self.images: tuple[Word, ...] = tuple(group.normal_form(w) for w in images)
         if len(self.images) != group.n:
@@ -678,7 +663,6 @@ def dehn_twist(i: int, j: int, G: SphereGroup) -> Automorphism:
     Positions i..j refer to the relator order (which is the declaration
     order unless a relator override reordered it).
     """
-    G.require_infinite_orders()
     if not 1 <= i <= j <= G.n:
         raise IndexError(f"bad twist indices ({i},{j}) for n={G.n}")
     segment = [G.relator[k - 1] for k in range(i, j + 1)]
@@ -707,8 +691,8 @@ def twist_about(G: SphereGroup, curve) -> Automorphism:
     return Automorphism(G, images, check=False)
 
 
-def is_peripheral_preserving(phi: Automorphism, G: SphereGroup | None = None) -> bool:
-    G = G or phi.group
+def is_peripheral_preserving(phi: Automorphism) -> bool:
+    G = phi.group
     cached = getattr(phi, "_ppres", None)
     if cached is None:
         cached = all(

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphmach import cli, zoo
 from sphmach.mcbiset import compute_mcbiset
-from sphmach.words import SphereGroup, FiniteOrderUnsupported, reduce_word
+from sphmach.words import SphereGroup, reduce_word
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
     mcb_to_json, mcb_from_json, _WordReader,
@@ -87,8 +87,8 @@ def test_machine_files_match_the_zoo():
     assert json.loads((MACHINES / "rabbit.mcb").read_text()) == zoo.RABBIT_MCB
 
 
-# machine files with a target block, a declared degree and finite orders,
-# beside the zoo texts, as seeds for the parser fuzz test
+# machine files with a target block, a declared degree and (refused)
+# finite orders, beside the zoo texts, as seeds for the parser fuzz test
 _MACHINE_TEXTS = [
     zoo.Z2_TEXT, zoo.PILGRIM_TEXT, zoo.Z5_TEXT, zoo.CENTRALIZER7_TEXT,
     "group: a,b\ntarget: p,q\ntarget_relator: q*p\ndegree: 2\n"
@@ -123,10 +123,9 @@ def mutated_machine_texts(draw):
 @settings(max_examples=1000, deadline=None)
 @given(mutated_machine_texts())
 def test_mutated_machine_files_parse_or_raise_parse_error(text):
-    # finite orders are refused on purpose, with their own message
     try:
         parse_machine_file(text)
-    except (ParseError, FiniteOrderUnsupported):
+    except ParseError:
         pass
 
 
@@ -206,12 +205,17 @@ def test_malformed_words_keep_their_messages(tmp_path, capsys, text, message):
     assert mcb_from_json(data).table[("t", 0)].knitting_auto.is_identity_map()
 
 
-def test_finite_orders_parse_but_operations_reject():
-    from sphmach.words import FiniteOrderUnsupported
-
+def test_finite_orders_are_a_parse_error(tmp_path, capsys):
     text = "group: a,b\norders: a=3\na=<,a>(1,2)\nb=<b,>(1,2)\n"
-    with pytest.raises(FiniteOrderUnsupported):
+    with pytest.raises(ParseError) as exc:
         parse_machine_file(text)
+    assert exc.value.line == 2
+    assert str(exc.value) == \
+        "finite generator orders are not supported at line 2"
+    path = tmp_path / "orders.mach"
+    path.write_text(text)
+    assert run_cli("validate", str(path)) == 3
+    assert "finite generator orders" in capsys.readouterr().err
 
 
 def test_word_syntax():
@@ -240,6 +244,18 @@ def test_cli_monodromy_json_deterministic(capsys):
     data = json.loads(first)
     assert data["result"]["order"] == 120
     assert "timing_ms" not in data
+
+
+def test_cli_monodromy_counts_a_large_group(tmp_path, capsys):
+    # degree 36: far too many elements to list, counted by Schreier-Sims
+    c7 = str(MACHINES / "centralizer7.mach")
+    out = str(tmp_path / "bb.mach")
+    assert run_cli("tensor", c7, c7, "-o", out) == 0
+    capsys.readouterr()
+    assert run_cli("--json", "monodromy", out) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["result"]["degree"] == 36
+    assert data["result"]["order"] == 2507653251072
 
 
 def test_cli_timing_reads_perf_counter(monkeypatch, capsys):
@@ -476,6 +492,8 @@ def _edge0(data):
     (lambda d: d["machines"].pop(), "5 machines for a basis of 6"),
     (lambda d: d["machines"].__setitem__(1, ["a=<a>", "b=<b>", "c=<c>", "d=<d>"]),
      "machines of different degrees"),
+    (lambda d: d["table"].append(dict(_edge0(d), to="b5")),
+     "edge 's' from 'b0': duplicate table record"),
 ])
 def test_malformed_biset_fields_raise_parse_error(spoil, message):
     data = json.loads(_pilgrim_s_text())

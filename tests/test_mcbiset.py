@@ -202,11 +202,12 @@ def test_rewrite_rabbit_relations():
     assert rewrite(mcb, 0, (t, t)) == ((u,), 0)
     assert rewrite(mcb, 0, (u, u)) == ((s,), 0)
     assert rewrite(mcb, 1, ()) == ((), 1)
-    # stepwise composition agrees with one-shot rewriting
+    # stepwise composition agrees with one-shot rewriting, on short words
+    # and on words of up to 2,000 letters
     rng = random.Random(2)
-    for _ in range(50):
+    for length in [rng.randint(0, 8) for _ in range(50)] + [500, 1000, 2000]:
         word = tuple(rng.choice([1, -1, 2, -2, 3, -3])
-                     for _ in range(rng.randint(0, 8)))
+                     for _ in range(length))
         one, k1 = rewrite(mcb, 0, word)
         acc, k2 = (), 0
         from sphmach.words import reduce_word
@@ -214,6 +215,17 @@ def test_rewrite_rabbit_relations():
             step, k2 = rewrite(mcb, k2, (x,))
             acc = wmul(acc, step)
         assert (one, k1) == (acc, k2)
+
+
+def test_rewrite_needs_twist_word_knittings():
+    # a computed biset carries automorphism knittings only
+    z5 = zoo.z5_marked().machine
+    mcb = compute_mcbiset(z5, full_twist_generators(z5.source))
+    with pytest.raises(MachineError, match="twist-word knitting"):
+        rewrite(mcb, 0, (1,))
+    with pytest.raises(MachineError, match="twist-word knitting"):
+        rewrite(mcb, 0, (-1,))
+    assert rewrite(mcb, 0, ()) == ((), 0)
 
 
 def test_conjugacy_iterate_examples():
@@ -265,6 +277,22 @@ def test_monodromy_reports():
     G = SphereGroup(["a", "b", "c"])
     repi = monodromy(SphereMachine.identity(G))
     assert repi.order == 1
+
+
+def test_group_order_matches_closure():
+    rng = random.Random(8)
+    for _ in range(300):
+        d = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            p = list(range(d))
+            if rng.random() < 0.5:
+                rng.shuffle(p)
+            else:
+                i, j = rng.randrange(d), rng.randrange(d)
+                p[i], p[j] = p[j], p[i]
+            gens.append(tuple(p))
+        assert perms.group_order(gens, d) == len(perms.group_closure(gens))
 
 
 def test_quotient_action_rejects_non_symmetry():

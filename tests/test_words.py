@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphmach import words
 from sphmach.words import (
-    SphereGroup, ConjClass, Automorphism, FiniteOrderUnsupported,
+    SphereGroup, ConjClass, Automorphism,
     reduce_word, wmul, winv, wpow, conjugate, cyclic_canonical, cyclic_reduce,
     is_conjugate, centralizer_root, power_exponent,
     common_generator_conjugator,
@@ -44,12 +44,6 @@ def test_relator_override():
     G = SphereGroup(["s", "t", "u"], relator=["u", "t", "s"])
     assert G.normal_form([3, 2, 1]) == ()
     assert G.normal_form([1]) == (-2, -3)
-
-
-def test_finite_orders_rejected():
-    G = SphereGroup(["a", "b"], orders={"a": 3})
-    with pytest.raises(FiniteOrderUnsupported):
-        G.normal_form([1, 2])
 
 
 def test_wpow_matches_repeated_multiplication():
