@@ -211,9 +211,6 @@ def express_in_subgroup(gens, target) -> Word | None:
 
     Substituting gens[i-1] for symbol i and freely reducing recovers target.
     """
-    target = tuple(target)
-    if not any(gens):
-        return EPSILON if not target else None
     return SubgroupGraph(gens).express(target)
 
 
@@ -224,6 +221,4 @@ def expand_expression(expr: Word, gens) -> Word:
 
 
 def subgroup_contains(gens, target) -> bool:
-    if not any(gens):
-        return not tuple(target)
     return SubgroupGraph(gens).contains(target)

@@ -88,9 +88,6 @@ class SphereMachine:
     def __repr__(self):
         return f"SphereMachine({self.source.n}gen/deg{self.degree})"
 
-    def row(self, i: int) -> WreathElement:
-        return self.rows[i - 1]
-
     def evaluate(self, w) -> WreathElement:
         """Multiplicative extension of the rows to any source word."""
         out = WreathElement((EPSILON,) * self.degree, perms.identity(self.degree))
@@ -101,7 +98,7 @@ class SphereMachine:
         return out
 
     def relator_ok(self) -> bool:
-        return self.evaluate(self.source.relator_word()).is_identity()
+        return self.evaluate(self.source.relator).is_identity()
 
     def monodromy_perms(self) -> list[Perm]:
         return [r.perm for r in self.rows]
@@ -140,13 +137,9 @@ class LiftMultiset:
 
 
 def multiset_of_lifts(M: SphereMachine, c) -> LiftMultiset:
-    """Lifts of a source conjugacy class: orbit degrees of the right action
-    of a representative, with the classes of the return words."""
-    if isinstance(c, ConjClass):
-        rep = c.rep
-    else:
-        rep = M.source.normal_form(c)
-    w = M.evaluate(rep)
+    """Lifts of the conjugacy class of the source word c: orbit degrees of
+    the right action of c, with the classes of the return words."""
+    w = M.evaluate(M.source.normal_form(c))
     out = []
     for cycle in perms.cycles(w.perm):
         # cycles come in action order starting from their least point
@@ -188,7 +181,7 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
     found: list[ConjClass] = []
     ok3 = True
     for i in range(1, M.source.n + 1):
-        for d, cls in multiset_of_lifts(M, ConjClass(M.source, M.source.gen(i))).entries:
+        for d, cls in multiset_of_lifts(M, M.source.gen(i)).entries:
             if cls.is_trivial():
                 continue
             if cls.peripheral_index() is None:
@@ -223,7 +216,7 @@ def portrait(M: SphereMachine) -> Portrait:
         raise NotSphereBiset("; ".join(report.details) or "not a sphere biset")
     mapping: dict[int, tuple[int, int]] = {}
     for i in range(1, M.source.n + 1):
-        for d, cls in multiset_of_lifts(M, ConjClass(M.source, M.source.gen(i))).entries:
+        for d, cls in multiset_of_lifts(M, M.source.gen(i)).entries:
             j = cls.peripheral_index()
             if j is not None:
                 mapping[j] = (i, d)
@@ -265,11 +258,6 @@ class BasisChange:
     @classmethod
     def identity(cls, d: int) -> "BasisChange":
         return cls((EPSILON,) * d, perms.identity(d))
-
-    @classmethod
-    def conjugation(cls, conjugators) -> "BasisChange":
-        conjugators = tuple(tuple(w) for w in conjugators)
-        return cls(conjugators, perms.identity(len(conjugators)))
 
     def inv(self) -> "BasisChange":
         rinv = perms.inverse(self.relabel)

@@ -45,8 +45,7 @@ class Distillation:
     relabeling of the basis."""
 
     def __init__(self, machine: SphereMachine):
-        d = machine.degree
-        self.degree = d
+        self.degree = machine.degree
         self.perm_tuple: tuple[Perm, ...] = tuple(machine.monodromy_perms())
         self.labels: dict[tuple[int, int], ConjClass] = {}
         keyed_cycles = []   # (generator, cycle, label key), keyed once
@@ -57,50 +56,31 @@ class Distillation:
                 keyed_cycles.append((i, cyc, _label_key(cls)))
         self.key, self.numberings = self._canonicalize(keyed_cycles)
 
-    def _bfs_numbering(self, start: int):
-        d = self.degree
-        num = [-1] * d
-        num[start] = 0
-        order = [start]
-        k = 0
-        while k < len(order):
-            p = order[k]
-            k += 1
-            for pi in self.perm_tuple:
-                q = pi[p]
-                if num[q] < 0:
-                    num[q] = len(order)
-                    order.append(q)
-        if len(order) < d:
-            raise MachineError("distillation requires a transitive machine")
-        return tuple(num)
-
-    def _encode(self, num, keyed_cycles):
-        inv = perms.inverse(num)
-        new_perms = tuple(
-            tuple(num[pi[inv[i]]] for i in range(self.degree))
-            for pi in self.perm_tuple)
-        new_labels = sorted(((i, min(num[q] for q in cyc)), key)
-                            for i, cyc, key in keyed_cycles)
-        return (new_perms, tuple(new_labels))
-
     def _canonicalize(self, keyed_cycles):
+        """The least (relabelled permutations, sorted cycle labels) over
+        the breadth-first numberings from every start, with every
+        numbering that attains it.  Labels only break ties, so a start
+        whose permutations already exceed the best builds none."""
         best = None
         maps = []
         for start in range(self.degree):
-            num = self._bfs_numbering(start)
-            enc = self._encode(num, keyed_cycles)
+            tree, _ = perms.spanning_tree(self.perm_tuple, start)
+            if len(tree) < self.degree - 1:
+                raise MachineError("distillation requires a transitive machine")
+            order = [start] + [q for _, _, q in tree]
+            num = perms.inverse(order)
+            new_perms = tuple(tuple(num[pi[p]] for p in order)
+                              for pi in self.perm_tuple)
+            if best is not None and new_perms > best[0]:
+                continue
+            enc = (new_perms, tuple(sorted(
+                ((i, min(num[q] for q in cyc)), key)
+                for i, cyc, key in keyed_cycles)))
             if best is None or enc < best:
                 best, maps = enc, [num]
             elif enc == best:
                 maps.append(num)
         return best, maps
-
-    def __eq__(self, other):
-        return isinstance(other, Distillation) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
 
 def distill(M: SphereMachine) -> Distillation:

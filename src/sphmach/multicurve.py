@@ -108,9 +108,6 @@ class ThurstonMatrix:
     cols: list[str]
     entries: list[list[Fraction]]
 
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
-
     @property
     def shape(self):
         return len(self.rows), len(self.cols)
@@ -237,17 +234,25 @@ def is_obstructed(T: ThurstonMatrix) -> ObstructionReport:
     if any(x < 0 for row in T.entries for x in row):
         raise MulticurveError("matrix has negative entries")
     p = charpoly(T.entries)
+    # every real root lies below bound, so the distinct roots in
+    # (x, bound] number V(x) - V(bound) on one Sturm chain
     bound = max((sum(row) for row in T.entries), default=Fraction(0)) + 1
-    obstructed = (_poly_eval(p, Fraction(1)) == 0
-                  or count_real_roots(p, Fraction(1), bound) > 0)
-    # bracket the largest real root by bisection on the Sturm count
+    chain = _sturm_chain(list(p))
+    v_bound = _sign_changes(chain, bound)
+
+    def roots_above(x: Fraction) -> int:
+        return _sign_changes(chain, x) - v_bound
+
+    obstructed = _poly_eval(p, Fraction(1)) == 0 or roots_above(Fraction(1)) > 0
+    # bracket the largest real root by bisection on the Sturm count; no
+    # root lies in (hi, bound], so roots in (mid, hi] are roots above mid
     lo, hi = Fraction(0), bound
-    if count_real_roots(p, lo - 1, hi) == 0:
+    if roots_above(lo - 1) == 0:
         lo = hi = Fraction(0)  # nilpotent: radius 0
     else:
         while hi - lo > Fraction(1, 10**9):
             mid = (lo + hi) / 2
-            if count_real_roots(p, mid, hi) > 0 or _poly_eval(p, mid) == 0:
+            if roots_above(mid) > 0 or _poly_eval(p, mid) == 0:
                 lo = mid
             else:
                 hi = mid

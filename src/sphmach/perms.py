@@ -85,20 +85,11 @@ def orbit_partition(gens: list[Perm], d: int) -> list[list[int]]:
     seen = [False] * d
     orbits = []
     for i in range(d):
-        if seen[i]:
-            continue
-        orb = [i]
-        seen[i] = True
-        queue = [i]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
-                    queue.append(y)
-        orbits.append(sorted(orb))
+        if not seen[i]:
+            orb = sorted([i] + [q for _, _, q in spanning_tree(gens, i)[0]])
+            for q in orb:
+                seen[q] = True
+            orbits.append(orb)
     return orbits
 
 

@@ -241,9 +241,6 @@ class SphereGroup:
         """Indices of the n-1 generators kept in the normal form."""
         return [i for i in range(1, self.n + 1) if i != self._eliminated]
 
-    def relator_word(self) -> Word:
-        return tuple(self.relator)
-
     def gen(self, i: int) -> Word:
         """Generator number i (1-based) in normal form."""
         if not 1 <= i <= self.n:
@@ -582,8 +579,11 @@ def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
     """Inner-adjust an automorphism to a least total image length,
     stripping accumulated conjugation bloat.  Linear-time deque walk;
     conjugating by a letter x turns w into x^-1*w*x, which changes each
-    image length by -2, 0 or +2 read off the end letters alone.  The
-    walk takes the best strictly shrinking letter until none shrinks.
+    image length by -2, 0 or +2 read off the end letters alone.  With m
+    nonempty images and score(x) of them starting with x plus those
+    ending with x^-1, the total length changes by 2*(m - score(x)).  The
+    walk takes the top-scoring letter while its score exceeds m; the
+    scores sum to 2m, so at most one letter does.
 
     phi is inner exactly when the result is the identity map, which
     makes is_identity_map() of the result the one exact inner test
@@ -611,30 +611,20 @@ def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
     from collections import deque
 
     imgs = [deque(w) for w in phi.images]
+    live = [dq for dq in imgs if dq]    # conjugation keeps them nonempty
     g: list[int] = []
-    while True:
-        deltas: dict[int, int] = {}
-        for dq in imgs:
-            if dq:
-                for x in (dq[0], -dq[-1]):
-                    deltas[x] = 0
-        if not deltas:
-            break
-        for x in deltas:
-            d = 0
-            for dq in imgs:
-                if not dq:
-                    continue
-                d += -1 if dq[0] == x else 1
-                d += -1 if dq[-1] == -x else 1
-            deltas[x] = d
-        x = min(deltas, key=lambda k: (deltas[k], k))
-        if deltas[x] >= 0:
+    while live:
+        score: dict[int, int] = {}
+        for dq in live:
+            x = dq[0]
+            score[x] = score.get(x, 0) + 1
+            x = -dq[-1]
+            score[x] = score.get(x, 0) + 1
+        x = max(score, key=score.get)
+        if score[x] <= len(live):
             break
         g.append(x)
-        for dq in imgs:
-            if not dq:
-                continue
+        for dq in live:
             if dq[0] == x:
                 dq.popleft()
             else:

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphmach import cli, zoo
-from sphmach.mcbiset import compute_mcbiset
+from sphmach.mcbiset import compute_mcbiset, full_twist_generators
 from sphmach.words import SphereGroup, reduce_word
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
-    mcb_to_json, mcb_from_json, _WordReader,
+    mcb_to_json, mcb_from_json, save_mcb, load_mcb, _WordReader,
 )
 from sphmach.cli import main
 
@@ -391,16 +391,23 @@ def test_cli_tensor_and_rebase(tmp_path, capsys):
     assert parse_machine_file(text).machine.degree == 2
 
 
+def _perfbench_module(name):
+    """A perfbench module loaded by path, as the benchmark runs it."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 def test_benchmark_trace_targets_resolve():
     # perfbench/run.py --trace wraps each (module, attribute) of
     # tracer.TARGETS by name; a deleted or renamed one breaks traced runs
     import importlib
-    import importlib.util
 
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     assert tracer.TARGETS
     for modname, attr, _ in tracer.TARGETS:
         mod = importlib.import_module(f"sphmach.{modname}")
@@ -409,6 +416,27 @@ def test_benchmark_trace_targets_resolve():
             assert name in vars(getattr(mod, cls_name)), (modname, attr)
         else:
             assert callable(getattr(mod, attr)), (modname, attr)
+
+
+def test_benchmark_reads_both_knitting_forms(tmp_path):
+    # perfbench's oracles and tracer read TableEdge.knitting_auto,
+    # TableEdge.knitting_word and the .mcb keys: the z5 biset saves
+    # automorphism knittings, the rabbit biset twist words
+    oracles = _perfbench_module("oracles")
+    tracer = _perfbench_module("tracer")
+    z5 = zoo.z5_marked().machine
+    bisets = {"z5": compute_mcbiset(z5, full_twist_generators(z5.source)),
+              "rabbit": zoo.rabbit_mcb()}
+    for name, mcb in bisets.items():
+        path = tmp_path / f"{name}.mcb"
+        save_mcb(mcb, str(path))
+        loaded = load_mcb(str(path))
+        assert oracles.table_mismatches(json.loads(path.read_text()),
+                                        loaded) == [], name
+        for edge in loaded.table.values():
+            assert (edge.knitting_auto is None) == (name == "rabbit")
+            assert (edge.knitting_word is None) == (name == "z5")
+            assert tracer.knitting_letters(edge) >= 0
 
 
 @functools.cache

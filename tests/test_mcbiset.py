@@ -15,7 +15,7 @@ from sphmach.machine import (
     change_basis, pre_compose, post_compose, validate_sphere, tensor,
 )
 from sphmach.mcbiset import (
-    distill, Distillation, machine_isomorphism, same_left_orbit,
+    distill, machine_isomorphism, same_left_orbit,
     compute_mcbiset, full_twist_generators, rewrite, conjugacy_iterate,
     monodromy, regular_right_action, left_mult_perms, quotient_action,
     correspondence_invariants, twist_fingerprint, fingerprint_table,
@@ -69,6 +69,90 @@ def test_distill_requires_transitive():
             WreathElement(((-1,), ()), perms.identity(2))]
     with pytest.raises(MachineError):
         distill(SphereMachine(G, G, rows))
+
+
+def _reference_distillation(M):
+    """Every start's breadth-first numbering with its full (permutations,
+    labels) encoding; the least encoding and every numbering attaining it."""
+    d = M.degree
+    gens = M.monodromy_perms()
+    cycle_keys = []
+    for i, pi in enumerate(gens, 1):
+        for cyc in perms.cycles(pi):
+            cls = ConjClass(M.target, M.cycle_product(i, cyc))
+            j = cls.peripheral_index()
+            cycle_keys.append((i, cyc, (0,) if cls.is_trivial() else
+                               (1, j) if j is not None else (2, cls.canonical)))
+    found = []
+    for start in range(d):
+        order, seen = [start], {start}
+        for p in order:
+            for pi in gens:
+                if pi[p] not in seen:
+                    seen.add(pi[p])
+                    order.append(pi[p])
+        num = [0] * d
+        for k, p in enumerate(order):
+            num[p] = k
+        relabelled = tuple(tuple(num[pi[p]] for p in order) for pi in gens)
+        labels = sorted(((i, min(num[q] for q in cyc)), key)
+                        for i, cyc, key in cycle_keys)
+        found.append(((relabelled, tuple(labels)), tuple(num)))
+    best = min(enc for enc, _ in found)
+    return best, [num for enc, num in found if enc == best]
+
+
+def _random_transitive_machine(rng, G, d):
+    while True:
+        rows = []
+        for _ in range(G.n):
+            p = list(range(d))
+            if rng.random() < 0.7:
+                rng.shuffle(p)
+            entries = [rng.choice([(), (), (1,), (-2,), (1, 2)])
+                       for _ in range(d)]
+            rows.append(WreathElement(tuple(entries), tuple(p)))
+        if perms.is_transitive([r.perm for r in rows], d):
+            return SphereMachine(G, G, rows)
+
+
+def test_distill_matches_reference_on_random_machines():
+    rng = random.Random(21)
+    G = SphereGroup(["a", "b", "c"])
+    label_ties = 0
+    for _ in range(300):
+        M = _random_transitive_machine(rng, G, rng.randint(1, 7))
+        got = distill(M)
+        key, numberings = _reference_distillation(M)
+        assert (got.key, got.numberings) == (key, numberings)
+        # starts whose relabelled permutations tie, told apart by labels
+        perms_only = _reference_distillation(
+            SphereMachine(G, G, [WreathElement(((),) * M.degree, r.perm)
+                                 for r in M.rows]))
+        label_ties += len(perms_only[1]) > len(numberings)
+        # two disjoint copies of the points: no longer transitive
+        d = M.degree
+        doubled = SphereMachine(G, G, [WreathElement(
+            r.entries * 2, r.perm + tuple(x + d for x in r.perm))
+            for r in M.rows])
+        with pytest.raises(MachineError):
+            distill(doubled)
+    assert label_ties > 0
+
+
+def test_distill_matches_reference_on_relabelled_tensor_powers():
+    B = zoo.centralizer7().machine
+    rng = random.Random(4)
+    M = B
+    for _ in range(2):
+        M = tensor(M, B)
+        sigma = list(range(M.degree))
+        rng.shuffle(sigma)
+        Mr = change_basis(M, BasisChange(((),) * M.degree, tuple(sigma)))
+        for N in (M, Mr):
+            got = distill(N)
+            assert (got.key, got.numberings) == _reference_distillation(N)
+        assert distill(Mr).key == distill(M).key
 
 
 def test_machine_isomorphism_round_trip():
@@ -293,6 +377,36 @@ def test_group_order_matches_closure():
                 p[i], p[j] = p[j], p[i]
             gens.append(tuple(p))
         assert perms.group_order(gens, d) == len(perms.group_closure(gens))
+
+
+def test_orbit_partition_matches_naive_closure():
+    rng = random.Random(13)
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            p = list(range(d))
+            # a shuffle of a random block keeps the action non-transitive
+            lo = rng.randrange(d)
+            hi = rng.randint(lo, d)
+            block = p[lo:hi]
+            rng.shuffle(block)
+            p[lo:hi] = block
+            gens.append(tuple(p))
+        want = []
+        for i in range(d):
+            orb = {i}
+            while True:
+                more = orb | {g[x] for g in gens for x in orb}
+                if more == orb:
+                    break
+                orb = more
+            if sorted(orb) not in want:
+                want.append(sorted(orb))
+        assert perms.orbit_partition(gens, d) == want
+        assert perms.is_transitive(gens, d) == (len(want) <= 1)
+    assert perms.orbit_partition([], 3) == [[0], [1], [2]]
+    assert perms.orbit_partition([], 0) == []
 
 
 def test_quotient_action_rejects_non_symmetry():

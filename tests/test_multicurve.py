@@ -131,6 +131,38 @@ def test_obstruction_agrees_with_exact_eigenvalues_on_2x2():
         assert rep.perron_low - 1e-6 <= radius <= rep.perron_high + 1e-6
 
 
+def test_obstruction_agrees_with_sympy_root_isolation():
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(17)
+    cases = [[[0]], [[0, 1], [0, 0]], [[1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]]]
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        density = rng.random()
+        cases.append([[Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                       if rng.random() < density else 0
+                       for _ in range(n)] for _ in range(n)])
+    for A in cases:
+        A = [[Fraction(v) for v in row] for row in A]
+        n = len(A)
+        rep = is_obstructed(ThurstonMatrix(list("abcdef"[:n]),
+                                           list("abcdef"[:n]), A))
+        P = sympy.Poly(sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row]
+             for row in A]).charpoly(x).as_expr(), x, domain="QQ")
+        # the largest real root is the Perron root of a nonnegative matrix
+        (lo, hi), _ = P.intervals()[-1]
+        while lo < 1 <= hi and P.eval(1) != 0:
+            lo, hi = P.refine_root(lo, hi, eps=(hi - lo) / 4)
+        assert rep.obstructed == (lo >= 1 or P.eval(1) == 0), A
+        lo, hi = P.refine_root(lo, hi, eps=sympy.Rational(1, 10**15))
+        tol = 1e-12 * max(1.0, float(hi))
+        assert rep.perron_low - tol <= float(hi), A
+        assert float(lo) <= rep.perron_high + tol, A
+        assert rep.perron_high - rep.perron_low <= 1e-9
+
+
 def test_twist_lift_check_fixture():
     M, C, autos = fixture()
     mcb = compute_mcbiset(M, [("sigma", autos["sigma"]), ("tau", autos["tau"])])

@@ -291,6 +291,39 @@ def test_outer_normalize_shrinks_and_preserves_class():
         assert outer_equal(slim, bloated)
 
 
+def test_outer_normalize_is_a_local_minimum_reached_by_its_conjugator():
+    rng = random.Random(9)
+    alphabets = {}
+    for n in range(3, 8):
+        G = SphereGroup([f"g{i}" for i in range(1, n + 1)])
+        twists = [dehn_twist(i, j, G)
+                  for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        alphabets[n] = G, twists + [t.inverse() for t in twists]
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        G, twists = alphabets[n]
+        phi = Automorphism.inner(G, rand_word(rng, n - 1, rng.randint(0, 6)))
+        for _ in range(rng.randint(0, 6)):
+            phi = phi.compose(rng.choice(twists))
+        out, g = outer_normalize(phi, return_conjugator=True)
+        assert list(out.images) == [conjugate(w, g) for w in phi.images]
+        letters = [x for x in range(-(n - 1), n) if x]
+        total = sum(map(len, out.images))
+        for x in letters:
+            assert sum(len(conjugate(w, (x,))) for w in out.images) >= total
+        # the walk itself: the most shrinking letter, least first, by brute force
+        imgs, walk = list(phi.images), []
+        while True:
+            size = sum(map(len, imgs))
+            delta, x = min((sum(len(conjugate(w, (x,))) for w in imgs) - size, x)
+                           for x in letters)
+            if delta >= 0:
+                break
+            imgs = [conjugate(w, (x,)) for w in imgs]
+            walk.append(x)
+        assert (list(out.images), g) == (imgs, reduce_word(walk))
+
+
 def test_conjclass_equality_and_inversion():
     G = SphereGroup(["a", "b", "c"])
     assert ConjClass(G, (1, 2)) == ConjClass(G, (2, 1))
