@@ -247,8 +247,8 @@ def is_obstructed(T: ThurstonMatrix) -> ObstructionReport:
     # bracket the largest real root by bisection on the Sturm count; no
     # root lies in (hi, bound], so roots in (mid, hi] are roots above mid
     lo, hi = Fraction(0), bound
-    if roots_above(lo - 1) == 0:
-        lo = hi = Fraction(0)  # nilpotent: radius 0
+    if not any(p[1:]):
+        hi = lo  # charpoly x^n: the matrix is nilpotent, its Perron root 0
     else:
         while hi - lo > Fraction(1, 10**9):
             mid = (lo + hi) / 2

@@ -22,12 +22,16 @@ written, at C speed, plus O(log k) interpreted steps per junction that
 cancels k letters.  substitute_all is the one substitution kernel: it
 maps a batch of words and builds the signed images it needs once per
 batch; Automorphism.apply_all and folding.expand_expression call it.
-cyclic_reduce is linear.
+It maps a word with a wing, c * u * c^-1, as phi(c) * phi(u) *
+phi(c)^-1, so the letters of c are substituted once.  cyclic_reduce is
+linear.  run_length_str prints a word with no two equal neighbours,
+such as almost every knitting image, with one join over a table of
+letter tokens.
 """
 
 from __future__ import annotations
 
-from operator import add, neg
+from operator import add, eq, neg
 
 
 Word = tuple[int, ...]
@@ -118,18 +122,31 @@ def substitute_all(words, images):
 
     The images must be freely reduced.  The signed pieces and their
     inverse lists are built once per batch, only for the letters met, so
-    every product is one _append_reduced per letter.
+    every product is one _append_reduced per letter.  A word with a wing,
+    c * u * c^-1 with c nonempty, is mapped as phi(c) * phi(u) *
+    phi(c)^-1: the letters of c are substituted once, not twice.
     """
     pieces: dict[int, tuple[Word, list[int]]] = {}
-    for w in words:
-        out: list[int] = []
+
+    def spell(w, out: list[int]) -> list[int]:
         for x in w:
             piece = pieces.get(x)
             if piece is None:
                 img = images[x - 1] if x > 0 else winv(images[-x - 1])
                 piece = pieces[x] = (img, list(map(neg, reversed(img))))
             _append_reduced(out, *piece)
-        yield tuple(out)
+        return out
+
+    for w in words:
+        if len(w) > 2 and w[0] == -w[-1]:
+            core, c = cyclic_reduce(w)
+            wing = spell(c, [])
+            out = spell(core, wing.copy())
+            # the inverse of winv(wing) is wing itself
+            _append_reduced(out, winv(wing), wing)
+            yield tuple(out)
+        else:
+            yield tuple(spell(w, []))
 
 
 def wpow(w: Word, k: int) -> Word:
@@ -176,7 +193,16 @@ def cyclic_canonical(w: Word, up_to_inversion: bool = False) -> Word:
 
 def run_length_str(names, w) -> str:
     """Print a word over the given generator names, runs of one letter
-    as name^k ('' for the empty word)."""
+    as name^k ('' for the empty word).
+
+    A word with no two equal neighbours, the common case for knitting
+    images, is printed with one join over a table of letter tokens.
+    """
+    if not any(map(eq, w, w[1:])):
+        tokens = {}
+        for i, name in enumerate(names, 1):
+            tokens[i], tokens[-i] = name, f"{name}^-1"
+        return "*".join(map(tokens.__getitem__, w))
     parts = []
     i = 0
     while i < len(w):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 from sphmach import mcbiset, perms, zoo
 from sphmach.cli import main
+from sphmach.machfile import save_mcb
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, dehn_twist, outer_equal,
     outer_normalize, conjugate, winv, wmul,
@@ -499,3 +501,12 @@ def test_recognize_twist_power_direct():
     assert got[1] == frozenset({2, 3}) or got[1] == frozenset({1, 4})
     assert got[2] == 3
     assert recognize_twist_power(Automorphism.identity(G)) == ("identity",)
+
+
+def test_pilgrim_mcb_file_bytes_are_pinned(pilgrim_mcb, tmp_path):
+    # the bytes `sphmach mcbiset machines/fbiset.mach --gens s,t,u` writes
+    mcb, _ = pilgrim_mcb()
+    path = tmp_path / "stu.mcb"
+    save_mcb(mcb, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "4f73bdb6453277a51045f7d2f41afcd8ddc4210575aac6df74f70f8156199752"

@@ -116,6 +116,19 @@ def test_obstruction_decisions():
     assert not is_obstructed(ThurstonMatrix(["c"], ["c"], [[Fraction(1, 2)]])).obstructed
 
 
+@pytest.mark.parametrize("entries", [
+    [[0]],
+    [[0, 1], [0, 0]],
+    [[0, 2, 1], [0, 0, 3], [0, 0, 0]],
+])
+def test_nilpotent_matrix_reports_perron_root_zero(entries):
+    names = list("abc"[:len(entries)])
+    rep = is_obstructed(ThurstonMatrix(
+        names, names, [[Fraction(v) for v in row] for row in entries]))
+    assert not rep.obstructed
+    assert rep.perron_low == rep.perron_high == 0
+
+
 def test_obstruction_agrees_with_exact_eigenvalues_on_2x2():
     import math
     rng = random.Random(0)
@@ -136,7 +149,9 @@ def test_obstruction_agrees_with_sympy_root_isolation():
 
     x = sympy.Symbol("x")
     rng = random.Random(17)
-    cases = [[[0]], [[0, 1], [0, 0]], [[1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]]]
+    cases = [[[0]], [[0, 1], [0, 0]], [[1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]],
+             # charpoly x^2 (x - 2): 0 is a double root
+             [[0, 1, 0], [0, 0, 0], [0, 0, 2]]]
     for _ in range(120):
         n = rng.randint(1, 6)
         density = rng.random()

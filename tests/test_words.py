@@ -489,3 +489,79 @@ def test_cyclic_reduce_splits_off_the_wings(c, u):
     # the wing is all of c unless u cancels into it
     if u and u[0] != -u[-1] and (not c or c[-1] not in (-u[0], u[-1])):
         assert wing == c and core == u
+
+
+# the wing path of substitute_all: a conjugate c * u * c^-1 is mapped as
+# phi(c) * phi(u) * phi(c)^-1
+
+@st.composite
+def winged_words(draw):
+    """A long conjugate c * u * c^-1 of a short word u over the four-puncture
+    group, or a word of 0 to 2 letters."""
+    if draw(st.booleans()):
+        return draw(reduced_words(2))
+    c = draw(long_reduced_words())
+    return wmul(c, draw(reduced_words(6)), winv(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sphere_automorphisms(), st.lists(winged_words(), min_size=1, max_size=4),
+       long_reduced_words())
+def test_substitution_of_winged_words_matches_concatenation(phi, batch, c):
+    assert list(phi.apply_all(batch)) == \
+        [_apply_by_concatenation(phi, w) for w in batch]
+    # composing with an inner map sends every image to a long conjugate
+    inner = Automorphism.inner(phi.group, c)
+    for psi in (inner, inner.compose(phi)):
+        assert phi.compose(psi).images == tuple(
+            _apply_by_concatenation(phi, im) for im in psi.images)
+
+
+def test_composed_twist_products_match_concatenation():
+    rng = random.Random(11)
+    G = SphereGroup(["a", "b", "c", "d", "e"])
+    for _ in range(6):
+        phi = _random_twist_product(rng, G, 12)
+        psi = _random_twist_product(rng, G, 12)
+        assert max(map(len, psi.images)) > 2
+        assert phi.compose(psi).images == tuple(
+            _apply_by_concatenation(phi, im) for im in psi.images)
+
+
+# run_length_str against the letter-by-letter printer it replaces for
+# words without runs
+
+def _run_length_reference(names, w):
+    parts = []
+    i = 0
+    while i < len(w):
+        x = w[i]
+        j = i
+        while j < len(w) and w[j] == x:
+            j += 1
+        k = j - i
+        name = names[abs(x) - 1]
+        if x > 0 and k == 1:
+            parts.append(name)
+        else:
+            parts.append(f"{name}^{k if x > 0 else -k}")
+        i = j
+    return "*".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS3), max_size=40), st.booleans())
+def test_run_length_str_matches_letter_by_letter_reference(letters, as_list):
+    names = ["a", "b2", "c_x"]
+    w = letters if as_list else tuple(letters)
+    assert words.run_length_str(names, w) == _run_length_reference(names, w)
+
+
+@pytest.mark.parametrize("w, text", [
+    ((), ""), ((1,), "a"), ((-1,), "a^-1"), ((2, -1, 3), "b*a^-1*c"),
+    ((1, 1, -2, -2, -2, 3), "a^2*b^-3*c"), ((-3, -3), "c^-2"),
+    ((2, 1, 2), "b*a*b"),
+])
+def test_run_length_str_examples(w, text):
+    assert words.run_length_str(["a", "b", "c"], w) == text
+    assert _run_length_reference(["a", "b", "c"], w) == text
