@@ -32,14 +32,19 @@ from .multicurve import (
 )
 from .machfile import (
     MachineFile, ParseError, parse_machine_file, print_machine_file,
-    parse_word, parse_twist_word, load_mcb, save_mcb,
+    parse_word, parse_twist_word, parse_cycles, load_mcb, save_mcb,
 )
 
 
 class CliError(Exception):
-    def __init__(self, message, code=3):
-        self.code = code
-        super().__init__(message)
+    """An input error: the command exits 3 with the message."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors too, so they exit 3, not argparse's 2."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _read(path: str) -> str:
@@ -165,12 +170,10 @@ def cmd_rebase(args):
     M = mf.machine
     conj = tuple(parse_word(x.strip(), M.target)
                  for x in args.conjugators.split(","))
-    relabel = perms.identity(M.degree)
-    if args.relabel:
-        cycles = []
-        for grp in args.relabel.strip().strip("()").split(")("):
-            cycles.append([int(x) for x in grp.split(",") if x.strip()])
-        relabel = perms.from_cycles(cycles, M.degree)
+    try:
+        relabel = parse_cycles((args.relabel or "").strip(), M.degree)
+    except ParseError as exc:
+        raise CliError(f"--relabel: {exc}")
     out = change_basis(M, BasisChange(conj, relabel))
     sys.stdout.write(print_machine_file(MachineFile(out)))
     return None, 0
@@ -203,6 +206,8 @@ def cmd_iso(args):
 
 
 def cmd_classify_twist(args):
+    if args.max_steps < 0:
+        raise CliError(f"--max-steps must be nonnegative, got {args.max_steps}")
     try:
         mcb = load_mcb(args.mcb)
     except (OSError, KeyError, ValueError) as exc:
@@ -350,7 +355,7 @@ def cmd_invariants(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="sphmach",
         description="Exact computation with sphere machines, mapping class "
                     "bisets and Thurston obstructions.")
@@ -432,14 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         result, code = args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ParseError, MachineError, MulticurveError, ValueError) as exc:
+    except (CliError, ParseError, MachineError, MulticurveError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if result is not None:

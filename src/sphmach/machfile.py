@@ -156,8 +156,29 @@ def parse_word(text: str, group: SphereGroup, line=None) -> Word:
     return _WordReader(group)(text, line)
 
 
-_ROW = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*<(.*)>\s*((?:\([0-9,\s]*\))*)\s*$")
+_CYCLES = re.compile(r"(?:\([0-9,\s]*\))*")
 _CYCLE = re.compile(r"\(([0-9,\s]*)\)")
+_ROW = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*<(.*)>\s*("
+                  + _CYCLES.pattern + r")\s*$")
+
+
+def parse_cycles(text: str, degree: int, line=None) -> perms.Perm:
+    """A permutation of 1..degree in cycle notation, like (1,3,5)(2,4)."""
+    if not _CYCLES.fullmatch(text):
+        raise ParseError(f"bad cycle notation {text!r}", line)
+    cycles = []
+    for cm in _CYCLE.finditer(text):
+        try:
+            pts = [int(x) for x in cm.group(1).split(",") if x.strip()]
+        except ValueError:
+            raise ParseError(f"bad cycle point in ({cm.group(1)})", line)
+        if any(not 1 <= p <= degree for p in pts):
+            raise ParseError("cycle point outside 1..degree", line)
+        cycles.append(pts)
+    try:
+        return perms.from_cycles(cycles, degree)
+    except ValueError as exc:
+        raise ParseError(str(exc), line)
 
 
 @dataclass
@@ -268,20 +289,7 @@ def parse_machine_file(text: str) -> MachineFile:
         if len(entries) != degree:
             raise ParseError(
                 f"row has {len(entries)} entries, declared degree {degree}", ln)
-        cycles = []
-        for cm in _CYCLE.finditer(cycles_text):
-            try:
-                pts = [int(x) for x in cm.group(1).split(",") if x.strip()]
-            except ValueError:
-                raise ParseError(f"bad cycle point in ({cm.group(1)})", ln)
-            if any(not 1 <= p <= degree for p in pts):
-                raise ParseError("cycle point outside 1..degree", ln)
-            cycles.append(pts)
-        try:
-            perm = perms.from_cycles(cycles, degree)
-        except ValueError as exc:
-            raise ParseError(str(exc), ln)
-        by_name[name] = (entries, perm)
+        by_name[name] = (entries, parse_cycles(cycles_text, degree, ln))
     missing = [nm for nm in source.names if nm not in by_name]
     if missing:
         raise ParseError(f"missing rows for {', '.join(missing)}")

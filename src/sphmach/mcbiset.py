@@ -15,7 +15,7 @@ from . import perms
 from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, reduce_word, conjugate, cyclic_canonical, substitute_all,
+    winv, wmul, reduce_word, conjugate, substitute_all,
     centralizer_root, power_exponent,
     outer_normalize,
     common_generator_conjugator, is_conjugate, is_peripheral_preserving,
@@ -493,16 +493,6 @@ def correspondence_invariants(action: list[Perm]) -> CorrespondenceInvariants:
 # ---------------------------------------------------------------------------
 # lift multisets over the acting group
 
-def _canon_fingerprint(rows):
-    """Normalize a fingerprint matrix modulo a uniform shift of all cells
-    (the ambiguity left by the relator generator's conjugator)."""
-    flat = [x for row in rows for x in row]
-    if not flat:
-        return tuple(rows)
-    mu = flat[0]
-    return tuple(tuple(x - mu for x in row) for row in rows)
-
-
 def twist_fingerprint(psi: Automorphism):
     """A conjugation-invariant additive fingerprint of a peripheral-
     preserving automorphism: exponent sums of the per-generator
@@ -534,25 +524,30 @@ def twist_fingerprint(psi: Automorphism):
         tuple(rows[i][col[j]] - base[col[j]] for j in free if j != i)
         for i in range(1, G.n + 1) if i != ref
     ]
-    return _canon_fingerprint(fp)
+    # normalize modulo a uniform shift of all cells, the ambiguity left by
+    # the relator generator's conjugator
+    mu = next((x for row in fp for x in row), 0)
+    return tuple(tuple(x - mu for x in row) for row in fp)
 
 
-def fingerprint_table(candidates):
-    """Map fingerprint -> (name, power) for the powers 1..12 of named
-    automorphisms, including the trivial class as ("1", 0)."""
-    table = {}
-    fp1 = None
-    for name, a in candidates:
-        fp1 = twist_fingerprint(a)
-        if fp1 is None:
-            raise MachineError(f"candidate {name} is not peripheral-preserving")
-        for k in range(1, 13):
-            fp = _canon_fingerprint([tuple(k * x for x in row) for row in fp1])
-            table.setdefault(fp, (name, k))
-    if fp1 is not None:
-        zero = _canon_fingerprint([tuple(0 for _ in row) for row in fp1])
-        table[zero] = ("1", 0)
-    return table
+def twist_power_label(fp, gen_fps):
+    """Label a fingerprint as a power of a named generator: ("1", 0) for
+    the zero fingerprint, else (name, k) for the first (name, g) of
+    gen_fps with fp == k*g for an integer k >= 1, else None."""
+    if fp is None:
+        return None
+    flat = [x for row in fp for x in row]
+    if not any(flat):
+        return ("1", 0)
+    for name, g in gen_fps:
+        gflat = [x for row in g for x in row]
+        j = next((j for j, x in enumerate(gflat) if x), None)
+        if j is None:
+            continue
+        k, r = divmod(flat[j], gflat[j])
+        if r == 0 and k >= 1 and flat == [k * x for x in gflat]:
+            return (name, k)
+    return None
 
 
 def recognize_twist_power(psi: Automorphism):
@@ -603,7 +598,7 @@ def recognize_twist_power(psi: Automorphism):
 @dataclass
 class McbLiftEntry:
     degree: int
-    knitting: object            # TwistWord or Automorphism
+    knitting: Automorphism
     label: tuple[str, int] | None   # (generator name, power) when identified
 
 
@@ -611,35 +606,28 @@ def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str) -> list[McbLiftEn
     """Degrees and knitting classes of the cycles of one generator's right
     action on the basis, like multiset_of_lifts on the recursion itself.
 
-    Composite knittings are identified up to conjugacy as powers of the
-    biset's own generators by their additive fingerprints; unidentified
-    cycles keep label None.
+    Each cycle's knitting is the composite of its edges' knitting
+    automorphisms, labelled by twist_power_label against the biset's own
+    generators; unidentified cycles keep label None.
     """
-    pi = mcb.action_perm(gen)
-    use_words = mcb.word_knittings()
-    table = None
-    if not use_words:
-        table = fingerprint_table(list(mcb.gens.items()))
+    gen_fps = []
+    for name, a in mcb.gens.items():
+        fp = twist_fingerprint(a)
+        if fp is None:
+            raise MachineError(f"generator {name} is not peripheral-preserving")
+        gen_fps.append((name, fp))
     out = []
-    for cyc in perms.cycles(pi):
-        if use_words:
-            knit: object = EPSILON
-        else:
-            knit = None
+    for cyc in perms.cycles(mcb.action_perm(gen)):
+        knit = None
         p = cyc[0]
         for _ in cyc:
             edge = mcb.table[(gen, p)]
-            if use_words:
-                knit = wmul(knit, edge.knitting_word)
-            else:
-                knit = edge.knitting_auto if knit is None \
-                    else outer_normalize(knit.compose(edge.knitting_auto))
+            if edge.knitting_auto is None:
+                raise MachineError(f"edge ({gen}, {mcb.basis_names[p]}) has "
+                                   "no knitting automorphism")
+            knit = edge.knitting_auto if knit is None \
+                else outer_normalize(knit.compose(edge.knitting_auto))
             p = edge.target
-        label = None
-        if use_words:
-            core = cyclic_canonical(knit)
-            label = ("1", 0) if not core else None
-        elif knit is not None:
-            label = table.get(twist_fingerprint(knit))
+        label = twist_power_label(twist_fingerprint(knit), gen_fps)
         out.append(McbLiftEntry(len(cyc), knit, label))
     return out

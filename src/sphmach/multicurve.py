@@ -128,13 +128,12 @@ class ThurstonMatrix:
         return [multiset_of_lifts(M, c.rep).total_degree() for c in downstairs]
 
 
-def thurston_matrix(M: SphereMachine, downstairs: Multicurve,
-                    upstairs: Multicurve | None = None) -> ThurstonMatrix:
-    if upstairs is None:
-        if M.source != M.target:
-            raise MulticurveError("upstairs multicurve required for a "
-                                  "non-dynamical machine")
-        upstairs = Multicurve(M.target, [c.rep for c in downstairs])
+def thurston_matrix(M: SphereMachine, downstairs: Multicurve) -> ThurstonMatrix:
+    """The transition matrix of an invariant multicurve of a dynamical
+    machine, whose upstairs curves are the downstairs ones."""
+    if M.source != M.target:
+        raise MulticurveError("thurston_matrix needs a dynamical machine")
+    upstairs = Multicurve(M.target, [c.rep for c in downstairs])
     entries = [[Fraction(0)] * len(downstairs) for _ in upstairs]
     for col, (curve, tags) in enumerate(classify_lifts(M, downstairs, upstairs)):
         for deg, tag in tags:
@@ -758,7 +757,12 @@ def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
                       h: dict) -> PromotedConjugator:
     """Decide whether a bijection of distinguished classes promotes to a
     conjugator between the trees; h maps tags of tree1 to tags of tree2
-    (("puncture", i) and ("curve", cid) keys)."""
+    (("puncture", i) and ("curve", cid) keys) and must map every tag of
+    tree1."""
+    for v in tree1.spheres:
+        for t in v.tags:
+            if t[:2] not in h:
+                raise MulticurveError(f"the bijection leaves {t[0]} {t[1]} unmapped")
     curves1 = {("curve", c.cid) for c in tree1.curves}
     curves2 = {("curve", c.cid) for c in tree2.curves}
     # step 1: the bijection must restrict to the geometric edge sets

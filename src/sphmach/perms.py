@@ -22,7 +22,7 @@ def is_identity(p: Perm) -> bool:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Left-to-right composition: apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple([q[i] for i in p])
 
 
 def inverse(p: Perm) -> Perm:

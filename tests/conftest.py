@@ -1,7 +1,8 @@
 import pytest
 
-from sphmach import zoo
 from sphmach.mcbiset import compute_mcbiset
+
+import zoo
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphmach import perms, zoo
+from sphmach import perms
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, reduce_word, winv, wmul, conjugate,
     outer_equal,
@@ -32,6 +32,8 @@ from sphmach.multicurve import (
     verify_fixed_point, mc_to_gog,
 )
 from sphmach.folding import SubgroupGraph
+
+import zoo
 
 
 def _pow(a, k):

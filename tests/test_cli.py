@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphmach import cli, zoo
+from sphmach import cli
 from sphmach.mcbiset import compute_mcbiset, full_twist_generators
 from sphmach.words import SphereGroup, reduce_word
 from sphmach.machfile import (
@@ -18,7 +18,8 @@ from sphmach.machfile import (
 )
 from sphmach.cli import main
 
-MACHINES = Path(__file__).resolve().parent.parent / "machines"
+import zoo
+from zoo import MACHINES
 
 
 def run_cli(*args, capsys=None):
@@ -72,25 +73,17 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError, match="bad target block"):
         parse_machine_file(target.replace("target: p,q", "target: p,p"))
     with pytest.raises(ParseError) as exc:
-        parse_machine_file(zoo.CENTRALIZER7_TEXT.replace(
+        parse_machine_file((MACHINES / "centralizer7.mach").read_text().replace(
             "curves: x3*x4,", "curves: x3,"))
     assert str(exc.value) == "bad curves: curve x3 is peripheral at line 10"
 
 
-def test_machine_files_match_the_zoo():
-    texts = {"z2": zoo.Z2_TEXT, "fbiset": zoo.PILGRIM_TEXT,
-             "z5belyi": zoo.Z5_TEXT, "centralizer7": zoo.CENTRALIZER7_TEXT}
-    assert sorted(p.stem for p in MACHINES.glob("*.mach")) == sorted(texts)
-    for stem, text in texts.items():
-        on_disk = (MACHINES / f"{stem}.mach").read_text()
-        assert parse_machine_file(on_disk) == parse_machine_file(text)
-    assert json.loads((MACHINES / "rabbit.mcb").read_text()) == zoo.RABBIT_MCB
-
-
-# machine files with a target block, a declared degree and (refused)
-# finite orders, beside the zoo texts, as seeds for the parser fuzz test
-_MACHINE_TEXTS = [
-    zoo.Z2_TEXT, zoo.PILGRIM_TEXT, zoo.Z5_TEXT, zoo.CENTRALIZER7_TEXT,
+# the machine files, plus texts with conjugation exponents, a target
+# block, a declared degree and (refused) finite orders, as seeds for the
+# parser fuzz test
+_MACHINE_TEXTS = [p.read_text() for p in sorted(MACHINES.glob("*.mach"))] + [
+    "group: a,b,c,d\nrelator: d*c*b*a\na=<a^(b*c),b^-1>(1,2)\nb=<b^-1,b>(1,2)\n"
+    "c=<c,>\nd=<,d^(a^-1)>\nauto s = a,b^(c*b),c^(c*b),d\n",
     "group: a,b\ntarget: p,q\ntarget_relator: q*p\ndegree: 2\n"
     "a=<,p>(1,2)\nb=<q,>(1,2)\n",
     "group: a,b,c\norders: a=3\nrelator: c*b*a\na=<a>\nb=<b>\nc=<c>\n",
@@ -330,6 +323,39 @@ def test_cli_promote_unknown_map_label_exit_code(capsys):
     assert run_cli("promote", mach, mach, "--map", "zz:x1") == 3
     assert "unknown generator 'zz'" in capsys.readouterr().err
     assert run_cli("promote", mach, mach, "--map", "x1") == 3
+    capsys.readouterr()
+    assert run_cli("promote", mach, mach, "--map", "c0:c1,c1:c0") == 3
+    assert "leaves puncture 3 unmapped" in capsys.readouterr().err
+
+
+def test_cli_usage_error_exit_code(capsys):
+    mach = str(MACHINES / "centralizer7.mach")
+    capsys.readouterr()
+    assert run_cli("validate", mach, "--json") == 3
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+    assert run_cli("validate") == 3
+    assert run_cli("no-such-command", mach) == 3
+    assert run_cli("--json", "validate", mach) == 0
+
+
+def test_cli_negative_max_steps_exit_code(capsys):
+    mcb = str(MACHINES / "rabbit.mcb")
+    capsys.readouterr()
+    assert run_cli("classify-twist", mcb, "t^3", "--max-steps", "-1") == 3
+    assert "--max-steps" in capsys.readouterr().err
+    assert run_cli("classify-twist", mcb, "t^3", "--max-steps", "0") == 2
+
+
+def test_cli_relabel_takes_machine_file_cycles(capsys):
+    z2 = str(MACHINES / "z2.mach")
+    for relabel in ("(1,2", "1,2", "(1,2)(2)", "(1,3)", "(1;2)"):
+        capsys.readouterr()
+        assert run_cli("rebase", z2, "--conjugators", "a,",
+                       "--relabel", relabel) == 3, relabel
+        assert "--relabel" in capsys.readouterr().err
+    assert run_cli("rebase", z2, "--conjugators", "a,", "--relabel", "(1,2)") == 0
+    relabelled = parse_machine_file(capsys.readouterr().out).machine
+    assert relabelled.rows[0].perm == (1, 0)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sphmach import perms, zoo
+from sphmach import perms
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, winv, wmul, conjugate, reduce_word,
 )
@@ -13,6 +13,8 @@ from sphmach.machine import (
     LiftMultiset,
 )
 from sphmach.folding import SubgroupGraph
+
+import zoo
 
 
 def rand_word(rng, G, length):

@@ -1,11 +1,10 @@
 import hashlib
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
-from sphmach import mcbiset, perms, zoo
+from sphmach import mcbiset, perms
 from sphmach.cli import main
 from sphmach.machfile import save_mcb
 from sphmach.words import (
@@ -20,9 +19,12 @@ from sphmach.mcbiset import (
     distill, machine_isomorphism, same_left_orbit,
     compute_mcbiset, full_twist_generators, rewrite, conjugacy_iterate,
     monodromy, regular_right_action, left_mult_perms, quotient_action,
-    correspondence_invariants, twist_fingerprint, fingerprint_table,
+    correspondence_invariants, twist_fingerprint, twist_power_label,
     recognize_twist_power, lift_multiset_in_mcbiset, ReconstructionError,
+    MappingClassBiset, TableEdge,
 )
+
+import zoo
 
 
 def rand_twist_product(rng, G, twists, count):
@@ -230,7 +232,7 @@ def test_knitting_check_raises_not_asserts(monkeypatch, capsys):
     P = zoo.pilgrim().machine
     with pytest.raises(ReconstructionError, match="not peripheral-preserving"):
         same_left_orbit(P, P)
-    fb = str(Path(__file__).resolve().parent.parent / "machines" / "fbiset.mach")
+    fb = str(zoo.MACHINES / "fbiset.mach")
     assert main(["iso", fb, fb]) == 3
     assert "not peripheral-preserving" in capsys.readouterr().err
 
@@ -437,16 +439,39 @@ def test_twist_fingerprint_classifies_conjugated_powers():
     P = zoo.pilgrim()
     G = P.machine.source
     autos = P.autos
-    table = fingerprint_table(list(autos.items()))
+    gen_fps = [(name, twist_fingerprint(a)) for name, a in autos.items()]
     rng = random.Random(4)
     for _ in range(60):
         m = rand_twist_product(rng, G, list(autos.values()), rng.randint(1, 5))
         base = rng.choice(list(autos))
         k = rng.choice([1, 2, 5])
         psi = m.compose(_pow(autos[base], k)).compose(m.inverse())
-        assert table.get(twist_fingerprint(psi)) == (base, k)
+        assert twist_power_label(twist_fingerprint(psi), gen_fps) == (base, k)
     ident = Automorphism.identity(G)
-    assert table.get(twist_fingerprint(ident)) == ("1", 0)
+    assert twist_power_label(twist_fingerprint(ident), gen_fps) == ("1", 0)
+    assert twist_power_label(twist_fingerprint(autos["s"].inverse()),
+                             gen_fps) is None
+
+
+def test_lift_label_solves_for_the_power():
+    # a 2-cycle whose knittings compose to a conjugate of s^13: the label
+    # is solved for, not looked up among a fixed range of powers
+    autos = zoo.pilgrim().autos
+    m = autos["t"].compose(autos["u"].inverse())
+    halves = [m.compose(_pow(autos["s"], k)).compose(m.inverse())
+              for k in (6, 7)]
+    table = {("s", k): TableEdge("s", k, 1 - k, knitting_auto=a)
+             for k, a in enumerate(halves)}
+    mcb = MappingClassBiset(("s",), ("b0", "b1"), table, gens=dict(autos))
+    [entry] = lift_multiset_in_mcbiset(mcb, "s")
+    assert (entry.degree, entry.label) == (2, ("s", 13))
+
+
+def test_lift_multiset_needs_knitting_automorphisms():
+    # the rabbit biset carries twist-word knittings only
+    with pytest.raises(MachineError,
+                       match=r"edge \(t, f_R\) has no knitting automorphism"):
+        lift_multiset_in_mcbiset(zoo.rabbit_mcb(), "t")
 
 
 def _pow(a, k):

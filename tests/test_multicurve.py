@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphmach import perms, zoo
+from sphmach import perms
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, winv, wmul, conjugate, is_conjugate,
     dehn_twist, outer_equal,
@@ -17,6 +17,8 @@ from sphmach.multicurve import (
     LinExpr, TwistFixedPointProblem, solve_twist_fixed_point,
     verify_fixed_point, mc_to_gog, promote_bijection,
 )
+
+import zoo
 
 
 def fixture():
@@ -60,6 +62,13 @@ def test_thurston_matrix_fixture():
     assert T.entries == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
     # column consistency: total lift degree equals the machine degree
     assert T.column_degree_counts(M, C) == [6, 6]
+
+
+def test_thurston_matrix_needs_a_dynamical_machine():
+    M = zoo.z5_marked().machine
+    other = SphereMachine(M.source, SphereGroup(["p", "q", "r", "s"]), M.rows)
+    with pytest.raises(MulticurveError, match="dynamical machine"):
+        thurston_matrix(other, Multicurve(M.source, [(1, 2)]))
 
 
 def test_thurston_matrix_no_essential_lifts():
