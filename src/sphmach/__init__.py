@@ -4,12 +4,10 @@ and twist-conjugacy rewriting."""
 
 from .words import (
     SphereGroup, ConjClass, Automorphism, Word,
-    reduce_word, wmul, winv, wpow, conjugate,
-    is_conjugate, centralizer_root,
-    outer_equal, outer_normalize, dehn_twist, twist_about,
-    is_peripheral_preserving,
+    reduce_word, wmul, winv, conjugate, is_conjugate,
+    outer_equal, outer_normalize, dehn_twist, is_peripheral_preserving,
 )
-from .folding import express_in_subgroup, expand_expression, subgroup_contains
+from .folding import SubgroupGraph, expand_expression
 from .machine import (
     SphereMachine, WreathElement, LiftMultiset, BasisChange,
     SubgroupPresentation, ValidationReport, Portrait,
@@ -20,8 +18,7 @@ from .mcbiset import (
     Distillation, MappingClassBiset, TableEdge, Terminal,
     distill, same_left_orbit, machine_isomorphism, compute_mcbiset,
     full_twist_generators, rewrite, conjugacy_iterate, monodromy,
-    quotient_action, correspondence_invariants, lift_multiset_in_mcbiset,
-    twist_fingerprint, recognize_twist_power,
+    correspondence_invariants, lift_multiset_in_mcbiset, twist_fingerprint,
 )
 from .multicurve import (
     Multicurve, ThurstonMatrix, TreeOfGroups, TwistFixedPointProblem,

@@ -322,7 +322,10 @@ def cmd_promote(args):
         labels = [x.strip() for x in pair.split(":")]
         if len(labels) != 2:
             raise CliError(f"--map: expected label:label, got {pair.strip()!r}")
-        h[tag(labels[0], G1)] = tag(labels[1], G2)
+        src = tag(labels[0], G1)
+        if src in h:
+            raise CliError(f"--map: {labels[0]!r} is mapped twice")
+        h[src] = tag(labels[1], G2)
     c1 = _curves_for(mf1, args.curves)
     c2 = _curves_for(mf2, args.curves_other)
     t1 = mc_to_gog(G1, c1, bound=args.bound)

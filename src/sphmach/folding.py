@@ -163,10 +163,6 @@ class SubgroupGraph:
             decs.append(d)
         return v, wmul(*decs)
 
-    def contains(self, w) -> bool:
-        got = self.trace(tuple(w))
-        return got is not None and got[0] == 0
-
     def states(self) -> set[int]:
         out = {0}
         for (v, _), (w, _) in self._trans.items():
@@ -205,20 +201,7 @@ def _remove(edges: list, e) -> None:
     raise AssertionError("edge not attached")
 
 
-def express_in_subgroup(gens, target) -> Word | None:
-    """target as a word over the given generators (signed 1-based positions),
-    or None when target is not in <gens>.
-
-    Substituting gens[i-1] for symbol i and freely reducing recovers target.
-    """
-    return SubgroupGraph(gens).express(target)
-
-
 def expand_expression(expr: Word, gens) -> Word:
     """Substitute gens (freely reduced words) into an expression word and
     freely reduce: the one-word case of words.substitute_all."""
     return next(substitute_all((expr,), gens))
-
-
-def subgroup_contains(gens, target) -> bool:
-    return SubgroupGraph(gens).contains(target)

@@ -340,7 +340,8 @@ def print_machine_file(mf: MachineFile) -> str:
 
 def parse_twist_word(text: str, alphabet) -> tuple[int, ...]:
     index = {nm: i + 1 for i, nm in enumerate(alphabet)}
-    if not text.strip():
+    # '1' is the trivial word, as classify-twist prints it
+    if text.strip() in ("", "1"):
         return EPSILON
     p = _WordParser(text, index)
     w = p.parse_word()

@@ -15,10 +15,8 @@ from . import perms
 from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, reduce_word, conjugate, substitute_all,
-    centralizer_root, power_exponent,
-    outer_normalize,
-    common_generator_conjugator, is_conjugate, is_peripheral_preserving,
+    winv, wmul, reduce_word, substitute_all, outer_normalize,
+    is_conjugate, is_peripheral_preserving,
 )
 from .machine import (
     SphereMachine, BasisChange, change_basis, pre_compose,
@@ -389,21 +387,23 @@ def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) ->
     w, k = reduce_word(start[0]), start[1]
     trace = [(w, k)]
     seen = {(w, k): 0}
-    for step in range(1, max_steps + 1):
-        if not w:
-            return Terminal("fixed", [(w, k)], step - 1, trace)
+    step = 0
+    while w:
+        if step == max_steps:
+            return Terminal("max-steps", [trace[-1]], max_steps, trace)
         w, k = rewrite(mcb, k, w)
+        step += 1
         state = (w, k)
         if state in seen:
             cyc = trace[seen[state]:]
             return Terminal("cycle", cyc, step, trace + [state])
         seen[state] = len(trace)
         trace.append(state)
-    return Terminal("max-steps", [trace[-1]], max_steps, trace)
+    return Terminal("fixed", [(w, k)], step, trace)
 
 
 # ---------------------------------------------------------------------------
-# monodromy, quotients, correspondence invariants
+# monodromy and correspondence invariants
 
 @dataclass
 class PermGroupReport:
@@ -421,46 +421,6 @@ def monodromy(M: SphereMachine) -> PermGroupReport:
         order=perms.group_order(gens, M.degree),
         transitive=perms.is_transitive(gens, M.degree),
     )
-
-
-def regular_right_action(gens: list[Perm]):
-    """The right-multiplication action of the generators on the sorted
-    element list of the group they generate."""
-    elems = sorted(perms.group_closure(gens))
-    pos = {e: i for i, e in enumerate(elems)}
-    action = [tuple(pos[perms.compose(e, g)] for e in elems) for g in gens]
-    return elems, action
-
-
-def left_mult_perms(elems: list[Perm], subgroup: list[Perm]) -> list[Perm]:
-    pos = {e: i for i, e in enumerate(elems)}
-    return [tuple(pos[perms.compose(v, e)] for e in elems) for v in subgroup]
-
-
-def quotient_action(action: list[Perm], V: list[Perm]):
-    """Induced action on V-orbits; raises if some generator fails to permute
-    the orbits consistently."""
-    if not action:
-        raise MachineError("empty action")
-    n = len(action[0])
-    orbits = perms.orbit_partition(V, n)
-    of = {}
-    for k, orb in enumerate(orbits):
-        for x in orb:
-            of[x] = k
-    induced = []
-    for g in action:
-        img = [-1] * len(orbits)
-        for k, orb in enumerate(orbits):
-            targets = {of[g[x]] for x in orb}
-            if len(targets) != 1:
-                raise MachineError("subgroup does not act by symmetries: orbit "
-                                   f"{k} is torn apart")
-            img[k] = targets.pop()
-        if sorted(img) != list(range(len(orbits))):
-            raise MachineError("induced map is not a permutation")
-        induced.append(tuple(img))
-    return orbits, induced
 
 
 @dataclass
@@ -547,51 +507,6 @@ def twist_power_label(fp, gen_fps):
         k, r = divmod(flat[j], gflat[j])
         if r == 0 and k >= 1 and flat == [k * x for x in gflat]:
             return (name, k)
-    return None
-
-
-def recognize_twist_power(psi: Automorphism):
-    """Identify psi as a power of a Dehn twist about a curve enclosing a
-    proper subset of the punctures.
-
-    Returns ("identity",), ("twist", enclosed, k, curve_word) with
-    enclosed a canonical frozenset of 1-based puncture indices and k > 0
-    the twist power, or None when no such form is found.  Linear in the
-    image lengths (conjugator systems over single generators are solved
-    by coset parsing, never by exponent scans).
-    """
-    G = psi.group
-    psi = outer_normalize(psi)
-    if psi.is_identity_map():
-        return ("identity",)
-    n = G.n
-    moved = tuple(i for i in range(1, n + 1) if psi.images[i - 1] != G.gen(i))
-    subsets = []
-    if 2 <= len(moved) <= n - 2:
-        subsets.append(moved)
-    for mask in range(1, 1 << n):
-        S = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        if 2 <= len(S) <= n - 2 and S != moved:
-            subsets.append(S)
-    subsets.sort(key=lambda S: (len(S), S) if S != moved else (0, S))
-    for S in subsets:
-        others = [i for i in range(1, n + 1) if i not in S]
-        h = common_generator_conjugator(
-            G, others, [psi.images[p - 1] for p in others])
-        if h is None:
-            continue
-        hinv = winv(h)
-        W = common_generator_conjugator(
-            G, S, [conjugate(psi.images[p - 1], hinv) for p in S])
-        if W is None or W == EPSILON:
-            continue
-        root = centralizer_root(W)
-        k = power_exponent(W, root)
-        if k < 0:
-            root, k = winv(root), -k
-        comp = tuple(sorted(set(range(1, n + 1)) - set(S)))
-        canonical = min(tuple(S), comp, key=lambda T: (len(T), T))
-        return ("twist", frozenset(canonical), k, root)
     return None
 
 

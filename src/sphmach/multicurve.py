@@ -123,9 +123,6 @@ class ThurstonMatrix:
             raise MulticurveError("matrix is not integral")
         return [[int(x) for x in row] for row in self.entries]
 
-    def column_degree_counts(self, M: SphereMachine, downstairs: Multicurve):
-        """Total degree of all lifts per column (consistency data)."""
-        return [multiset_of_lifts(M, c.rep).total_degree() for c in downstairs]
 
 
 def thurston_matrix(M: SphereMachine, downstairs: Multicurve) -> ThurstonMatrix:

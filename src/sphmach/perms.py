@@ -97,29 +97,6 @@ def is_transitive(gens: list[Perm], d: int) -> bool:
     return len(orbit_partition(gens, d)) <= 1
 
 
-def group_closure(gens: list[Perm]) -> set[Perm]:
-    """All elements of <gens> by breadth-first closure.
-
-    Intended for desk-scale degrees (d <= 8, order <= d!); group_order
-    counts larger groups without listing them.
-    """
-    if not gens:
-        return {()}
-    d = len(gens[0])
-    elems = {identity(d)}
-    frontier = [identity(d)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
-
-
 def group_order(gens: list[Perm], d: int) -> int:
     """Order of <gens> on d points by deterministic Schreier-Sims.
 

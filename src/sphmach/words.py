@@ -149,16 +149,6 @@ def substitute_all(words, images):
             yield tuple(spell(w, []))
 
 
-def wpow(w: Word, k: int) -> Word:
-    """w^k via the cyclic decomposition w = c * core * c^-1; the repeated
-    core never cancels internally or against the wings."""
-    if k == 0 or not w:
-        return EPSILON
-    core, c = cyclic_reduce(w)
-    body = core * k if k > 0 else winv(core) * (-k)
-    return c + body + winv(c)
-
-
 def conjugate(w: Word, by: Word) -> Word:
     """w^by = by^-1 * w * by."""
     return wmul(winv(by), w, by)
@@ -380,37 +370,6 @@ class ConjClass:
         return None
 
 
-def centralizer_root(w: Word) -> Word:
-    """The primitive r with w = r^k, k >= 1 maximal.  w must be non-trivial."""
-    if not w:
-        raise ValueError("identity has no primitive root")
-    core, c = cyclic_reduce(w)
-    m = len(core)
-    for p in range(1, m + 1):
-        if m % p:
-            continue
-        if core == core[:p] * (m // p):
-            return wmul(c, core[:p], winv(c))
-    raise AssertionError("unreachable")
-
-
-def power_exponent(x: Word, r: Word):
-    """k with x = r^k, or None.  r must be non-trivial."""
-    if not r:
-        raise ValueError("r must be non-trivial")
-    if not x:
-        return 0
-    core, c = cyclic_reduce(r)
-    k, rem = divmod(len(x) - 2 * len(c), len(core))
-    if rem or k <= 0:
-        k = None
-    if k is not None and wpow(r, k) == x:
-        return k
-    if k is not None and wpow(r, -k) == x:
-        return -k
-    return None
-
-
 def is_conjugate(u: Word, v: Word):
     """A word w with u^w = v for reduced words u, v, or None.
 
@@ -502,14 +461,14 @@ class Automorphism:
 
     def inverse(self) -> "Automorphism":
         if self._inverse is None:
-            from .folding import express_in_subgroup
+            from .folding import SubgroupGraph
 
             G = self.group
             free = G.free_gen_indices()
-            gens = [self.images[i - 1] for i in free]
+            graph = SubgroupGraph([self.images[i - 1] for i in free])
             inv_imgs = []
             for i in free:
-                expr = express_in_subgroup(gens, G.gen(i))
+                expr = graph.express(G.gen(i))
                 if expr is None:
                     raise ValueError("map is not invertible (images do not "
                                      "generate the group)")
@@ -521,84 +480,6 @@ class Automorphism:
             self._inverse = Automorphism.from_images_of_free_gens(G, inv_imgs)
             self._inverse._inverse = self
         return self._inverse
-
-
-def _signed_prefix_run(D: Word, core: Word) -> int:
-    """Maximal signed k with D starting as core^k (k may be negative)."""
-    if not core:
-        return 0
-    k = 0
-    if D[:len(core)] == core:
-        while D[k * len(core):(k + 1) * len(core)] == core:
-            k += 1
-        return k
-    anti = winv(core)
-    if D[:len(anti)] == anti:
-        while D[k * len(anti):(k + 1) * len(anti)] == anti:
-            k += 1
-        return -k
-    return 0
-
-
-def _coset_pair_solve(g1: Word, w1: Word, g2: Word, w2: Word):
-    """One element of <g1>w1 intersect <g2>w2, or None.
-
-    Requires g1, g2 cyclically reduced with distinct axes (no common
-    power).  An element g1^b * w1 = g2^-a * w2 solves g2^a * g1^b = D :=
-    w2 * w1^-1, and there is at most one: g2^(a-a') = g1^(b'-b) forces
-    both sides to be 1.  With p = |g2|, q = |g1|, slack = q // p + 2 and
-    run the signed number of whole copies of g2 or g2^-1 that D starts
-    with, every solution has |a| <= slack or |a - run| <= slack, so
-    trying those a and reading b off the rest is exact.  Linear in the
-    word lengths.
-
-    Proof of the slack.  g2^a and g1^b are reduced as written.  By Fine
-    and Wilf, a word with periods p and q and length at least p + q -
-    gcd(p, q) has period gcd(p, q).  (i) The part P cancelled at the
-    junction of g2^a * g1^b is a suffix of g2^a whose inverse is a
-    prefix of g1^b, so it has periods p and q.  Were |P| >= p + q -
-    gcd(p, q), its last p letters (g2 or g2^-1) and the inverse of its
-    first q letters (g1 or g1^-1) would be powers of its last gcd(p, q)
-    letters, and g1, g2 would share an axis.  So |P| <= p + q - 2, and D
-    starts with |a| - ceil(|P| / p) >= |a| - slack whole copies of g2
-    to the sign of a: if |a| > slack, run has the sign of a and |run| >=
-    |a| - slack.  (ii) If |run| = |a| + e with e > 0, then g1^b = g2^-a *
-    D is D with its first |a| copies cut off, so g1^b starts with e
-    copies of g2 or g2^-1; the argument of (i) on that common prefix
-    gives e * p <= p + q - 2, so e < slack.
-    """
-    D = wmul(w2, winv(w1))
-    run = _signed_prefix_run(D, g2)
-    slack = len(g1) // max(1, len(g2)) + 2
-    cands = {c + t for c in (0, run) for t in range(-slack, slack + 1)}
-    for a in sorted(cands, key=lambda a: (abs(a), a)):
-        rest = wmul(wpow(g2, -a), D)
-        b = power_exponent(rest, g1) if rest else 0
-        if b is not None:
-            return wmul(wpow(g1, b), w1)
-    return None
-
-
-def common_generator_conjugator(G: SphereGroup, idxs, targets):
-    """A single w with gen_i^w = target_i for every pair, or None.
-
-    Exact and linear-time: each constraint confines w to a coset
-    <gen_i> * w0_i; the first two, with distinct generators, meet in at
-    most one element (_coset_pair_solve), which is checked on every pair.
-    """
-    cosets = []
-    for i, v in zip(idxs, targets):
-        w0 = is_conjugate(G.gen(i), v)
-        if w0 is None:
-            return None
-        cosets.append((G.gen(i), w0))
-    W = cosets[0][1] if cosets else EPSILON
-    if len(cosets) > 1:
-        W = _coset_pair_solve(*cosets[0], *cosets[1])
-    if W is None or any(conjugate(G.gen(i), W) != G.normal_form(v)
-                        for i, v in zip(idxs, targets)):
-        return None
-    return W
 
 
 def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
@@ -685,25 +566,6 @@ def dehn_twist(i: int, j: int, G: SphereGroup) -> Automorphism:
     w = wmul(*[G.gen(k) for k in segment])
     images = [conjugate(G.gen(k), w) if k in segment else G.gen(k)
               for k in range(1, G.n + 1)]
-    return Automorphism(G, images, check=False)
-
-
-def twist_about(G: SphereGroup, curve) -> Automorphism:
-    """Twist about an explicit curve word w: conjugates by w every generator
-    whose abelianized coefficient in w is +1, fixing the rest.
-
-    Only meaningful for standard-position curves (products of distinct
-    conjugated generators); the peripheral-preservation of the result
-    is the caller's check.
-    """
-    w = G.normal_form(curve)
-    ab = G.abelianized(w)
-    images = []
-    for k in range(1, G.n + 1):
-        if ab[k - 1] == 1:
-            images.append(conjugate(G.gen(k), w))
-        else:
-            images.append(G.gen(k))
     return Automorphism(G, images, check=False)
 
 

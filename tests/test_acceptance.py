@@ -8,26 +8,20 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
 from sphmach import perms
-from sphmach.words import (
-    SphereGroup, ConjClass, Automorphism, reduce_word, winv, wmul, conjugate,
-    outer_equal,
-)
+from sphmach.words import ConjClass, Automorphism, wmul
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, validate_sphere,
-    multiset_of_lifts, portrait, tensor, change_basis, pre_compose,
+    multiset_of_lifts, tensor, change_basis, pre_compose,
     post_compose, stabilizer_subgroup,
 )
 from sphmach.mcbiset import (
     distill, compute_mcbiset, full_twist_generators, machine_isomorphism,
     conjugacy_iterate, monodromy, lift_multiset_in_mcbiset,
-    regular_right_action, left_mult_perms, quotient_action,
     correspondence_invariants,
 )
 from sphmach.multicurve import (
-    Multicurve, thurston_matrix, is_obstructed, twist_lift_check,
+    thurston_matrix, is_obstructed, twist_lift_check,
     TwistFixedPointProblem, LinExpr, solve_twist_fixed_point,
     verify_fixed_point, mc_to_gog,
 )
@@ -135,14 +129,29 @@ def test_criterion_5_klein_quotient():
     with Budget(5, "Klein quotient: 30 classes, cycle shapes, genus 2", 5.0):
         P = zoo.pilgrim().machine
         rho = [P.rows[0].perm, P.rows[1].perm, P.rows[2].perm]
-        elems, action = regular_right_action(rho)
-        assert len(elems) == 120
-        V = [perms.identity(5),
-             perms.from_cycles([[1, 2], [3, 4]], 5),
-             perms.from_cycles([[1, 3], [2, 4]], 5),
-             perms.from_cycles([[1, 4], [2, 3]], 5)]
-        orbits, induced = quotient_action(action, left_mult_perms(elems, V))
-        assert len(orbits) == 30
+        order = perms.group_order(rho, 5)
+        assert order == 120
+        V = frozenset([perms.identity(5),
+                       perms.from_cycles([[1, 2], [3, 4]], 5),
+                       perms.from_cycles([[1, 3], [2, 4]], 5),
+                       perms.from_cycles([[1, 4], [2, 3]], 5)])
+        assert all(perms.compose(a, b) in V for a in V for b in V)
+
+        def times(coset, g):
+            return frozenset(perms.compose(v, g) for v in coset)
+
+        # the right cosets V*g, indexed breadth-first from V under rho
+        cosets, index = [V], {V: 0}
+        for c in cosets:
+            for g in rho:
+                d = times(c, g)
+                if d not in index:
+                    index[d] = len(cosets)
+                    cosets.append(d)
+        assert len(cosets) == 30
+        assert len(frozenset().union(*cosets)) == order
+        induced = [tuple(index[times(c, g)] for c in cosets) for g in rho]
+        assert all(sorted(g) == list(range(30)) for g in induced)
         shapes = [sorted(map(len, perms.cycles(g))) for g in induced]
         assert shapes[0] == [6] * 5          # s: five 6-cycles
         assert shapes[1] == [6] * 5          # t: five 6-cycles

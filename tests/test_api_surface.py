@@ -1,0 +1,67 @@
+"""The package keeps no public function, class or method that nothing
+reaches.
+
+A definition in src/sphmach counts as reached when a name or attribute
+with its name occurs in src/sphmach outside the definition itself, or
+when a name, attribute or string constant with its name occurs in the
+benchmark (perfbench/*.py) or in the acceptance criteria.  String
+constants count there because the benchmark's tracer names the
+functions it wraps as strings.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sphmach"
+OUTSIDE = sorted((ROOT / "perfbench").glob("*.py")) + \
+    [ROOT / "tests" / "test_acceptance.py"]
+
+
+def _references(tree, strings=False) -> Counter:
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of every public module-level function or
+    class and every public method."""
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def unreached():
+    trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    inside = sum((_references(t) for t in trees.values()), Counter())
+    outside = set()
+    for p in OUTSIDE:
+        outside |= set(_references(ast.parse(p.read_text()), strings=True))
+    out = []
+    for path, tree in trees.items():
+        if path.name == "__init__.py":
+            continue
+        for qual, node in _public_definitions(tree):
+            own = _references(node)[node.name]
+            if inside[node.name] - own <= 0 and node.name not in outside:
+                out.append(f"{path.stem}.{qual}")
+    return out
+
+
+def test_every_public_definition_is_reached():
+    assert unreached() == []

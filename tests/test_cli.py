@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphmach import cli
-from sphmach.mcbiset import compute_mcbiset, full_twist_generators
+from sphmach.mcbiset import (
+    compute_mcbiset, conjugacy_iterate, full_twist_generators,
+)
 from sphmach.words import SphereGroup, reduce_word
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
-    mcb_to_json, mcb_from_json, save_mcb, load_mcb, _WordReader,
+    parse_twist_word, mcb_to_json, mcb_from_json, save_mcb, load_mcb,
+    _WordReader,
 )
 from sphmach.cli import main
 
@@ -328,6 +331,16 @@ def test_cli_promote_unknown_map_label_exit_code(capsys):
     assert "leaves puncture 3 unmapped" in capsys.readouterr().err
 
 
+def test_cli_promote_rejects_a_label_mapped_twice(capsys):
+    mach = str(MACHINES / "centralizer7.mach")
+    full = ",".join([f"x{i}:x{i}" for i in range(1, 8)] + ["c0:c0", "c1:c1"])
+    assert run_cli("promote", mach, mach, "--map", full) == 0
+    capsys.readouterr()
+    # a later pair would silently overwrite the first image of x1
+    assert run_cli("promote", mach, mach, "--map", "x1:x2," + full) == 3
+    assert "'x1' is mapped twice" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_code(capsys):
     mach = str(MACHINES / "centralizer7.mach")
     capsys.readouterr()
@@ -344,6 +357,39 @@ def test_cli_negative_max_steps_exit_code(capsys):
     assert run_cli("classify-twist", mcb, "t^3", "--max-steps", "-1") == 3
     assert "--max-steps" in capsys.readouterr().err
     assert run_cli("classify-twist", mcb, "t^3", "--max-steps", "0") == 2
+
+
+def _classify_json(capsys, *args):
+    capsys.readouterr()
+    code = run_cli("--json", "classify-twist", str(MACHINES / "rabbit.mcb"),
+                   *args)
+    return code, json.loads(capsys.readouterr().out)["result"]
+
+
+def test_cli_classify_twist_stops_at_an_empty_word(capsys):
+    # the empty word is fixed at step 0, with no step to spend
+    code, got = _classify_json(capsys, "", "--max-steps", "0")
+    assert (code, got["kind"], got["steps"]) == (0, "fixed", 0)
+    # t^3 empties in two steps: fixed, not inconclusive, with two allowed
+    code, got = _classify_json(capsys, "t^3", "--max-steps", "2")
+    assert (code, got["kind"], got["steps"]) == (0, "fixed", 2)
+    code, got = _classify_json(capsys, "t^3", "--max-steps", "1")
+    assert (code, got["kind"]) == (2, "max-steps")
+
+
+def test_cli_classify_twist_states_parse_back(capsys):
+    mcb = load_mcb(str(MACHINES / "rabbit.mcb"))
+    t = mcb.alphabet.index("t") + 1
+    printed = set()
+    for n in range(-30, 31):
+        word = (t,) * n if n >= 0 else (-t,) * -n
+        term = conjugacy_iterate(mcb, (word, mcb.base))
+        _, got = _classify_json(capsys, f"t^{n}" if n else "1")
+        states = [(parse_twist_word(s["twist"], mcb.alphabet),
+                   mcb.basis_names.index(s["basis"])) for s in got["terminal"]]
+        assert states == term.states, n
+        printed.update(s["twist"] for s in got["terminal"])
+    assert "1" in printed
 
 
 def test_cli_relabel_takes_machine_file_cycles(capsys):

@@ -2,9 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from sphmach.folding import (
-    SubgroupGraph, express_in_subgroup, expand_expression, subgroup_contains,
-)
+from sphmach.folding import SubgroupGraph, expand_expression
 from sphmach.words import (
     SphereGroup, Automorphism, dehn_twist, reduce_word, substitute_all,
     winv, wmul,
@@ -18,18 +16,19 @@ def rand_word(rng, rank, length):
 
 
 def test_basis_case():
-    expr = express_in_subgroup([(1,), (2,)], (1, -2, 1))
+    expr = SubgroupGraph([(1,), (2,)]).express((1, -2, 1))
     assert expr == (1, -2, 1)
 
 
 def test_index_reasons():
-    assert express_in_subgroup([(1, 1)], (1,)) is None
-    assert subgroup_contains([(1, 1)], (1, 1, 1, 1))
+    squares = SubgroupGraph([(1, 1)])
+    assert squares.express((1,)) is None
+    assert squares.express((1, 1, 1, 1)) is not None
 
 
 def test_ab_ba_example():
     gens = [(1, 2), (2, 1)]
-    expr = express_in_subgroup(gens, (1, 2, 2, 1))
+    expr = SubgroupGraph(gens).express((1, 2, 2, 1))
     assert expr == (1, 2)
     assert expand_expression(expr, gens) == (1, 2, 2, 1)
 
@@ -43,7 +42,7 @@ def test_expression_round_trips_on_random_subgroups():
             rng.choice([i for i in range(-len(gens), len(gens) + 1) if i])
             for _ in range(rng.randint(0, 10)))
         target = expand_expression(e, gens)
-        expr = express_in_subgroup(gens, target)
+        expr = SubgroupGraph(gens).express(target)
         assert expr is not None
         assert expand_expression(expr, gens) == target
 
@@ -52,14 +51,12 @@ def test_non_members_rejected():
     rng = random.Random(1)
     # index-2 subgroup: words of even total exponent
     gens = [(1, 1), (1, 2), (2, 1)]
+    graph = SubgroupGraph(gens)
     for _ in range(100):
         w = rand_word(rng, 2, rng.randint(1, 9))
         exponent = sum(1 if x > 0 else -1 for x in w)
-        member = subgroup_contains(gens, w)
-        if exponent % 2:
-            assert not member
-        got = express_in_subgroup(gens, w)
-        assert (got is not None) == member
+        got = graph.express(w)
+        assert (got is None) == bool(exponent % 2)
         if got is not None:
             assert expand_expression(got, gens) == w
 
@@ -75,7 +72,7 @@ def test_generators_need_not_be_free():
     # redundant generating sets still give valid expressions
     gens = [(1,), (2,), (1, 2)]
     target = (2, 2, -1)
-    expr = express_in_subgroup(gens, target)
+    expr = SubgroupGraph(gens).express(target)
     assert expr is not None
     assert expand_expression(expr, gens) == target
 
@@ -145,9 +142,10 @@ def test_fold_matches_plain_stallings(gens, expr, probes):
     expr = tuple(x for x in expr if abs(x) <= len(gens))
     member = expand_expression(reduce_word(expr), gens)
     for w in [member] + probes:
-        assert graph.contains(w) == plain_member(trans, w)
-        if graph.contains(w):
-            assert expand_expression(graph.express(w), gens) == w
+        got = graph.express(w)
+        assert (got is not None) == plain_member(trans, w)
+        if got is not None:
+            assert expand_expression(got, gens) == w
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sphmach import words
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism,
-    reduce_word, wmul, winv, wpow, conjugate, cyclic_canonical, cyclic_reduce,
-    is_conjugate, centralizer_root, power_exponent,
-    common_generator_conjugator,
+    reduce_word, wmul, winv, conjugate, cyclic_reduce, is_conjugate,
     dehn_twist, outer_equal, outer_normalize, is_peripheral_preserving,
 )
 
@@ -46,17 +44,6 @@ def test_relator_override():
     assert G.normal_form([1]) == (-2, -3)
 
 
-def test_wpow_matches_repeated_multiplication():
-    rng = random.Random(1)
-    for _ in range(100):
-        w = rand_word(rng, 3, rng.randint(1, 8))
-        k = rng.randint(-6, 6)
-        slow = ()
-        for _ in range(abs(k)):
-            slow = wmul(slow, w if k > 0 else winv(w))
-        assert wpow(w, k) == slow
-
-
 def test_is_conjugate_examples():
     F = SphereGroup(["a", "b", "z"])  # free of rank 2 on a, b
     got = is_conjugate(F.normal_form([1, 2]), F.normal_form([2, 1]))
@@ -84,17 +71,6 @@ def test_conjugacy_is_an_equivalence_on_random_words():
         assert conjugate(v, back) == u
 
 
-def test_centralizer_root():
-    assert centralizer_root((1, 2, 1, 2)) == (1, 2)
-    assert centralizer_root((1,)) == (1,)
-    assert centralizer_root(wpow((1, 2), 3)) == (1, 2)
-    w = conjugate(wpow((1, 2), 3), (2, 2, 1))
-    root = centralizer_root(w)
-    assert power_exponent(w, root) == 3
-    with pytest.raises(ValueError):
-        centralizer_root(())
-
-
 def test_swap_has_no_conjugator_by_brute_force():
     # oracle: check every conjugator of length <= 4 over rank 2
     def words_upto(rank, L):
@@ -112,21 +88,6 @@ def test_swap_has_no_conjugator_by_brute_force():
 
     for w in words_upto(2, 4):
         assert not (conjugate((1,), w) == (2,) and conjugate((2,), w) == (1,))
-
-
-def test_common_generator_conjugator_random():
-    G = SphereGroup(["a", "b", "c", "d"])
-    rng = random.Random(3)
-    for _ in range(200):
-        w = rand_word(rng, 3, rng.randint(0, 25))
-        idxs = rng.sample([1, 2, 3, 4], rng.randint(2, 4))
-        targets = [conjugate(G.gen(i), w) for i in idxs]
-        got = common_generator_conjugator(G, idxs, targets)
-        assert got is not None
-        assert all(conjugate(G.gen(i), got) == t for i, t in zip(idxs, targets))
-    # no common conjugator when the targets disagree
-    assert common_generator_conjugator(
-        G, [1, 2], [conjugate(G.gen(1), (2,)), conjugate(G.gen(2), (1,))]) is None
 
 
 def _random_twist_product(rng, G, count):
@@ -154,6 +115,22 @@ def test_outer_normalize_sends_inner_maps_to_identity():
     assert outer_normalize(Automorphism.inner(G, (1, 1, 1))).is_identity_map()
 
 
+def _is_inner(G, chi):
+    """Exact oracle: chi is inner when one w has chi(x) = x^w for every
+    generator x.  chi(g1) = g1^w0 puts w in <g1> * w0, g1 being a free
+    letter; then w = g1^k * w0 needs w0 * chi(g2) * w0^-1 = g1^-k * g2 *
+    g1^k, whose letters give k, and the check on every generator
+    includes that one."""
+    w0 = is_conjugate(G.gen(1), chi.images[0])
+    if w0 is None:
+        return False
+    z = wmul(w0, chi.images[1], winv(w0))
+    k = len(z) // 2 if z[:1] != (1,) else -(len(z) // 2)
+    w = wmul((1,) * k if k >= 0 else (-1,) * -k, w0)
+    return all(conjugate(G.gen(i), w) == img
+               for i, img in enumerate(chi.images, 1))
+
+
 def test_outer_equal_matches_a_common_conjugator_oracle():
     # oracle: psi^-1 . phi is inner when one word conjugates every
     # generator to its image
@@ -171,68 +148,13 @@ def test_outer_equal_matches_a_common_conjugator_oracle():
             psi = inn.compose(phi)
         else:
             psi = _random_twist_product(rng, G, rng.randint(0, 3)).compose(inn)
-        chi = psi.inverse().compose(phi)
-        oracle = common_generator_conjugator(
-            G, range(1, n + 1), chi.images) is not None
+        oracle = _is_inner(G, psi.inverse().compose(phi))
         assert outer_equal(phi, psi) == oracle
         assert outer_equal(psi, phi) == oracle
         if kind < 2:
             assert oracle
         seen[oracle] += 1
     assert min(seen.values()) >= 20, seen
-
-
-def _coset_pair_cases(rng):
-    """(g1, w1, g2, w2) over distinct generator words of 3-5 punctures,
-    then over random cyclically reduced words with distinct axes;
-    planted solutions with |a|, |b| <= 14 and random w2."""
-    for n in (3, 4, 5):
-        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    yield from _planted(rng, n - 1, G.gen(i), G.gen(j), 12)
-    pairs = 0
-    while pairs < 40:
-        g1 = cyclic_reduce(rand_word(rng, 2, rng.randint(1, 4)))[0]
-        g2 = cyclic_reduce(rand_word(rng, 2, rng.randint(1, 3)))[0]
-        if g1 and g2 and wmul(g1, g2) != wmul(g2, g1):
-            pairs += 1
-            yield from _planted(rng, 2, g1, g2, 6)
-
-
-def _planted(rng, rank, g1, g2, count):
-    for _ in range(count):
-        w1 = rand_word(rng, rank, rng.randint(0, 8))
-        if rng.random() < 0.6:
-            a, b = rng.randint(-14, 14), rng.randint(-14, 14)
-            w2 = wmul(wpow(g2, -a), wpow(g1, b), w1)
-        else:
-            w2 = rand_word(rng, rank, rng.randint(0, 10))
-        yield g1, w1, g2, w2
-
-
-def test_coset_pair_solve_matches_brute_force():
-    rng = random.Random(8)
-    found = cases = 0
-    for g1, w1, g2, w2 in _coset_pair_cases(rng):
-        cases += 1
-        right = {wmul(wpow(g2, a), w2) for a in range(-14, 15)}
-        brute = {x for x in (wmul(wpow(g1, b), w1) for b in range(-14, 15))
-                 if x in right}
-        got = words._coset_pair_solve(g1, w1, g2, w2)
-        assert len(brute) <= 1
-        if brute:
-            found += 1
-            assert {got} == brute, (g1, w1, g2, w2)
-        elif got is not None:
-            # a solution beyond the searched exponents: check it exactly
-            assert power_exponent(wmul(got, winv(w1)), g1) is not None
-            assert power_exponent(wmul(got, winv(w2)), g2) is not None
-    assert cases > found > 100
-    # the run of g2 at the front of D may overshoot a: here D = g2^10 * g1
-    # starts with g2^11, and a = 10 lies below the run
-    assert words._coset_pair_solve((1, 2), (), (1,), (1,) * 11 + (2,)) == (1, 2)
 
 
 def test_dehn_twist_formula():
