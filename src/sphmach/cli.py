@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -254,23 +255,27 @@ def cmd_obstructed(args):
     }, 0 if rep.obstructed else 1
 
 
+# a term: [-]int, [-]name or [-]int*name, where a name is an identifier
+# that does not start with "_" (solve_twist_fixed_point's free parameters
+# are named _w<i>)
+_LIN_TERM = re.compile(r"(-?)(?:([0-9]+)|(?:([0-9]+)\*)?([^\W\d_]\w*))")
+
+
 def _parse_lin_expr(text: str) -> LinExpr:
     """Affine expressions like '2*a + 3*b - 1'."""
     expr = LinExpr()
-    text = text.replace("-", "+-").replace(" ", "")
-    for term in text.split("+"):
-        if not term:
-            continue
-        sign = 1
-        if term.startswith("-"):
-            sign, term = -1, term[1:]
-        if "*" in term:
-            c, v = term.split("*", 1)
-            expr = expr + LinExpr.var(v).scale(sign * int(c))
-        elif term.isdigit():
-            expr = expr + LinExpr.of(sign * int(term))
+    # terms are split at each '+' and before each '-' that follows no '+'
+    for term in re.split(r"\+|(?<=[^+])(?=-)", text.replace(" ", "")):
+        m = _LIN_TERM.fullmatch(term)
+        if m is None:
+            raise CliError(f"--theta: bad term {term!r} in {text!r}: a term "
+                           "is [-]int, [-]name or [-]int*name, and a name an "
+                           "identifier not starting with '_'")
+        sign = -1 if m[1] else 1
+        if m[2]:
+            expr = expr + LinExpr.of(sign * int(m[2]))
         else:
-            expr = expr + LinExpr.var(term).scale(sign)
+            expr = expr + LinExpr.var(m[4]).scale(sign * int(m[3] or 1))
     return expr
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
@@ -140,74 +141,99 @@ def thurston_matrix(M: SphereMachine, downstairs: Multicurve) -> ThurstonMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact Perron root decision
+# exact Perron root decision, in integers
+
+def _integer_matrix(A):
+    """(D, D*A) with D the least common denominator of the entries."""
+    D = lcm(*(x.denominator for row in A for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in A]
+
 
 def charpoly(A: list[list[Fraction]]) -> list[Fraction]:
-    """Coefficients of det(xI - A), highest power first (Faddeev-LeVerrier)."""
-    n = len(A)
-    coeffs = [Fraction(1)]
-    Mk = [[Fraction(0)] * n for _ in range(n)]
+    """Coefficients of det(xI - A), highest power first, for int or
+    Fraction entries.
+
+    Integer Faddeev-LeVerrier on B = D*A, D the common denominator:
+    M_1 = I, c_k = -tr(B M_k)/k, M_(k+1) = B M_k + c_k I.  The c_k are the
+    coefficients of det(xI - B), integers, so each division by k is
+    exact; those of det(xI - A) are c_k / D^k."""
+    D, B = _integer_matrix(A)
+    n = len(B)
+    coeffs = [1]
+    Mk = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             Mk[i][i] += coeffs[-1]
-        AM = [[sum(A[i][l] * Mk[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        ck = -Fraction(sum(AM[i][i] for i in range(n)), k)
-        coeffs.append(ck)
-        Mk = AM
-    return coeffs
+        cols = list(zip(*Mk))
+        Mk = [[sum(map(mul, row, col)) for col in cols] for row in B]
+        coeffs.append(-sum(Mk[i][i] for i in range(n)) // k)
+    return [Fraction(c, D ** k) for k, c in enumerate(coeffs)]
 
 
-def _poly_eval(p, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in p:
-        out = out * x + c
-    return out
+def _primitive(p):
+    """The positive multiple of p (int or Fraction coefficients) whose
+    coefficients are coprime integers."""
+    D = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (D // c.denominator) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
-def _poly_deriv(p):
-    n = len(p) - 1
-    return [c * (n - i) for i, c in enumerate(p[:-1])]
-
-
-def _poly_mod(a, b):
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        q = a[0] / b[0]
-        for i in range(len(b)):
-            a[i] -= q * b[i]
+def _pseudo_rem(a, b):
+    """A positive multiple of the remainder of a by b (integer
+    coefficients, b's leading one nonzero)."""
+    a = list(a)
+    lead = b[0]
+    while len(a) >= len(b):
+        if a[0]:
+            g = gcd(a[0], lead)
+            s, t = abs(lead) // g, a[0] // g if lead > 0 else -a[0] // g
+            # s*a - t*b, s > 0, loses the leading term
+            a = [s * x - t * y for x, y in zip(a, b)] \
+                + [s * x for x in a[len(b):]]
         a.pop(0)
-    while a and a[0] == 0:
+    while a and not a[0]:
         a.pop(0)
     return a
 
 
 def _sturm_chain(p):
-    chain = [p, _poly_deriv(p)]
-    while chain[-1]:
-        nxt = [-c for c in _poly_mod(chain[-2], chain[-1])]
-        if not nxt:
-            break
-        chain.append(nxt)
-    return [c for c in chain if c]
+    """The Sturm chain p, p', -rem, ... of p as primitive integer
+    polynomials.  Each is a positive multiple of the rational chain's
+    member, so both count the same sign changes everywhere."""
+    p = _primitive(p)
+    n = len(p) - 1
+    chain = [p]
+    if n > 0:
+        chain.append(_primitive([c * (n - i) for i, c in enumerate(p[:-1])]))
+        while (r := _pseudo_rem(chain[-2], chain[-1])):
+            chain.append(_primitive([-c for c in r]))
+    return chain
 
 
-def _sign_changes(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _scaled_value(p, a: int, b: int) -> int:
+    """b^deg(p) * p(a/b) by integer Horner; for b > 0 it has the sign of
+    p(a/b)."""
+    v, bk = 0, 1
+    for c in p:
+        v = v * a + c * bk
+        bk *= b
+    return v
+
+
+def _sign_changes(chain, a: int, b: int) -> int:
+    """Sign changes along the chain at a/b, b > 0, zeros dropped."""
+    values = [v for v in (_scaled_value(p, a, b) for p in chain) if v]
+    return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
 
 
 def count_real_roots(p, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] by Sturm's theorem."""
-    chain = _sturm_chain(list(p))
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    """Number of distinct real roots of p (coefficients highest power
+    first) in (lo, hi], by Sturm's theorem."""
+    chain = _sturm_chain(p)
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_sign_changes(chain, lo.numerator, lo.denominator)
+            - _sign_changes(chain, hi.numerator, hi.denominator))
 
 
 @dataclass
@@ -223,36 +249,46 @@ def is_obstructed(T: ThurstonMatrix) -> ObstructionReport:
     bracket, at most 1e-9 wide, for the Perron root.
 
     For a nonnegative matrix the spectral radius is the largest real root
-    of the characteristic polynomial, so the decision is a Sturm count on
-    [1, infinity)."""
+    of the characteristic polynomial (integer Faddeev-LeVerrier with exact
+    division, see charpoly), so the decision is a Sturm count on
+    [1, infinity).  The Sturm chain holds primitive integer polynomials,
+    positive multiples of the rational chain's, and the sign of a member
+    p at a/b, b > 0, is that of the integer b^deg(p) * p(a/b).  Every
+    decision is exact; floats appear only in the reported bracket."""
     if not T.is_square():
         raise MulticurveError("obstruction test needs a square matrix")
     if any(x < 0 for row in T.entries for x in row):
         raise MulticurveError("matrix has negative entries")
+    D, B = _integer_matrix(T.entries)
     p = charpoly(T.entries)
-    # every real root lies below bound, so the distinct roots in
-    # (x, bound] number V(x) - V(bound) on one Sturm chain
-    bound = max((sum(row) for row in T.entries), default=Fraction(0)) + 1
-    chain = _sturm_chain(list(p))
-    v_bound = _sign_changes(chain, bound)
+    # work in y = D*x: det(yI - B) = D^n p(y/D) has integer coefficients,
+    # and its chain at y has the signs of p's chain at x = y/D
+    chain = _sturm_chain([c * D ** k for k, c in enumerate(p)])
+    # every real root lies below bound = (largest row sum) + 1, that is
+    # y = top, so the distinct roots in (y, top] number V(y) - V(top)
+    top = max(map(sum, B), default=0) + D
+    v_top = _sign_changes(chain, top, 1)
 
-    def roots_above(x: Fraction) -> int:
-        return _sign_changes(chain, x) - v_bound
+    def has_root_at_least(a: int, b: int) -> bool:  # y = a/b, b > 0
+        return _sign_changes(chain, a, b) > v_top \
+            or _scaled_value(chain[0], a, b) == 0
 
-    obstructed = _poly_eval(p, Fraction(1)) == 0 or roots_above(Fraction(1)) > 0
-    # bracket the largest real root by bisection on the Sturm count; no
-    # root lies in (hi, bound], so roots in (mid, hi] are roots above mid
-    lo, hi = Fraction(0), bound
+    obstructed = has_root_at_least(D, 1)
+    # bracket the largest real root by bisection on the Sturm count; the
+    # bracket is [lo, hi] / (D * 2^j) in x
+    lo, hi, j = 0, top, 0
     if not any(p[1:]):
         hi = lo  # charpoly x^n: the matrix is nilpotent, its Perron root 0
     else:
-        while hi - lo > Fraction(1, 10**9):
-            mid = (lo + hi) / 2
-            if roots_above(mid) > 0 or _poly_eval(p, mid) == 0:
+        while (hi - lo) * 10 ** 9 > D << j:
+            lo, hi, j = 2 * lo, 2 * hi, j + 1
+            mid = (lo + hi) // 2
+            if has_root_at_least(mid, 1 << j):
                 lo = mid
             else:
                 hi = mid
-    return ObstructionReport(obstructed, float(lo), float(hi), p)
+    # int / int rounds correctly, as float(Fraction) does
+    return ObstructionReport(obstructed, lo / (D << j), hi / (D << j), p)
 
 
 def twist_lift_check(mcb: MappingClassBiset, T: ThurstonMatrix,
@@ -439,7 +475,8 @@ class TwistFixedPointSolution:
 def solve_twist_fixed_point(problem: TwistFixedPointProblem) -> TwistFixedPointSolution:
     """Solve v = theta + T v over the integers with symbolic theta: returns
     the linear constraints the unknowns must satisfy and the free lattice
-    of solutions in v."""
+    of solutions in v.  The free parameters are named _w<i>; a theta
+    unknown of the same name raises MulticurveError."""
     T = problem.matrix
     if not T.is_square():
         raise MulticurveError("fixed point problem needs a square matrix")
@@ -481,6 +518,11 @@ def solve_twist_fixed_point(problem: TwistFixedPointProblem) -> TwistFixedPointS
                 congruences.append((rhs[i].normalized(),
                                     q // gcd(c.numerator, q)))
             w.append(expr)
+    clash = sorted(set(free_params).intersection(
+        name for e in problem.theta for name, _ in e.coeffs))
+    if clash:
+        raise MulticurveError(
+            f"theta unknown {clash[0]} is also a free parameter name")
     solution = []
     for i in range(n):
         e = LinExpr()

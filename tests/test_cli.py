@@ -309,6 +309,31 @@ def test_cli_split_and_solve(capsys):
     assert data["result"]["free_rank"] == 1
 
 
+@pytest.mark.parametrize("theta, term", [
+    ("a,-", "-"), ("2**a,b", "2**a"), ("2*,b", "2*"), ("a-,b", "-"),
+    ("2*a,(b)", "(b)"), ("a+,b", ""), ("2a,b", "2a"), ("2*3,b", "2*3"),
+    ("a,", ""), ("a--b,b", "-"),
+    # names starting with "_" would collide with the free parameters _w<i>
+    ("_w2,b", "_w2"), ("a,_x", "_x"),
+])
+def test_cli_solve_twists_rejects_malformed_theta(theta, term, capsys):
+    assert run_cli("solve-twists", str(MACHINES / "centralizer7.mach"),
+                   f"--theta={theta}") == 3
+    assert f"bad term {term!r}" in capsys.readouterr().err
+
+
+def test_cli_solve_twists_reads_signed_affine_terms(capsys):
+    c7 = str(MACHINES / "centralizer7.mach")
+    for theta, constraints, congruences in [
+            ("2*a - 1,-b+3", ["2*a + b - 4 = 0"], ["2*a - 1 = 0 mod 2"]),
+            ("a+-b,b", ["a - 2*b = 0"], ["a - b = 0 mod 2"]),
+            (" 2 * a , 2*b", ["a - b = 0"], [])]:
+        assert run_cli("--json", "solve-twists", c7, f"--theta={theta}") == 0
+        data = json.loads(capsys.readouterr().out)["result"]
+        assert data["constraints"] == constraints
+        assert data["congruences"] == congruences
+
+
 def test_cli_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mach"
     bad.write_text("group: a,b\na=<,a>(1,2)\n")

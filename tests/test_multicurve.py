@@ -187,6 +187,171 @@ def test_obstruction_agrees_with_sympy_root_isolation():
         assert rep.perron_high - rep.perron_low <= 1e-9
 
 
+# ---------------------------------------------------------------------------
+# the rational obstruction test that the integer one replaced, kept as an
+# oracle: every report must agree with it exactly, floats included
+
+def _oracle_charpoly(A):
+    n = len(A)
+    coeffs = [Fraction(1)]
+    Mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            Mk[i][i] += coeffs[-1]
+        AM = [[sum(A[i][l] * Mk[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        coeffs.append(-Fraction(sum(AM[i][i] for i in range(n)), k))
+        Mk = AM
+    return coeffs
+
+
+def _oracle_eval(p, x):
+    out = Fraction(0)
+    for c in p:
+        out = out * x + c
+    return out
+
+
+def _oracle_sturm_chain(p):
+    def rem(a, b):
+        a = a[:]
+        while len(a) >= len(b) and any(a):
+            if a[0] == 0:
+                a.pop(0)
+                continue
+            q = a[0] / b[0]
+            for i in range(len(b)):
+                a[i] -= q * b[i]
+            a.pop(0)
+        while a and a[0] == 0:
+            a.pop(0)
+        return a
+
+    n = len(p) - 1
+    chain = [p, [c * (n - i) for i, c in enumerate(p[:-1])]]
+    while chain[-1]:
+        nxt = [-c for c in rem(chain[-2], chain[-1])]
+        if not nxt:
+            break
+        chain.append(nxt)
+    return [c for c in chain if c]
+
+
+def _oracle_sign_changes(chain, x):
+    signs = [v > 0 for v in (_oracle_eval(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _oracle_report(A):
+    """(obstructed, perron_low, perron_high, charpoly) by bisection on
+    Fraction Sturm counts."""
+    p = _oracle_charpoly(A)
+    bound = max((sum(row) for row in A), default=Fraction(0)) + 1
+    chain = _oracle_sturm_chain(list(p))
+    v_bound = _oracle_sign_changes(chain, bound)
+
+    def at_least(x):
+        return _oracle_sign_changes(chain, x) > v_bound or _oracle_eval(p, x) == 0
+
+    lo, hi = Fraction(0), bound
+    if not any(p[1:]):
+        hi = lo
+    else:
+        while hi - lo > Fraction(1, 10**9):
+            mid = (lo + hi) / 2
+            if at_least(mid):
+                lo = mid
+            else:
+                hi = mid
+    return at_least(Fraction(1)), float(lo), float(hi), p
+
+
+def _report(entries):
+    names = [str(i) for i in range(len(entries))]
+    rep = is_obstructed(ThurstonMatrix(names, names, entries))
+    assert type(rep.perron_low) is float and type(rep.perron_high) is float
+    assert all(type(c) is Fraction for c in rep.charpoly)
+    return rep.obstructed, rep.perron_low, rep.perron_high, rep.charpoly
+
+
+def _hex(report):
+    obstructed, lo, hi, p = report
+    return obstructed, lo.hex(), hi.hex(), p
+
+
+def _seeded_matrices(seed):
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        for den in (1, 12, 10**6):
+            density = rng.uniform(0.3, 1)
+            yield [[Fraction(rng.randint(1, 9), rng.randint(1, den))
+                    if rng.random() < density else Fraction(0)
+                    for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("entries", [
+    [[2, 1], [0, 2]],                    # the Perron root 2 is a double root
+    [[1, 2], [0, 3]],                    # exact rational roots 1 and 3
+    [[0]], [[0, 1], [0, 0]], [[0, 2, 1], [0, 0, 3], [0, 0, 0]],  # nilpotent
+    [[1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 2]],
+    [[3, 1, 0], [2, 0, 5], [1, 1, 1]],
+    [],
+])
+def test_is_obstructed_matches_the_rational_oracle_on_int_entries(entries):
+    want = _oracle_report([[Fraction(v) for v in row] for row in entries])
+    assert _hex(_report(entries)) == _hex(want)
+    assert _hex(_report([[Fraction(v) for v in row] for row in entries])) \
+        == _hex(want)
+
+
+def test_is_obstructed_matches_the_rational_oracle_on_seeded_matrices():
+    for entries in _seeded_matrices(12):
+        assert _hex(_report(entries)) == _hex(_oracle_report(entries)), entries
+
+
+def test_charpoly_matches_sympy():
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for den in (1, 10**6):
+            A = [[Fraction(rng.randint(0, 9), rng.randint(1, den))
+                  for _ in range(n)] for _ in range(n)]
+            want = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                                  for v in row] for row in A]).charpoly(x)
+            want = [Fraction(int(c.p), int(c.q)) for c in want.all_coeffs()]
+            assert charpoly(A) == want
+            if den == 1:
+                assert charpoly([[int(v) for v in row] for row in A]) == want
+    assert charpoly([]) == [1]
+
+
+def test_count_real_roots_matches_the_rational_oracle():
+    rng = random.Random(3)
+    for _ in range(200):
+        # a product of (q x - r) with repeated and rational roots, times a
+        # factor without real roots now and then
+        roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 5))]
+        roots += rng.sample(roots, rng.randint(0, len(roots) - 1))
+        p = [Fraction(rng.choice([-3, -1, 1, 2]))]
+        for r in roots:
+            p = [a - r * b for a, b in zip(p + [0], [0] + p)]
+        if rng.random() < 0.3:
+            p = [a + b for a, b in zip(p + [0, 0], [0, 0] + p)]  # times x^2 + 1
+        chain = _oracle_sturm_chain(p)
+        ends = sorted(rng.sample(roots, 2) if len(roots) > 1 and rng.random() < 0.5
+                      else [Fraction(rng.randint(-15, 15), rng.randint(1, 4))
+                            for _ in range(2)])
+        want = _oracle_sign_changes(chain, ends[0]) - _oracle_sign_changes(chain, ends[1])
+        assert count_real_roots(p, *ends) == want
+        if not set(ends) & set(roots):   # Sturm's theorem proper
+            assert want == len({r for r in roots if ends[0] < r <= ends[1]})
+        if all(c.denominator == 1 for c in p):
+            assert count_real_roots([int(c) for c in p], *ends) == want
+
+
 def test_twist_lift_check_fixture():
     M, C, autos = fixture()
     mcb = compute_mcbiset(M, [("sigma", autos["sigma"]), ("tau", autos["tau"])])
@@ -295,6 +460,21 @@ def test_solver_substitution_property_random():
                 and not sol.congruences:
             assert verify_fixed_point(
                 sol, TwistFixedPointProblem(T, theta), values)
+
+
+def test_solver_rejects_theta_unknowns_named_like_free_parameters():
+    M, C, _ = fixture()
+    T = thurston_matrix(M, C)
+    sol = solve_twist_fixed_point(TwistFixedPointProblem(
+        T, [LinExpr.var("a"), LinExpr.var("b")]))
+    assert sol.free_params == ["_w2"]
+    with pytest.raises(MulticurveError, match="_w2"):
+        solve_twist_fixed_point(TwistFixedPointProblem(
+            T, [LinExpr.var("_w2"), LinExpr.var("b")]))
+    # a name no parameter carries is an ordinary unknown
+    sol = solve_twist_fixed_point(TwistFixedPointProblem(
+        T, [LinExpr.var("_w1"), LinExpr.var("b")]))
+    assert sol.free_params == ["_w2"]
 
 
 def test_mc_to_gog_standard_position():
