@@ -45,6 +45,8 @@ class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors are input errors too, so they exit 3, not argparse's 2."""
 
     def error(self, message):
+        if "expected one argument" in message:
+            message += " (a value starting with '-' is written --option=value)"
         raise CliError(f"{self.prog}: {message}")
 
 
@@ -423,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("--curves")
     p.add_argument("--theta", required=True,
-                   help="comma-separated affine expressions")
+                   help="comma-separated affine expressions; write one "
+                        "starting with '-' as --theta=-a,2*b")
     p = add("split", cmd_split, help="sphere tree of groups of a multicurve")
     p.add_argument("machine")
     p.add_argument("--curves")

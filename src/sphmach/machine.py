@@ -178,20 +178,21 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
     rh = deficit == 2 * M.degree - 2
     if not rh:
         details.append(f"cycle deficit {deficit} != 2d-2 = {2 * M.degree - 2}")
-    found: list[ConjClass] = []
+    found: list[int] = []
     ok3 = True
     for i in range(1, M.source.n + 1):
         for d, cls in multiset_of_lifts(M, M.source.gen(i)).entries:
             if cls.is_trivial():
                 continue
-            if cls.peripheral_index() is None:
+            j = cls.peripheral_index()
+            if j is None:
                 ok3 = False
                 details.append(
                     f"lift of class {i} hits non-peripheral class {cls!r}")
             else:
-                found.append(cls)
-    expected = M.target.peripheral_classes()
-    if sorted(c.canonical for c in found) != sorted(c.canonical for c in expected):
+                found.append(j)
+    # the n oriented peripheral classes are distinct: indices stand for them
+    if sorted(found) != list(range(1, M.target.n + 1)):
         ok3 = False
         details.append("peripheral classes of the target are not hit exactly once")
     return ValidationReport(relator_ok, transitive, rh, ok3, details)

@@ -87,23 +87,18 @@ def distill(M: SphereMachine) -> Distillation:
 
 def _candidate_relabelings(d1: Distillation, d2: Distillation):
     """Relabelings old1 -> old2 carrying the permutation tuple of d1 to d2,
-    derived from the canonical numberings.
+    derived from the canonical numberings; d1 and d2 must have one key.
 
     The first numbering of d1 suffices: the canonical numberings of one
     machine differ by its automorphisms, so pairing it with every
-    numbering of d2 already meets each relabeling, once.
+    numbering of d2 already meets each relabeling, once.  Each pair
+    works: equal keys give num1 . pi1 . num1^-1 = num2 . pi2 . num2^-1
+    for every generator, so sigma = num2^-1 . num1 conjugates pi1 to pi2
+    exactly, and nothing is left to check.
     """
     num1 = d1.numberings[0]
-    out = []
-    for num2 in d2.numberings:
-        inv2 = perms.inverse(num2)
-        sigma = tuple(inv2[num1[p]] for p in range(d1.degree))
-        if all(
-            tuple(sigma[pa[q]] for q in perms.inverse(sigma)) == pb
-            for pa, pb in zip(d1.perm_tuple, d2.perm_tuple)
-        ):
-            out.append(sigma)
-    return out
+    return [tuple(inv2[x] for x in num1)
+            for inv2 in map(perms.inverse, d2.numberings)]
 
 
 class _KnitSolver:

@@ -51,7 +51,7 @@ class Multicurve:
             cls = ConjClass(group, rep, sign_insensitive=True)
             if cls.is_trivial():
                 raise MulticurveError("trivial curve in multicurve")
-            if any(cls.same_curve(p) for p in group.peripheral_classes()):
+            if cls.peripheral_index() is not None:
                 raise MulticurveError(
                     f"curve {group.word_str(cls.rep)} is peripheral")
             if cls.canonical in seen:
@@ -72,28 +72,24 @@ class Multicurve:
 def classify_lifts(M: SphereMachine, downstairs: Multicurve,
                    upstairs: Multicurve | None = None):
     """For each curve of the lifted multicurve, tag every lift as isotopic
-    to an upstairs curve, peripheral, trivial, or other."""
+    to an upstairs curve, trivial, peripheral, or other, in that order of
+    precedence; the upstairs curve and the puncture are looked up by the
+    lift's unoriented class."""
     if downstairs.group != M.source:
         raise MulticurveError("multicurve lives over the wrong group")
-    target_cls = M.target.peripheral_classes()
+    curve_index = {delta.canonical: j for j, delta in enumerate(upstairs or ())}
     report = []
     for curve in downstairs:
         tags = []
         for deg, cls in multiset_of_lifts(M, curve.rep).entries:
-            tag = None
-            if upstairs is not None:
-                for j, delta in enumerate(upstairs):
-                    if delta.same_curve(ConjClass(M.target, cls.rep)):
-                        tag = ("curve", j)
-                        break
-            if tag is None and cls.is_trivial():
+            unoriented = ConjClass(M.target, cls.rep, sign_insensitive=True)
+            if unoriented.canonical in curve_index:
+                tag = ("curve", curve_index[unoriented.canonical])
+            elif cls.is_trivial():
                 tag = ("trivial",)
-            if tag is None:
-                for i, p in enumerate(target_cls):
-                    if cls.same_curve(p):
-                        tag = ("peripheral", i + 1)
-                        break
-            if tag is None:
+            elif (i := unoriented.peripheral_index()) is not None:
+                tag = ("peripheral", i)
+            else:
                 tag = ("other", cls)
             tags.append((deg, tag))
         report.append((curve, tags))
@@ -131,13 +127,12 @@ def thurston_matrix(M: SphereMachine, downstairs: Multicurve) -> ThurstonMatrix:
     machine, whose upstairs curves are the downstairs ones."""
     if M.source != M.target:
         raise MulticurveError("thurston_matrix needs a dynamical machine")
-    upstairs = Multicurve(M.target, [c.rep for c in downstairs])
-    entries = [[Fraction(0)] * len(downstairs) for _ in upstairs]
-    for col, (curve, tags) in enumerate(classify_lifts(M, downstairs, upstairs)):
+    entries = [[Fraction(0)] * len(downstairs) for _ in downstairs]
+    for col, (curve, tags) in enumerate(classify_lifts(M, downstairs, downstairs)):
         for deg, tag in tags:
             if tag[0] == "curve":
                 entries[tag[1]][col] += Fraction(1, deg)
-    return ThurstonMatrix(upstairs.labels(), downstairs.labels(), entries)
+    return ThurstonMatrix(downstairs.labels(), downstairs.labels(), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +492,9 @@ def solve_twist_fixed_point(problem: TwistFixedPointProblem) -> TwistFixedPointS
     w: list[LinExpr] = []
     free_params: list[str] = []
     for i in range(n):
-        d = D[i][i] if i < len(D) and i < len(D[i]) else 0
+        d = D[i][i]
         if d == 0:
-            if rhs[i].is_zero():
-                pass
-            else:
+            if not rhs[i].is_zero():
                 constraints.append(rhs[i].normalized())
             name = f"_w{i + 1}"
             free_params.append(name)
@@ -620,13 +613,6 @@ class TreeOfGroups:
         }
 
 
-@dataclass
-class _Piece:
-    group: SphereGroup
-    tags: list[tuple]
-    embeds: list[Word]
-
-
 def _words_of_length(rank: int, L: int):
     letters = [x for x in range(-rank, rank + 1) if x]
     if L == 0:
@@ -675,8 +661,9 @@ def mc_to_gog(G: SphereGroup, curves: Multicurve, bound: int = 4) -> TreeOfGroup
     'not-disjoint' (definite) or 'bound-exhausted' (inconclusive)."""
     if curves.group != G:
         raise MulticurveError("multicurve lives over the wrong group")
-    pieces = [_Piece(G, [("puncture", i) for i in range(1, G.n + 1)],
-                     [G.gen(i) for i in range(1, G.n + 1)])]
+    # the pieces are named S0, S1, ... in tree order once the split is done
+    pieces = [SphereVertex("", G, [("puncture", i) for i in range(1, G.n + 1)],
+                           [G.gen(i) for i in range(1, G.n + 1)])]
     curve_vertices = []
     for cid, curve in enumerate(curves):
         # locate the unique piece containing the curve
@@ -746,12 +733,12 @@ def mc_to_gog(G: SphereGroup, curves: Multicurve, bound: int = 4) -> TreeOfGroup
         tags_b = [("curve", cid, +1)] + [piece.tags[i - 1] for i in order_out]
         embeds_b = [expand(q)] + [expand(conjugate(P.gen(i), u))
                                   for i, u in zip(order_out, conjs_out)]
-        pieces[home:home + 1] = [_Piece(A, tags_a, embeds_a),
-                                 _Piece(B, tags_b, embeds_b)]
+        pieces[home:home + 1] = [SphereVertex("", A, tags_a, embeds_a),
+                                 SphereVertex("", B, tags_b, embeds_b)]
         curve_vertices.append(CurveVertex(cid, curve.rep, expand(q)))
-    spheres = [SphereVertex(f"S{i}", p.group, p.tags, p.embeds)
-               for i, p in enumerate(pieces)]
-    return TreeOfGroups(G, spheres, curve_vertices)
+    for i, piece in enumerate(pieces):
+        piece.name = f"S{i}"
+    return TreeOfGroups(G, pieces, curve_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -764,17 +751,16 @@ class PromotedConjugator:
     edge_elements: dict[tuple[int, int], Word]
 
 
-def _class_bijection_iso(src: SphereGroup, dst: SphereGroup, beta: list[int]):
-    """Generator images of an isomorphism src -> dst sending class i of src
-    to class beta[i-1] of dst, built from adjacent half-twist moves.
+def _class_bijection_iso(dst: SphereGroup, beta: list[int]) -> Automorphism:
+    """An isomorphism onto dst, given by its generator images, sending
+    class i to class beta[i-1], for beta a permutation of 1..n, built from
+    adjacent half-twist moves.
 
     Invariant: images[k] always lies in the dst class perm[k], and the
     ordered product of the images is trivial; adjacent slots are swapped
-    by (a, b) -> (b, b^-1 a b) until perm reaches beta.
+    by (a, b) -> (b, b^-1 a b), which sorts perm into beta.
     """
-    if src.n != dst.n or sorted(beta) != list(range(1, dst.n + 1)):
-        return None
-    n = src.n
+    n = dst.n
     perm = list(range(1, n + 1))
     images = [dst.gen(i) for i in range(1, n + 1)]
     for slot in range(n):
@@ -784,25 +770,30 @@ def _class_bijection_iso(src: SphereGroup, dst: SphereGroup, beta: list[int]):
             images[j - 1], images[j] = b, conjugate(a, b)
             perm[j - 1], perm[j] = perm[j], perm[j - 1]
             j -= 1
-    if perm != list(beta):
-        return None
-    for k in range(n):
-        if is_conjugate(dst.gen(beta[k]), images[k]) is None:
-            return None
-    return [dst.normal_form(w) for w in images]
+    return Automorphism(dst, images, check=False)
 
 
 def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
                       h: dict) -> PromotedConjugator:
     """Decide whether a bijection of distinguished classes promotes to a
-    conjugator between the trees; h maps tags of tree1 to tags of tree2
-    (("puncture", i) and ("curve", cid) keys) and must map every tag of
-    tree1."""
+    conjugator between the trees; h maps tag keys of tree1 to tag keys of
+    tree2 (("puncture", i) and ("curve", cid), the first two fields of a
+    tag) and must map every tag of tree1.
+
+    Only steps 1 and 2 can fail.  Step 2 matches each vertex v of tree1
+    to the vertex w of tree2 whose tag keys are the h-images of v's and
+    which has as many tags (fewer only if h joins two keys of v, which
+    needs tree1 to have more tags than tree2).  So h maps v's keys one to
+    one onto w's, beta is a permutation, the half-twist moves send each
+    class of v into its h-image class (step 3), and the image of a curve
+    class of v is conjugate to the generator of its slot in w (step 4).
+    """
     for v in tree1.spheres:
         for t in v.tags:
             if t[:2] not in h:
                 raise MulticurveError(f"the bijection leaves {t[0]} {t[1]} unmapped")
-    curves1 = {("curve", c.cid) for c in tree1.curves}
+    # a list, so that a failure names the first bad curve in tree order
+    curves1 = [("curve", c.cid) for c in tree1.curves]
     curves2 = {("curve", c.cid) for c in tree2.curves}
     # step 1: the bijection must restrict to the geometric edge sets
     for tag in curves1:
@@ -810,60 +801,31 @@ def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
             raise PromoteFailed(1, f"{tag} does not map to a curve class")
     if len({h[tag] for tag in curves1}) != len(curves2):
         raise PromoteFailed(1, "curve classes are not matched bijectively")
-
-    def vertex_tagset(v: SphereVertex):
-        return frozenset(("curve", t[1]) if t[0] == "curve" else t
-                         for t in v.tags)
-
-    # step 2: promote to a graph isomorphism
+    # step 2: promote to a graph isomorphism; slots[j] maps each tag key
+    # of tree2's vertex j to its 1-based peripheral index
+    slots = [{t[:2]: pi for pi, t in enumerate(w.tags, 1)}
+             for w in tree2.spheres]
     vmap: dict[int, int] = {}
     for i, v in enumerate(tree1.spheres):
-        want = frozenset(h[t] for t in vertex_tagset(v))
-        matches = [j for j, w in enumerate(tree2.spheres)
-                   if vertex_tagset(w) == want]
+        want = {h[t[:2]] for t in v.tags}
+        matches = [j for j, slot in enumerate(slots) if slot.keys() == want]
         if len(matches) != 1:
             raise PromoteFailed(2, f"vertex {v.name} has no unique image")
         vmap[i] = matches[0]
     if len(set(vmap.values())) != len(tree2.spheres):
         raise PromoteFailed(2, "vertex map is not a bijection")
-    # step 3: peripheral sets match per vertex (classwise, with multiplicity)
     for i, v in enumerate(tree1.spheres):
-        w = tree2.spheres[vmap[i]]
-        if sorted(map(str, (h[t] for t in vertex_tagset(v)))) != \
-                sorted(map(str, vertex_tagset(w))):
-            raise PromoteFailed(3, f"peripheral sets differ at {v.name}")
-    # step 4: per-vertex isomorphisms compatible with h
+        if len(v.tags) != len(tree2.spheres[vmap[i]].tags):
+            raise PromoteFailed(2, f"peripheral sets differ at {v.name}")
+    # step 3: per-vertex isomorphisms compatible with h
     isos: dict[int, Automorphism] = {}
     for i, v in enumerate(tree1.spheres):
-        w = tree2.spheres[vmap[i]]
-        tgt_pos = {}
-        for pi, t in enumerate(w.tags):
-            key = ("curve", t[1]) if t[0] == "curve" else t
-            tgt_pos[key] = pi + 1
-        beta = []
-        for t in v.tags:
-            key = ("curve", t[1]) if t[0] == "curve" else t
-            beta.append(tgt_pos[h[key]])
-        images = _class_bijection_iso(v.group, w.group, beta)
-        if images is None:
-            raise PromoteFailed(4, f"no class-compatible isomorphism at {v.name}")
-        isos[i] = Automorphism(w.group, images, check=False)
-    # step 5: edge intertwiners by conjugation elements
+        beta = [slots[vmap[i]][h[t[:2]]] for t in v.tags]
+        isos[i] = _class_bijection_iso(tree2.spheres[vmap[i]].group, beta)
+    # step 4: edge intertwiners by conjugation elements
     edge_elems: dict[tuple[int, int], Word] = {}
     for cid, si, pi, sign in tree1.edges():
-        v = tree1.spheres[si]
-        w = tree2.spheres[vmap[si]]
-        src_word = isos[si].images[pi - 1]
-        # the image class index in the target vertex
-        key = ("curve", v.tags[pi - 1][1])
-        tgt_index = None
-        for pj, t in enumerate(w.tags):
-            if t[0] == "curve" and ("curve", t[1]) == h[key]:
-                tgt_index = pj + 1
-        if tgt_index is None:
-            raise PromoteFailed(5, "edge image class missing")
-        got = is_conjugate(w.group.gen(tgt_index), src_word)
-        if got is None:
-            raise PromoteFailed(5, f"edge at {v.name} has no intertwiner")
-        edge_elems[(cid, si)] = got
+        slot = slots[vmap[si]][h[("curve", cid)]]
+        edge_elems[(cid, si)] = is_conjugate(
+            tree2.spheres[vmap[si]].group.gen(slot), isos[si].images[pi - 1])
     return PromotedConjugator(vmap, isos, edge_elems)

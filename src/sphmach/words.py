@@ -214,6 +214,10 @@ class SphereGroup:
     """A sphere group: n named generators of infinite order with relator
     g1*...*gn, or the generators in the order ``relator`` lists them.
 
+    The group keys its peripheral classes once, (sign_insensitive,
+    canonical word) -> least i with gi in the class, for
+    ConjClass.peripheral_index; for n = 2, g1 and g2 = g1^-1 key to 1.
+
     Orbisphere groups (generators of finite order) are not modelled.
     """
 
@@ -238,6 +242,9 @@ class SphereGroup:
         # the letters of normal-form words
         self._letters = frozenset(
             s * i for i in self.free_gen_indices() for s in (1, -1))
+        # built from the last generator down, so the least index wins
+        self._punctures = {(flag, cyclic_canonical(self.gen(i), flag)): i
+                           for i in range(self.n, 0, -1) for flag in (False, True)}
 
     def __repr__(self):
         return f"SphereGroup({','.join(self.names)})"
@@ -309,9 +316,6 @@ class SphereGroup:
         """Print a word in the machine text syntax (empty word prints '')."""
         return run_length_str(self.names, w)
 
-    def peripheral_classes(self) -> list["ConjClass"]:
-        return [ConjClass(self, self.gen(i)) for i in range(1, self.n + 1)]
-
     def abelianized(self, w: Word):
         """Image of w in Z^n / (1,..,1), as an n-vector with last entry 0.
 
@@ -357,17 +361,11 @@ class ConjClass:
     def is_trivial(self) -> bool:
         return not self.canonical
 
-    def same_curve(self, other: "ConjClass") -> bool:
-        """Equality as unoriented curves (inversion always allowed)."""
-        return cyclic_canonical(self.rep, True) == cyclic_canonical(other.rep, True)
-
     def peripheral_index(self):
-        """1-based index i if this is the class of gi (sign folded in when
-        sign_insensitive); None otherwise."""
-        for i in range(1, self.group.n + 1):
-            if self.canonical == cyclic_canonical(self.group.gen(i), self.sign_insensitive):
-                return i
-        return None
+        """The least 1-based index i with this the class of gi (sign folded
+        in when sign_insensitive), or None: one lookup in the group's
+        puncture keys."""
+        return self.group._punctures.get((self.sign_insensitive, self.canonical))
 
 
 def is_conjugate(u: Word, v: Word):

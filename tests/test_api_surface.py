@@ -7,8 +7,12 @@ when a name, attribute or string constant with its name occurs in the
 benchmark (perfbench/*.py) or in the acceptance criteria.  String
 constants count there because the benchmark's tracer names the
 functions it wraps as strings.
+
+Every subcommand of the sphmach parser is also named by a string
+constant in tests/test_cli.py, so that each command runs there.
 """
 
+import argparse
 import ast
 from collections import Counter
 from pathlib import Path
@@ -65,3 +69,15 @@ def unreached():
 
 def test_every_public_definition_is_reached():
     assert unreached() == []
+
+
+def test_every_subcommand_is_named_in_the_cli_tests():
+    from sphmach import cli
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    named = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(set(sub.choices) - named) == []

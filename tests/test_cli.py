@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from sphmach.mcbiset import (
     compute_mcbiset, conjugacy_iterate, full_twist_generators,
 )
 from sphmach.words import SphereGroup, reduce_word
+from sphmach.machine import tensor
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
     parse_twist_word, mcb_to_json, mcb_from_json, save_mcb, load_mcb,
@@ -486,6 +488,86 @@ def test_cli_tensor_and_rebase(tmp_path, capsys):
                    "--conjugators", "a,") == 0
     text = capsys.readouterr().out
     assert parse_machine_file(text).machine.degree == 2
+
+
+def test_cli_invariants(tmp_path, capsys):
+    # a degree-2 machine over three punctures: a and c branch, b does not
+    path = tmp_path / "three.mach"
+    path.write_text("group: a,b,c\nrelator: a*b*c\n"
+                    "a=<,b>(1,2)\nb=<a,>\nc=<a^-1*b^-1,>(1,2)\n")
+    assert run_cli("--json", "invariants", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "sheets": 2, "punctures": 4, "euler_characteristic": -2, "genus": 0}
+    assert run_cli("invariants", str(MACHINES / "fbiset.mach")) == 3
+    assert "three punctures" in capsys.readouterr().err
+
+
+def test_cli_mcbiset_named_generators(capsys):
+    fb = str(MACHINES / "fbiset.mach")
+    assert run_cli("--json", "mcbiset", fb, "--gens", "s,t,u") == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["basis_size"], result["generators"]) == (120, ["s", "t", "u"])
+    assert run_cli("mcbiset", fb, "--gens", "s,zz") == 3
+    assert "automorphism 'zz' not defined" in capsys.readouterr().err
+
+
+def test_cli_tensor_prints_a_machine(capsys):
+    z2 = str(MACHINES / "z2.mach")
+    assert run_cli("tensor", z2, z2) == 0
+    printed = parse_machine_file(capsys.readouterr().out).machine
+    assert printed == tensor(zoo.z2().machine, zoo.z2().machine)
+
+
+def test_cli_split_exit_codes(capsys):
+    c7 = str(MACHINES / "centralizer7.mach")
+    assert run_cli("--json", "split", c7, "--curves", "x1*x2,x2*x3") == 1
+    assert json.loads(capsys.readouterr().out)["result"]["kind"] == "not-disjoint"
+    # a*c^b has the homology of a curve around a and c, but no generating
+    # realization within one conjugator letter
+    assert run_cli("--json", "split", str(MACHINES / "z5belyi.mach"),
+                   "--curves", "a*c^b", "--bound", "1") == 2
+    assert json.loads(capsys.readouterr().out)["result"]["kind"] == \
+        "bound-exhausted"
+
+
+def test_cli_promote_failure_reports_its_step(capsys):
+    mach = str(MACHINES / "centralizer7.mach")
+    # x1 and x2 lie on different vertices of the tree
+    swap = ",".join(["x1:x2", "x2:x1"] + [f"x{i}:x{i}" for i in range(3, 8)]
+                    + ["c0:c0", "c1:c1"])
+    assert run_cli("--json", "promote", mach, mach, "--map", swap) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["promoted"], result["failed_step"]) == (False, 2)
+
+
+def test_cli_promote_report_is_the_same_under_every_hash_seed():
+    # both curves map to punctures: step 1 names the first in tree order,
+    # not the first in a set's order, which moves with the string hashes
+    mach = str(MACHINES / "centralizer7.mach")
+    pairs = [f"x{i}:x{i}" for i in range(1, 8)] + ["c0:x1", "c1:x2"]
+    reports = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sphmach.cli", "--json", "promote", mach,
+             mach, "--map", ",".join(pairs)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 1
+        reports.add(json.loads(proc.stdout)["result"]["detail"])
+    assert reports == {"failed at step 1: ('curve', 0) does not map to a "
+                       "curve class"}
+
+
+def test_cli_solve_twists_theta_count_and_leading_minus(capsys):
+    c7 = str(MACHINES / "centralizer7.mach")
+    assert run_cli("solve-twists", c7, "--theta", "a") == 3
+    assert "one theta entry per curve" in capsys.readouterr().err
+    # a value starting with '-' reads as an option unless written with '='
+    assert run_cli("solve-twists", c7, "--theta", "-a,2*b") == 3
+    err = capsys.readouterr().err
+    assert "expected one argument" in err and "--option=value" in err
+    assert run_cli("--json", "solve-twists", c7, "--theta=-a,2*b") == 0
+    assert json.loads(capsys.readouterr().out)["result"]["constraints"] == \
+        ["a + 2*b = 0"]
 
 
 def _perfbench_module(name):

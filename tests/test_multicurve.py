@@ -1,7 +1,10 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphmach import perms
 from sphmach.words import (
@@ -601,3 +604,88 @@ def test_promote_relabeling_round_trip():
             matches = [pj for pj, t2 in enumerate(w.tags) if key(t2) == want]
             assert len(matches) == 1
             assert is_conjugate(w.group.gen(matches[0] + 1), img) is not None
+
+
+def test_classify_lifts_peripheral_and_other_tags():
+    # the curve x3*x4*x5 of centralizer7 lifts to the class of x3*x4, which
+    # is no puncture, to that of x5 and to the trivial class; an upstairs
+    # curve of the x3*x4 class takes precedence
+    M, C, _ = fixture()
+    G = M.source
+    curve = Multicurve(G, [(3, 4, 5)])
+    for upstairs in (None, curve):
+        [(_, tags)] = classify_lifts(M, curve, upstairs)
+        assert tags == [(2, ("other", ConjClass(G, (3, 4)))),
+                        (2, ("peripheral", 5)), (2, ("trivial",))]
+    [(_, tags)] = classify_lifts(M, curve, C)
+    assert tags == [(2, ("curve", 0)), (2, ("peripheral", 5)), (2, ("trivial",))]
+
+
+def test_z2_unoriented_class_of_b_is_puncture_1():
+    # over <a,b | ab>, b = a^-1: as oriented classes a and b are punctures
+    # 1 and 2, as unoriented curves one class, keyed to the least index
+    M = zoo.z2().machine
+    G = M.source
+    assert ConjClass(G, (2,)).peripheral_index() == 2
+    assert ConjClass(G, (2,), sign_insensitive=True).peripheral_index() == 1
+    [(_, tags)] = classify_lifts(M, Multicurve(G, [(2, 2)]), None)
+    assert tags == [(1, ("peripheral", 1)), (1, ("peripheral", 1))]
+
+
+@functools.cache
+def _promote_trees():
+    """Sphere trees of centralizer7 and of a five-punctured sphere, so
+    that maps also run between trees with different numbers of tags."""
+    G = zoo.centralizer7().machine.source
+    G5 = SphereGroup(["g1", "g2", "g3", "g4", "g5"])
+    return [mc_to_gog(G, Multicurve(G, cs)) for cs in (
+        [], [(3, 4)], [(3, 4), (2, 3, 4, 5)], [(1, 2)], [(1, 2), (3, 4)])] + \
+        [mc_to_gog(G5, Multicurve(G5, cs), bound=3) for cs in ([], [(1, 2)])]
+
+
+def _tag_keys(tree):
+    return sorted({t[:2] for v in tree.spheres for t in v.tags})
+
+
+@st.composite
+def tag_maps(draw):
+    trees = _promote_trees()
+    t1, t2 = draw(st.sampled_from(trees)), draw(st.sampled_from(trees))
+    k1, k2 = _tag_keys(t1), _tag_keys(t2)
+    kind = draw(st.sampled_from(["within vertices", "bijection", "any"]))
+    if kind == "within vertices":
+        # a permutation of the punctures of each vertex: it promotes
+        t2, h = t1, {k: k for k in k1}
+        for v in t1.spheres:
+            keys = [t[:2] for t in v.tags if t[0] == "puncture"]
+            h.update(zip(keys, draw(st.permutations(keys))))
+    elif kind == "bijection":
+        h = dict(zip(k1, itertools.cycle(draw(st.permutations(k2)))))
+    else:
+        h = {k: draw(st.sampled_from(k2)) for k in k1}
+    return t1, t2, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag_maps())
+def test_promote_fails_only_at_steps_1_and_2(case):
+    t1, t2, h = case
+    try:
+        got = promote_bijection(t1, t2, h)
+    except PromoteFailed as exc:
+        assert exc.step in (1, 2)
+        return
+    slots = {}
+    for i, phi in got.vertex_isos.items():
+        v, w = t1.spheres[i], t2.spheres[got.vertex_map[i]]
+        slots[i] = {t[:2]: pi for pi, t in enumerate(w.tags, 1)}
+        for tag, img in zip(v.tags, phi.images):
+            assert is_conjugate(w.group.gen(slots[i][h[tag[:2]]]), img) \
+                is not None
+    assert set(got.edge_elements) == {(cid, si) for cid, si, _, _ in t1.edges()}
+    for cid, si, pi, _ in t1.edges():
+        w = t2.spheres[got.vertex_map[si]]
+        gen = w.group.gen(slots[si][h[("curve", cid)]])
+        element = got.edge_elements[(cid, si)]
+        assert element is not None
+        assert conjugate(gen, element) == got.vertex_isos[si].images[pi - 1]
