@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 from . import perms
 from .words import run_length_str
@@ -33,7 +34,7 @@ from .multicurve import (
 )
 from .machfile import (
     MachineFile, ParseError, parse_machine_file, print_machine_file,
-    parse_word, parse_twist_word, parse_cycles, load_mcb, save_mcb,
+    parse_word, parse_twist_word, parse_cycles, mcb_from_json, save_mcb,
 )
 
 
@@ -50,12 +51,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+# path -> sha256 prefix of the text read from it, for the report
+_inputs: dict[str, str] = {}
+
+
 def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
+    _inputs[path] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return text
+
+
+def _write(path: str, write) -> None:
+    """Call write(), which writes path; an OSError is an input error."""
+    try:
+        write()
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
 
 
 def _load_machine_file(path: str) -> MachineFile:
@@ -63,13 +78,6 @@ def _load_machine_file(path: str) -> MachineFile:
         return parse_machine_file(_read(path))
     except ParseError as exc:
         raise CliError(f"{path}: {exc}")
-
-
-def _digest(*paths: str) -> dict:
-    out = {}
-    for p in paths:
-        out[p] = hashlib.sha256(_read(p).encode()).hexdigest()[:16]
-    return out
 
 
 def _curves_for(mf: MachineFile, arg: str | None) -> Multicurve:
@@ -95,9 +103,10 @@ def _gens_for(mf: MachineFile, arg: str | None):
     return out
 
 
-def _report(args, command: str, digests: dict, result, started: float):
+def _report(args, result, started: float):
     if args.json:
-        payload = {"command": command, "inputs": digests, "result": result}
+        payload = {"command": args.command, "inputs": _inputs,
+                   "result": result}
         if args.timing:
             payload["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
         print(json.dumps(payload, sort_keys=True))
@@ -161,8 +170,7 @@ def cmd_tensor(args):
     M = tensor(m1.machine, m2.machine)
     text = print_machine_file(MachineFile(M))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, lambda: Path(args.output).write_text(text))
         return {"written": args.output, "degree": M.degree}, 0
     sys.stdout.write(text)
     return None, 0
@@ -187,7 +195,7 @@ def cmd_mcbiset(args):
     gens = _gens_for(mf, args.gens)
     mcb = compute_mcbiset(mf.machine, gens)
     if args.output:
-        save_mcb(mcb, args.output)
+        _write(args.output, lambda: save_mcb(mcb, args.output))
     return {
         "basis_size": mcb.size,
         "generators": [nm for nm, _ in gens],
@@ -209,11 +217,9 @@ def cmd_iso(args):
 
 
 def cmd_classify_twist(args):
-    if args.max_steps < 0:
-        raise CliError(f"--max-steps must be nonnegative, got {args.max_steps}")
     try:
-        mcb = load_mcb(args.mcb)
-    except (OSError, KeyError, ValueError) as exc:
+        mcb = mcb_from_json(json.loads(_read(args.mcb)))
+    except (KeyError, ValueError) as exc:
         raise CliError(f"{args.mcb}: {exc}")
     word = parse_twist_word(args.word, mcb.alphabet)
     term = conjugacy_iterate(mcb, (word, mcb.base), max_steps=args.max_steps)
@@ -300,11 +306,7 @@ def cmd_solve_twists(args):
 def cmd_split(args):
     mf = _load_machine_file(args.machine)
     curves = _curves_for(mf, args.curves)
-    try:
-        tree = mc_to_gog(mf.machine.source, curves, bound=args.bound)
-    except SplitFailed as exc:
-        code = 2 if exc.kind == "bound-exhausted" else 1
-        return {"split": False, "kind": exc.kind, "detail": str(exc)}, code
+    tree = mc_to_gog(mf.machine.source, curves, bound=args.bound)
     if args.dot:
         print(tree.to_dot())
         return None, 0
@@ -364,6 +366,14 @@ def cmd_invariants(args):
     }, 0
 
 
+def _nonnegative(text: str) -> int:
+    """The value of --bound or --max-steps: an integer >= 0."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="sphmach",
@@ -409,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="conjugacy iteration in a mapping class biset")
     p.add_argument("mcb")
     p.add_argument("word")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=_nonnegative, default=10_000)
     p = add("monodromy", cmd_monodromy, help="monodromy permutation group")
     p.add_argument("machine")
     p = add("thurston-matrix", cmd_thurston_matrix,
@@ -430,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("split", cmd_split, help="sphere tree of groups of a multicurve")
     p.add_argument("machine")
     p.add_argument("--curves")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=_nonnegative, default=4)
     p.add_argument("--dot", action="store_true")
     p = add("promote", cmd_promote,
             help="promote a class bijection to a tree conjugator")
@@ -440,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves-other")
     p.add_argument("--map", required=True,
                    help="comma-separated tag pairs like x1:y2,c0:c0")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=_nonnegative, default=4)
     p = add("invariants", cmd_invariants,
             help="covering surface invariants of a three-puncture machine")
     p.add_argument("machine")
@@ -448,24 +458,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _inputs.clear()
     try:
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
         result, code = args.fn(args)
+    except SplitFailed as exc:
+        # split and promote answer a failed split alike: inconclusive when
+        # the bound ran out, negative for the definite kinds
+        result = {"split": False, "kind": exc.kind, "detail": str(exc)}
+        code = 2 if exc.kind == "bound-exhausted" else 1
     except (CliError, ParseError, MachineError, MulticurveError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if result is not None:
-        inputs = {}
-        for attr in ("machine", "other", "mcb"):
-            path = getattr(args, attr, None)
-            if path:
-                try:
-                    inputs.update(_digest(path))
-                except CliError:
-                    pass
-        _report(args, args.command, inputs, result, started)
+        _report(args, result, started)
     return code
 
 

@@ -195,21 +195,47 @@ class MachineFile:
                 and self.autos == other.autos)
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not inside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
+def _group(what: str, names, relator) -> SphereGroup:
+    """The sphere group of a group block, its relator given as (generator
+    names, line) or None; ParseError "<what>: <reason>" when it is bad."""
+    words, line = relator or (None, None)
+    try:
+        return SphereGroup(names, relator=words)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{what}: {exc}", line)
+
+
+def _machine(source: SphereGroup, target: SphereGroup, read: _WordReader,
+             rows, degree=None) -> SphereMachine:
+    """The machine of its row lines, given as (text, line number), one
+    per source generator, with read reading the entries over target.
+
+    The word grammar puts no comma inside parentheses, so the entries
+    are the comma-separated pieces; a piece that is not a word raises
+    ParseError.
+    """
+    by_name: dict[str, WreathElement] = {}
+    for text, ln in rows:
+        m = _ROW.match(text)
+        if not m:
+            raise ParseError(f"cannot parse line {text!r}", ln)
+        name, entries_text, cycles_text = m.groups()
+        if name not in source._index:
+            raise ParseError(f"row for unknown generator {name!r}", ln)
+        if name in by_name:
+            raise ParseError(f"duplicate row for {name!r}", ln)
+        entries = tuple(read(e, ln) for e in entries_text.split(","))
+        if degree is None:
+            degree = len(entries)
+        if len(entries) != degree:
+            raise ParseError(
+                f"row has {len(entries)} entries, declared degree {degree}", ln)
+        by_name[name] = WreathElement(entries,
+                                      parse_cycles(cycles_text, degree, ln))
+    missing = [nm for nm in source.names if nm not in by_name]
+    if missing:
+        raise ParseError(f"missing rows for {', '.join(missing)}")
+    return SphereMachine(source, target, [by_name[nm] for nm in source.names])
 
 
 def parse_machine_file(text: str) -> MachineFile:
@@ -218,7 +244,7 @@ def parse_machine_file(text: str) -> MachineFile:
     target_names = None
     target_relator = None
     degree = None
-    rows_raw: list[tuple[str, str, str, int]] = []
+    rows_raw: list[tuple[str, int]] = []
     curve_text = None
     auto_raw: list[tuple[str, str, int]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -229,13 +255,13 @@ def parse_machine_file(text: str) -> MachineFile:
         if low.startswith("group:"):
             source_names = [x.strip() for x in line[6:].split(",") if x.strip()]
         elif low.startswith("relator:"):
-            relator = (line[8:].strip(), ln)
+            relator = ([x.strip() for x in line[8:].split("*")], ln)
         elif low.startswith("orders:"):
             raise ParseError("finite generator orders are not supported", ln)
         elif low.startswith("target:"):
             target_names = [x.strip() for x in line[7:].split(",") if x.strip()]
         elif low.startswith("target_relator:"):
-            target_relator = (line[15:].strip(), ln)
+            target_relator = ([x.strip() for x in line[15:].split("*")], ln)
         elif low.startswith("degree:"):
             try:
                 degree = int(line[7:])
@@ -250,63 +276,25 @@ def parse_machine_file(text: str) -> MachineFile:
             name, images = body.split("=", 1)
             auto_raw.append((name.strip(), images.strip(), ln))
         else:
-            m = _ROW.match(line)
-            if not m:
-                raise ParseError(f"cannot parse line {raw.strip()!r}", ln)
-            rows_raw.append((m.group(1), m.group(2), m.group(3), ln))
+            rows_raw.append((line, ln))
     if source_names is None:
         raise ParseError("missing 'group:' line")
-    rel_line = None
-    if relator is not None:
-        # the relator line lists each generator once, in cyclic order
-        rel_line = [x.strip() for x in relator[0].split("*")]
-    try:
-        source = SphereGroup(source_names, relator=rel_line)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad group block: {exc}",
-                         relator[1] if relator else None)
-    if target_names is None:
-        target = source
-    else:
-        rel_line = None
-        if target_relator is not None:
-            rel_line = [x.strip() for x in target_relator[0].split("*")]
-        try:
-            target = SphereGroup(target_names, relator=rel_line)
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad target block: {exc}",
-                             target_relator[1] if target_relator else None)
-    read_source, read_target = _WordReader(source), _WordReader(target)
-    by_name: dict[str, tuple] = {}
-    for name, entries_text, cycles_text, ln in rows_raw:
-        if name not in source._index:
-            raise ParseError(f"row for unknown generator {name!r}", ln)
-        if name in by_name:
-            raise ParseError(f"duplicate row for {name!r}", ln)
-        entries = [read_target(e, ln) for e in _split_top_level(entries_text)]
-        if degree is None:
-            degree = len(entries)
-        if len(entries) != degree:
-            raise ParseError(
-                f"row has {len(entries)} entries, declared degree {degree}", ln)
-        by_name[name] = (entries, parse_cycles(cycles_text, degree, ln))
-    missing = [nm for nm in source.names if nm not in by_name]
-    if missing:
-        raise ParseError(f"missing rows for {', '.join(missing)}")
-    rows = [WreathElement(tuple(by_name[nm][0]), by_name[nm][1])
-            for nm in source.names]
-    machine = SphereMachine(source, target, rows)
+    source = _group("bad group block", source_names, relator)
+    target = source if target_names is None else \
+        _group("bad target block", target_names, target_relator)
+    read_source = _WordReader(source)
+    machine = _machine(source, target, _WordReader(target), rows_raw, degree)
     curves = None
     if curve_text is not None:
         reps = [read_source(x.strip(), curve_text[1])
-                for x in _split_top_level(curve_text[0])]
+                for x in curve_text[0].split(",")]
         try:
             curves = Multicurve(source, reps)
         except MulticurveError as exc:
             raise ParseError(f"bad curves: {exc}", curve_text[1])
     autos = {}
     for name, images_text, ln in auto_raw:
-        images = [read_source(x, ln) for x in _split_top_level(images_text)]
+        images = [read_source(x, ln) for x in images_text.split(",")]
         if len(images) != source.n:
             raise ParseError(
                 f"automorphism {name} needs {source.n} images", ln)
@@ -453,27 +441,25 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
     if "group" in data:
         gdata = _field(data, "group", dict)
         names = _field(gdata, "generators", (list, str))
-        relator = (_field(gdata, "relator", (list, str))
+        relator = ((_field(gdata, "relator", (list, str)), None)
                    if "relator" in gdata else None)
-        try:
-            group = SphereGroup(names, relator=relator)
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f".mcb: bad group: {exc}")
-        machines = []
-        for rows_text in _field(data, "machines", (list, list)):
-            _check(rows_text, (list, str), "machine rows")
-            text = "group: " + ",".join(group.names) + "\n" + \
-                "relator: " + "*".join(group.names[i - 1]
-                                       for i in group.relator) + "\n" + \
-                "\n".join(rows_text)
-            machines.append(parse_machine_file(text).machine)
-        if len(machines) != len(basis):
-            raise ParseError(f".mcb: {len(machines)} machines for a basis "
+        group = _group(".mcb: bad group", names, relator)
+        read = _WordReader(group)
+        rows_texts = _field(data, "machines", (list, list))
+        if len(rows_texts) != len(basis):
+            raise ParseError(f".mcb: {len(rows_texts)} machines for a basis "
                              f"of {len(basis)}")
+        machines = []
+        for k, rows_text in enumerate(rows_texts):
+            _check(rows_text, (list, str), "machine rows")
+            try:
+                machines.append(_machine(group, group, read, [
+                    (row, ln) for ln, row in enumerate(rows_text, start=1)]))
+            except ParseError as exc:
+                raise ParseError(f".mcb: machine {basis[k]!r}: {exc}")
         d = machines[0].degree
         if any(m.degree != d for m in machines):
             raise ParseError(".mcb: machines of different degrees")
-        read = _WordReader(group)
         for name, images in _field(data, "generators", dict, {}).items():
             what = f"generator {name!r}"
             gens[name] = _automorphism(

@@ -103,14 +103,6 @@ class SphereMachine:
     def monodromy_perms(self) -> list[Perm]:
         return [r.perm for r in self.rows]
 
-    def cycle_product(self, i: int, cycle) -> Word:
-        """Product of the entries of row i along a cycle of its permutation."""
-        row = self.rows[i - 1]
-        out = EPSILON
-        for p in cycle:
-            out = wmul(out, row.entries[p])
-        return out
-
     def text_rows(self) -> list[str]:
         out = []
         for i, row in enumerate(self.rows):
@@ -136,18 +128,23 @@ class LiftMultiset:
         return sum(d for d, _ in self.entries)
 
 
+def cycle_classes(w: WreathElement, target: SphereGroup):
+    """Yield (cycle, class) for each cycle of w's permutation, in action
+    order from its least point, with the target conjugacy class of the
+    product of w's entries along it."""
+    for cycle in perms.cycles(w.perm):
+        h = EPSILON
+        for p in cycle:
+            h = wmul(h, w.entries[p])
+        yield cycle, ConjClass(target, h)
+
+
 def multiset_of_lifts(M: SphereMachine, c) -> LiftMultiset:
     """Lifts of the conjugacy class of the source word c: orbit degrees of
     the right action of c, with the classes of the return words."""
     w = M.evaluate(M.source.normal_form(c))
-    out = []
-    for cycle in perms.cycles(w.perm):
-        # cycles come in action order starting from their least point
-        h = EPSILON
-        for p in cycle:
-            h = wmul(h, w.entries[p])
-        out.append((len(cycle), ConjClass(M.target, h)))
-    return LiftMultiset(out)
+    return LiftMultiset([(len(cycle), cls)
+                         for cycle, cls in cycle_classes(w, M.target)])
 
 
 @dataclass

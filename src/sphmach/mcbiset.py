@@ -16,12 +16,13 @@ from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
     winv, wmul, reduce_word, substitute_all, outer_normalize,
-    is_conjugate, is_peripheral_preserving,
+    is_conjugate, is_peripheral_preserving, dehn_twist,
 )
 from .machine import (
     SphereMachine, BasisChange, change_basis, pre_compose,
-    normalize_basis, validate_sphere, MachineError,
+    normalize_basis, validate_sphere, cycle_classes, MachineError,
 )
+from .folding import SubgroupGraph
 
 
 class ReconstructionError(MachineError):
@@ -47,9 +48,8 @@ class Distillation:
         self.perm_tuple: tuple[Perm, ...] = tuple(machine.monodromy_perms())
         self.labels: dict[tuple[int, int], ConjClass] = {}
         keyed_cycles = []   # (generator, cycle, label key), keyed once
-        for i in range(1, machine.source.n + 1):
-            for cyc in perms.cycles(self.perm_tuple[i - 1]):
-                cls = ConjClass(machine.target, machine.cycle_product(i, cyc))
+        for i, row in enumerate(machine.rows, 1):
+            for cyc, cls in cycle_classes(row, machine.target):
                 self.labels[(i, cyc[0])] = cls
                 keyed_cycles.append((i, cyc, _label_key(cls)))
         self.key, self.numberings = self._canonicalize(keyed_cycles)
@@ -121,8 +121,6 @@ class _KnitSolver:
     """
 
     def __init__(self, M1: SphereMachine, d1: Distillation | None = None):
-        from .folding import SubgroupGraph
-
         self.M1 = M1
         self.d1 = d1 or distill(M1)
         # edges (point, row, next) of the breadth-first walk
@@ -336,8 +334,6 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
 
 def full_twist_generators(G: SphereGroup):
     """All twists t_{i,j}, 1 <= i < j <= n, named by relator positions."""
-    from .words import dehn_twist
-
     return [(f"t{i}_{j}", dehn_twist(i, j, G))
             for i in range(1, G.n + 1) for j in range(i + 1, G.n + 1)]
 

@@ -80,21 +80,9 @@ def deficit(p: Perm) -> int:
     return len(p) - len(cycles(p))
 
 
-def orbit_partition(gens: list[Perm], d: int) -> list[list[int]]:
-    """Orbits of the group generated by gens on {0..d-1}, sorted by least point."""
-    seen = [False] * d
-    orbits = []
-    for i in range(d):
-        if not seen[i]:
-            orb = sorted([i] + [q for _, _, q in spanning_tree(gens, i)[0]])
-            for q in orb:
-                seen[q] = True
-            orbits.append(orb)
-    return orbits
-
-
 def is_transitive(gens: list[Perm], d: int) -> bool:
-    return len(orbit_partition(gens, d)) <= 1
+    """Does <gens> act transitively on {0..d-1}?  True for d = 0."""
+    return d == 0 or len(spanning_tree(gens)[0]) == d - 1
 
 
 def group_order(gens: list[Perm], d: int) -> int:

@@ -31,6 +31,8 @@ letter tokens.
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import chain
 from operator import add, eq, neg
 
 
@@ -284,33 +286,19 @@ class SphereGroup:
         A word already in normal form comes back as a tuple, unchanged:
         two C-level scans show that every letter is a kept generator or
         its inverse and that no letter is followed by its inverse.  Any
-        other word is rewritten letter by letter.
+        other word has the eliminated generator expanded and goes through
+        reduce_word; a letter outside +-1..n raises IndexError.
         """
         w = tuple(w)
         if self._letters.issuperset(w) and all(map(add, w, w[1:])):
             return w
-        out: list[int] = []
-
-        def push(x):
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-
-        gone = self._eliminated
-        body = self.relator[:-1]
-        for x in w:
-            if x == 0 or abs(x) > self.n:
-                raise IndexError(f"letter {x} out of range for {self!r}")
-            if abs(x) != gone:
-                push(x)
-            elif x > 0:
-                for i in reversed(body):
-                    push(-i)
-            else:
-                for i in body:
-                    push(i)
-        return tuple(out)
+        bad = next((x for x in w if not 0 < abs(x) <= self.n), None)
+        if bad is not None:
+            raise IndexError(f"letter {bad} out of range for {self!r}")
+        gone, body = self._eliminated, self.relator[:-1]
+        expand = {gone: winv(body), -gone: body}
+        return reduce_word(chain.from_iterable(
+            expand.get(x, (x,)) for x in w))
 
     def word_str(self, w: Word) -> str:
         """Print a word in the machine text syntax (empty word prints '')."""
@@ -513,8 +501,6 @@ def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
     With return_conjugator, also return the word g with
     result(w) = phi(w)^g for every w.
     """
-    from collections import deque
-
     imgs = [deque(w) for w in phi.images]
     live = [dq for dq in imgs if dq]    # conjugation keeps them nonempty
     g: list[int] = []

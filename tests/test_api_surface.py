@@ -9,7 +9,8 @@ constants count there because the benchmark's tracer names the
 functions it wraps as strings.
 
 Every subcommand of the sphmach parser is also named by a string
-constant in tests/test_cli.py, so that each command runs there.
+constant in tests/test_cli.py, so that each command runs there, and
+every import in the package is at module level but one.
 """
 
 import argparse
@@ -81,3 +82,25 @@ def test_every_subcommand_is_named_in_the_cli_tests():
     named = {node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert sorted(set(sub.choices) - named) == []
+
+
+def _local_imports(node, scope=()):
+    """(definition, imported module) of every import inside a function
+    or class, the definition named by its dotted scope."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, defs):
+            yield from _local_imports(child, scope + (child.name,))
+        elif isinstance(child, (ast.Import, ast.ImportFrom)) and scope:
+            module = getattr(child, "module", None)
+            for alias in child.names:
+                yield ".".join(scope), module or alias.name
+        else:
+            yield from _local_imports(child, scope)
+
+
+def test_imports_are_at_module_level():
+    found = {(path.stem, *imp) for path in sorted(PACKAGE.glob("*.py"))
+             for imp in _local_imports(ast.parse(path.read_text()))}
+    # folding imports words, so Automorphism.inverse imports folding late
+    assert found == {("words", "Automorphism.inverse", "folding")}

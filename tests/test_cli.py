@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -709,3 +710,77 @@ def test_malformed_biset_fields_raise_parse_error(spoil, message):
     with pytest.raises(ParseError) as exc:
         mcb_from_json(data)
     assert message in str(exc.value)
+
+
+def test_cli_promote_reports_a_failed_split_as_split_does(capsys):
+    z5 = str(MACHINES / "z5belyi.mach")
+    assert run_cli("--json", "split", z5, "--curves", "a*c^b",
+                   "--bound", "1") == 2
+    split = json.loads(capsys.readouterr().out)["result"]
+    assert run_cli("--json", "promote", z5, z5, "--curves", "a*c^b",
+                   "--curves-other", "a*c^b", "--bound", "1",
+                   "--map", "a:a,b:b,c:c,d:d,c0:c0") == 2
+    promote = json.loads(capsys.readouterr().out)["result"]
+    assert promote == split
+    assert promote["kind"] == "bound-exhausted"
+    c7 = str(MACHINES / "centralizer7.mach")
+    assert run_cli("--json", "promote", c7, c7, "--curves", "x1*x2,x2*x3",
+                   "--map", "x1:x1") == 1
+    assert json.loads(capsys.readouterr().out)["result"]["kind"] == \
+        "not-disjoint"
+
+
+def test_cli_negative_bound_exit_code(capsys):
+    c7 = str(MACHINES / "centralizer7.mach")
+    assert run_cli("split", c7, "--bound", "-1") == 3
+    assert "--bound" in capsys.readouterr().err
+    assert run_cli("promote", c7, c7, "--map", "x1:x1", "--bound", "-1") == 3
+    assert "--bound" in capsys.readouterr().err
+    assert run_cli("split", c7, "--bound", "x") == 3
+    assert "--bound" in capsys.readouterr().err
+
+
+def test_cli_unwritable_output_exit_code(tmp_path, capsys):
+    z2 = str(MACHINES / "z2.mach")
+    out = tmp_path / "missing" / "x.mach"
+    assert run_cli("tensor", z2, z2, "-o", str(out)) == 3
+    assert f"cannot write {out}" in capsys.readouterr().err
+    out = tmp_path / "missing" / "x.mcb"
+    assert run_cli("mcbiset", z2, "-o", str(out)) == 3
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_cli_input_digest_is_that_of_the_text_read(capsys):
+    for args in (("validate", str(MACHINES / "centralizer7.mach")),
+                 ("classify-twist", str(MACHINES / "rabbit.mcb"), "t^3")):
+        assert run_cli("--json", *args) == 0
+        text = Path(args[1]).read_text()
+        assert json.loads(capsys.readouterr().out)["inputs"] == {
+            args[1]: hashlib.sha256(text.encode()).hexdigest()[:16]}
+
+
+def test_malformed_mcb_machine_row_names_its_basis_element(tmp_path, capsys):
+    data = json.loads(_pilgrim_s_text())
+    data["machines"][2][1] = "b=<a^(b,c)>(1,2)"
+    with pytest.raises(ParseError) as exc:
+        mcb_from_json(data)
+    assert str(exc.value).startswith(".mcb: machine 'b2': ")
+    bad = tmp_path / "bad.mcb"
+    bad.write_text(json.dumps(data))
+    assert run_cli("classify-twist", str(bad), "s") == 3
+    assert "machine 'b2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "a=<a^(b,c)>",
+    "curves: a^(b,c)*b^(b,c)",
+    "auto f = a^(b,c),b^(b,c),c^(b,c),d^(b,c)",
+])
+def test_comma_inside_an_exponent_raises_parse_error(line):
+    rows = [r for r in ("a=<a>", "b=<b>", "c=<c>", "d=<d>")
+            if not line.startswith(r[:2])]
+    text = "\n".join(["group: a,b,c,d"] + rows + [line]) + "\n"
+    with pytest.raises(ParseError):
+        parse_machine_file(text)
+    # with a product in the exponent the same line parses
+    parse_machine_file(text.replace("(b,c)", "(b*c)"))
