@@ -151,7 +151,7 @@ def cmd_lifts(args):
     entries = lifts.entries if not args.essential \
         else [(d, c) for d, c in lifts.entries if not c.is_trivial()]
     return {
-        "class": M.source.word_str(w),
+        "class": M.source.word_str(w) or "1",
         "lifts": [{"degree": d, "class": M.target.word_str(c.canonical) or "1"}
                   for d, c in entries],
         "total_degree": lifts.total_degree(),

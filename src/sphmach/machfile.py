@@ -153,6 +153,10 @@ class _WordReader:
 
 
 def parse_word(text: str, group: SphereGroup, line=None) -> Word:
+    """A word typed on the command line; '1' is the trivial word, as the
+    reports print it.  Row entries in files are read by _WordReader."""
+    if text.strip() == "1":
+        return EPSILON
     return _WordReader(group)(text, line)
 
 

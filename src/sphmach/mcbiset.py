@@ -58,26 +58,57 @@ class Distillation:
         """The least (relabelled permutations, sorted cycle labels) over
         the breadth-first numberings from every start, with every
         numbering that attains it.  Labels only break ties, so a start
-        whose permutations already exceed the best builds none."""
+        whose permutations already exceed the best builds none.
+
+        A start is dropped as soon as it provably loses.  Its walk numbers
+        the points in the order reached, so the i-th point p has number
+        i, and the first edge walked out of p is the first generator's,
+        to q = g0[p].  Then q is numbered already (earlier, or by this
+        edge), so num[q] is final: it is entry i of the relabelled first
+        permutation, and the entries come in the order i = 0, 1, ...  The
+        key compares that permutation before anything else.  So while
+        entries 0..i-1 tie with the best key's, a larger entry i means
+        the start can neither win nor tie, and its walk stops; once an
+        entry is smaller, no entry is compared again.  A start that ties
+        on the whole first permutation is compared in full.  The first
+        start walks to the end, so an intransitive machine is caught.
+        """
+        gens = self.perm_tuple
+        d = self.degree
         best = None
         maps = []
-        for start in range(self.degree):
-            tree, _ = perms.spanning_tree(self.perm_tuple, start)
-            if len(tree) < self.degree - 1:
+        for start in range(d):
+            num = [0] * d
+            order = [start]
+            first = best[0][0] if best is not None else None
+            lost = False
+            for p, r, q, new in perms.breadth_first(gens, start):
+                if new:
+                    num[q] = len(order)
+                    order.append(q)
+                if r == 0 and first is not None:
+                    entry, least = num[q], first[num[p]]
+                    if entry > least:
+                        lost = True
+                        break
+                    if entry < least:
+                        first = None
+            if lost:
+                continue
+            if len(order) < d:
                 raise MachineError("distillation requires a transitive machine")
-            order = [start] + [q for _, _, q in tree]
-            num = perms.inverse(order)
-            new_perms = tuple(tuple(num[pi[p]] for p in order)
-                              for pi in self.perm_tuple)
+            at = num.__getitem__
+            new_perms = tuple(tuple(map(at, map(pi.__getitem__, order)))
+                              for pi in gens)
             if best is not None and new_perms > best[0]:
                 continue
             enc = (new_perms, tuple(sorted(
-                ((i, min(num[q] for q in cyc)), key)
+                ((i, min(map(at, cyc))), key)
                 for i, cyc, key in keyed_cycles)))
             if best is None or enc < best:
-                best, maps = enc, [num]
+                best, maps = enc, [tuple(num)]
             elif enc == best:
-                maps.append(num)
+                maps.append(tuple(num))
         return best, maps
 
 

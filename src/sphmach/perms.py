@@ -133,21 +133,27 @@ def group_order(gens: list[Perm], d: int) -> int:
     return prod(len(T) for _, _, T, _ in levels)
 
 
-def spanning_tree(gens: list[Perm], start: int = 0):
-    """Edges (p, r, q), q = gens[r][p], of the breadth-first walk from
-    start (points in the order reached, generators in list order), as
-    (tree, back) in the order met: a tree edge reaches a new point."""
+def breadth_first(gens: list[Perm], start: int = 0):
+    """The breadth-first walk from start, edge by edge: yields (p, r, q,
+    new) with q = gens[r][p], points in the order reached, generators in
+    list order; new says that q is reached here first (a tree edge)."""
     order = [start]
     seen = {start}
-    tree: list[tuple[int, int, int]] = []
-    back: list[tuple[int, int, int]] = []
     for p in order:
         for r, g in enumerate(gens):
             q = g[p]
-            if q in seen:
-                back.append((p, r, q))
-            else:
+            new = q not in seen
+            if new:
                 seen.add(q)
-                tree.append((p, r, q))
                 order.append(q)
+            yield p, r, q, new
+
+
+def spanning_tree(gens: list[Perm], start: int = 0):
+    """Edges (p, r, q) of breadth_first(gens, start) as (tree, back) in
+    the order met: a tree edge reaches a new point."""
+    tree: list[tuple[int, int, int]] = []
+    back: list[tuple[int, int, int]] = []
+    for p, r, q, new in breadth_first(gens, start):
+        (tree if new else back).append((p, r, q))
     return tree, back

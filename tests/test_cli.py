@@ -157,13 +157,16 @@ def _outcome(read, text):
                 .filter(lambda t: not re.search(r"\d{3}", t)), max_size=4))
 def test_random_text_parses_or_raises_parse_error(texts):
     # at most two digits in a row keep exponents small; one reader kept
-    # over several texts, as a .mcb load keeps it, answers as fresh ones do
+    # over several texts, as a .mcb load keeps it, answers as fresh ones do,
+    # and parse_word as they do except that it reads "1" as the trivial word
     G = FUZZ_GROUP
     shared = _WordReader(G)
     for text in texts:
-        got = _outcome(lambda t: parse_word(t, G), text)
+        got = _outcome(lambda t: _WordReader(G)(t), text)
         assert got == _outcome(shared, text)
         assert isinstance(got, str) or got == G.normal_form(got)
+        assert _outcome(lambda t: parse_word(t, G), text) == (
+            () if text.strip() == "1" else got)
 
 
 MALFORMED_WORDS = [
@@ -225,6 +228,10 @@ def test_word_syntax():
     assert parse_word("x3^(x1*x2)", G) == (-2, -1, 3, 1, 2)
     assert parse_word("x3^x1", G) == (-1, 3, 1)
     assert parse_word("", G) == ()
+    assert parse_word(" 1 ", G) == ()
+    # in a file, "1" is no row entry
+    with pytest.raises(ParseError):
+        _WordReader(G)("1")
 
 
 def test_cli_validate(capsys):
@@ -288,6 +295,18 @@ def test_cli_classify_twist(capsys):
     assert run_cli("classify-twist", str(MACHINES / "rabbit.mcb"), "t^3") == 0
     out = capsys.readouterr().out
     assert "f_R" in out and "fixed" in out
+
+
+@pytest.mark.parametrize("word", ["1", ""])
+def test_cli_lifts_of_the_trivial_word(word, capsys):
+    # both spellings read as the trivial word, reported as "1" like the
+    # lift classes: every one of the six lifts is trivial of degree 1
+    assert run_cli("--json", "lifts", str(MACHINES / "centralizer7.mach"),
+                   word) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["class"] == "1"
+    assert result["lifts"] == [{"class": "1", "degree": 1}] * 6
+    assert result["total_degree"] == 6
 
 
 def test_cli_lifts_and_iso(capsys):

@@ -160,13 +160,83 @@ def test_distill_matches_reference_on_relabelled_tensor_powers():
         assert distill(Mr).key == distill(M).key
 
 
+def _rows(G, perm_list, entries):
+    return SphereMachine(G, G, [WreathElement(tuple(e), tuple(p))
+                                for p, e in zip(perm_list, entries)])
+
+
+def test_distill_matches_reference_where_pruning_rarely_fires():
+    # a first generator that is the identity or fixes all but two points
+    # ties on most entries, so most starts are compared in full
+    rng = random.Random(5)
+    G = SphereGroup(["a", "b", "c"])
+    for _ in range(60):
+        d = rng.randint(2, 8)
+        first = list(range(d))
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(d), 2)
+            first[i], first[j] = j, i
+        while True:
+            rest = [rng.sample(range(d), d) for _ in range(2)]
+            if perms.is_transitive([tuple(first)] + rest, d):
+                break
+        entries = [[rng.choice([(), (), (1,), (-2,)]) for _ in range(d)]
+                   for _ in range(3)]
+        M = _rows(G, [first] + rest, entries)
+        got = distill(M)
+        assert (got.key, got.numberings) == _reference_distillation(M)
+
+
+def test_distill_keeps_every_tying_start():
+    # a d-cycle and its inverse, one entry each: the machine is invariant
+    # under rotation, so all d starts tie and each keeps its numbering
+    G = SphereGroup(["a", "b"])
+    for d in (1, 2, 5, 12):
+        shift = [(p + 1) % d for p in range(d)]
+        back = [(p - 1) % d for p in range(d)]
+        M = _rows(G, [shift, back], [[(1,)] + [()] * (d - 1),
+                                     [(-1,)] + [()] * (d - 1)])
+        got = distill(M)
+        assert (got.key, got.numberings) == _reference_distillation(M)
+        assert len(got.numberings) == d
+        # in the order of their starts, each numbering its start 0
+        assert [num.index(0) for num in got.numberings] == list(range(d))
+
+
+def test_distill_degree_one():
+    z = zoo.centralizer7().machine
+    G = z.target
+    M = _rows(G, [[0]] * G.n, [[G.gen(i)] for i in range(1, G.n + 1)])
+    got = distill(M)
+    assert (got.key, got.numberings) == _reference_distillation(M)
+    assert got.numberings == [(0,)]
+
+
+def test_distill_of_the_degree_216_tower_rebased_with_conjugators():
+    B = zoo.centralizer7().machine
+    M = tensor(tensor(B, B), B)
+    rng = random.Random(9)
+    letters = [i for i in range(-7, 8) if i]
+    conj = tuple(M.target.normal_form(
+        [rng.choice(letters) for _ in range(rng.randint(0, 4))])
+        for _ in range(M.degree))
+    relabel = list(range(M.degree))
+    rng.shuffle(relabel)
+    Mr = change_basis(M, BasisChange(conj, tuple(relabel)))
+    got = distill(Mr)
+    assert (got.key, got.numberings) == _reference_distillation(Mr)
+    assert got.key == distill(M).key
+
+
 def test_machine_isomorphism_round_trip():
     B = zoo.centralizer7().machine
     letters = [i for i in range(-6, 7) if i]
-    # degree 6 with 20 cases, and the degree-36 tower machine B (x) B with
-    # relabelled bases, which once took over 10 s on most seeds
+    # degree 6 with 20 cases, the degree-36 tower machine B (x) B with
+    # relabelled bases, which once took over 10 s on most seeds, and one
+    # relabelled case of the degree-216 tower machine
     cases = [(B, random.Random(0), 20)] + [
-        (tensor(B, B), random.Random(seed), 1) for seed in range(1, 6)]
+        (tensor(B, B), random.Random(seed), 1) for seed in range(1, 6)] + [
+        (tensor(tensor(B, B), B), random.Random(6), 1)]
     for M, rng, count in cases:
         for _ in range(count):
             conj = tuple(M.target.normal_form(
