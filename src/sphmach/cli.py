@@ -20,14 +20,14 @@ from . import perms
 from .words import run_length_str
 from .machine import (
     BasisChange, validate_sphere, multiset_of_lifts, portrait,
-    tensor, change_basis, MachineError,
+    tensor, change_basis,
 )
 from .mcbiset import (
     compute_mcbiset, full_twist_generators, same_left_orbit, conjugacy_iterate,
     monodromy, correspondence_invariants,
 )
 from .multicurve import (
-    Multicurve, MulticurveError, SplitFailed, PromoteFailed,
+    Multicurve, SplitFailed, PromoteFailed,
     thurston_matrix, is_obstructed,
     TwistFixedPointProblem, LinExpr, solve_twist_fixed_point, mc_to_gog,
     promote_bijection,
@@ -240,10 +240,14 @@ def cmd_monodromy(args):
     }, 0
 
 
-def cmd_thurston_matrix(args):
+def _thurston_matrix(args):
+    """The Thurston matrix of the machine file's multicurve."""
     mf = _load_machine_file(args.machine)
-    curves = _curves_for(mf, args.curves)
-    T = thurston_matrix(mf.machine, curves)
+    return thurston_matrix(mf.machine, _curves_for(mf, args.curves))
+
+
+def cmd_thurston_matrix(args):
+    T = _thurston_matrix(args)
     return {
         "rows": T.rows,
         "cols": T.cols,
@@ -252,9 +256,7 @@ def cmd_thurston_matrix(args):
 
 
 def cmd_obstructed(args):
-    mf = _load_machine_file(args.machine)
-    curves = _curves_for(mf, args.curves)
-    T = thurston_matrix(mf.machine, curves)
+    T = _thurston_matrix(args)
     rep = is_obstructed(T)
     return {
         "matrix": [[str(x) for x in row] for row in T.entries],
@@ -288,9 +290,7 @@ def _parse_lin_expr(text: str) -> LinExpr:
 
 
 def cmd_solve_twists(args):
-    mf = _load_machine_file(args.machine)
-    curves = _curves_for(mf, args.curves)
-    T = thurston_matrix(mf.machine, curves)
+    T = _thurston_matrix(args)
     theta = [_parse_lin_expr(x) for x in args.theta.split(",")]
     if len(theta) != len(T.cols):
         raise CliError("need one theta entry per curve")
@@ -468,8 +468,7 @@ def main(argv=None) -> int:
         # the bound ran out, negative for the definite kinds
         result = {"split": False, "kind": exc.kind, "detail": str(exc)}
         code = 2 if exc.kind == "bound-exhausted" else 1
-    except (CliError, ParseError, MachineError, MulticurveError,
-            ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if result is not None:

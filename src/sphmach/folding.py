@@ -174,9 +174,6 @@ class SubgroupGraph:
         """Subgroup index in the free group on the given positive letters:
         the number of core graph states when the graph is complete over
         them, None when the index is infinite."""
-        if isinstance(letters, int):
-            letters = range(1, letters + 1)
-        letters = list(letters)
         sts = self.states()
         for v in sts:
             for x in letters:

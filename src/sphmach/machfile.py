@@ -242,6 +242,18 @@ def _machine(source: SphereGroup, target: SphereGroup, read: _WordReader,
     return SphereMachine(source, target, [by_name[nm] for nm in source.names])
 
 
+def _automorphism(read: _WordReader, texts, what: str,
+                  line=None) -> Automorphism:
+    """The automorphism with the images read from texts; a wrong number of
+    images or images that break the relator raise ParseError "<what>:
+    <reason>"."""
+    images = [read(w, line) for w in texts]
+    try:
+        return Automorphism(read.group, images)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}", line)
+
+
 def parse_machine_file(text: str) -> MachineFile:
     source_names = None
     relator = None
@@ -296,16 +308,9 @@ def parse_machine_file(text: str) -> MachineFile:
             curves = Multicurve(source, reps)
         except MulticurveError as exc:
             raise ParseError(f"bad curves: {exc}", curve_text[1])
-    autos = {}
-    for name, images_text, ln in auto_raw:
-        images = [read_source(x, ln) for x in images_text.split(",")]
-        if len(images) != source.n:
-            raise ParseError(
-                f"automorphism {name} needs {source.n} images", ln)
-        try:
-            autos[name] = Automorphism(source, images)
-        except ValueError as exc:
-            raise ParseError(f"automorphism {name}: {exc}", ln)
+    autos = {name: _automorphism(read_source, images_text.split(","),
+                                 f"automorphism {name}", ln)
+             for name, images_text, ln in auto_raw}
     return MachineFile(machine, curves, autos)
 
 
@@ -416,14 +421,6 @@ def _field(obj: dict, key: str, shape, default=None):
     return _check(obj[key], shape, f"field {key!r}")
 
 
-def _automorphism(read: _WordReader, texts, what: str) -> Automorphism:
-    images = [read(w) for w in texts]
-    try:
-        return Automorphism(read.group, images)
-    except ValueError as exc:
-        raise ParseError(f".mcb: {what}: {exc}")
-
-
 def mcb_from_json(data: dict) -> MappingClassBiset:
     """Rebuild a biset from its JSON form; ParseError on a malformed one."""
     if not isinstance(data, dict):
@@ -467,7 +464,7 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
         for name, images in _field(data, "generators", dict, {}).items():
             what = f"generator {name!r}"
             gens[name] = _automorphism(
-                read, _check(images, (list, str), what), what)
+                read, _check(images, (list, str), what), f".mcb: {what}")
     table: dict[tuple[str, int], TableEdge] = {}
     for rec in _field(data, "table", (list, dict)):
         src = basis_index(_field(rec, "from", str))
@@ -482,7 +479,7 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
         if "knitting_images" in rec and group is not None:
             edge.knitting_auto = _automorphism(
                 read, _field(rec, "knitting_images", (list, str)),
-                f"{where}: knitting_images")
+                f".mcb: {where}: knitting_images")
         if "basis_change" in rec and group is not None:
             bc = _field(rec, "basis_change", dict)
             conj = tuple(read(w)

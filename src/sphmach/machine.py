@@ -9,7 +9,7 @@ of g carries entry h at position s and moves s to t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import perms
 from .perms import Perm
@@ -154,6 +154,9 @@ class ValidationReport:
     riemann_hurwitz: bool       # SB2
     lifts_partition: bool       # SB3
     details: list[str]
+    # target puncture -> (source puncture, degree) of its lift, for portrait
+    _mapping: dict[int, tuple[int, int]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def is_sphere_biset(self) -> bool:
@@ -176,6 +179,7 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
     if not rh:
         details.append(f"cycle deficit {deficit} != 2d-2 = {2 * M.degree - 2}")
     found: list[int] = []
+    mapping: dict[int, tuple[int, int]] = {}
     ok3 = True
     for i in range(1, M.source.n + 1):
         for d, cls in multiset_of_lifts(M, M.source.gen(i)).entries:
@@ -188,11 +192,12 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
                     f"lift of class {i} hits non-peripheral class {cls!r}")
             else:
                 found.append(j)
+                mapping[j] = (i, d)
     # the n oriented peripheral classes are distinct: indices stand for them
     if sorted(found) != list(range(1, M.target.n + 1)):
         ok3 = False
         details.append("peripheral classes of the target are not hit exactly once")
-    return ValidationReport(relator_ok, transitive, rh, ok3, details)
+    return ValidationReport(relator_ok, transitive, rh, ok3, details, mapping)
 
 
 @dataclass
@@ -212,13 +217,7 @@ def portrait(M: SphereMachine) -> Portrait:
     report = validate_sphere(M)
     if not report.is_sphere_biset:
         raise NotSphereBiset("; ".join(report.details) or "not a sphere biset")
-    mapping: dict[int, tuple[int, int]] = {}
-    for i in range(1, M.source.n + 1):
-        for d, cls in multiset_of_lifts(M, M.source.gen(i)).entries:
-            j = cls.peripheral_index()
-            if j is not None:
-                mapping[j] = (i, d)
-    return Portrait(mapping)
+    return Portrait(report._mapping)
 
 
 def tensor(M1: SphereMachine, M2: SphereMachine) -> SphereMachine:
@@ -334,7 +333,6 @@ class PeripheralLift:
 @dataclass
 class SubgroupPresentation:
     group: SphereGroup
-    basepoint: int
     transversal: tuple[Word, ...]
     generators: tuple[Word, ...]
     peripheral: tuple[PeripheralLift, ...]
@@ -356,23 +354,22 @@ def stabilizer_subgroup(M: SphereMachine, s: int = 1) -> SubgroupPresentation:
     if not 1 <= s <= d:
         raise MachineError(f"basis point {s} out of range 1..{d}")
     free = G.free_gen_indices()
-    action = {i: M.evaluate(G.gen(i)).perm for i in free}
-    if not perms.is_transitive(list(action.values()), d):
+    action = [M.evaluate(G.gen(i)).perm for i in range(1, G.n + 1)]
+    free_action = [action[i - 1] for i in free]
+    if not perms.is_transitive(free_action, d):
         raise MachineError("machine is not right-transitive")
-    tree, back = perms.spanning_tree(
-        [action[i] for i in free], start=s - 1)
+    tree, back = perms.spanning_tree(free_action, start=s - 1)
     trans: list[Word] = [EPSILON] * d
     for p, r, q in tree:
         trans[q] = wmul(trans[p], G.gen(free[r]))
     gens = [wmul(trans[p], G.gen(free[r]), winv(trans[q]))
             for p, r, q in back]
     peripheral = []
-    for i in range(1, G.n + 1):
-        pi = M.evaluate(G.gen(i)).perm
+    for i, pi in enumerate(action, 1):
         for cycle in perms.cycles(pi):
             p = cycle[0]
             deg = len(cycle)
             rep = wmul(trans[p], wmul(*([G.gen(i)] * deg)), winv(trans[p]))
             peripheral.append(PeripheralLift(
                 i, tuple(a + 1 for a in cycle), deg, rep))
-    return SubgroupPresentation(G, s, tuple(trans), tuple(gens), tuple(peripheral))
+    return SubgroupPresentation(G, tuple(trans), tuple(gens), tuple(peripheral))

@@ -46,12 +46,10 @@ class Distillation:
     def __init__(self, machine: SphereMachine):
         self.degree = machine.degree
         self.perm_tuple: tuple[Perm, ...] = tuple(machine.monodromy_perms())
-        self.labels: dict[tuple[int, int], ConjClass] = {}
-        keyed_cycles = []   # (generator, cycle, label key), keyed once
-        for i, row in enumerate(machine.rows, 1):
-            for cyc, cls in cycle_classes(row, machine.target):
-                self.labels[(i, cyc[0])] = cls
-                keyed_cycles.append((i, cyc, _label_key(cls)))
+        # (generator, cycle, label key), keyed once
+        keyed_cycles = [(i, cyc, _label_key(cls))
+                        for i, row in enumerate(machine.rows, 1)
+                        for cyc, cls in cycle_classes(row, machine.target)]
         self.key, self.numberings = self._canonicalize(keyed_cycles)
 
     def _canonicalize(self, keyed_cycles):
@@ -212,11 +210,15 @@ class _KnitSolver:
             "matching distillations but no knitting automorphism found")
 
 
+def _comparable(M1: SphereMachine, M2: SphereMachine) -> bool:
+    """One source, target and degree: the machines a knitting solve takes."""
+    return (M1.source, M1.target, M1.degree) == (M2.source, M2.target, M2.degree)
+
+
 def same_left_orbit(M1: SphereMachine, M2: SphereMachine):
     """An automorphism m' with M2 isomorphic to m' . M1 (i.e. post_compose
     (M1, m') and M2 differ by a basis change), or None."""
-    if (M1.source != M2.source or M1.target != M2.target
-            or M1.degree != M2.degree):
+    if not _comparable(M1, M2):
         return None
     got = _KnitSolver(M1).solve(M2)
     if got is None:
@@ -239,8 +241,7 @@ def machine_isomorphism(Ma: SphereMachine, Mb: SphereMachine) -> BasisChange | N
     Ma must be a sphere machine, whose loop words generate the target;
     otherwise ReconstructionError is raised.
     """
-    if (Ma.source != Mb.source or Ma.target != Mb.target
-            or Ma.degree != Mb.degree):
+    if not _comparable(Ma, Mb):
         return None
     da, db = distill(Ma), distill(Mb)
     if da.key != db.key:
@@ -398,7 +399,6 @@ class Terminal:
     kind: str                       # "fixed" | "cycle" | "max-steps"
     states: list[tuple[TwistWord, int]]
     steps: int
-    trace: list[tuple[TwistWord, int]]
 
 
 def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) -> Terminal:
@@ -412,16 +412,15 @@ def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) ->
     step = 0
     while w:
         if step == max_steps:
-            return Terminal("max-steps", [trace[-1]], max_steps, trace)
+            return Terminal("max-steps", [trace[-1]], max_steps)
         w, k = rewrite(mcb, k, w)
         step += 1
         state = (w, k)
         if state in seen:
-            cyc = trace[seen[state]:]
-            return Terminal("cycle", cyc, step, trace + [state])
+            return Terminal("cycle", trace[seen[state]:], step)
         seen[state] = len(trace)
         trace.append(state)
-    return Terminal("fixed", [(w, k)], step, trace)
+    return Terminal("fixed", [(w, k)], step)
 
 
 # ---------------------------------------------------------------------------

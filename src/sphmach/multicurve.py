@@ -105,10 +105,6 @@ class ThurstonMatrix:
     cols: list[str]
     entries: list[list[Fraction]]
 
-    @property
-    def shape(self):
-        return len(self.rows), len(self.cols)
-
     def is_square(self):
         return len(self.rows) == len(self.cols)
 
@@ -346,9 +342,6 @@ class LinExpr:
             d[k] = d.get(k, Fraction(0)) + v
         return LinExpr(tuple(sorted((k, v) for k, v in d.items() if v)),
                        self.const + other.const)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, c) -> "LinExpr":
         c = Fraction(c)

@@ -48,7 +48,7 @@ def from_cycles(cycles: list[list[int]], d: int) -> Perm:
     return tuple(img)
 
 
-def cycles(p: Perm, include_fixed: bool = True) -> list[list[int]]:
+def cycles(p: Perm) -> list[list[int]]:
     """Disjoint cycles as 0-based lists, each starting at its least point."""
     seen = [False] * len(p)
     out = []
@@ -62,8 +62,7 @@ def cycles(p: Perm, include_fixed: bool = True) -> list[list[int]]:
             c.append(j)
             seen[j] = True
             j = p[j]
-        if include_fixed or len(c) > 1:
-            out.append(c)
+        out.append(c)
     return out
 
 
@@ -71,7 +70,7 @@ def cycle_string(p: Perm) -> str:
     """1-based disjoint-cycle notation, fixed points suppressed; '' if identity."""
     return "".join(
         "(" + ",".join(str(a + 1) for a in c) + ")"
-        for c in cycles(p, include_fixed=False)
+        for c in cycles(p) if len(c) > 1
     )
 
 

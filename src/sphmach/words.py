@@ -396,12 +396,6 @@ class Automorphism:
         return cls(group, [group.gen(i) for i in range(1, group.n + 1)], check=False)
 
     @classmethod
-    def inner(cls, group: SphereGroup, g) -> "Automorphism":
-        g = group.normal_form(g)
-        return cls(group, [conjugate(group.gen(i), g) for i in range(1, group.n + 1)],
-                   check=False)
-
-    @classmethod
     def from_images_of_free_gens(cls, group: SphereGroup, images_nf) -> "Automorphism":
         """Build from images of the free generators (declaration order,
         eliminated one skipped); the remaining image is forced by the relator."""

@@ -1,11 +1,14 @@
 """The package keeps no public function, class or method that nothing
 reaches.
 
-A definition in src/sphmach counts as reached when a name or attribute
-with its name occurs in src/sphmach outside the definition itself, or
-when a name, attribute or string constant with its name occurs in the
-benchmark (perfbench/*.py) or in the acceptance criteria.  String
-constants count there because the benchmark's tracer names the
+A module-level function or class in src/sphmach counts as reached when
+a name or attribute with its name occurs in src/sphmach outside the
+definition itself.  A method or property counts as reached there only
+through an attribute access (``.name``) outside itself: a variable or
+parameter that happens to share its name reaches nothing.  Either kind
+is also reached when a name, attribute or string constant with its name
+occurs in the benchmark (perfbench/*.py) or in the acceptance criteria.
+String constants count there because the benchmark's tracer names the
 functions it wraps as strings.
 
 Every subcommand of the sphmach parser is also named by a string
@@ -24,10 +27,10 @@ OUTSIDE = sorted((ROOT / "perfbench").glob("*.py")) + \
     [ROOT / "tests" / "test_acceptance.py"]
 
 
-def _references(tree, strings=False) -> Counter:
+def _references(tree, strings=False, names=True) -> Counter:
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if names and isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
@@ -38,22 +41,24 @@ def _references(tree, strings=False) -> Counter:
 
 
 def _public_definitions(tree):
-    """(qualified name, node) of every public module-level function or
-    class and every public method."""
+    """(qualified name, node, is a member) of every public module-level
+    function or class and every public method or property."""
     defs = (ast.FunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) \
                         and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub
+                    yield f"{node.name}.{sub.name}", sub, True
 
 
 def unreached():
     trees = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     inside = sum((_references(t) for t in trees.values()), Counter())
+    inside_attrs = sum((_references(t, names=False) for t in trees.values()),
+                       Counter())
     outside = set()
     for p in OUTSIDE:
         outside |= set(_references(ast.parse(p.read_text()), strings=True))
@@ -61,9 +66,10 @@ def unreached():
     for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
-        for qual, node in _public_definitions(tree):
-            own = _references(node)[node.name]
-            if inside[node.name] - own <= 0 and node.name not in outside:
+        for qual, node, member in _public_definitions(tree):
+            refs = inside_attrs if member else inside
+            own = _references(node, names=not member)[node.name]
+            if refs[node.name] - own <= 0 and node.name not in outside:
                 out.append(f"{path.stem}.{qual}")
     return out
 

@@ -40,6 +40,39 @@ def test_round_trip_on_fixture_corpus():
         assert parse_machine_file(print_machine_file(parse_machine_file(text))) == mf
 
 
+def test_round_trip_with_a_target_block():
+    # a target group of its own is printed as a target block; the entry p
+    # prints in the target's normal form, where p = q^-1
+    text = ("group: a,b\nrelator: a*b\ntarget: p,q\ntarget_relator: q*p\n"
+            "a=<,p>(1,2)\nb=<q,>(1,2)\n")
+    mf = parse_machine_file(text)
+    printed = print_machine_file(mf)
+    assert printed == text.replace("<,p>", "<,q^-1>")
+    assert parse_machine_file(printed) == mf
+
+
+@pytest.mark.parametrize("line, message", [
+    ("auto sigma x1,x2", "automorphism line needs name = images"),
+    ("auto sigma = x1,x2,x3,x4,x5,x6",
+     "automorphism sigma: expected 7 images, got 6"),
+    ("auto sigma = x2,x1,x3,x4,x5,x6,x7",
+     "automorphism sigma: generator images do not satisfy the relator"),
+])
+def test_malformed_auto_lines_raise_parse_error(line, message):
+    lines = (MACHINES / "centralizer7.mach").read_text().splitlines() + [line]
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file("\n".join(lines))
+    assert str(exc.value) == f"{message} at line {len(lines)}"
+
+
+def test_cli_multicurve_commands_need_a_multicurve(capsys):
+    # fbiset.mach has no curves: block
+    for command in ("thurston-matrix", "obstructed", "split"):
+        assert run_cli(command, str(MACHINES / "fbiset.mach")) == 3
+        assert capsys.readouterr().err == \
+            "error: no multicurve: pass --curves or add a curves: block\n"
+
+
 def test_gap_session_strings_parse():
     text = """group: x1,x2,x3,x4,x5,x6,x7
 relator: x1*x2*x3*x4*x5*x6*x7
@@ -461,6 +494,7 @@ def test_cli_relabel_takes_machine_file_cycles(capsys):
     ('{"alphabet": ["t"], "basis": ["a"], '
      '"table": [{"gen": "t", "from": "a", "to": "b"}]}',
      "unknown basis element 'b'"),
+    ('{"alphabet": ["t"], "basis": [], "table": []}', ".mcb: empty basis"),
 ])
 def test_cli_malformed_mcb_exit_code(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.mcb"

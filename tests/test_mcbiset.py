@@ -36,9 +36,10 @@ def test_distill_z2():
     z2 = zoo.z2().machine
     d = distill(z2)
     assert d.perm_tuple == ((1, 0), (1, 0))
-    labels = {k: v for k, v in d.labels.items()}
-    assert labels[(1, 0)] == ConjClass(z2.target, (1,))
-    assert labels[(2, 0)] == ConjClass(z2.target, (-1,))  # b = a^-1
+    # each generator's one cycle carries its own puncture class, (1, i):
+    # a for the first, b = a^-1 for the second
+    assert ConjClass(z2.target, (-1,)).peripheral_index() == 2
+    assert d.key[1] == (((1, 0), (1, 1)), ((2, 0), (1, 2)))
 
 
 def test_distill_pilgrim_labels():
@@ -50,10 +51,9 @@ def test_distill_pilgrim_labels():
         perms.from_cycles([[1, 2], [3, 4]], 5),
         perms.identity(5),
     )
-    nontrivial = sorted(
-        cls.peripheral_index() for cls in d.labels.values()
-        if not cls.is_trivial())
-    assert nontrivial == [1, 2, 3, 4]
+    # the nontrivial cycle labels are the four puncture classes, once each
+    nontrivial = sorted(label for _, label in d.key[1] if label != (0,))
+    assert nontrivial == [(1, 1), (1, 2), (1, 3), (1, 4)]
 
 
 def test_distill_invariant_under_left_twisting():
@@ -61,7 +61,7 @@ def test_distill_invariant_under_left_twisting():
     autos = zoo.pilgrim().autos
     for name in autos:
         assert distill(post_compose(P, autos[name])).key == distill(P).key
-    inner = Automorphism.inner(P.target, (2, 4, -3))
+    inner = zoo.inner(P.target, (2, 4, -3))
     assert distill(post_compose(P, inner)).key == distill(P).key
 
 

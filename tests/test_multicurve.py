@@ -89,7 +89,7 @@ def test_thurston_matrix_no_essential_lifts():
     T = thurston_matrix(M, C)
     total = sum(x for row in T.entries for x in row)
     assert total == 0 or total > 0  # matrix computes without error
-    assert T.shape == (1, 1)
+    assert (len(T.rows), len(T.cols)) == (1, 1)
 
 
 def test_integral_matrix_when_all_lifts_degree_one():
@@ -689,3 +689,38 @@ def test_promote_fails_only_at_steps_1_and_2(case):
         element = got.edge_elements[(cid, si)]
         assert element is not None
         assert conjugate(gen, element) == got.vertex_isos[si].images[pi - 1]
+
+
+@pytest.mark.parametrize("images, detail", [
+    ({3: 1, 4: 2, 1: 3, 2: 4, 5: 5, 6: 5, 7: 5}, "peripheral sets differ at S1"),
+    ({3: 1, 1: 1, 5: 1, 6: 1, 7: 1, 4: 2, 2: 2}, "vertex map is not a bijection"),
+])
+def test_promote_step_2_failures(images, detail):
+    # seven punctures split along x3*x4 onto five split along g1*g2: a map
+    # that joins punctures finds an image for each vertex, but with fewer
+    # tags in the first case and the same one twice in the second
+    trees = _promote_trees()
+    t1, t2 = trees[1], trees[6]
+    h = {("puncture", i): ("puncture", j) for i, j in images.items()}
+    h[("curve", 0)] = ("curve", 0)
+    with pytest.raises(PromoteFailed) as exc:
+        promote_bijection(t1, t2, h)
+    assert str(exc.value) == f"failed at step 2: {detail}"
+
+
+def test_tree_to_dot():
+    # one ellipse per sphere with its tags, one box per curve, one edge
+    # per attachment signed by the side of the curve
+    M, C, _ = fixture()
+    assert mc_to_gog(M.source, C, bound=4).to_dot() == "\n".join([
+        'graph sphere_tree {',
+        '  s0 [shape=ellipse, label="S0: x3,x4,c0"];',
+        '  s1 [shape=ellipse, label="S1: x6,x7,x1,c1"];',
+        '  s2 [shape=ellipse, label="S2: c1,x2,c0,x5"];',
+        '  c0 [shape=box, label="curve x3*x4"];',
+        '  c1 [shape=box, label="curve x2*x3*x4*x5"];',
+        '  s0 -- c0 [label="-"];',
+        '  s1 -- c1 [label="-"];',
+        '  s2 -- c1 [label="+"];',
+        '  s2 -- c0 [label="+"];',
+        '}'])

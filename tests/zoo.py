@@ -1,10 +1,12 @@
 """Named fixture machines and bisets used across the test suite, each read
-from its file under machines/."""
+from its file under machines/, and the inner automorphisms the tests
+conjugate by."""
 
 from pathlib import Path
 
 from sphmach.machfile import MachineFile, parse_machine_file, load_mcb
 from sphmach.mcbiset import MappingClassBiset
+from sphmach.words import Automorphism, SphereGroup, conjugate
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -42,3 +44,10 @@ def rabbit_mcb() -> MappingClassBiset:
     """The degree-2 twist recursion of the rabbit polynomial in basis
     {f_R, f_R.t} over the twist alphabet s, t, u."""
     return load_mcb(str(MACHINES / "rabbit.mcb"))
+
+
+def inner(group: SphereGroup, g) -> Automorphism:
+    """The inner automorphism x -> x^g = g^-1 * x * g of group."""
+    g = group.normal_form(g)
+    return Automorphism(group, [conjugate(group.gen(i), g)
+                                for i in range(1, group.n + 1)], check=False)
