@@ -45,10 +45,20 @@ class ParseError(ValueError):
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"-?\d+")
 
+# The most letters one word may spell as written, before free reduction:
+# x^k spells |k| letters and x^w spells 2|w| + 1.  A longer word raises
+# ParseError at the factor that passes the bound, before that factor is
+# expanded.  2^21 letters is twice a million-letter twist power; reading
+# a word that long takes about 0.2 s and 80 MB of peak memory.
+MAX_WORD_LETTERS = 1 << 21
+
 
 class _WordParser:
     """word ::= factor ("*" factor)* ; factor ::= name ("^" exponent)? ;
-    exponent ::= int | name | "(" word ")" """
+    exponent ::= int | name | "(" word ")"
+
+    Each parse takes a budget, the letters its word may still spell (see
+    MAX_WORD_LETTERS)."""
 
     def __init__(self, text, index, line=None):
         self.text = text
@@ -59,6 +69,11 @@ class _WordParser:
     def error(self, msg):
         raise ParseError(msg, self.line, self.pos + 1)
 
+    def too_long(self, start):
+        factor, self.pos = self.text[start:self.pos].rstrip(), start
+        self.error(f"factor {factor!r} makes the word longer than "
+                   f"{MAX_WORD_LETTERS} letters")
+
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
@@ -67,15 +82,16 @@ class _WordParser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_word(self) -> list[int]:
-        letters = self.parse_factor()
+    def parse_word(self, budget=MAX_WORD_LETTERS) -> list[int]:
+        letters = self.parse_factor(budget)
         while self.peek() == "*":
             self.pos += 1
-            letters += self.parse_factor()
+            letters += self.parse_factor(budget - len(letters))
         return letters
 
-    def parse_factor(self) -> list[int]:
+    def parse_factor(self, budget) -> list[int]:
         self.skip_ws()
+        start = self.pos
         m = _NAME.match(self.text, self.pos)
         if not m:
             self.error(f"expected a generator name, found "
@@ -86,23 +102,31 @@ class _WordParser:
         self.pos = m.end()
         base = [self.index[name]]
         if self.peek() != "^":
+            if budget < 1:
+                self.too_long(start)
             return base
         self.pos += 1
         self.skip_ws()
         m = _INT.match(self.text, self.pos)
         if m:
             self.pos = m.end()
-            k = int(m.group(0))
+            try:
+                k = int(m.group(0))
+            except ValueError:  # more digits than int() converts
+                self.too_long(start)
+            if abs(k) > budget:
+                self.too_long(start)
             x = base[0]
             return [x if k > 0 else -x] * abs(k)
+        # x^w spells 2|w| + 1 letters
         if self.peek() == "(":
             self.pos += 1
-            exp = self.parse_word()
+            exp = self.parse_word((budget - 1) // 2)
             if self.peek() != ")":
                 self.error("missing ')' in exponent")
             self.pos += 1
         else:
-            exp = self.parse_factor()
+            exp = self.parse_factor((budget - 1) // 2)
         return [-x for x in reversed(exp)] + base + exp
 
     def expect_end(self):
@@ -118,8 +142,9 @@ class _WordReader:
     Printed words repeat a handful of factor texts (x1, x3^-2, ...) many
     times over, so a reader kept for a whole file parses each distinct
     factor once.  _WordParser reads every new factor, and reads the
-    whole text when it has parentheses or a factor does not parse, so
-    the grammar and its error messages stay in one place.
+    whole text when it has parentheses, a factor does not parse or the
+    word passes MAX_WORD_LETTERS, so the grammar and its error messages
+    stay in one place.
     """
 
     def __init__(self, group: SphereGroup):
@@ -133,6 +158,7 @@ class _WordReader:
         if "(" not in text:
             factors = self.factors
             letters: list[int] = []
+            room = MAX_WORD_LETTERS
             for f in text.split("*"):
                 got = factors.get(f)
                 if got is None:
@@ -140,6 +166,9 @@ class _WordReader:
                         got = factors[f] = self._parse(f, line)
                     except ParseError:
                         break
+                room -= len(got)
+                if room < 0:
+                    break
                 letters += got
             else:
                 return self.group.normal_form(letters)
@@ -254,63 +283,72 @@ def _automorphism(read: _WordReader, texts, what: str,
         raise ParseError(f"{what}: {exc}", line)
 
 
+_HEADERS = ("group", "relator", "target", "target_relator", "degree", "curves")
+
+
 def parse_machine_file(text: str) -> MachineFile:
-    source_names = None
-    relator = None
-    target_names = None
-    target_relator = None
-    degree = None
+    """The machine file of text.  A header line (_HEADERS) or an auto line
+    whose name was given before raises ParseError at the repeat."""
+    heads: dict[str, tuple[str, int]] = {}
     rows_raw: list[tuple[str, int]] = []
-    curve_text = None
-    auto_raw: list[tuple[str, str, int]] = []
+    auto_raw: dict[str, tuple[str, int]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         low = line.lower()
-        if low.startswith("group:"):
-            source_names = [x.strip() for x in line[6:].split(",") if x.strip()]
-        elif low.startswith("relator:"):
-            relator = ([x.strip() for x in line[8:].split("*")], ln)
+        head, colon, _ = low.partition(":")
+        if colon and head in _HEADERS:
+            if head in heads:
+                raise ParseError(f"second '{head}:' line", ln)
+            heads[head] = (line[len(head) + 1:].strip(), ln)
         elif low.startswith("orders:"):
             raise ParseError("finite generator orders are not supported", ln)
-        elif low.startswith("target:"):
-            target_names = [x.strip() for x in line[7:].split(",") if x.strip()]
-        elif low.startswith("target_relator:"):
-            target_relator = ([x.strip() for x in line[15:].split("*")], ln)
-        elif low.startswith("degree:"):
-            try:
-                degree = int(line[7:])
-            except ValueError:
-                raise ParseError(f"bad degree {line[7:].strip()!r}", ln)
-        elif low.startswith("curves:"):
-            curve_text = (line[7:].strip(), ln)
         elif low.startswith("auto "):
             body = line[5:]
             if "=" not in body:
                 raise ParseError("automorphism line needs name = images", ln)
-            name, images = body.split("=", 1)
-            auto_raw.append((name.strip(), images.strip(), ln))
+            name, images = (x.strip() for x in body.split("=", 1))
+            if name in auto_raw:
+                raise ParseError(f"second automorphism {name!r}", ln)
+            auto_raw[name] = (images, ln)
         else:
             rows_raw.append((line, ln))
-    if source_names is None:
+
+    def names(head):
+        return [x.strip() for x in heads[head][0].split(",") if x.strip()]
+
+    def relator(head):
+        if head not in heads:
+            return None
+        words, ln = heads[head]
+        return [x.strip() for x in words.split("*")], ln
+
+    if "group" not in heads:
         raise ParseError("missing 'group:' line")
-    source = _group("bad group block", source_names, relator)
-    target = source if target_names is None else \
-        _group("bad target block", target_names, target_relator)
+    source = _group("bad group block", names("group"), relator("relator"))
+    target = source if "target" not in heads else \
+        _group("bad target block", names("target"), relator("target_relator"))
+    degree = None
+    if "degree" in heads:
+        degree_text, ln = heads["degree"]
+        try:
+            degree = int(degree_text)
+        except ValueError:
+            raise ParseError(f"bad degree {degree_text!r}", ln)
     read_source = _WordReader(source)
     machine = _machine(source, target, _WordReader(target), rows_raw, degree)
     curves = None
-    if curve_text is not None:
-        reps = [read_source(x.strip(), curve_text[1])
-                for x in curve_text[0].split(",")]
+    if "curves" in heads:
+        curve_text, ln = heads["curves"]
+        reps = [read_source(x.strip(), ln) for x in curve_text.split(",")]
         try:
             curves = Multicurve(source, reps)
         except MulticurveError as exc:
-            raise ParseError(f"bad curves: {exc}", curve_text[1])
+            raise ParseError(f"bad curves: {exc}", ln)
     autos = {name: _automorphism(read_source, images_text.split(","),
                                  f"automorphism {name}", ln)
-             for name, images_text, ln in auto_raw}
+             for name, (images_text, ln) in auto_raw.items()}
     return MachineFile(machine, curves, autos)
 
 

@@ -16,7 +16,7 @@ from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
     winv, wmul, reduce_word, substitute_all, outer_normalize,
-    is_conjugate, is_peripheral_preserving, dehn_twist,
+    outer_normal_images, is_conjugate, is_peripheral_preserving, dehn_twist,
 )
 from .machine import (
     SphereMachine, BasisChange, change_basis, pre_compose,
@@ -190,9 +190,9 @@ class _KnitSolver:
             if any(ys[k] for k in self.empty_backs) or \
                     any(substitute_all(self.relators, ys)):
                 continue
-            images = list(substitute_all(self.exprs, ys))
-            psi0 = Automorphism.from_images_of_free_gens(M1.target, images)
-            knit, g = outer_normalize(psi0, return_conjugator=True)
+            images, g = outer_normal_images(M1.target.complete_images(
+                list(substitute_all(self.exprs, ys))))
+            knit = Automorphism(M1.target, images, check=False)
             rho = perms.inverse(sigma)
             ginv = winv(g)
             lam = [wmul(a, ginv, b)

@@ -31,7 +31,6 @@ letter tokens.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from operator import add, eq, neg
 
@@ -54,7 +53,9 @@ def reduce_word(letters) -> Word:
     return tuple(out)
 
 
-_WALK = 8  # cancellations up to this long are walked letter by letter
+# cancellations, and wings in cyclic_reduce, up to this long are walked
+# letter by letter
+_WALK = 8
 
 
 def _append_reduced(out: list[int], w, w_inv: list[int] | None = None) -> None:
@@ -156,16 +157,40 @@ def conjugate(w: Word, by: Word) -> Word:
     return wmul(winv(by), w, by)
 
 
+def _common_prefix(a, b, lim: int, k: int = 0) -> int:
+    """The length of the longest common prefix of the sequences a and b
+    (of one type), at most lim, given that their first k letters agree:
+    slices are compared in chunks that double while they match, then
+    halve, so a common prefix of p letters costs O(log p) compares of
+    total length O(p)."""
+    s = 1
+    while k + s <= lim and a[k:k + s] == b[k:k + s]:
+        k += s
+        s *= 2
+    # the prefix ends fewer than s letters after k
+    while s > 1:
+        s //= 2
+        if k + s <= lim and a[k:k + s] == b[k:k + s]:
+            k += s
+    return k
+
+
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Return (core, c) with w = c * core * c^-1 and core cyclically reduced.
 
-    Counts the stripped letter pairs, then slices once: linear in len(w).
+    The wing c is the common prefix of w and w^-1, capped at half of w: a
+    short one is walked letter by letter, a longer one found by slice
+    compares (_common_prefix), so it is linear in len(w), at C speed.
     """
     w = tuple(w)
     m = len(w)
     k = 0
     while m - 2 * k >= 2 and w[k] == -w[m - 1 - k]:
         k += 1
+        if k == _WALK:
+            half = m // 2
+            k = _common_prefix(w, winv(w[m - half:]), half, k)
+            break
     return w[k:m - k], w[:k]
 
 
@@ -300,6 +325,18 @@ class SphereGroup:
         return reduce_word(chain.from_iterable(
             expand.get(x, (x,)) for x in w))
 
+    def complete_images(self, images: list[Word]) -> list[Word]:
+        """All n images of a map from the normal-form images of the free
+        generators (declaration order, eliminated one skipped); the
+        remaining image is forced by the relator."""
+        free = self.free_gen_indices()
+        if len(images) != len(free):
+            raise ValueError("need one image per free generator")
+        by_index = dict(zip(free, images))
+        by_index[self.relator[-1]] = winv(
+            wmul(*[by_index[r] for r in self.relator[:-1]]))
+        return [by_index[i] for i in range(1, self.n + 1)]
+
     def word_str(self, w: Word) -> str:
         """Print a word in the machine text syntax (empty word prints '')."""
         return run_length_str(self.names, w)
@@ -395,18 +432,6 @@ class Automorphism:
     def identity(cls, group: SphereGroup) -> "Automorphism":
         return cls(group, [group.gen(i) for i in range(1, group.n + 1)], check=False)
 
-    @classmethod
-    def from_images_of_free_gens(cls, group: SphereGroup, images_nf) -> "Automorphism":
-        """Build from images of the free generators (declaration order,
-        eliminated one skipped); the remaining image is forced by the relator."""
-        free = group.free_gen_indices()
-        if len(images_nf) != len(free):
-            raise ValueError("need one image per free generator")
-        by_index = {i: group.normal_form(w) for i, w in zip(free, images_nf)}
-        by_index[group.relator[-1]] = winv(
-            wmul(*[by_index[r] for r in group.relator[:-1]]))
-        return cls(group, [by_index[i] for i in range(1, group.n + 1)], check=False)
-
     def __call__(self, w) -> Word:
         return next(self.apply_all((w,)))
 
@@ -457,71 +482,94 @@ class Automorphism:
                 # give the preimage
                 inv_imgs.append(G.normal_form(
                     free[x - 1] if x > 0 else -free[-x - 1] for x in expr))
-            self._inverse = Automorphism.from_images_of_free_gens(G, inv_imgs)
+            self._inverse = Automorphism(G, G.complete_images(inv_imgs),
+                                         check=False)
             self._inverse._inverse = self
         return self._inverse
 
 
+def outer_normal_images(images) -> tuple[list[Word], Word]:
+    """The reduced images of an automorphism, all n of them, conjugated by
+    the word g of outer_normalize; returns (images, g).  Closed form:
+    g is the longest common prefix of sorted rays i and i + m."""
+    wings = [(w, len(cyclic_reduce(w)[1])) for w in images if w]
+    m = len(wings)
+    L = max((k for _, k in wings), default=0)
+    if not L:
+        return list(images), EPSILON
+    rays = []
+    for w, k in wings:
+        # w = c * u * c^-1 with |c| = k: the rays start c * u = w[:n] and
+        # c * u^-1 = w^-1[:n]
+        n = len(w) - k
+        if L <= n:
+            rays += (w[:L], winv(w[len(w) - L:]))
+        else:
+            u = w[k:n]
+            reps = (L - k) // len(u) + 1
+            rays += ((w[:k] + u * reps)[:L], (w[:k] + winv(u) * reps)[:L])
+    rays.sort()
+    k, i = max((_common_prefix(rays[i], rays[i + m], L), i) for i in range(m))
+    g = rays[i][:k]
+    del rays  # as long as the images together: gone before the conjugates
+    ginv = winv(g)
+    # an image g * v * g^-1 becomes v, a slice; others are multiplied out
+    return [w[k:len(w) - k] if len(w) > 2 * k and w[:k] == g
+            and w[len(w) - k:] == ginv else wmul(ginv, w, g)
+            for w in images], g
+
+
 def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
     """Inner-adjust an automorphism to a least total image length,
-    stripping accumulated conjugation bloat.  Linear-time deque walk;
-    conjugating by a letter x turns w into x^-1*w*x, which changes each
-    image length by -2, 0 or +2 read off the end letters alone.  With m
-    nonempty images and score(x) of them starting with x plus those
-    ending with x^-1, the total length changes by 2*(m - score(x)).  The
-    walk takes the top-scoring letter while its score exceeds m; the
-    scores sum to 2m, so at most one letter does.
+    stripping accumulated conjugation bloat: every image w becomes
+    g^-1 * w * g for the one word g that outer_normal_images computes.
+
+    In the Cayley tree of the free group, |g^-1 w g| = l(w) +
+    2 d(g, Axis(w)) for w != 1, with l(w) the length of the cyclic core;
+    so the total image length after conjugating by g, F(g), is a constant
+    plus a sum of distances to subtrees, which is convex along every
+    geodesic.  A convex function on a tree has no local minimum that is
+    not global: on the geodesic from g to a lower point, F already drops
+    at the first step.
+
+    Which point.  Write each of the m nonempty images as c * u * c^-1
+    with u cyclically reduced (cyclic_reduce); the two ends of its axis
+    are the rays c u u ... and c u^-1 u^-1 ..., reduced infinite words.
+    The step from g to g*x lowers the distance to an axis when both of
+    its ends lie beyond g*x, keeps it when one does and raises it when
+    none does, so F changes by 2 * (m - s), s the number of the 2m ends
+    beyond g*x.  F drops only when s > m, for at most one x.  So from 1,
+    F drops along every step into the longest word g that is a prefix of
+    more than m of the rays, and at g no step lowers it: g is a global
+    minimum, and the point the letter-by-letter descent reaches.  As F
+    drops strictly on the way, g is the minimiser nearest to 1: ties of
+    equal total length go to the shortest conjugator, which is unique.
+    The result is not canonical on outer classes, since two members of
+    one class may reach different points of a tie.  Bound: more than m
+    rays include both rays of one image, which part right after its c,
+    as u and u^-1 start with different letters; so |g| <= max |c|.
+    Truncated to L = max |c| letters and sorted, the rays with a common
+    prefix form blocks, and g is the longest common prefix of rays i
+    and i + m over i < m (the m + 1 rays from i to i + m share it).
 
     phi is inner exactly when the result is the identity map, which
     makes is_identity_map() of the result the one exact inner test
-    (outer_equal, machine_isomorphism).  Proof.  In the Cayley tree of
-    the free group, |g^-1 w g| = l(w) + 2 d(g, Axis(w)) for w != 1, with
-    l(w) the length of the cyclic core; so the total image length after
-    conjugating by g, F(g), is a constant plus a sum of distances to
-    subtrees, which is convex along every geodesic.  A convex function
-    on a tree has no local minimum that is not global: on the geodesic
-    from g to a lower point, F already drops at the first step.  One
-    letter moves g to a neighbour, so the walk stops at a global
-    minimum of F.  For phi = inn_h and rank >= 2, the free generators
-    are distinct letters a, b, and h^-1 a h conjugated by g is
-    cyclically reduced only when hg lies in <a>; as <a> and <b> meet
-    in 1, F attains its least value, the sum of the l(w), at the single
-    point g = h^-1, where the images are the generators themselves.  For
-    rank <= 1 the group is abelian, every inner map is the identity, and
-    an identity map stays as it is (no letter shrinks it).  Conversely
-    the result is phi followed by an inner map, so it is the identity
-    only if phi is inner.
+    (outer_equal, machine_isomorphism).  For phi = inn_h and rank >= 2,
+    the free generators are distinct letters a, b, and h^-1 a h
+    conjugated by g is cyclically reduced only when hg lies in <a>; as
+    <a> and <b> meet in 1, F attains its least value, the sum of the
+    l(w), at the single point g = h^-1, where the images are the
+    generators themselves.  For rank <= 1 the group is abelian, every
+    inner map is the identity, and its images have no wings, so it stays
+    as it is.  Conversely the result is phi followed by an inner map, so
+    it is the identity only if phi is inner.
 
     With return_conjugator, also return the word g with
     result(w) = phi(w)^g for every w.
     """
-    imgs = [deque(w) for w in phi.images]
-    live = [dq for dq in imgs if dq]    # conjugation keeps them nonempty
-    g: list[int] = []
-    while live:
-        score: dict[int, int] = {}
-        for dq in live:
-            x = dq[0]
-            score[x] = score.get(x, 0) + 1
-            x = -dq[-1]
-            score[x] = score.get(x, 0) + 1
-        x = max(score, key=score.get)
-        if score[x] <= len(live):
-            break
-        g.append(x)
-        for dq in live:
-            if dq[0] == x:
-                dq.popleft()
-            else:
-                dq.appendleft(-x)
-            if dq and dq[-1] == -x:
-                dq.pop()
-            else:
-                dq.append(x)
-    out = Automorphism(phi.group, [tuple(dq) for dq in imgs], check=False)
-    if return_conjugator:
-        return out, reduce_word(g)
-    return out
+    images, g = outer_normal_images(phi.images)
+    out = Automorphism(phi.group, images, check=False)
+    return (out, g) if return_conjugator else out
 
 
 def outer_equal(phi: Automorphism, psi: Automorphism) -> bool:

@@ -20,7 +20,7 @@ from sphmach.machine import tensor
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
     parse_twist_word, mcb_to_json, mcb_from_json, save_mcb, load_mcb,
-    _WordReader,
+    _WordReader, MAX_WORD_LETTERS,
 )
 from sphmach.cli import main
 
@@ -59,10 +59,87 @@ def test_round_trip_with_a_target_block():
      "automorphism sigma: generator images do not satisfy the relator"),
 ])
 def test_malformed_auto_lines_raise_parse_error(line, message):
-    lines = (MACHINES / "centralizer7.mach").read_text().splitlines() + [line]
+    # the file's own sigma goes, so that the line is not a second sigma
+    lines = [ln for ln in (MACHINES / "centralizer7.mach").read_text()
+             .splitlines() if not ln.startswith("auto sigma ")] + [line]
     with pytest.raises(ParseError) as exc:
         parse_machine_file("\n".join(lines))
     assert str(exc.value) == f"{message} at line {len(lines)}"
+
+
+# a degree-1 machine file with every header line, one curve and one auto
+_HEADED = ["group: a,b,c,d", "relator: a*b*c*d", "target: p,q,r,s",
+           "target_relator: p*q*r*s", "degree: 1", "a=<p>", "b=<q>",
+           "c=<r>", "d=<s>", "curves: a*b", "auto m = a,b,c,d"]
+
+
+@pytest.mark.parametrize("repeat, first, message", [
+    ("group: a,b,c,d", 1, "second 'group:' line"),
+    ("relator: a*b*c*d", 2, "second 'relator:' line"),
+    ("Target: p,q,r,s", 3, "second 'target:' line"),
+    ("target_relator: p*q*r*s", 4, "second 'target_relator:' line"),
+    ("degree: 1", 5, "second 'degree:' line"),
+    ("curves: b*c", 10, "second 'curves:' line"),
+    ("auto m = b^a,a^b*c,c,d", 11, "second automorphism 'm'"),
+    ("auto  m= a,b,c,d", 11, "second automorphism 'm'"),
+])
+def test_repeated_header_and_auto_lines_raise_parse_error(repeat, first,
+                                                          message, tmp_path):
+    assert set(parse_machine_file("\n".join(_HEADED)).autos) == {"m"}
+    # the repeat after every line, or after the first line only: the
+    # error is at the later of the two
+    for at in (len(_HEADED), 1):
+        lines = _HEADED[:at] + [repeat] + _HEADED[at:]
+        later = max(at + 1, first + (first > at))
+        with pytest.raises(ParseError) as exc:
+            parse_machine_file("\n".join(lines))
+        assert str(exc.value) == f"{message} at line {later}"
+    path = tmp_path / "repeat.mach"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", str(path)]) == 3
+    # another name is another automorphism
+    other = parse_machine_file("\n".join(_HEADED + ["auto M = a,b,c,d"]))
+    assert set(other.autos) == {"m", "M"}
+
+
+@pytest.mark.parametrize("text, factor", [
+    ("a^100000000", "a^100000000"),
+    ("b*a^-3000000", "a^-3000000"),
+    ("a^2000000*b^200000", "b^200000"),
+    ("a^2000000*a^2000000", "a^2000000"),
+    ("a^(b^(c^1000000))", "c^1000000"),
+    ("a^(b*c^2000000)", "c^2000000"),
+])
+def test_word_expansion_is_bounded_before_it_happens(text, factor, tmp_path,
+                                                     capsys):
+    G = SphereGroup(["a", "b", "c"])
+    with pytest.raises(ParseError) as exc:
+        parse_word(text, G)
+    assert str(exc.value).startswith(
+        f"factor {factor!r} makes the word longer than {MAX_WORD_LETTERS} "
+        "letters")
+    mach = tmp_path / "long.mach"
+    mach.write_text(f"group: a,b,c\na=<{text}>\nb=<b>\nc=<c>\n")
+    assert run_cli("validate", str(mach)) == 3
+    assert repr(factor) in capsys.readouterr().err
+    assert run_cli("classify-twist", str(MACHINES / "rabbit.mcb"),
+                   text.replace("a", "t").replace("b", "s")
+                   .replace("c", "u")) == 3
+
+
+def test_words_up_to_the_bound_parse():
+    G = SphereGroup(["a", "b", "c"])
+    assert parse_word(f"a^{MAX_WORD_LETTERS}", G) == (1,) * MAX_WORD_LETTERS
+    assert len(parse_word(f"b*a^{MAX_WORD_LETTERS - 1}", G)) == \
+        MAX_WORD_LETTERS
+    with pytest.raises(ParseError):
+        parse_word(f"b*a^{MAX_WORD_LETTERS}", G)
+    # an exponent of more digits than int() converts
+    with pytest.raises(ParseError, match="makes the word longer"):
+        parse_word("b*a^" + "9" * 5000, G)
+    assert parse_twist_word("t^1000000", ["s", "t", "u"]) == (2,) * 10 ** 6
+    assert run_cli("classify-twist", str(MACHINES / "rabbit.mcb"),
+                   "t^1000000", "--max-steps", "0") == 2
 
 
 def test_cli_multicurve_commands_need_a_multicurve(capsys):

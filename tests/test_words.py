@@ -1,9 +1,11 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphmach import words
+from sphmach import mcbiset, words
+from sphmach.machine import pre_compose
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism,
     reduce_word, wmul, winv, conjugate, cyclic_reduce, is_conjugate,
@@ -248,6 +250,127 @@ def test_outer_normalize_is_a_local_minimum_reached_by_its_conjugator():
         assert (list(out.images), g) == (imgs, reduce_word(walk))
 
 
+# the closed-form outer normalisation against the letter-by-letter walk
+# it replaces
+
+def _walk_reference(phi):
+    """(images, g) of the descent one letter per step: conjugate every
+    image by the letter x that more than m of the 2m image ends agree on
+    (m the nonempty images), while there is one."""
+    imgs = [deque(w) for w in phi.images]
+    live = [dq for dq in imgs if dq]
+    g = []
+    while live:
+        score = {}
+        for dq in live:
+            for x in (dq[0], -dq[-1]):
+                score[x] = score.get(x, 0) + 1
+        x = max(score, key=score.get)
+        if score[x] <= len(live):
+            break
+        g.append(x)
+        for dq in live:
+            if dq[0] == x:
+                dq.popleft()
+            else:
+                dq.appendleft(-x)
+            if dq and dq[-1] == -x:
+                dq.pop()
+            else:
+                dq.append(x)
+    return [tuple(dq) for dq in imgs], reduce_word(g)
+
+
+def _assert_matches_walk(phi):
+    out, g = outer_normalize(phi, return_conjugator=True)
+    assert (list(out.images), g) == _walk_reference(phi)
+    return out, g
+
+
+def test_outer_normalize_matches_the_walk_on_pilgrim_knittings(pilgrim_mcb):
+    mcb, mf = pilgrim_mcb()
+    G = mf.machine.target
+    rng = random.Random(17)
+    knits = [e.knitting_auto for e in mcb.table.values()]
+    assert len(knits) == 360
+    moved = 0
+    for knit in knits:
+        _assert_matches_walk(knit)
+        h = rand_word(rng, G.rank, rng.randint(1, 30))
+        for phi in (zoo.inner(G, h).compose(knit),
+                    knit.compose(zoo.inner(G, h))):
+            out, g = _assert_matches_walk(phi)
+            moved += bool(g)
+            assert outer_equal(out, knit)
+    assert moved > 600
+
+
+def test_the_solve_normalises_its_raw_images_as_the_walk_does(pilgrim_mcb,
+                                                              monkeypatch):
+    """The knitting solve hands its image list, forced image included, to
+    outer_normal_images without building an automorphism: on the edges
+    of the pilgrim biset, re-solved, each result is the walk's."""
+    mcb, mf = pilgrim_mcb()
+    G = mf.machine.target
+    seen = []
+
+    def checked(images):
+        got = words.outer_normal_images(images)
+        expected = _walk_reference(Automorphism(G, images, check=False))
+        seen.append((got[0], got[1]) == expected)
+        return got
+
+    monkeypatch.setattr(mcbiset, "outer_normal_images", checked)
+    edges = sorted(mcb.table.values(), key=lambda e: (e.source, e.gen))
+    for e in edges[::9]:
+        M = mcb.machines
+        knit, _ = mcbiset._KnitSolver(M[e.target]).solve(
+            pre_compose(M[e.source], mcb.gens[e.gen]))
+        assert knit == e.knitting_auto
+    assert len(seen) == len(edges[::9]) and all(seen)
+
+
+def test_outer_normalize_matches_the_walk_on_identity_inner_and_rank_1():
+    rng = random.Random(18)
+    for n in (0, 2, 3, 4, 6):
+        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
+        out, g = _assert_matches_walk(Automorphism.identity(G))
+        assert out.is_identity_map() and g == ()
+        for _ in range(30):
+            h = rand_word(rng, G.rank, rng.randint(0, 40) if n else 0)
+            out, g = _assert_matches_walk(zoo.inner(G, h))
+            assert out.is_identity_map()
+    # rank 1: powers of one letter have no wings, so nothing moves
+    G = SphereGroup(["a", "b"])
+    for k in (-3, -1, 2, 5):
+        phi = Automorphism(G, [(1,) * k if k > 0 else (-1,) * -k,
+                               (-1,) * k if k > 0 else (1,) * -k], check=False)
+        out, g = _assert_matches_walk(phi)
+        assert out == phi and g == ()
+
+
+def test_outer_normalize_matches_the_walk_on_ties():
+    """Ties: some letter keeps the least total length, so the minimisers
+    are more than one point; both ways stop at the one nearest to 1."""
+    rng = random.Random(19)
+    ties = 0
+    for _ in range(400):
+        n = rng.randint(3, 6)
+        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
+        phi = _random_twist_product(rng, G, rng.randint(1, 4))
+        phi = zoo.inner(G, rand_word(rng, n - 1, rng.randint(0, 12))) \
+            .compose(phi)
+        out, g = _assert_matches_walk(phi)
+        total = sum(map(len, out.images))
+        tied = [x for x in range(-(n - 1), n) if x and
+                sum(len(conjugate(w, (x,))) for w in out.images) == total]
+        if tied:
+            ties += 1
+            # the other minimisers lie farther from 1
+            assert all(len(wmul(g, (x,))) > len(g) for x in tied)
+    assert ties >= 40, ties
+
+
 def test_conjclass_equality_and_inversion():
     G = SphereGroup(["a", "b", "c"])
     assert ConjClass(G, (1, 2)) == ConjClass(G, (2, 1))
@@ -402,17 +525,47 @@ def long_reduced_words(draw):
     return tuple(w)
 
 
-@settings(max_examples=200, deadline=None)
-@given(long_reduced_words(), reduced_words(20))
+def _cyclic_reduce_reference(w):
+    """Strip the letter pairs w[k], w[-1-k] that are inverse one by one,
+    while two letters or more are left between them."""
+    m, k = len(w), 0
+    while m - 2 * k >= 2 and w[k] == -w[m - 1 - k]:
+        k += 1
+    return w[k:m - k], w[:k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(long_reduced_words(), reduced_words(20)),
+       st.one_of(reduced_words(2), reduced_words(20)))
 def test_cyclic_reduce_splits_off_the_wings(c, u):
     w = wmul(c, u, winv(c))
     core, wing = cyclic_reduce(w)
+    assert (core, wing) == _cyclic_reduce_reference(w)
     assert wing + core + winv(wing) == w
     assert len(core) < 2 or core[0] != -core[-1]
     assert core == reduce_word(core)
     # the wing is all of c unless u cancels into it
     if u and u[0] != -u[-1] and (not c or c[-1] not in (-u[0], u[-1])):
         assert wing == c and core == u
+    # unreduced words: the strip stops with fewer than two letters left
+    for v in (c + winv(c), c + u + winv(c)):
+        assert cyclic_reduce(v) == _cyclic_reduce_reference(v)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 16, 17, 450, 899, 900])
+@pytest.mark.parametrize("u", [(1,), (-2,), (1, 2), (3, -1), (2, 2)])
+def test_cyclic_reduce_peels_long_wings_off_one_and_two_letter_cores(size, u):
+    rng = random.Random(size)
+    c = [rng.choice([x for x in LETTERS3 if x not in (-u[0], u[-1])])]
+    while len(c) < size:
+        c.append(rng.choice([x for x in LETTERS3 if x != -c[-1]]))
+    c = tuple(reversed(c))[:size]
+    w = c + u + winv(c)
+    assert w == reduce_word(w) and len(w) % 2 == len(u) % 2
+    assert cyclic_reduce(w) == (u, c) == _cyclic_reduce_reference(w)
+    # c * c^-1 unreduced: the strip takes all of c and leaves nothing
+    assert cyclic_reduce(c + winv(c)) == ((), c) == \
+        _cyclic_reduce_reference(c + winv(c))
 
 
 # the wing path of substitute_all: a conjugate c * u * c^-1 is mapped as
