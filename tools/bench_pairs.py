@@ -2,7 +2,7 @@
 
 Run from the root of a git checkout:
 
-    python3 tools/bench_pairs.py --parent a3a13ce --change HEAD --number 17
+    python3 tools/bench_pairs.py --parent PARENT --change HEAD --number N
 
 Each commit is extracted with ``git archive`` into its own directory,
 and ``perfbench/run.py`` of that extract runs there unchanged, one
