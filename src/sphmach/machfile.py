@@ -69,11 +69,6 @@ class _WordParser:
     def error(self, msg):
         raise ParseError(msg, self.line, self.pos + 1)
 
-    def too_long(self, start):
-        factor, self.pos = self.text[start:self.pos].rstrip(), start
-        self.error(f"factor {factor!r} makes the word longer than "
-                   f"{MAX_WORD_LETTERS} letters")
-
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
@@ -82,16 +77,30 @@ class _WordParser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_word(self, budget=MAX_WORD_LETTERS) -> list[int]:
-        letters = self.parse_factor(budget)
-        while self.peek() == "*":
+    def parse_word(self, budget=MAX_WORD_LETTERS, nested=False):
+        """The letters the word spells.  Past budget letters a nested word
+        returns None, read to its end but not expanded, and a whole word
+        raises ParseError naming the factor that passes the bound."""
+        letters: list[int] | None = []
+        while True:
+            self.skip_ws()
+            start = self.pos
+            got = self.parse_factor(-1 if letters is None
+                                    else budget - len(letters))
+            if got is None and not nested:
+                factor, self.pos = self.text[start:self.pos].rstrip(), start
+                self.error(f"factor {factor!r} makes the word longer than "
+                           f"{MAX_WORD_LETTERS} letters")
+            if got is None or letters is None:
+                letters = None
+            else:
+                letters += got
+            if self.peek() != "*":
+                return letters
             self.pos += 1
-            letters += self.parse_factor(budget - len(letters))
-        return letters
 
-    def parse_factor(self, budget) -> list[int]:
+    def parse_factor(self, budget) -> list[int] | None:
         self.skip_ws()
-        start = self.pos
         m = _NAME.match(self.text, self.pos)
         if not m:
             self.error(f"expected a generator name, found "
@@ -102,9 +111,7 @@ class _WordParser:
         self.pos = m.end()
         base = [self.index[name]]
         if self.peek() != "^":
-            if budget < 1:
-                self.too_long(start)
-            return base
+            return base if budget >= 1 else None
         self.pos += 1
         self.skip_ws()
         m = _INT.match(self.text, self.pos)
@@ -113,21 +120,21 @@ class _WordParser:
             try:
                 k = int(m.group(0))
             except ValueError:  # more digits than int() converts
-                self.too_long(start)
+                return None
             if abs(k) > budget:
-                self.too_long(start)
+                return None
             x = base[0]
             return [x if k > 0 else -x] * abs(k)
         # x^w spells 2|w| + 1 letters
         if self.peek() == "(":
             self.pos += 1
-            exp = self.parse_word((budget - 1) // 2)
+            exp = self.parse_word((budget - 1) // 2, nested=True)
             if self.peek() != ")":
                 self.error("missing ')' in exponent")
             self.pos += 1
         else:
             exp = self.parse_factor((budget - 1) // 2)
-        return [-x for x in reversed(exp)] + base + exp
+        return None if exp is None else [-x for x in reversed(exp)] + base + exp
 
     def expect_end(self):
         self.skip_ws()

@@ -499,21 +499,16 @@ def outer_normal_images(images) -> tuple[list[Word], Word]:
         return list(images), EPSILON
     rays = []
     for w, k in wings:
-        # w = c * u * c^-1 with |c| = k: the rays start c * u = w[:n] and
-        # c * u^-1 = w^-1[:n]
-        n = len(w) - k
-        if L <= n:
-            rays += (w[:L], winv(w[len(w) - L:]))
-        else:
-            u = w[k:n]
-            reps = (L - k) // len(u) + 1
-            rays += ((w[:k] + u * reps)[:L], (w[:k] + winv(u) * reps)[:L])
+        # w = c * u * c^-1 with |c| = k: the rays c u u ... and c u^-1 ...
+        u = w[k:len(w) - k]
+        reps = (L - k) // len(u) + 1
+        rays += ((w[:k] + u * reps)[:L], (w[:k] + winv(u) * reps)[:L])
     rays.sort()
     k, i = max((_common_prefix(rays[i], rays[i + m], L), i) for i in range(m))
     g = rays[i][:k]
     del rays  # as long as the images together: gone before the conjugates
     ginv = winv(g)
-    # an image g * v * g^-1 becomes v, a slice; others are multiplied out
+    # an image g * v * g^-1 becomes the slice v: wmul would invert all of it
     return [w[k:len(w) - k] if len(w) > 2 * k and w[:k] == g
             and w[len(w) - k:] == ginv else wmul(ginv, w, g)
             for w in images], g

@@ -107,8 +107,10 @@ def test_repeated_header_and_auto_lines_raise_parse_error(repeat, first,
     ("b*a^-3000000", "a^-3000000"),
     ("a^2000000*b^200000", "b^200000"),
     ("a^2000000*a^2000000", "a^2000000"),
-    ("a^(b^(c^1000000))", "c^1000000"),
-    ("a^(b*c^2000000)", "c^2000000"),
+    ("a^2097152*b^c", "b^c"),
+    ("a^2097000*b^(c^1000)*c", "b^(c^1000)"),
+    ("a^(b^(c^1000000))", "a^(b^(c^1000000))"),
+    ("a^(b*c^2000000)", "a^(b*c^2000000)"),
 ])
 def test_word_expansion_is_bounded_before_it_happens(text, factor, tmp_path,
                                                      capsys):

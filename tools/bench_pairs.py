@@ -6,10 +6,10 @@ Run from the root of a git checkout:
 
 Each commit is extracted with ``git archive`` into its own directory,
 and ``perfbench/run.py`` of that extract runs there unchanged, one
-process at a time.  For every workload of BENCHMARK.json, pair p (1..N)
-runs both sides with seed SEED_BASE + p; odd pairs run the parent first,
-even pairs the change first, so a drift of the machine's speed falls on
-both sides alike.  The file holds every run's result and, per workload
+process at a time, for BENCHMARK.json's run_seconds.  For every
+workload of BENCHMARK.json, pair p (1..PAIRS) runs both sides with seed
+SEED_BASE + p; odd pairs run the parent first, even pairs the change
+first, so a drift of the machine's speed falls on both sides alike.  The file holds every run's result and, per workload
 and end-to-end metric, both sides' median and quartiles, the pairs in
 which the change is better and worse, and the median change in percent.
 """
@@ -26,6 +26,9 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+PAIRS = 10  # alternating pairs per workload
+SEED_BASE = 10  # pair p runs seed SEED_BASE + p
 
 
 def extract(commit: str, into: str) -> str:
@@ -91,39 +94,27 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="commit without the change")
     ap.add_argument("--change", default="HEAD", help="commit with the change")
     ap.add_argument("--number", required=True, type=int,
-                    help="writes BENCH_<number>.json unless --out is given")
-    ap.add_argument("--out")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed-base", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: run_seconds of "
-                         "BENCHMARK.json)")
-    ap.add_argument("--workloads", help="comma-separated (default: all)")
+                    help="writes BENCH_<number>.json")
     ap.add_argument("--host", default="", help="the machine, for the record")
-    ap.add_argument("--note", default="")
-    ap.add_argument("--workdir", help="where the extracts go (default: a "
-                                      "temporary directory, removed after)")
+    ap.add_argument("--note", default="", help="for the record")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, for the quartiles")
 
     with open("BENCHMARK.json") as fh:
         bench = json.load(fh)
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
-    work = args.workdir or tempfile.mkdtemp(prefix="bench_pairs-")
+    work = tempfile.mkdtemp(prefix="bench_pairs-")
     roots = {s: os.path.join(work, s) for s in ("parent", "change")}
     try:
         commits = {s: extract(c, roots[s])
                    for s, c in (("parent", args.parent), ("change", args.change))}
         runs = []
         for w in workloads:
-            for pair in range(1, args.pairs + 1):
-                seed = args.seed_base + pair
+            for pair in range(1, PAIRS + 1):
+                seed = SEED_BASE + pair
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for s in order:
                     result = run_one(roots[s], w, seed, seconds)
@@ -133,8 +124,7 @@ def main(argv=None):
                         f"{m} {result['metrics'][m]['value']:.4g}"
                         for m in metrics), file=sys.stderr, flush=True)
     finally:
-        if not args.workdir:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed N "
@@ -142,15 +132,15 @@ def main(argv=None):
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
         "note": args.note,
-        "pairing": f"for each workload, pairs 1..{args.pairs} with seed "
-                   f"{args.seed_base} + pair; odd pairs run the parent first, "
+        "pairing": f"for each workload, pairs 1..{PAIRS} with seed "
+                   f"{SEED_BASE} + pair; odd pairs run the parent first, "
                    "even pairs the change first; each side runs from an "
                    "extracted copy (git archive) of its commit",
         "host": args.host,
         "summary": summarize(runs, workloads, metrics, better),
         "runs": runs,
     }
-    out = args.out or f"BENCH_{args.number}.json"
+    out = f"BENCH_{args.number}.json"
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
