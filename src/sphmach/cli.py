@@ -319,12 +319,12 @@ def cmd_promote(args):
     G1, G2 = mf1.machine.source, mf2.machine.source
 
     def tag(lbl, G):
+        # a generator name first: a generator may be called c1
+        if lbl in G.names:
+            return ("puncture", G.index_of(lbl))
         if lbl.startswith("c") and lbl[1:].isdigit():
             return ("curve", int(lbl[1:]))
-        try:
-            return ("puncture", G.index_of(lbl))
-        except KeyError:
-            raise CliError(f"--map: unknown generator {lbl!r}")
+        raise CliError(f"--map: unknown generator {lbl!r}")
 
     h = {}
     for pair in args.map.split(","):

@@ -34,7 +34,6 @@ from .multicurve import Multicurve, MulticurveError
 class ParseError(ValueError):
     def __init__(self, message, line=None, column=None):
         self.line = line
-        self.column = column
         where = ""
         if line is not None:
             where = f" at line {line}" + (f", column {column}"
@@ -79,27 +78,40 @@ class _WordParser:
 
     def parse_word(self, budget=MAX_WORD_LETTERS, nested=False):
         """The letters the word spells.  Past budget letters a nested word
-        returns None, read to its end but not expanded, and a whole word
-        raises ParseError naming the factor that passes the bound."""
-        letters: list[int] | None = []
+        returns None at once, and a whole word raises ParseError naming
+        the factor that passes the bound."""
+        letters: list[int] = []
         while True:
             self.skip_ws()
             start = self.pos
-            got = self.parse_factor(-1 if letters is None
-                                    else budget - len(letters))
-            if got is None and not nested:
-                factor, self.pos = self.text[start:self.pos].rstrip(), start
-                self.error(f"factor {factor!r} makes the word longer than "
-                           f"{MAX_WORD_LETTERS} letters")
-            if got is None or letters is None:
-                letters = None
-            else:
-                letters += got
+            got = self.parse_factor(budget - len(letters))
+            if got is None:
+                if nested:
+                    return None
+                self.pos = start
+                self.error(f"factor {self._factor_at(start)!r} makes the word "
+                           f"longer than {MAX_WORD_LETTERS} letters")
+            letters += got
             if self.peek() != "*":
                 return letters
             self.pos += 1
 
+    def _factor_at(self, start):
+        """The text of the factor at start: up to the next '*' outside
+        parentheses, found by a scan, so an over-long factor is never
+        parsed to its end."""
+        depth = 0
+        for end in range(start, len(self.text)):
+            c = self.text[end]
+            depth += (c == "(") - (c == ")")
+            if depth < 0 or c == "*" and depth == 0:
+                return self.text[start:end].rstrip()
+        return self.text[start:].rstrip()
+
     def parse_factor(self, budget) -> list[int] | None:
+        """The letters of one factor, or None once they would pass budget;
+        the budget halves at each exponent, so the parse nests at most
+        about log2(MAX_WORD_LETTERS) deep."""
         self.skip_ws()
         m = _NAME.match(self.text, self.pos)
         if not m:
@@ -126,15 +138,21 @@ class _WordParser:
             x = base[0]
             return [x if k > 0 else -x] * abs(k)
         # x^w spells 2|w| + 1 letters
+        if budget < 1:
+            return None
         if self.peek() == "(":
             self.pos += 1
             exp = self.parse_word((budget - 1) // 2, nested=True)
+            if exp is None:
+                return None
             if self.peek() != ")":
                 self.error("missing ')' in exponent")
             self.pos += 1
         else:
             exp = self.parse_factor((budget - 1) // 2)
-        return None if exp is None else [-x for x in reversed(exp)] + base + exp
+            if exp is None:
+                return None
+        return [-x for x in reversed(exp)] + base + exp
 
     def expect_end(self):
         self.skip_ws()
@@ -188,12 +206,12 @@ class _WordReader:
         return w
 
 
-def parse_word(text: str, group: SphereGroup, line=None) -> Word:
+def parse_word(text: str, group: SphereGroup) -> Word:
     """A word typed on the command line; '1' is the trivial word, as the
     reports print it.  Row entries in files are read by _WordReader."""
     if text.strip() == "1":
         return EPSILON
-    return _WordReader(group)(text, line)
+    return _WordReader(group)(text)
 
 
 _CYCLES = re.compile(r"(?:\([0-9,\s]*\))*")
@@ -466,6 +484,13 @@ def _field(obj: dict, key: str, shape, default=None):
     return _check(obj[key], shape, f"field {key!r}")
 
 
+def _needs_group(data: dict, keys, where):
+    """ParseError on the first of keys in data, read without a group."""
+    for key in keys:
+        if key in data:
+            raise ParseError(f"{where}: {key!r} needs a group block")
+
+
 def mcb_from_json(data: dict) -> MappingClassBiset:
     """Rebuild a biset from its JSON form; ParseError on a malformed one."""
     if not isinstance(data, dict):
@@ -484,7 +509,9 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
     machines = None
     gens: dict[str, Automorphism] = {}
     group = None
-    if "group" in data:
+    if "group" not in data:
+        _needs_group(data, ("machines", "generators"), ".mcb")
+    else:
         gdata = _field(data, "group", dict)
         names = _field(gdata, "generators", (list, str))
         relator = ((_field(gdata, "relator", (list, str)), None)
@@ -521,11 +548,14 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
         if "knitting" in rec:
             edge.knitting_word = parse_twist_word(
                 _field(rec, "knitting", str), alphabet)
-        if "knitting_images" in rec and group is not None:
+        if group is None:
+            _needs_group(rec, ("knitting_images", "basis_change"),
+                         f".mcb: {where}")
+        if "knitting_images" in rec:
             edge.knitting_auto = _automorphism(
                 read, _field(rec, "knitting_images", (list, str)),
                 f".mcb: {where}: knitting_images")
-        if "basis_change" in rec and group is not None:
+        if "basis_change" in rec:
             bc = _field(rec, "basis_change", dict)
             conj = tuple(read(w)
                          for w in _field(bc, "conjugators", (list, str)))

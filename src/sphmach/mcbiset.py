@@ -15,7 +15,7 @@ from . import perms
 from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, reduce_word, substitute_all, outer_normalize,
+    winv, wmul, reduce_word, substitute_all,
     outer_normal_images, is_conjugate, is_peripheral_preserving, dehn_twist,
 )
 from .machine import (
@@ -236,7 +236,7 @@ def machine_isomorphism(Ma: SphereMachine, Mb: SphereMachine) -> BasisChange | N
     This is the knitting solve with an inner knitting.  Each relabeling
     pins its knitting up to an inner automorphism, and the knittings
     _KnitSolver yields are outer-normalised, so a match is a basis change
-    exactly when its knitting is the identity map (see outer_normalize).
+    exactly when its knitting is the identity map (see outer_normal_images).
 
     Ma must be a sphere machine, whose loop words generate the target;
     otherwise ReconstructionError is raised.
@@ -483,7 +483,10 @@ def twist_fingerprint(psi: Automorphism):
     psi(g_i) = g_i^{z_i} composes as z_i(pq) = z_i(p) * p(z_i(q)), and
     peripheral-preserving maps fix exponent sums, so each matrix entry
     is a homomorphism to Z; conjugate automorphisms get canonically
-    equal fingerprints.  None if psi is not peripheral-preserving.
+    equal fingerprints.  The matrix is returned flat, row by row, and the
+    shift that normalises it is linear, so the fingerprint of p.compose(q)
+    is the elementwise sum of those of p and q.  None if psi is not
+    peripheral-preserving.
     """
     G = psi.group
     free = G.free_gen_indices()
@@ -501,14 +504,12 @@ def twist_fingerprint(psi: Automorphism):
                 counts[col[j]] += 1 if x > 0 else -1
         rows[i] = counts
     base = rows[ref]
-    fp = [
-        tuple(rows[i][col[j]] - base[col[j]] for j in free if j != i)
-        for i in range(1, G.n + 1) if i != ref
-    ]
+    fp = [rows[i][col[j]] - base[col[j]]
+          for i in range(1, G.n + 1) if i != ref for j in free if j != i]
     # normalize modulo a uniform shift of all cells, the ambiguity left by
     # the relator generator's conjugator
-    mu = next((x for row in fp for x in row), 0)
-    return tuple(tuple(x - mu for x in row) for row in fp)
+    mu = fp[0] if fp else 0
+    return tuple(x - mu for x in fp)
 
 
 def twist_power_label(fp, gen_fps):
@@ -517,16 +518,14 @@ def twist_power_label(fp, gen_fps):
     gen_fps with fp == k*g for an integer k >= 1, else None."""
     if fp is None:
         return None
-    flat = [x for row in fp for x in row]
-    if not any(flat):
+    if not any(fp):
         return ("1", 0)
     for name, g in gen_fps:
-        gflat = [x for row in g for x in row]
-        j = next((j for j, x in enumerate(gflat) if x), None)
+        j = next((j for j, x in enumerate(g) if x), None)
         if j is None:
             continue
-        k, r = divmod(flat[j], gflat[j])
-        if r == 0 and k >= 1 and flat == [k * x for x in gflat]:
+        k, r = divmod(fp[j], g[j])
+        if r == 0 and k >= 1 and fp == tuple(k * x for x in g):
             return (name, k)
     return None
 
@@ -534,7 +533,6 @@ def twist_power_label(fp, gen_fps):
 @dataclass
 class McbLiftEntry:
     degree: int
-    knitting: Automorphism
     label: tuple[str, int] | None   # (generator name, power) when identified
 
 
@@ -542,9 +540,12 @@ def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str) -> list[McbLiftEn
     """Degrees and knitting classes of the cycles of one generator's right
     action on the basis, like multiset_of_lifts on the recursion itself.
 
-    Each cycle's knitting is the composite of its edges' knitting
-    automorphisms, labelled by twist_power_label against the biset's own
-    generators; unidentified cycles keep label None.
+    A cycle's knitting is the composite of its edges' knitting
+    automorphisms.  The fingerprint of a composite is the sum of its
+    factors' fingerprints (see twist_fingerprint), so each cycle is
+    labelled by twist_power_label on that sum against the biset's own
+    generators, and nothing is composed; unidentified cycles keep label
+    None.
     """
     gen_fps = []
     for name, a in mcb.gens.items():
@@ -554,16 +555,13 @@ def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str) -> list[McbLiftEn
         gen_fps.append((name, fp))
     out = []
     for cyc in perms.cycles(mcb.action_perm(gen)):
-        knit = None
-        p = cyc[0]
-        for _ in cyc:
+        fps = []
+        for p in cyc:
             edge = mcb.table[(gen, p)]
             if edge.knitting_auto is None:
                 raise MachineError(f"edge ({gen}, {mcb.basis_names[p]}) has "
                                    "no knitting automorphism")
-            knit = edge.knitting_auto if knit is None \
-                else outer_normalize(knit.compose(edge.knitting_auto))
-            p = edge.target
-        label = twist_power_label(twist_fingerprint(knit), gen_fps)
-        out.append(McbLiftEntry(len(cyc), knit, label))
+            fps.append(twist_fingerprint(edge.knitting_auto))
+        fp = None if None in fps else tuple(map(sum, zip(*fps)))
+        out.append(McbLiftEntry(len(cyc), twist_power_label(fp, gen_fps)))
     return out

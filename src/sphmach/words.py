@@ -489,35 +489,10 @@ class Automorphism:
 
 
 def outer_normal_images(images) -> tuple[list[Word], Word]:
-    """The reduced images of an automorphism, all n of them, conjugated by
-    the word g of outer_normalize; returns (images, g).  Closed form:
-    g is the longest common prefix of sorted rays i and i + m."""
-    wings = [(w, len(cyclic_reduce(w)[1])) for w in images if w]
-    m = len(wings)
-    L = max((k for _, k in wings), default=0)
-    if not L:
-        return list(images), EPSILON
-    rays = []
-    for w, k in wings:
-        # w = c * u * c^-1 with |c| = k: the rays c u u ... and c u^-1 ...
-        u = w[k:len(w) - k]
-        reps = (L - k) // len(u) + 1
-        rays += ((w[:k] + u * reps)[:L], (w[:k] + winv(u) * reps)[:L])
-    rays.sort()
-    k, i = max((_common_prefix(rays[i], rays[i + m], L), i) for i in range(m))
-    g = rays[i][:k]
-    del rays  # as long as the images together: gone before the conjugates
-    ginv = winv(g)
-    # an image g * v * g^-1 becomes the slice v: wmul would invert all of it
-    return [w[k:len(w) - k] if len(w) > 2 * k and w[:k] == g
-            and w[len(w) - k:] == ginv else wmul(ginv, w, g)
-            for w in images], g
-
-
-def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
-    """Inner-adjust an automorphism to a least total image length,
-    stripping accumulated conjugation bloat: every image w becomes
-    g^-1 * w * g for the one word g that outer_normal_images computes.
+    """The reduced images of an automorphism, all n of them, inner-
+    adjusted to a least total image length; returns (images, g), where
+    every image w becomes g^-1 * w * g.  Closed form: g is the longest
+    common prefix of sorted rays i and i + m, as follows.
 
     In the Cayley tree of the free group, |g^-1 w g| = l(w) +
     2 d(g, Axis(w)) for w != 1, with l(w) the length of the cyclic core;
@@ -547,10 +522,10 @@ def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
     prefix form blocks, and g is the longest common prefix of rays i
     and i + m over i < m (the m + 1 rays from i to i + m share it).
 
-    phi is inner exactly when the result is the identity map, which
-    makes is_identity_map() of the result the one exact inner test
-    (outer_equal, machine_isomorphism).  For phi = inn_h and rank >= 2,
-    the free generators are distinct letters a, b, and h^-1 a h
+    An automorphism phi is inner exactly when the result is the identity
+    map, which makes outer_normalize(phi).is_identity_map() the one exact
+    inner test (outer_equal, machine_isomorphism).  For phi = inn_h and
+    rank >= 2, the free generators are distinct letters a, b, and h^-1 a h
     conjugated by g is cyclically reduced only when hg lies in <a>; as
     <a> and <b> meet in 1, F attains its least value, the sum of the
     l(w), at the single point g = h^-1, where the images are the
@@ -558,18 +533,39 @@ def outer_normalize(phi: Automorphism, return_conjugator: bool = False):
     inner map is the identity, and its images have no wings, so it stays
     as it is.  Conversely the result is phi followed by an inner map, so
     it is the identity only if phi is inner.
-
-    With return_conjugator, also return the word g with
-    result(w) = phi(w)^g for every w.
     """
-    images, g = outer_normal_images(phi.images)
-    out = Automorphism(phi.group, images, check=False)
-    return (out, g) if return_conjugator else out
+    wings = [(w, len(cyclic_reduce(w)[1])) for w in images if w]
+    m = len(wings)
+    L = max((k for _, k in wings), default=0)
+    if not L:
+        return list(images), EPSILON
+    rays = []
+    for w, k in wings:
+        # w = c * u * c^-1 with |c| = k: the rays c u u ... and c u^-1 ...
+        u = w[k:len(w) - k]
+        reps = (L - k) // len(u) + 1
+        rays += ((w[:k] + u * reps)[:L], (w[:k] + winv(u) * reps)[:L])
+    rays.sort()
+    k, i = max((_common_prefix(rays[i], rays[i + m], L), i) for i in range(m))
+    g = rays[i][:k]
+    del rays  # as long as the images together: gone before the conjugates
+    ginv = winv(g)
+    # an image g * v * g^-1 becomes the slice v: wmul would invert all of it
+    return [w[k:len(w) - k] if len(w) > 2 * k and w[:k] == g
+            and w[len(w) - k:] == ginv else wmul(ginv, w, g)
+            for w in images], g
+
+
+def outer_normalize(phi: Automorphism) -> Automorphism:
+    """phi inner-adjusted to a least total image length, stripping
+    accumulated conjugation bloat (see outer_normal_images)."""
+    return Automorphism(phi.group, outer_normal_images(phi.images)[0],
+                        check=False)
 
 
 def outer_equal(phi: Automorphism, psi: Automorphism) -> bool:
     """Do phi and psi agree as outer automorphisms, that is, is
-    psi^-1 . phi inner?  Exact (see outer_normalize)."""
+    psi^-1 . phi inner?  Exact (see outer_normal_images)."""
     if phi.group != psi.group:
         raise ValueError("automorphisms over different groups")
     return outer_normalize(psi.inverse().compose(phi)).is_identity_map()

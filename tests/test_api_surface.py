@@ -11,6 +11,16 @@ occurs in the benchmark (perfbench/*.py) or in the acceptance criteria.
 String constants count there because the benchmark's tracer names the
 functions it wraps as strings.
 
+Every field is read and every defaulted parameter is passed.  A field
+is a dataclass field or a ``self.<name> =`` attribute of a class in
+src/sphmach; it is read by an attribute load ``.name`` (or a getattr
+with that constant name) in src/, tests/ or perfbench/*.py.  A parameter
+with a default, of a function, a method or a class's ``__init__``, is
+passed when some call in src/, perfbench/*.py or the acceptance
+criteria names the callee (``f(...)``, ``x.f(...)`` or the class name)
+and gives that parameter by keyword or by position.  Dunder methods
+other than ``__init__`` are exempt, since Python calls them itself.
+
 Every subcommand of the sphmach parser is also named by a string
 constant in tests/test_cli.py, so that each command runs there, and
 every import in the package is at module level but one.
@@ -18,13 +28,13 @@ every import in the package is at module level but one.
 
 import argparse
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sphmach"
-OUTSIDE = sorted((ROOT / "perfbench").glob("*.py")) + \
-    [ROOT / "tests" / "test_acceptance.py"]
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+OUTSIDE = BENCH + [ROOT / "tests" / "test_acceptance.py"]
 
 
 def _references(tree, strings=False, names=True) -> Counter:
@@ -76,6 +86,101 @@ def unreached():
 
 def test_every_public_definition_is_reached():
     assert unreached() == []
+
+
+def _fields(tree):
+    """(class, field) of every dataclass field and self attribute."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(_name_of(d.func if isinstance(d, ast.Call) else d)
+               == "dataclass" for d in cls.decorator_list):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign):
+                    yield cls.name, node.target.id
+        for node in ast.walk(cls):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for t in targets:
+                if isinstance(t, ast.Attribute) and \
+                        isinstance(t.value, ast.Name) and t.value.id == "self":
+                    yield cls.name, t.attr
+
+
+def _name_of(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def unread_fields():
+    reads = set()
+    for p in sorted((ROOT / "src").rglob("*.py")) + \
+            sorted((ROOT / "tests").glob("*.py")) + BENCH:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) \
+                    and _name_of(node.func) == "getattr" \
+                    and isinstance(node.args[1], ast.Constant):
+                reads.add(node.args[1].value)
+    return sorted({f"{path.stem}.{cls}.{name}"
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for cls, name in _fields(ast.parse(path.read_text()))
+                   if name not in reads})
+
+
+def _defaulted(tree):
+    """(qualified name, callee name, parameter, position or None) of every
+    parameter with a default; a method's position leaves out self."""
+    def params(fn, qual, callee, skip):
+        a = fn.args
+        pos = a.args[skip:]
+        first = len(pos) - len(a.defaults)
+        for i, p in enumerate(pos[first:], first):
+            yield qual, callee, p.arg, i
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield qual, callee, p.arg, None
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from params(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef) or (
+                        sub.name.startswith("__") and sub.name != "__init__"):
+                    continue
+                callee = node.name if sub.name == "__init__" else sub.name
+                yield from params(sub, f"{node.name}.{sub.name}", callee, 1)
+
+
+def unpassed_parameters():
+    passed = defaultdict(set)   # callee name -> keywords and positions given
+    for p in sorted((ROOT / "src").rglob("*.py")) + OUTSIDE:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if not isinstance(node, ast.Call) or _name_of(node.func) is None:
+                continue
+            got = passed[_name_of(node.func)]
+            # *args counts as every position, **kwargs as every keyword
+            got.update("*" if isinstance(arg, ast.Starred) else i
+                       for i, arg in enumerate(node.args))
+            got.update(k.arg or "**" for k in node.keywords)
+    return [f"{path.stem}.{qual}({name})"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for qual, callee, name, i in _defaulted(
+                ast.parse(path.read_text()))
+            if not {name, "**"} & passed[callee]
+            and (i is None or not {i, "*"} & passed[callee])]
+
+
+def test_every_field_is_read():
+    assert unread_fields() == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters() == []
 
 
 def test_every_subcommand_is_named_in_the_cli_tests():

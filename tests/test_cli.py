@@ -129,6 +129,22 @@ def test_word_expansion_is_bounded_before_it_happens(text, factor, tmp_path,
                    .replace("c", "u")) == 3
 
 
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_deeply_nested_words_stop_at_the_bound(depth, tmp_path, capsys):
+    # a^(a^(...(b)...)) passes the bound after 21 levels: the parser stops
+    # there instead of reading the rest through its own recursion
+    text = "a^(" * depth + "b" + ")" * depth
+    G = SphereGroup(["a", "b", "c"])
+    with pytest.raises(ParseError, match="makes the word longer"):
+        parse_word(text, G)
+    mach = tmp_path / "deep.mach"
+    mach.write_text(f"group: a,b,c\na=<{text}>\nb=<b>\nc=<c>\n")
+    assert run_cli("validate", str(mach)) == 3
+    assert "makes the word longer" in capsys.readouterr().err
+    assert run_cli("classify-twist", str(MACHINES / "rabbit.mcb"),
+                   text.replace("a", "t").replace("b", "s")) == 3
+
+
 def test_words_up_to_the_bound_parse():
     G = SphereGroup(["a", "b", "c"])
     assert parse_word(f"a^{MAX_WORD_LETTERS}", G) == (1,) * MAX_WORD_LETTERS
@@ -297,7 +313,7 @@ MALFORMED_WORDS = [
 def test_malformed_words_keep_their_messages(tmp_path, capsys, text, message):
     G = SphereGroup(["a", "b", "c"])
     with pytest.raises(ParseError) as exc:
-        parse_word(text, G, 4)
+        _WordReader(G)(text, 4)
     assert str(exc.value) == message
     short = message.split(" at line")[0]
     with pytest.raises(ParseError) as exc:
@@ -500,6 +516,24 @@ def test_cli_promote_rejects_a_label_mapped_twice(capsys):
     assert "'x1' is mapped twice" in capsys.readouterr().err
 
 
+def test_cli_promote_reads_a_generator_named_like_a_curve(tmp_path, capsys):
+    # z5belyi with its generators a, b, c, d renamed c1, c2, c3, c4
+    z5 = MACHINES / "z5belyi.mach"
+    renamed = tmp_path / "z5c.mach"
+    renamed.write_text(re.sub(r"\b[abcd]\b",
+                              lambda m: f"c{'abcd'.index(m.group(0)) + 1}",
+                              z5.read_text()))
+    reports = []
+    for path, names in ((z5, "abcd"), (renamed, ["c1", "c2", "c3", "c4"])):
+        curve = f"{names[0]}*{names[1]}"
+        pairs = ",".join(f"{x}:{x}" for x in names) + ",c0:c0"
+        assert run_cli("--json", "promote", str(path), str(path), "--curves",
+                       curve, "--curves-other", curve, "--map", pairs) == 0
+        reports.append(json.loads(capsys.readouterr().out)["result"])
+    assert reports[0] == reports[1] == {
+        "promoted": True, "vertex_map": {"S0": "S0", "S1": "S1"}}
+
+
 def test_cli_usage_error_exit_code(capsys):
     mach = str(MACHINES / "centralizer7.mach")
     capsys.readouterr()
@@ -574,6 +608,17 @@ def test_cli_relabel_takes_machine_file_cycles(capsys):
      '"table": [{"gen": "t", "from": "a", "to": "b"}]}',
      "unknown basis element 'b'"),
     ('{"alphabet": ["t"], "basis": [], "table": []}', ".mcb: empty basis"),
+    # fields that need a group block, in a file without one
+    ('{"alphabet": ["t"], "basis": ["a"], "table": [], "machines": [["a=<a>"]]}',
+     ".mcb: 'machines' needs a group block"),
+    ('{"alphabet": ["t"], "basis": ["a"], "table": [], '
+     '"generators": {"t": ["a"]}}', ".mcb: 'generators' needs a group block"),
+    ('{"alphabet": ["t"], "basis": ["a"], "table": [{"gen": "t", "from": "a", '
+     '"to": "a", "knitting_images": ["zz^(", "q"]}]}',
+     ".mcb: edge 't' from 'a': 'knitting_images' needs a group block"),
+    ('{"alphabet": ["t"], "basis": ["a"], "table": [{"gen": "t", "from": "a", '
+     '"to": "a", "basis_change": {"conjugators": [], "relabel": [9, 9]}}]}',
+     ".mcb: edge 't' from 'a': 'basis_change' needs a group block"),
 ])
 def test_cli_malformed_mcb_exit_code(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.mcb"

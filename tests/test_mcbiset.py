@@ -8,7 +8,8 @@ from sphmach import mcbiset, perms
 from sphmach.cli import main
 from sphmach.machfile import save_mcb
 from sphmach.words import (
-    SphereGroup, ConjClass, Automorphism, outer_equal, wmul, EPSILON,
+    SphereGroup, ConjClass, Automorphism, outer_equal, outer_normalize, wmul,
+    EPSILON,
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError,
@@ -536,6 +537,27 @@ def test_twist_fingerprint_classifies_conjugated_powers():
                              gen_fps) is None
 
 
+def test_twist_fingerprint_is_additive_and_ignores_inner_maps():
+    # lift_multiset_in_mcbiset labels a cycle by the sum of its edges'
+    # fingerprints instead of composing their knittings
+    rng = random.Random(23)
+    P = zoo.pilgrim()
+    G5 = SphereGroup([f"x{i}" for i in range(1, 6)])
+    for G, gens in ((P.machine.source, list(P.autos.values())),
+                    (G5, [a for _, a in full_twist_generators(G5)])):
+        letters = gens + [a.inverse() for a in gens]
+        for _ in range(40):
+            p, q = (rand_twist_product(rng, G, letters, rng.randint(0, 5))
+                    for _ in range(2))
+            fp, fq = twist_fingerprint(p), twist_fingerprint(q)
+            assert twist_fingerprint(p.compose(q)) == \
+                tuple(x + y for x, y in zip(fp, fq))
+            h = [rng.choice([-1, 1]) * rng.randint(1, G.n)
+                 for _ in range(rng.randint(1, 12))]
+            assert twist_fingerprint(zoo.inner(G, h).compose(p)) == fp
+            assert twist_fingerprint(p.compose(zoo.inner(G, h))) == fp
+
+
 def test_lift_label_solves_for_the_power():
     # a 2-cycle whose knittings compose to a conjugate of s^13: the label
     # is solved for, not looked up among a fixed range of powers
@@ -548,6 +570,25 @@ def test_lift_label_solves_for_the_power():
     mcb = MappingClassBiset(("s",), ("b0", "b1"), table, gens=dict(autos))
     [entry] = lift_multiset_in_mcbiset(mcb, "s")
     assert (entry.degree, entry.label) == (2, ("s", 13))
+
+
+def test_lift_labels_match_the_composed_knittings(pilgrim_mcb):
+    # the reference composes and outer-normalises each cycle's knittings
+    # and fingerprints the composite once
+    mcb, _ = pilgrim_mcb()
+    gen_fps = [(name, twist_fingerprint(a)) for name, a in mcb.gens.items()]
+    for gen in "stu":
+        expected = []
+        for cyc in perms.cycles(mcb.action_perm(gen)):
+            knit = Automorphism.identity(mcb.gens[gen].group)
+            for p in cyc:
+                knit = outer_normalize(
+                    knit.compose(mcb.table[(gen, p)].knitting_auto))
+            expected.append((len(cyc),
+                             twist_power_label(twist_fingerprint(knit),
+                                               gen_fps)))
+        assert [(e.degree, e.label)
+                for e in lift_multiset_in_mcbiset(mcb, gen)] == expected
 
 
 def test_lift_multiset_needs_knitting_automorphisms():

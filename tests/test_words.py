@@ -111,8 +111,8 @@ def test_outer_normalize_sends_inner_maps_to_identity():
         for _ in range(40):
             h = rand_word(rng, n - 1, rng.randint(0, 30))
             inn = zoo.inner(G, h)
-            out, g = outer_normalize(inn, return_conjugator=True)
-            assert out.is_identity_map()
+            assert outer_normalize(inn).is_identity_map()
+            _, g = words.outer_normal_images(inn.images)
             assert conjugate(G.gen(1), wmul(h, g)) == G.gen(1)
     # rank 1: the identity is the only inner map, and it stays as it is
     G = SphereGroup(["a", "b"])
@@ -218,6 +218,9 @@ def test_outer_normalize_shrinks_and_preserves_class():
 
 
 def test_outer_normalize_is_a_local_minimum_reached_by_its_conjugator():
+    """A local minimum, reached by the letter-by-letter walk.  On ties,
+    where some letter keeps the least total length and the minimisers
+    are more than one point, both stop at the one nearest to 1."""
     rng = random.Random(9)
     alphabets = {}
     for n in range(3, 8):
@@ -225,18 +228,25 @@ def test_outer_normalize_is_a_local_minimum_reached_by_its_conjugator():
         twists = [dehn_twist(i, j, G)
                   for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         alphabets[n] = G, twists + [t.inverse() for t in twists]
+    ties = 0
     for _ in range(300):
         n = rng.randint(3, 7)
         G, twists = alphabets[n]
         phi = zoo.inner(G, rand_word(rng, n - 1, rng.randint(0, 6)))
         for _ in range(rng.randint(0, 6)):
             phi = phi.compose(rng.choice(twists))
-        out, g = outer_normalize(phi, return_conjugator=True)
-        assert list(out.images) == [conjugate(w, g) for w in phi.images]
+        out, g = words.outer_normal_images(phi.images)
+        assert out == [conjugate(w, g) for w in phi.images]
+        assert list(outer_normalize(phi).images) == out
         letters = [x for x in range(-(n - 1), n) if x]
-        total = sum(map(len, out.images))
-        for x in letters:
-            assert sum(len(conjugate(w, (x,))) for w in out.images) >= total
+        total = sum(map(len, out))
+        moved = [sum(len(conjugate(w, (x,))) for w in out) for x in letters]
+        assert min(moved) >= total
+        tied = [x for x, m in zip(letters, moved) if m == total]
+        if tied:
+            ties += 1
+            # the other minimisers lie farther from 1
+            assert all(len(wmul(g, (x,))) > len(g) for x in tied)
         # the walk itself: the most shrinking letter, least first, by brute force
         imgs, walk = list(phi.images), []
         while True:
@@ -247,7 +257,8 @@ def test_outer_normalize_is_a_local_minimum_reached_by_its_conjugator():
                 break
             imgs = [conjugate(w, (x,)) for w in imgs]
             walk.append(x)
-        assert (list(out.images), g) == (imgs, reduce_word(walk))
+        assert (out, g) == (imgs, reduce_word(walk))
+    assert ties >= 40, ties
 
 
 # the closed-form outer normalisation against the letter-by-letter walk
@@ -282,8 +293,10 @@ def _walk_reference(phi):
 
 
 def _assert_matches_walk(phi):
-    out, g = outer_normalize(phi, return_conjugator=True)
-    assert (list(out.images), g) == _walk_reference(phi)
+    images, g = words.outer_normal_images(phi.images)
+    assert (images, g) == _walk_reference(phi)
+    out = outer_normalize(phi)
+    assert list(out.images) == images
     return out, g
 
 
@@ -347,28 +360,6 @@ def test_outer_normalize_matches_the_walk_on_identity_inner_and_rank_1():
                                (-1,) * k if k > 0 else (1,) * -k], check=False)
         out, g = _assert_matches_walk(phi)
         assert out == phi and g == ()
-
-
-def test_outer_normalize_matches_the_walk_on_ties():
-    """Ties: some letter keeps the least total length, so the minimisers
-    are more than one point; both ways stop at the one nearest to 1."""
-    rng = random.Random(19)
-    ties = 0
-    for _ in range(400):
-        n = rng.randint(3, 6)
-        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
-        phi = _random_twist_product(rng, G, rng.randint(1, 4))
-        phi = zoo.inner(G, rand_word(rng, n - 1, rng.randint(0, 12))) \
-            .compose(phi)
-        out, g = _assert_matches_walk(phi)
-        total = sum(map(len, out.images))
-        tied = [x for x in range(-(n - 1), n) if x and
-                sum(len(conjugate(w, (x,))) for w in out.images) == total]
-        if tied:
-            ties += 1
-            # the other minimisers lie farther from 1
-            assert all(len(wmul(g, (x,))) > len(g) for x in tied)
-    assert ties >= 40, ties
 
 
 def test_conjclass_equality_and_inversion():
