@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import json
 import re
+from functools import reduce
+from itertools import repeat
+from operator import iadd
 from dataclasses import dataclass, field
 
 from . import perms
@@ -43,6 +46,7 @@ class ParseError(ValueError):
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT = re.compile(r"-?\d+")
+_WS = re.compile(r"[ \t]*")
 
 # The most letters one word may spell as written, before free reduction:
 # x^k spells |k| letters and x^w spells 2|w| + 1.  A longer word raises
@@ -50,160 +54,153 @@ _INT = re.compile(r"-?\d+")
 # expanded.  2^21 letters is twice a million-letter twist power; reading
 # a word that long takes about 0.2 s and 80 MB of peak memory.
 MAX_WORD_LETTERS = 1 << 21
+# A reader's cache gives this for a factor text it has not read: longer
+# than any word, so one sum finds the factors to parse and a word too long.
+_UNREAD = range(MAX_WORD_LETTERS + 1)
 
 
-class _WordParser:
-    """word ::= factor ("*" factor)* ; factor ::= name ("^" exponent)? ;
-    exponent ::= int | name | "(" word ")"
+def _quoted(text: str) -> str:
+    """repr(text) for a text of up to 60 characters; past that its head,
+    its tail and its length, so that no message quotes unbounded input."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:24]!r}...{text[-24:]!r} ({len(text)} characters)"
 
-    Each parse takes a budget, the letters its word may still spell (see
-    MAX_WORD_LETTERS)."""
 
-    def __init__(self, text, index, line=None):
-        self.text = text
-        self.pos = 0
-        self.index = index
-        self.line = line
+_STAR_OR_PAREN = re.compile(r"[*()]")
 
-    def error(self, msg):
-        raise ParseError(msg, self.line, self.pos + 1)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_word(self, budget=MAX_WORD_LETTERS, nested=False):
-        """The letters the word spells.  Past budget letters a nested word
-        returns None at once, and a whole word raises ParseError naming
-        the factor that passes the bound."""
-        letters: list[int] = []
-        while True:
-            self.skip_ws()
-            start = self.pos
-            got = self.parse_factor(budget - len(letters))
-            if got is None:
-                if nested:
-                    return None
-                self.pos = start
-                self.error(f"factor {self._factor_at(start)!r} makes the word "
-                           f"longer than {MAX_WORD_LETTERS} letters")
-            letters += got
-            if self.peek() != "*":
-                return letters
-            self.pos += 1
-
-    def _factor_at(self, start):
-        """The text of the factor at start: up to the next '*' outside
-        parentheses, found by a scan, so an over-long factor is never
-        parsed to its end."""
-        depth = 0
-        for end in range(start, len(self.text)):
-            c = self.text[end]
-            depth += (c == "(") - (c == ")")
-            if depth < 0 or c == "*" and depth == 0:
-                return self.text[start:end].rstrip()
-        return self.text[start:].rstrip()
-
-    def parse_factor(self, budget) -> list[int] | None:
-        """The letters of one factor, or None once they would pass budget;
-        the budget halves at each exponent, so the parse nests at most
-        about log2(MAX_WORD_LETTERS) deep."""
-        self.skip_ws()
-        m = _NAME.match(self.text, self.pos)
-        if not m:
-            self.error(f"expected a generator name, found "
-                       f"{self.text[self.pos:self.pos + 8]!r}")
-        name = m.group(0)
-        if name not in self.index:
-            self.error(f"unknown generator {name!r}")
-        self.pos = m.end()
-        base = [self.index[name]]
-        if self.peek() != "^":
-            return base if budget >= 1 else None
-        self.pos += 1
-        self.skip_ws()
-        m = _INT.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            try:
-                k = int(m.group(0))
-            except ValueError:  # more digits than int() converts
-                return None
-            if abs(k) > budget:
-                return None
-            x = base[0]
-            return [x if k > 0 else -x] * abs(k)
-        # x^w spells 2|w| + 1 letters
-        if budget < 1:
-            return None
-        if self.peek() == "(":
-            self.pos += 1
-            exp = self.parse_word((budget - 1) // 2, nested=True)
-            if exp is None:
-                return None
-            if self.peek() != ")":
-                self.error("missing ')' in exponent")
-            self.pos += 1
+def _cut(text: str, start: int, end: int) -> tuple[list[str], int]:
+    """The factor texts of the word at start, cut at each '*' outside
+    parentheses, and where the word stops: at the first ')' that closes
+    no '(' after start, or at end."""
+    span = text[start:end]
+    if "(" not in span and ")" not in span:
+        return span.split("*"), end
+    parts, depth, last = [], 0, start
+    for m in _STAR_OR_PAREN.finditer(text, start, end):
+        c = m.group()
+        if c == "*":
+            if not depth:
+                parts.append(text[last:m.start()])
+                last = m.end()
+        elif c == "(":
+            depth += 1
+        elif not depth:
+            end = m.start()
+            break
         else:
-            exp = self.parse_factor((budget - 1) // 2)
-            if exp is None:
-                return None
-        return [-x for x in reversed(exp)] + base + exp
-
-    def expect_end(self):
-        self.skip_ws()
-        if self.pos < len(self.text):
-            self.error(f"unexpected {self.text[self.pos:self.pos + 8]!r}")
+            depth -= 1
+    parts.append(text[last:end])
+    return parts, end
 
 
 class _WordReader:
-    """Reads words over one group, remembering the letters of each
-    '*'-separated factor text it has read.
+    """word ::= factor ("*" factor)* ; factor ::= name ("^" exponent)? ;
+    exponent ::= int | name | "(" word ")", over the alphabet names, with
+    finish mapping the letters spelt to the word returned.
 
-    Printed words repeat a handful of factor texts (x1, x3^-2, ...) many
-    times over, so a reader kept for a whole file parses each distinct
-    factor once.  _WordParser reads every new factor, and reads the
-    whole text when it has parentheses, a factor does not parse or the
-    word passes MAX_WORD_LETTERS, so the grammar and its error messages
-    stay in one place.
+    A word is cut at each '*' outside parentheses before anything is
+    parsed, and each factor text is looked up in a cache of the letters it
+    spells.  Printed words repeat a handful of factor texts (x1, x3^-2,
+    ...) many times over, so a reader kept for a whole file, words inside
+    parentheses included, parses each distinct factor once.
     """
 
-    def __init__(self, group: SphereGroup):
-        self.group = group
-        self.index = {nm: i + 1 for i, nm in enumerate(group.names)}
+    def __init__(self, names, finish):
+        self.index = {nm: i + 1 for i, nm in enumerate(names)}
+        self.finish = finish
         self.factors: dict[str, list[int]] = {}
 
     def __call__(self, text: str, line=None) -> Word:
         if not text.strip():
             return EPSILON
-        if "(" not in text:
-            factors = self.factors
-            letters: list[int] = []
-            room = MAX_WORD_LETTERS
-            for f in text.split("*"):
-                got = factors.get(f)
-                if got is None:
-                    try:
-                        got = factors[f] = self._parse(f, line)
-                    except ParseError:
-                        break
-                room -= len(got)
-                if room < 0:
-                    break
-                letters += got
-            else:
-                return self.group.normal_form(letters)
-        return self.group.normal_form(self._parse(text, line))
+        letters, stop = self._word(text, 0, len(text), MAX_WORD_LETTERS, line)
+        if stop < len(text):
+            raise ParseError(f"unexpected {text[stop:stop + 8]!r}", line,
+                             stop + 1)
+        return self.finish(letters)
 
-    def _parse(self, text: str, line) -> list[int]:
-        p = _WordParser(text, self.index, line)
-        w = p.parse_word()
-        p.expect_end()
-        return w
+    def _word(self, text, start, end, budget, line, outer=None):
+        """The letters that the word at start spells, at most budget of them
+        (see MAX_WORD_LETTERS), and where it stops (see _cut).  A word past
+        the budget raises ParseError naming the top-level factor it lies
+        in: outer, the (start, end) of that factor, or None at top level."""
+        parts, end = _cut(text, start, end)
+        got = list(map(self.factors.get, parts, repeat(_UNREAD)))
+        if sum(map(len, got)) <= budget:
+            return reduce(iadd, got, []), end
+        letters: list[int] = []
+        at = start
+        for part, known in zip(parts, got):
+            stop = at + len(part)
+            room = budget - len(letters)
+            span = outer or (at, stop)
+            if known is _UNREAD:
+                known = self.factors[part] = self._factor(
+                    text, at, stop, room, line, span)
+            elif len(known) > room:
+                raise _past_bound(text, span, line)
+            letters += known
+            at = stop + 1
+        return letters, end
+
+    def _factor(self, text, pos, end, budget, line, outer) -> list[int]:
+        """The letters of the factor text[pos:end], at most budget of them.
+        The budget halves at each exponent, so factors nest at most about
+        log2(MAX_WORD_LETTERS) deep before one passes it."""
+        pos = _WS.match(text, pos, end).end()
+        m = _NAME.match(text, pos, end)
+        if not m:
+            raise ParseError(f"expected a generator name, found "
+                             f"{text[pos:pos + 8]!r}", line, pos + 1)
+        x = self.index.get(m.group())
+        if x is None:
+            raise ParseError(f"unknown generator {_quoted(m.group())}",
+                             line, pos + 1)
+        pos = _WS.match(text, m.end(), end).end()
+        k, exp = 1, None
+        if pos < end and text[pos] == "^":
+            pos = _WS.match(text, pos + 1, end).end()
+            m = _INT.match(text, pos, end)
+            if m:
+                pos = m.end()
+                try:
+                    k = int(m.group())
+                except ValueError:  # more digits than int() converts
+                    k = budget + 1
+            elif budget < 1:  # x^w spells 2|w| + 1 letters
+                raise _past_bound(text, outer, line)
+            elif pos < end and text[pos] == "(":
+                exp, close = self._word(text, pos + 1, end,
+                                        (budget - 1) // 2, line, outer)
+                if close == end:
+                    raise ParseError("missing ')' in exponent", line, end + 1)
+                pos = close + 1
+            else:
+                # a factor exponent runs to the end: x^y^z is x^(y^z)
+                exp = self._factor(text, pos, end, (budget - 1) // 2, line,
+                                   outer)
+                pos = end
+        if abs(k) > budget:
+            raise _past_bound(text, outer, line)
+        pos = _WS.match(text, pos, end).end()
+        if pos < end:
+            raise ParseError(f"unexpected {text[pos:pos + 8]!r}", line,
+                             pos + 1)
+        if exp is None:
+            return [x if k > 0 else -x] * abs(k)
+        return [-y for y in reversed(exp)] + [x] + exp
+
+
+def _past_bound(text, outer, line) -> ParseError:
+    """The error for a word whose top-level factor text[outer] passes
+    MAX_WORD_LETTERS."""
+    start, end = outer
+    factor = text[start:end].lstrip(" \t")
+    return ParseError(f"factor {_quoted(factor.rstrip())} makes the word "
+                      f"longer than {MAX_WORD_LETTERS} letters", line,
+                      end - len(factor) + 1)
 
 
 def parse_word(text: str, group: SphereGroup) -> Word:
@@ -211,7 +208,7 @@ def parse_word(text: str, group: SphereGroup) -> Word:
     reports print it.  Row entries in files are read by _WordReader."""
     if text.strip() == "1":
         return EPSILON
-    return _WordReader(group)(text)
+    return _WordReader(group.names, group.normal_form)(text)
 
 
 _CYCLES = re.compile(r"(?:\([0-9,\s]*\))*")
@@ -223,7 +220,7 @@ _ROW = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*<(.*)>\s*("
 def parse_cycles(text: str, degree: int, line=None) -> perms.Perm:
     """A permutation of 1..degree in cycle notation, like (1,3,5)(2,4)."""
     if not _CYCLES.fullmatch(text):
-        raise ParseError(f"bad cycle notation {text!r}", line)
+        raise ParseError(f"bad cycle notation {_quoted(text)}", line)
     cycles = []
     for cm in _CYCLE.finditer(text):
         try:
@@ -260,7 +257,9 @@ def _group(what: str, names, relator) -> SphereGroup:
     try:
         return SphereGroup(names, relator=words)
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"{what}: {exc}", line)
+        # a KeyError carries the relator name that names no generator
+        reason = _quoted(exc.args[0]) if isinstance(exc, KeyError) else exc
+        raise ParseError(f"{what}: {reason}", line)
 
 
 def _machine(source: SphereGroup, target: SphereGroup, read: _WordReader,
@@ -276,12 +275,12 @@ def _machine(source: SphereGroup, target: SphereGroup, read: _WordReader,
     for text, ln in rows:
         m = _ROW.match(text)
         if not m:
-            raise ParseError(f"cannot parse line {text!r}", ln)
+            raise ParseError(f"cannot parse line {_quoted(text)}", ln)
         name, entries_text, cycles_text = m.groups()
         if name not in source._index:
-            raise ParseError(f"row for unknown generator {name!r}", ln)
+            raise ParseError(f"row for unknown generator {_quoted(name)}", ln)
         if name in by_name:
-            raise ParseError(f"duplicate row for {name!r}", ln)
+            raise ParseError(f"duplicate row for {_quoted(name)}", ln)
         entries = tuple(read(e, ln) for e in entries_text.split(","))
         if degree is None:
             degree = len(entries)
@@ -296,14 +295,14 @@ def _machine(source: SphereGroup, target: SphereGroup, read: _WordReader,
     return SphereMachine(source, target, [by_name[nm] for nm in source.names])
 
 
-def _automorphism(read: _WordReader, texts, what: str,
+def _automorphism(group: SphereGroup, read: _WordReader, texts, what: str,
                   line=None) -> Automorphism:
-    """The automorphism with the images read from texts; a wrong number of
-    images or images that break the relator raise ParseError "<what>:
-    <reason>"."""
+    """The automorphism of group with the images read from texts; a wrong
+    number of images or images that break the relator raise ParseError
+    "<what>: <reason>"."""
     images = [read(w, line) for w in texts]
     try:
-        return Automorphism(read.group, images)
+        return Automorphism(group, images)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}", line)
 
@@ -335,7 +334,7 @@ def parse_machine_file(text: str) -> MachineFile:
                 raise ParseError("automorphism line needs name = images", ln)
             name, images = (x.strip() for x in body.split("=", 1))
             if name in auto_raw:
-                raise ParseError(f"second automorphism {name!r}", ln)
+                raise ParseError(f"second automorphism {_quoted(name)}", ln)
             auto_raw[name] = (images, ln)
         else:
             rows_raw.append((line, ln))
@@ -360,9 +359,11 @@ def parse_machine_file(text: str) -> MachineFile:
         try:
             degree = int(degree_text)
         except ValueError:
-            raise ParseError(f"bad degree {degree_text!r}", ln)
-    read_source = _WordReader(source)
-    machine = _machine(source, target, _WordReader(target), rows_raw, degree)
+            raise ParseError(f"bad degree {_quoted(degree_text)}", ln)
+    read_source = _WordReader(source.names, source.normal_form)
+    machine = _machine(source, target,
+                       _WordReader(target.names, target.normal_form),
+                       rows_raw, degree)
     curves = None
     if "curves" in heads:
         curve_text, ln = heads["curves"]
@@ -371,7 +372,7 @@ def parse_machine_file(text: str) -> MachineFile:
             curves = Multicurve(source, reps)
         except MulticurveError as exc:
             raise ParseError(f"bad curves: {exc}", ln)
-    autos = {name: _automorphism(read_source, images_text.split(","),
+    autos = {name: _automorphism(source, read_source, images_text.split(","),
                                  f"automorphism {name}", ln)
              for name, (images_text, ln) in auto_raw.items()}
     return MachineFile(machine, curves, autos)
@@ -399,14 +400,11 @@ def print_machine_file(mf: MachineFile) -> str:
 # mapping class biset JSON
 
 def parse_twist_word(text: str, alphabet) -> tuple[int, ...]:
-    index = {nm: i + 1 for i, nm in enumerate(alphabet)}
-    # '1' is the trivial word, as classify-twist prints it
-    if text.strip() in ("", "1"):
+    """A twist word typed on the command line, freely reduced; '1' is the
+    trivial word, as classify-twist prints it."""
+    if text.strip() == "1":
         return EPSILON
-    p = _WordParser(text, index)
-    w = p.parse_word()
-    p.expect_end()
-    return reduce_word(w)
+    return _WordReader(alphabet, reduce_word)(text)
 
 
 def mcb_to_json(mcb: MappingClassBiset) -> dict:
@@ -503,7 +501,7 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
 
     def basis_index(name):
         if name not in pos:
-            raise ParseError(f".mcb: unknown basis element {name!r}")
+            raise ParseError(f".mcb: unknown basis element {_quoted(name)}")
         return pos[name]
 
     machines = None
@@ -517,7 +515,7 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
         relator = ((_field(gdata, "relator", (list, str)), None)
                    if "relator" in gdata else None)
         group = _group(".mcb: bad group", names, relator)
-        read = _WordReader(group)
+        read = _WordReader(group.names, group.normal_form)
         rows_texts = _field(data, "machines", (list, list))
         if len(rows_texts) != len(basis):
             raise ParseError(f".mcb: {len(rows_texts)} machines for a basis "
@@ -529,31 +527,31 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
                 machines.append(_machine(group, group, read, [
                     (row, ln) for ln, row in enumerate(rows_text, start=1)]))
             except ParseError as exc:
-                raise ParseError(f".mcb: machine {basis[k]!r}: {exc}")
+                raise ParseError(f".mcb: machine {_quoted(basis[k])}: {exc}")
         d = machines[0].degree
         if any(m.degree != d for m in machines):
             raise ParseError(".mcb: machines of different degrees")
         for name, images in _field(data, "generators", dict, {}).items():
-            what = f"generator {name!r}"
-            gens[name] = _automorphism(
-                read, _check(images, (list, str), what), f".mcb: {what}")
+            what = f"generator {_quoted(name)}"
+            gens[name] = _automorphism(group, read, _check(
+                images, (list, str), what), f".mcb: {what}")
+    read_twist = _WordReader(alphabet, reduce_word)
     table: dict[tuple[str, int], TableEdge] = {}
     for rec in _field(data, "table", (list, dict)):
         src = basis_index(_field(rec, "from", str))
         dst = basis_index(_field(rec, "to", str))
         edge = TableEdge(_field(rec, "gen", str), src, dst)
-        where = f"edge {edge.gen!r} from {basis[src]!r}"
+        where = f"edge {_quoted(edge.gen)} from {_quoted(basis[src])}"
         if edge.gen not in alphabet:
             raise ParseError(f".mcb: {where}: generator not in the alphabet")
         if "knitting" in rec:
-            edge.knitting_word = parse_twist_word(
-                _field(rec, "knitting", str), alphabet)
+            edge.knitting_word = read_twist(_field(rec, "knitting", str))
         if group is None:
             _needs_group(rec, ("knitting_images", "basis_change"),
                          f".mcb: {where}")
         if "knitting_images" in rec:
             edge.knitting_auto = _automorphism(
-                read, _field(rec, "knitting_images", (list, str)),
+                group, read, _field(rec, "knitting_images", (list, str)),
                 f".mcb: {where}: knitting_images")
         if "basis_change" in rec:
             bc = _field(rec, "basis_change", dict)

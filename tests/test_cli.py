@@ -15,12 +15,12 @@ from sphmach import cli
 from sphmach.mcbiset import (
     compute_mcbiset, conjugacy_iterate, full_twist_generators,
 )
-from sphmach.words import SphereGroup, reduce_word
+from sphmach.words import SphereGroup, conjugate, reduce_word, wmul
 from sphmach.machine import tensor
 from sphmach.machfile import (
     ParseError, parse_machine_file, print_machine_file, parse_word,
-    parse_twist_word, mcb_to_json, mcb_from_json, save_mcb, load_mcb,
-    _WordReader, MAX_WORD_LETTERS,
+    parse_twist_word, parse_cycles, mcb_to_json, mcb_from_json, save_mcb,
+    load_mcb, _WordReader, MAX_WORD_LETTERS,
 )
 from sphmach.cli import main
 
@@ -143,6 +143,31 @@ def test_deeply_nested_words_stop_at_the_bound(depth, tmp_path, capsys):
     assert "makes the word longer" in capsys.readouterr().err
     assert run_cli("classify-twist", str(MACHINES / "rabbit.mcb"),
                    text.replace("a", "t").replace("b", "s")) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "a^(" * 5000 + "b" + ")" * 5000,
+    "a^" + "9" * 50000,
+])
+def test_messages_elide_long_input(text):
+    # the factor is named by its head, its tail and its length
+    G = SphereGroup(["a", "b", "c"])
+    with pytest.raises(ParseError) as exc:
+        parse_word(text, G)
+    message = str(exc.value)
+    assert len(message) < 200
+    assert message.startswith(f"factor {text[:20]!r}"[:-1])
+    assert f"({len(text)} characters) makes the word longer" in message
+    # so are unknown names and lines that do not parse
+    name = "z" * 100000
+    for row in (f"a=<a*{name}>", f"{name}=<a>", f"a=<a>{name}",
+                f"relator: a*{name}"):
+        with pytest.raises(ParseError) as exc:
+            parse_machine_file(f"group: a,b\n{row}\nb=<b>\n")
+        assert len(str(exc.value)) < 200
+    with pytest.raises(ParseError) as exc:
+        parse_cycles(f"(1,2){name}", 2)
+    assert len(str(exc.value)) < 200
 
 
 def test_words_up_to_the_bound_parse():
@@ -288,13 +313,71 @@ def test_random_text_parses_or_raises_parse_error(texts):
     # over several texts, as a .mcb load keeps it, answers as fresh ones do,
     # and parse_word as they do except that it reads "1" as the trivial word
     G = FUZZ_GROUP
-    shared = _WordReader(G)
+    shared = _WordReader(G.names, G.normal_form)
     for text in texts:
-        got = _outcome(lambda t: _WordReader(G)(t), text)
+        got = _outcome(lambda t: _WordReader(G.names, G.normal_form)(t), text)
         assert got == _outcome(shared, text)
         assert isinstance(got, str) or got == G.normal_form(got)
         assert _outcome(lambda t: parse_word(t, G), text) == (
             () if text.strip() == "1" else got)
+
+
+def _word_trees(depth=4):
+    """Words as lists of (generator, exponent), the exponent None, an
+    integer, ("name", generator) or ("word", a word tree), nested up to
+    depth deep."""
+    names = st.sampled_from(FUZZ_GROUP.names)
+    exponents = [st.none(), st.integers(-3, 3),
+                 st.tuples(st.just("name"), names)]
+    if depth:
+        exponents.append(st.tuples(st.just("word"), _word_trees(depth - 1)))
+    return st.lists(st.tuples(names, st.one_of(*exponents)), min_size=1,
+                    max_size=4)
+
+
+def _tree_text(tree, star):
+    def factor(name, exp):
+        if exp is None:
+            return name
+        if isinstance(exp, int):
+            return f"{name}^{exp}"
+        return f"{name}^{exp[1]}" if exp[0] == "name" else \
+            f"{name}^({_tree_text(exp[1], star)})"
+    return star.join(factor(name, exp) for name, exp in tree)
+
+
+def _tree_value(tree):
+    letter = {nm: i + 1 for i, nm in enumerate(FUZZ_GROUP.names)}
+    out = ()
+    for name, exp in tree:
+        x = letter[name]
+        if exp is None:
+            w = (x,)
+        elif isinstance(exp, int):
+            w = (x if exp > 0 else -x,) * abs(exp)
+        elif exp[0] == "name":
+            w = conjugate((x,), (letter[exp[1]],))
+        else:
+            w = conjugate((x,), _tree_value(exp[1]))
+        out = wmul(out, w)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_word_trees(), min_size=1, max_size=4),
+       st.sampled_from(["*", " * ", "\t*"]))
+def test_readers_read_word_trees_as_their_products(trees, star):
+    # readers kept over several words share the letters of nested factors
+    # as well as top-level ones, and answer as fresh readers do
+    G = FUZZ_GROUP
+    shared = _WordReader(G.names, G.normal_form)
+    shared_twist = _WordReader(G.names, reduce_word)
+    for tree in trees:
+        text = _tree_text(tree, star)
+        value = _tree_value(tree)
+        assert _WordReader(G.names, G.normal_form)(text) == \
+            shared(text) == parse_word(text, G) == G.normal_form(value)
+        assert parse_twist_word(text, G.names) == shared_twist(text) == value
 
 
 MALFORMED_WORDS = [
@@ -313,7 +396,7 @@ MALFORMED_WORDS = [
 def test_malformed_words_keep_their_messages(tmp_path, capsys, text, message):
     G = SphereGroup(["a", "b", "c"])
     with pytest.raises(ParseError) as exc:
-        _WordReader(G)(text, 4)
+        _WordReader(G.names, G.normal_form)(text, 4)
     assert str(exc.value) == message
     short = message.split(" at line")[0]
     with pytest.raises(ParseError) as exc:
@@ -359,7 +442,7 @@ def test_word_syntax():
     assert parse_word(" 1 ", G) == ()
     # in a file, "1" is no row entry
     with pytest.raises(ParseError):
-        _WordReader(G)("1")
+        _WordReader(G.names, G.normal_form)("1")
 
 
 def test_cli_validate(capsys):
@@ -435,6 +518,19 @@ def test_cli_lifts_of_the_trivial_word(word, capsys):
     assert result["class"] == "1"
     assert result["lifts"] == [{"class": "1", "degree": 1}] * 6
     assert result["total_degree"] == 6
+
+
+def test_cli_lifts_essential_keeps_the_nontrivial_lifts(capsys):
+    # x3*x4 has six lifts of degree 1, one of them x3*x4 and five trivial
+    args = ("--json", "lifts", str(MACHINES / "centralizer7.mach"), "x3*x4")
+    assert run_cli(*args) == 0
+    every = json.loads(capsys.readouterr().out)["result"]
+    assert run_cli(*args, "--essential") == 0
+    essential = json.loads(capsys.readouterr().out)["result"]
+    assert every["lifts"] == [{"class": "x3*x4", "degree": 1}] + \
+        [{"class": "1", "degree": 1}] * 5
+    assert essential["lifts"] == [{"class": "x3*x4", "degree": 1}]
+    assert essential["total_degree"] == every["total_degree"] == 6
 
 
 def test_cli_lifts_and_iso(capsys):
