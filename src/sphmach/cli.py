@@ -35,6 +35,7 @@ from .multicurve import (
 from .machfile import (
     MachineFile, ParseError, parse_machine_file, print_machine_file,
     parse_word, parse_twist_word, parse_cycles, mcb_from_json, save_mcb,
+    _quoted,
 )
 
 
@@ -98,7 +99,8 @@ def _gens_for(mf: MachineFile, arg: str | None):
     out = []
     for nm in names:
         if nm not in mf.autos:
-            raise CliError(f"automorphism {nm!r} not defined in the file")
+            raise CliError(
+                f"automorphism {_quoted(nm)} not defined in the file")
         out.append((nm, mf.autos[nm]))
     return out
 
@@ -278,7 +280,8 @@ def _parse_lin_expr(text: str) -> LinExpr:
     for term in re.split(r"\+|(?<=[^+])(?=-)", text.replace(" ", "")):
         m = _LIN_TERM.fullmatch(term)
         if m is None:
-            raise CliError(f"--theta: bad term {term!r} in {text!r}: a term "
+            raise CliError(f"--theta: bad term {_quoted(term)} in "
+                           f"{_quoted(text)}: a term "
                            "is [-]int, [-]name or [-]int*name, and a name an "
                            "identifier not starting with '_'")
         sign = -1 if m[1] else 1
@@ -324,16 +327,17 @@ def cmd_promote(args):
             return ("puncture", G.index_of(lbl))
         if lbl.startswith("c") and lbl[1:].isdigit():
             return ("curve", int(lbl[1:]))
-        raise CliError(f"--map: unknown generator {lbl!r}")
+        raise CliError(f"--map: unknown generator {_quoted(lbl)}")
 
     h = {}
     for pair in args.map.split(","):
         labels = [x.strip() for x in pair.split(":")]
         if len(labels) != 2:
-            raise CliError(f"--map: expected label:label, got {pair.strip()!r}")
+            raise CliError("--map: expected label:label, got "
+                           f"{_quoted(pair.strip())}")
         src = tag(labels[0], G1)
         if src in h:
-            raise CliError(f"--map: {labels[0]!r} is mapped twice")
+            raise CliError(f"--map: {_quoted(labels[0])} is mapped twice")
         h[src] = tag(labels[1], G2)
     c1 = _curves_for(mf1, args.curves)
     c2 = _curves_for(mf2, args.curves_other)

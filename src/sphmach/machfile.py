@@ -59,12 +59,17 @@ MAX_WORD_LETTERS = 1 << 21
 _UNREAD = range(MAX_WORD_LETTERS + 1)
 
 
-def _quoted(text: str) -> str:
-    """repr(text) for a text of up to 60 characters; past that its head,
-    its tail and its length, so that no message quotes unbounded input."""
+def _elided(text: str, show) -> str:
+    """show(text) for a text of up to 60 characters; past that its head,
+    its tail and its length, so that no message prints unbounded input."""
     if len(text) <= 60:
-        return repr(text)
-    return f"{text[:24]!r}...{text[-24:]!r} ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:24])}...{show(text[-24:])} ({len(text)} characters)"
+
+
+def _quoted(text: str) -> str:
+    """The text in quotes, elided past 60 characters (see _elided)."""
+    return _elided(text, repr)
 
 
 _STAR_OR_PAREN = re.compile(r"[*()]")
@@ -104,22 +109,31 @@ class _WordReader:
     parsed, and each factor text is looked up in a cache of the letters it
     spells.  Printed words repeat a handful of factor texts (x1, x3^-2,
     ...) many times over, so a reader kept for a whole file, words inside
-    parentheses included, parses each distinct factor once.
+    parentheses included, parses each distinct factor once.  Whole words
+    repeat too (a .mcb spells one knitting image or conjugator on many
+    edges), so each finished word is kept by its text and read once; a
+    text that fails to parse is not kept, and fails again with its own
+    line.
     """
 
     def __init__(self, names, finish):
         self.index = {nm: i + 1 for i, nm in enumerate(names)}
         self.finish = finish
         self.factors: dict[str, list[int]] = {}
+        self.words: dict[str, Word] = {}
 
     def __call__(self, text: str, line=None) -> Word:
+        word = self.words.get(text)
+        if word is not None:
+            return word
         if not text.strip():
             return EPSILON
         letters, stop = self._word(text, 0, len(text), MAX_WORD_LETTERS, line)
         if stop < len(text):
             raise ParseError(f"unexpected {text[stop:stop + 8]!r}", line,
                              stop + 1)
-        return self.finish(letters)
+        word = self.words[text] = self.finish(letters)
+        return word
 
     def _word(self, text, start, end, budget, line, outer=None):
         """The letters that the word at start spells, at most budget of them
@@ -226,7 +240,8 @@ def parse_cycles(text: str, degree: int, line=None) -> perms.Perm:
         try:
             pts = [int(x) for x in cm.group(1).split(",") if x.strip()]
         except ValueError:
-            raise ParseError(f"bad cycle point in ({cm.group(1)})", line)
+            raise ParseError(
+                f"bad cycle point in ({_elided(cm.group(1), str)})", line)
         if any(not 1 <= p <= degree for p in pts):
             raise ParseError("cycle point outside 1..degree", line)
         cycles.append(pts)
@@ -291,7 +306,8 @@ def _machine(source: SphereGroup, target: SphereGroup, read: _WordReader,
                                       parse_cycles(cycles_text, degree, ln))
     missing = [nm for nm in source.names if nm not in by_name]
     if missing:
-        raise ParseError(f"missing rows for {', '.join(missing)}")
+        raise ParseError(
+            f"missing rows for {_elided(', '.join(missing), str)}")
     return SphereMachine(source, target, [by_name[nm] for nm in source.names])
 
 
@@ -408,6 +424,16 @@ def parse_twist_word(text: str, alphabet) -> tuple[int, ...]:
 
 
 def mcb_to_json(mcb: MappingClassBiset) -> dict:
+    printed: dict[tuple[SphereGroup, Word], str] = {}
+
+    def spell(group: SphereGroup, w: Word) -> str:
+        """group.word_str(w), each distinct word printed once: one
+        knitting image or conjugator repeats on many edges."""
+        text = printed.get((group, w))
+        if text is None:
+            text = printed[group, w] = group.word_str(w)
+        return text
+
     data: dict = {
         "alphabet": list(mcb.alphabet),
         "basis": list(mcb.basis_names),
@@ -425,12 +451,12 @@ def mcb_to_json(mcb: MappingClassBiset) -> dict:
             rec["knitting"] = run_length_str(mcb.alphabet, edge.knitting_word)
         if edge.knitting_auto is not None:
             G = edge.knitting_auto.group
-            rec["knitting_images"] = [G.word_str(w)
+            rec["knitting_images"] = [spell(G, w)
                                       for w in edge.knitting_auto.images]
         if edge.basis_change is not None:
             H = mcb.machines[0].target if mcb.machines else None
             rec["basis_change"] = {
-                "conjugators": [H.word_str(w)
+                "conjugators": [spell(H, w)
                                 for w in edge.basis_change.conjugators],
                 "relabel": [p + 1 for p in edge.basis_change.relabel],
             }
@@ -443,7 +469,7 @@ def mcb_to_json(mcb: MappingClassBiset) -> dict:
         }
         data["machines"] = [m.text_rows() for m in mcb.machines]
         data["generators"] = {
-            name: [a.group.word_str(w) for w in a.images]
+            name: [spell(a.group, w) for w in a.images]
             for name, a in mcb.gens.items()
         }
     return data

@@ -316,6 +316,22 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     preserving automorphisms, keying left orbits by distillation.
 
     gens: list of (name, Automorphism) pairs.
+
+    An inner generator g, g(x) = h * x * h^-1, needs no solve: its edges
+    are written down in closed form.  outer_normal_images(g.images)
+    returns the generators themselves exactly when g is inner, and then
+    also h.  The rows of pre_compose(M_k, g) are W * M_k(x) * W^-1 with
+    W = M_k.evaluate(h), and conjugating a row by W is change_basis with
+    the relabel W.perm and the conjugators W.entries inverted (point i
+    of the new basis is old point W.perm[i] under W.entries[i]^-1).  So
+    the edge goes k -> k with the identity knitting and that basis
+    change.  It is the one the knitting solve finds: for one relabel, a
+    knitting pins the basis change up to the centraliser of the loop
+    words, which is trivial as they generate a centreless free group,
+    and the solve's knittings are outer-normalised, so an inner one is
+    the identity map; the relabel is unique where the distillation has
+    one numbering.  Every other generator goes through pre_compose,
+    distill and the knitting solve.
     """
     for name, g in gens:
         if not is_peripheral_preserving(g):
@@ -324,6 +340,13 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     if not rep.is_sphere_biset:
         raise MachineError("input machine is not a sphere machine: "
                            + "; ".join(rep.details))
+    G = M.source
+    own = [G.gen(i) for i in range(1, G.n + 1)]
+    split = []  # (name, g, h for an inner g, else None)
+    for name, g in gens:
+        images, h = outer_normal_images(g.images)
+        split.append((name, g, h if images == own else None))
+    identity = Automorphism.identity(M.target)
     basis = [M]
     dists = [distill(M)]
     solvers: list[_KnitSolver | None] = [None]
@@ -331,7 +354,14 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     table: dict[tuple[str, int], TableEdge] = {}
     k = 0
     while k < len(basis):
-        for name, g in gens:
+        for name, g, h in split:
+            if h is not None:
+                W = basis[k].evaluate(h)
+                table[(name, k)] = TableEdge(
+                    name, k, k, knitting_auto=identity,
+                    basis_change=BasisChange(tuple(map(winv, W.entries)),
+                                             W.perm))
+                continue
             N = pre_compose(basis[k], g)
             dN = distill(N)
             hit = index.get(dN.key)
@@ -346,8 +376,7 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
                 index[dN.key] = hit
                 table[(name, k)] = TableEdge(
                     name, k, hit,
-                    knitting_auto=Automorphism.identity(M.target),
-                    basis_change=bc.inv())
+                    knitting_auto=identity, basis_change=bc.inv())
             else:
                 if solvers[hit] is None:
                     solvers[hit] = _KnitSolver(basis[hit], dists[hit])

@@ -170,6 +170,35 @@ def test_messages_elide_long_input(text):
     assert len(str(exc.value)) < 200
 
 
+def test_cycle_row_and_option_messages_elide_long_input(capsys):
+    # 60 characters or fewer print whole (test_parse_errors_carry_positions)
+    name = "z" * 100000
+    with pytest.raises(ParseError) as exc:
+        parse_cycles(f"(1,{'9' * 100000})", 2)
+    assert str(exc.value).startswith("bad cycle point in (1,9999")
+    assert "(100002 characters)" in str(exc.value)
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file(f"group: a,{name}\na=<a>\n")
+    assert str(exc.value).startswith("missing rows for zzz")
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ParseError, match=r"^missing rows for b$"):
+        parse_machine_file("group: a,b\na=<a>\n")
+    c7 = str(MACHINES / "centralizer7.mach")
+    fb = str(MACHINES / "fbiset.mach")
+    long_curve = "c" + "0" * 4000 + "1"  # the label of curve 1
+    capsys.readouterr()
+    for args in (("solve-twists", c7, f"--theta={'9' * 100000}a,b"),
+                 ("promote", c7, c7, "--map", f"{name}:x1"),
+                 ("promote", c7, c7, "--map", name),
+                 ("promote", c7, c7, "--map",
+                  f"{long_curve}:c1,{long_curve}:c0"),
+                 ("mcbiset", fb, "--gens", name)):
+        assert run_cli(*args) == 3
+        err = capsys.readouterr().err
+        assert " characters)" in err and len(err) < 400, args
+
+
 def test_words_up_to_the_bound_parse():
     G = SphereGroup(["a", "b", "c"])
     assert parse_word(f"a^{MAX_WORD_LETTERS}", G) == (1,) * MAX_WORD_LETTERS

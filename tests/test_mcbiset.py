@@ -356,6 +356,75 @@ def test_mcbiset_edges_verify():
         assert lhs == rhs
 
 
+def _inner_case(case):
+    """(machine, generators) of one fixture for the inner-generator test."""
+    if case == "pilgrim":
+        mf = zoo.pilgrim()
+        return mf.machine, [(n, mf.autos[n]) for n in "stu"]
+    if case.startswith("id"):
+        G = SphereGroup("abcde"[:int(case[2:])])
+        M = SphereMachine.identity(G)
+    else:
+        M = (zoo.z5_marked if case == "z5belyi" else zoo.z2)().machine
+    return M, full_twist_generators(M.source)
+
+
+@pytest.mark.parametrize("case", ["pilgrim", "z5belyi", "z2",
+                                  "id2", "id3", "id4", "id5"])
+def test_inner_generators_take_closed_form_edges(case, monkeypatch):
+    """The identity and inn_h for random h of 0-6 letters, added to the
+    generators, are never pre-composed: each edge goes k -> k, satisfies
+    the edge identity exactly, and is the knitting solve's own answer
+    where the distillation has one numbering.  Every generator that is
+    not inner, s . inn_h among them, still goes through the solve."""
+    rng = random.Random(sum(map(ord, case)))
+    M, gens = _inner_case(case)
+    G = M.source
+    letters = [x for i in range(1, G.n + 1) for x in (i, -i)]
+    extra = [("id", Automorphism.identity(G))] + [
+        (f"inn{j}", zoo.inner(G, [rng.choice(letters)
+                                  for _ in range(rng.randint(0, 6))]))
+        for j in range(4)]
+    extra.append(("s_inn", gens[0][1].compose(extra[-1][1])))
+    gens = gens + extra
+    composed = []
+    real = mcbiset.pre_compose
+    monkeypatch.setattr(mcbiset, "pre_compose",
+                        lambda N, g: composed.append(g) or real(N, g))
+    mcb = compute_mcbiset(M, gens)
+    monkeypatch.undo()
+    inner = {name for name, g in gens if outer_normalize(g).is_identity_map()}
+    assert {"id", "inn0", "inn1", "inn2", "inn3"} <= inner
+    if case in ("pilgrim", "z5belyi", "id4", "id5"):
+        # s . inn_h is outer-equal to s, a twist that is not inner
+        assert "s_inn" not in inner
+    if G.n >= 3:
+        # t_{1,n} is the identity, t_{1,n-1} and t_{2,n} are inner
+        twists = {f"t1_{G.n}", f"t1_{G.n - 1}", f"t2_{G.n}"}
+        assert {n for n in inner if n.startswith("t")} == \
+            (twists if case != "pilgrim" else set())
+    for name, g in gens:
+        assert sum(a is g for a in composed) == \
+            (0 if name in inner else mcb.size), name
+    unique = 0
+    for name, g in gens:
+        if name not in inner:
+            continue
+        for k, Mk in enumerate(mcb.machines):
+            edge = mcb.table[(name, k)]
+            assert edge.target == k
+            N = pre_compose(Mk, g)
+            assert N == change_basis(post_compose(Mk, edge.knitting_auto),
+                                     edge.basis_change)
+            if len(distill(Mk).numberings) == 1:
+                unique += 1
+                knit, b = mcbiset._KnitSolver(Mk).solve(N)
+                assert knit == edge.knitting_auto
+                assert b == edge.basis_change
+    # the one machine of z2 has two numberings: the deck swap
+    assert unique > 0 or case == "z2"
+
+
 def test_rewrite_rabbit_relations():
     mcb = zoo.rabbit_mcb()
     t, u, s = 2, 3, 1
@@ -626,7 +695,7 @@ def test_pilgrim_mcbiset_edges_verify_sample(pilgrim_mcb):
 
 
 @pytest.mark.slow
-def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb):
+def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb, tmp_path):
     # the t_{i,j} generating set reaches the same 120 left orbits
     mcb_stu, mf = pilgrim_mcb()
     mcb_full = compute_mcbiset(mf.machine,
@@ -634,6 +703,11 @@ def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb):
     assert mcb_full.size == 120
     assert {distill(m).key for m in mcb_full.machines} == \
         {distill(m).key for m in mcb_stu.machines}
+    # the bytes `sphmach mcbiset machines/fbiset.mach` writes
+    path = tmp_path / "full.mcb"
+    save_mcb(mcb_full, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "9e24f556cd2a2806ffe4d1428aef9e813898011422ca3de475dcf074ef1dc22b"
 
 
 def test_same_left_orbit_guards_group_mismatch():
