@@ -1,6 +1,6 @@
 import pytest
 
-from sphmach.mcbiset import compute_mcbiset
+from sphmach.mcbiset import compute_mcbiset, full_twist_generators
 
 import zoo
 
@@ -18,6 +18,21 @@ def pilgrim_mcb():
             mf = zoo.pilgrim()
             built.append((compute_mcbiset(
                 mf.machine, [(n, mf.autos[n]) for n in "stu"]), mf))
+        return built[0]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def pilgrim_full_mcb():
+    """The same biset under all six twists t_{i,j}, built on the first
+    call and shared like pilgrim_mcb."""
+    built = []
+
+    def get():
+        if not built:
+            M = zoo.pilgrim().machine
+            built.append(compute_mcbiset(M, full_twist_generators(M.source)))
         return built[0]
 
     return get

@@ -695,11 +695,11 @@ def test_pilgrim_mcbiset_edges_verify_sample(pilgrim_mcb):
 
 
 @pytest.mark.slow
-def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb, tmp_path):
+def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb,
+                                                    pilgrim_full_mcb, tmp_path):
     # the t_{i,j} generating set reaches the same 120 left orbits
-    mcb_stu, mf = pilgrim_mcb()
-    mcb_full = compute_mcbiset(mf.machine,
-                               full_twist_generators(mf.machine.source))
+    mcb_stu, _ = pilgrim_mcb()
+    mcb_full = pilgrim_full_mcb()
     assert mcb_full.size == 120
     assert {distill(m).key for m in mcb_full.machines} == \
         {distill(m).key for m in mcb_stu.machines}
@@ -723,3 +723,57 @@ def test_pilgrim_mcb_file_bytes_are_pinned(pilgrim_mcb, tmp_path):
     save_mcb(mcb, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "4f73bdb6453277a51045f7d2f41afcd8ddc4210575aac6df74f70f8156199752"
+
+
+# sha256 of each generator's action_perm, written "0,3,1,...", as the
+# bisets gave them before each new basis element was shortened; the
+# representative of a left orbit must not move any table target
+ACTION_PERM_DIGESTS = {
+    "stu": {
+        "s":
+            "c57eaeea1fe352d27e58a43cc5cdaa207f3aa7cc49a85abcfa139955b5eea7d9",
+        "t":
+            "93cb01bdba4dabf31ffa242eb061179ce89ae786dc003b54862bef45d8246c96",
+        "u":
+            "6fdb036b49a7c60b2cdf0f9dd6d53b206c2bb610f303142fc37c6cc04bfd0cf6",
+    },
+    "full": {
+        "t1_2":
+            "b30a4583d131c208e7e2079b2842770d099913d33e77dfe17eac28050e21af40",
+        "t1_3":
+            "7fedb27def8d6497bad58140116f84e90ca901f95f741f39be0113cceb586ceb",
+        "t1_4":
+            "7fedb27def8d6497bad58140116f84e90ca901f95f741f39be0113cceb586ceb",
+        "t2_3":
+            "89274aec6b14c7c72bf449abe28da82383c39a3ee68b8c95a76581bf9d931062",
+        "t2_4":
+            "7fedb27def8d6497bad58140116f84e90ca901f95f741f39be0113cceb586ceb",
+        "t3_4":
+            "b30a4583d131c208e7e2079b2842770d099913d33e77dfe17eac28050e21af40",
+    },
+    "z5": {
+        "t1_2":
+            "dd05230134fef716660749967bce0f3b7d5862aa84d21ab36fef230b47c5851e",
+        "t1_3":
+            "6484c68c0c85987f9beb3db42175c46955a8abe05170239580fcd1ff8b514452",
+        "t1_4":
+            "6484c68c0c85987f9beb3db42175c46955a8abe05170239580fcd1ff8b514452",
+        "t2_3":
+            "6484c68c0c85987f9beb3db42175c46955a8abe05170239580fcd1ff8b514452",
+        "t2_4":
+            "6484c68c0c85987f9beb3db42175c46955a8abe05170239580fcd1ff8b514452",
+        "t3_4":
+            "dd05230134fef716660749967bce0f3b7d5862aa84d21ab36fef230b47c5851e",
+    },
+}
+
+
+@pytest.mark.slow
+def test_table_targets_are_pinned(pilgrim_mcb, pilgrim_full_mcb):
+    z5 = zoo.z5_marked().machine
+    bisets = {"stu": pilgrim_mcb()[0], "full": pilgrim_full_mcb(),
+              "z5": compute_mcbiset(z5, full_twist_generators(z5.source))}
+    assert {label: {gen: hashlib.sha256(",".join(
+                        map(str, mcb.action_perm(gen))).encode()).hexdigest()
+                    for gen in mcb.alphabet}
+            for label, mcb in bisets.items()} == ACTION_PERM_DIGESTS
