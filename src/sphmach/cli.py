@@ -325,8 +325,12 @@ def cmd_promote(args):
         # a generator name first: a generator may be called c1
         if lbl in G.names:
             return ("puncture", G.index_of(lbl))
-        if lbl.startswith("c") and lbl[1:].isdigit():
-            return ("curve", int(lbl[1:]))
+        if lbl.startswith("c") and lbl[1:].isdecimal():
+            try:
+                return ("curve", int(lbl[1:]))
+            except ValueError:  # past int()'s limit on digits
+                raise CliError(f"--map: curve label {_quoted(lbl)} has too "
+                               "many digits") from None
         raise CliError(f"--map: unknown generator {_quoted(lbl)}")
 
     h = {}

@@ -19,7 +19,7 @@ from .words import (
     outer_normal_images, is_conjugate, is_peripheral_preserving, dehn_twist,
 )
 from .machine import (
-    SphereMachine, BasisChange, change_basis, pre_compose,
+    SphereMachine, WreathElement, BasisChange, change_basis, pre_compose,
     normalize_basis, validate_sphere, cycle_classes, MachineError,
 )
 from .folding import SubgroupGraph
@@ -311,6 +311,46 @@ class MappingClassBiset:
         return all(e.knitting_word is not None for e in self.table.values())
 
 
+def _inner_conjugator(g: Automorphism) -> Word | None:
+    """h with g(x) = h * x * h^-1 when g is inner, else None:
+    outer_normal_images(g.images) returns the generators themselves
+    exactly when g is inner, and then also h."""
+    G = g.group
+    images, h = outer_normal_images(g.images)
+    return h if images == [G.gen(i) for i in range(1, G.n + 1)] else None
+
+
+def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
+    """post_compose(M, m) for the product m of moves chosen greedily:
+    while some move strictly lowers the total entry letters, the one
+    that lowers them most (the first of a tie).  None when no move does.
+
+    Each candidate is scored on the flat entry list alone: post_compose
+    keeps the permutations and keeps empty entries empty, so a machine
+    normalised by normalize_basis stays normalised, and one machine is
+    built at the end.
+    """
+    entries = start = [e for row in M.rows for e in row.entries]
+    size = sum(map(len, entries))
+    while True:
+        best = None
+        for m in moves:
+            images = list(m.apply_all(entries))
+            letters = sum(map(len, images))
+            if letters < size:
+                size, best = letters, images
+        if best is None:
+            break
+        entries = best
+    if entries is start:
+        return None
+    it = iter(entries)
+    return SphereMachine(M.source, M.target,
+                         [WreathElement(tuple(next(it) for _ in row.entries),
+                                        row.perm)
+                          for row in M.rows])
+
+
 def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     """Saturate the basis under the right action of the given peripheral-
     preserving automorphisms, keying left orbits by distillation.
@@ -318,9 +358,8 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     gens: list of (name, Automorphism) pairs.
 
     An inner generator g, g(x) = h * x * h^-1, needs no solve: its edges
-    are written down in closed form.  outer_normal_images(g.images)
-    returns the generators themselves exactly when g is inner, and then
-    also h.  The rows of pre_compose(M_k, g) are W * M_k(x) * W^-1 with
+    are written down in closed form (h from _inner_conjugator).  The
+    rows of pre_compose(M_k, g) are W * M_k(x) * W^-1 with
     W = M_k.evaluate(h), and conjugating a row by W is change_basis with
     the relabel W.perm and the conjugators W.entries inverted (point i
     of the new basis is old point W.perm[i] under W.entries[i]^-1).  So
@@ -332,6 +371,20 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     the identity map; the relabel is unique where the distillation has
     one numbering.  Every other generator goes through pre_compose,
     distill and the knitting solve.
+
+    A new left orbit is stored by a short representative: N =
+    pre_compose(M_k, g) goes through normalize_basis, and then through
+    _shortened with the non-inner twists t_ij^+-1 of the target as
+    moves.  Every post_compose(N, m), m a mapping class, lies in N's
+    left orbit, and the distillation key shows it: post_compose keeps
+    the permutations, and a pure mapping class keeps each peripheral
+    class, so each cycle label, trivial or peripheral in a sphere
+    machine, stays as it is.  So the shortened machine keeps N's key
+    and its distillation.  Where no move shortened it, the edge from k
+    is the basis change of normalize_basis with the identity knitting;
+    otherwise the edge is solved like any other.  The shortening keeps
+    the entries, and with them the knittings, from growing with the
+    depth of the breadth-first search.
     """
     for name, g in gens:
         if not is_peripheral_preserving(g):
@@ -340,12 +393,9 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     if not rep.is_sphere_biset:
         raise MachineError("input machine is not a sphere machine: "
                            + "; ".join(rep.details))
-    G = M.source
-    own = [G.gen(i) for i in range(1, G.n + 1)]
-    split = []  # (name, g, h for an inner g, else None)
-    for name, g in gens:
-        images, h = outer_normal_images(g.images)
-        split.append((name, g, h if images == own else None))
+    split = [(name, g, _inner_conjugator(g)) for name, g in gens]
+    moves = [m for _, t in full_twist_generators(M.target)
+             if _inner_conjugator(t) is None for m in (t, t.inverse())]
     identity = Automorphism.identity(M.target)
     basis = [M]
     dists = [distill(M)]
@@ -367,22 +417,25 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
             hit = index.get(dN.key)
             if hit is None:
                 norm, bc = normalize_basis(N)
-                basis.append(norm)
-                # a conjugated basis keeps the permutations and the
-                # cycle classes, so dN serves norm as well
+                short = _shortened(norm, moves)
+                basis.append(short or norm)
+                # conjugating the basis and post-composing with a pure
+                # mapping class keep the permutations and the cycle
+                # labels, so dN serves the stored machine as well
                 dists.append(dN)
                 solvers.append(None)
                 hit = len(basis) - 1
                 index[dN.key] = hit
-                table[(name, k)] = TableEdge(
-                    name, k, hit,
-                    knitting_auto=identity, basis_change=bc.inv())
-            else:
-                if solvers[hit] is None:
-                    solvers[hit] = _KnitSolver(basis[hit], dists[hit])
-                phi, b = solvers[hit].solve(N, dN)
-                table[(name, k)] = TableEdge(
-                    name, k, hit, knitting_auto=phi, basis_change=b)
+                if short is None:
+                    table[(name, k)] = TableEdge(
+                        name, k, hit,
+                        knitting_auto=identity, basis_change=bc.inv())
+                    continue
+            if solvers[hit] is None:
+                solvers[hit] = _KnitSolver(basis[hit], dists[hit])
+            phi, b = solvers[hit].solve(N, dN)
+            table[(name, k)] = TableEdge(
+                name, k, hit, knitting_auto=phi, basis_change=b)
         k += 1
     return MappingClassBiset(
         alphabet=tuple(name for name, _ in gens),

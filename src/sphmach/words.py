@@ -575,15 +575,21 @@ def dehn_twist(i: int, j: int, G: SphereGroup) -> Automorphism:
     """The twist g_k -> g_k^(g_i...g_j) for k in i..j, fixing the rest.
 
     Positions i..j refer to the relator order (which is the declaration
-    order unless a relator override reordered it).
+    order unless a relator override reordered it).  The inverse comes
+    with it in closed form, g_k -> g_k^(w^-1) with w = g_i...g_j: the
+    twist fixes w, so each map undoes the other, and no fold is needed.
     """
     if not 1 <= i <= j <= G.n:
         raise IndexError(f"bad twist indices ({i},{j}) for n={G.n}")
     segment = [G.relator[k - 1] for k in range(i, j + 1)]
     w = wmul(*[G.gen(k) for k in segment])
-    images = [conjugate(G.gen(k), w) if k in segment else G.gen(k)
-              for k in range(1, G.n + 1)]
-    return Automorphism(G, images, check=False)
+    twist, inverse = (Automorphism(G, [conjugate(G.gen(k), by)
+                                       if k in segment else G.gen(k)
+                                       for k in range(1, G.n + 1)],
+                                   check=False)
+                      for by in (w, winv(w)))
+    twist._inverse, inverse._inverse = inverse, twist
+    return twist
 
 
 def is_peripheral_preserving(phi: Automorphism) -> bool:

@@ -631,6 +631,19 @@ def test_cli_promote_unknown_map_label_exit_code(capsys):
     assert "leaves puncture 3 unmapped" in capsys.readouterr().err
 
 
+def test_cli_promote_names_a_curve_label_int_cannot_read(capsys):
+    mach = str(MACHINES / "centralizer7.mach")
+    # more digits than int() converts: curve 1 with 5,000 leading zeros
+    label = "c" + "0" * 5000 + "1"
+    assert run_cli("promote", mach, mach, "--map", f"{label}:c1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --map: curve label 'c0000")
+    assert err.endswith(" (5002 characters) has too many digits\n")
+    # a digit that is not a decimal digit makes no curve label
+    assert run_cli("promote", mach, mach, "--map", "c\u00b2:c1") == 3
+    assert "--map: unknown generator 'c\u00b2'" in capsys.readouterr().err
+
+
 def test_cli_promote_rejects_a_label_mapped_twice(capsys):
     mach = str(MACHINES / "centralizer7.mach")
     full = ",".join([f"x{i}:x{i}" for i in range(1, 8)] + ["c0:c0", "c1:c1"])

@@ -86,4 +86,4 @@ def test_mcbiset_report_and_file_digests(tmp_path, capsys, monkeypatch):
     assert (code, _sha(json.dumps(report, sort_keys=True)),
             _sha(path.read_bytes())) == (
         0, "e80b9a41f8d5cb0a2cf02541e796ad113cd46155b6c81143bfebb629063cea19",
-        "6b0662d1e425ab165d2994f40c061bb65f2217191116dea08a151043bd0ba371")
+        "ab93b165e675655da0f8ac7c6b83645f8ea7c72a218b70817ef4375d3ac5cc8b")

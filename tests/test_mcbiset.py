@@ -13,7 +13,7 @@ from sphmach.words import (
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError,
-    change_basis, pre_compose, post_compose, tensor,
+    change_basis, pre_compose, post_compose, tensor, normalize_basis,
 )
 from sphmach.mcbiset import (
     distill, machine_isomorphism, same_left_orbit,
@@ -682,16 +682,45 @@ def test_pilgrim_mcbiset_size_and_distinct_keys(pilgrim_mcb):
     assert len(keys) == 120
 
 
-def test_pilgrim_mcbiset_edges_verify_sample(pilgrim_mcb):
-    mcb, mf = pilgrim_mcb()
-    rng = random.Random(9)
-    edges = rng.sample(sorted(mcb.table.values(),
-                              key=lambda e: (e.source, e.gen)), 40)
-    for e in edges:
-        lhs = pre_compose(mcb.machines[e.source], mf.autos[e.gen])
-        rhs = change_basis(post_compose(mcb.machines[e.target],
-                                        e.knitting_auto), e.basis_change)
-        assert lhs == rhs
+@pytest.mark.slow
+def test_pilgrim_mcbiset_edges_verify(pilgrim_mcb, pilgrim_full_mcb):
+    # every edge of both bisets:  M_k * g = knitting * M_next  exactly
+    for mcb in (pilgrim_mcb()[0], pilgrim_full_mcb()):
+        for e in mcb.table.values():
+            lhs = pre_compose(mcb.machines[e.source], mcb.gens[e.gen])
+            rhs = change_basis(post_compose(mcb.machines[e.target],
+                                            e.knitting_auto), e.basis_change)
+            assert lhs == rhs, (e.gen, e.source)
+
+
+def _entry_letters(M):
+    return sum(len(e) for row in M.rows for e in row.entries)
+
+
+@pytest.mark.slow
+def test_pilgrim_mcbiset_stores_short_representatives(pilgrim_mcb,
+                                                      pilgrim_full_mcb):
+    mcb_full = pilgrim_full_mcb()
+    assert max(sum(map(len, e.knitting_auto.images))
+               for e in mcb_full.table.values()) <= 1600
+    # the first edge into each basis element, in the order of the
+    # breadth-first search, is the one that found its left orbit
+    for mcb in (pilgrim_mcb()[0], mcb_full):
+        found = {0}
+        shortened = 0
+        for k in range(mcb.size):
+            for gen in mcb.alphabet:
+                t = mcb.table[(gen, k)].target
+                if t in found:
+                    continue
+                found.add(t)
+                stored = _entry_letters(mcb.machines[t])
+                norm = _entry_letters(normalize_basis(
+                    pre_compose(mcb.machines[k], mcb.gens[gen]))[0])
+                assert stored <= norm, (gen, k)
+                shortened += stored < norm
+        assert found == set(range(mcb.size))
+        assert shortened
 
 
 @pytest.mark.slow
@@ -707,7 +736,7 @@ def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb,
     path = tmp_path / "full.mcb"
     save_mcb(mcb_full, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "9e24f556cd2a2806ffe4d1428aef9e813898011422ca3de475dcf074ef1dc22b"
+        "fcc871a8dd334c01153c830658566a005cd443197e1b987d155d0b1b978a3067"
 
 
 def test_same_left_orbit_guards_group_mismatch():
@@ -722,7 +751,7 @@ def test_pilgrim_mcb_file_bytes_are_pinned(pilgrim_mcb, tmp_path):
     path = tmp_path / "stu.mcb"
     save_mcb(mcb, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "4f73bdb6453277a51045f7d2f41afcd8ddc4210575aac6df74f70f8156199752"
+        "19122480277072f1921a8f8ac887d04765ac187b8007b1ba5ebbd005465543c6"
 
 
 # sha256 of each generator's action_perm, written "0,3,1,...", as the

@@ -167,6 +167,13 @@ def test_dehn_twist_formula():
     assert t12.images[0] == G.normal_form([-2, 1, 2])
     assert t12.images[2] == (3,)
     assert is_peripheral_preserving(t12)
+    # the closed-form inverse is the one folding finds
+    for H in (G, SphereGroup(["a", "b", "c", "d"], relator="dcba")):
+        for i in range(1, 5):
+            for j in range(i, 5):
+                t = dehn_twist(i, j, H)
+                assert t.inverse() == Automorphism(H, t.images).inverse()
+                assert t.inverse().inverse() is t
 
 
 def test_twist_on_all_punctures_is_outer_trivial():
