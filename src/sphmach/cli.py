@@ -95,14 +95,15 @@ def _gens_for(mf: MachineFile, arg: str | None):
     M = mf.machine
     if not arg or arg == "twists":
         return full_twist_generators(M.source)
-    names = [x.strip() for x in arg.split(",")]
-    out = []
-    for nm in names:
+    out = {}
+    for nm in (x.strip() for x in arg.split(",")):
         if nm not in mf.autos:
             raise CliError(
                 f"automorphism {_quoted(nm)} not defined in the file")
-        out.append((nm, mf.autos[nm]))
-    return out
+        if nm in out:
+            raise CliError(f"--gens: {_quoted(nm)} is named twice")
+        out[nm] = mf.autos[nm]
+    return list(out.items())
 
 
 def _report(args, result, started: float):

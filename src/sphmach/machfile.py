@@ -520,6 +520,12 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
     if not isinstance(data, dict):
         raise ParseError(".mcb: top level must be an object")
     alphabet = tuple(_field(data, "alphabet", (list, str)))
+    seen = set()
+    for name in alphabet:
+        if name in seen:
+            raise ParseError(f".mcb: generator {_quoted(name)} appears "
+                             "twice in the alphabet")
+        seen.add(name)
     basis = tuple(_field(data, "basis", (list, str)))
     if not basis:
         raise ParseError(".mcb: empty basis")

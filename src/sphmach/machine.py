@@ -15,7 +15,7 @@ from . import perms
 from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, is_peripheral_preserving,
+    winv, wmul, is_peripheral_preserving, _append_reduced,
 )
 
 
@@ -35,15 +35,6 @@ class WreathElement:
     @property
     def degree(self) -> int:
         return len(self.entries)
-
-    def __mul__(self, other: "WreathElement") -> "WreathElement":
-        if self.degree != other.degree:
-            raise MachineError("degree mismatch in wreath product")
-        return WreathElement(
-            tuple(wmul(self.entries[i], other.entries[self.perm[i]])
-                  for i in range(self.degree)),
-            perms.compose(self.perm, other.perm),
-        )
 
     def inv(self) -> "WreathElement":
         pinv = perms.inverse(self.perm)
@@ -71,6 +62,7 @@ class SphereMachine:
         self.rows: tuple[WreathElement, ...] = tuple(
             WreathElement(tuple(target.normal_form(e) for e in r.entries), r.perm)
             for r in rows)
+        self._inverse_rows: tuple[WreathElement, ...] | None = None
 
     @classmethod
     def identity(cls, G: SphereGroup) -> "SphereMachine":
@@ -89,13 +81,42 @@ class SphereMachine:
         return f"SphereMachine({self.source.n}gen/deg{self.degree})"
 
     def evaluate(self, w) -> WreathElement:
-        """Multiplicative extension of the rows to any source word."""
-        out = WreathElement((EPSILON,) * self.degree, perms.identity(self.degree))
+        """Multiplicative extension of the rows to any source word.
+
+        Entry i of the product is read along the walk of w from basis
+        point i: each letter appends its row's entry at the current point,
+        reduced in place (words._append_reduced), and moves the point by
+        the row's permutation, which ends the walk at perm[i].  A negative
+        letter reads the inverse row, built once per machine.
+        """
+        n = self.source.n
+        steps = []
         for x in w:
-            if x == 0 or abs(x) > self.source.n:
+            if 0 < x <= n:
+                row = self.rows[x - 1]
+            elif 0 < -x <= n:
+                if self._inverse_rows is None:
+                    self._inverse_rows = tuple(r.inv() for r in self.rows)
+                row = self._inverse_rows[-x - 1]
+            else:
                 raise MachineError(f"letter {x} outside source group")
-            out = out * (self.rows[x - 1] if x > 0 else self.rows[-x - 1].inv())
-        return out
+            steps.append((row.entries, row.perm))
+        entries: list[Word] = []
+        ends: list[int] = []
+        for i in range(self.degree):
+            out: list[int] = []
+            p = i
+            for row_entries, row_perm in steps:
+                e = row_entries[p]
+                # most junctions cancel nothing: skip the kernel's call
+                if out and e and out[-1] == -e[0]:
+                    _append_reduced(out, e)
+                else:
+                    out += e
+                p = row_perm[p]
+            entries.append(tuple(out))
+            ends.append(p)
+        return WreathElement(tuple(entries), tuple(ends))
 
     def relator_ok(self) -> bool:
         return self.evaluate(self.source.relator).is_identity()
@@ -261,6 +282,19 @@ class BasisChange:
         return BasisChange(
             tuple(winv(self.conjugators[rinv[i]]) for i in range(len(self.conjugators))),
             rinv,
+        )
+
+    def then(self, other: "BasisChange") -> "BasisChange":
+        """The one change that is self followed by other:
+        change_basis(change_basis(M, self), other) equals
+        change_basis(M, self.then(other)).  New point i is other's point
+        i over self's point j = other.relabel[i], so the relabel is
+        self.relabel[j] and the conjugator self.conjugators[j] *
+        other.conjugators[i]."""
+        return BasisChange(
+            tuple(wmul(self.conjugators[j], c)
+                  for j, c in zip(other.relabel, other.conjugators)),
+            tuple(self.relabel[j] for j in other.relabel),
         )
 
 

@@ -328,15 +328,23 @@ def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     Each candidate is scored on the flat entry list alone: post_compose
     keeps the permutations and keeps empty entries empty, so a machine
     normalised by normalize_basis stays normalised, and one machine is
-    built at the end.
+    built at the end.  A candidate's images are summed only while their
+    running total stays below the best total so far: a candidate that
+    reaches it can no longer win, as only a strictly lower total does,
+    so its remaining images are never computed and the choices are those
+    of the full sums.
     """
     entries = start = [e for row in M.rows for e in row.entries]
     size = sum(map(len, entries))
     while True:
         best = None
         for m in moves:
-            images = list(m.apply_all(entries))
-            letters = sum(map(len, images))
+            letters, images = 0, []
+            for image in m.apply_all(entries):
+                letters += len(image)
+                if letters >= size:
+                    break
+                images.append(image)
             if letters < size:
                 size, best = letters, images
         if best is None:
@@ -355,22 +363,28 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     """Saturate the basis under the right action of the given peripheral-
     preserving automorphisms, keying left orbits by distillation.
 
-    gens: list of (name, Automorphism) pairs.
+    gens: list of (name, Automorphism) pairs, with distinct names.
 
-    An inner generator g, g(x) = h * x * h^-1, needs no solve: its edges
-    are written down in closed form (h from _inner_conjugator).  The
-    rows of pre_compose(M_k, g) are W * M_k(x) * W^-1 with
-    W = M_k.evaluate(h), and conjugating a row by W is change_basis with
-    the relabel W.perm and the conjugators W.entries inverted (point i
-    of the new basis is old point W.perm[i] under W.entries[i]^-1).  So
-    the edge goes k -> k with the identity knitting and that basis
-    change.  It is the one the knitting solve finds: for one relabel, a
+    A generator g that is outer-equal to the identity or to an earlier
+    generator g0, g(x) = h * g0(x) * h^-1, needs no solve: its edges are
+    written down in closed form from g0's (g0 the first such, and h from
+    _inner_conjugator(g . g0^-1)).  The rows of pre_compose(M_k, g) are
+    W * pre_compose(M_k, g0)(x) * W^-1 with W = M_k.evaluate(h), and
+    conjugating a row by W is change_basis with the relabel W.perm and
+    the conjugators W.entries inverted (point i of the new basis is old
+    point W.perm[i] under W.entries[i]^-1).  So g's edge from k keeps the
+    target and the knitting of g0's, and its basis change is g0's
+    followed by that one (BasisChange.then).  With g0 the identity, whose
+    edge goes k -> k with the identity knitting and basis change, g is
+    inner and its edge is the solve's own answer: for one relabel, a
     knitting pins the basis change up to the centraliser of the loop
     words, which is trivial as they generate a centreless free group,
     and the solve's knittings are outer-normalised, so an inner one is
     the identity map; the relabel is unique where the distillation has
-    one numbering.  Every other generator goes through pre_compose,
-    distill and the knitting solve.
+    one numbering.  Otherwise the knitting is g0's, which is outer-equal
+    to the solve's where the relabels agree; outer normalisation may pick
+    another member of a tie.  Every other generator goes through
+    pre_compose, distill and the knitting solve.
 
     A new left orbit is stored by a short representative: N =
     pre_compose(M_k, g) goes through normalize_basis, and then through
@@ -386,6 +400,11 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     the entries, and with them the knittings, from growing with the
     depth of the breadth-first search.
     """
+    gens = list(gens)
+    names = [name for name, _ in gens]
+    if len(set(names)) < len(names):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise MachineError(f"generator {twice} is given twice")
     for name, g in gens:
         if not is_peripheral_preserving(g):
             raise MachineError(f"generator {name} is not peripheral-preserving")
@@ -393,10 +412,18 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     if not rep.is_sphere_biset:
         raise MachineError("input machine is not a sphere machine: "
                            + "; ".join(rep.details))
-    split = [(name, g, _inner_conjugator(g)) for name, g in gens]
+    identity = Automorphism.identity(M.target)
+    # g0 for each generator: the first partner, None the identity, with h
+    partners = [(None, Automorphism.identity(M.source))] + gens
+    split = []
+    for i, (name, g) in enumerate(gens):
+        for g0, a in partners[:i + 1]:
+            h = _inner_conjugator(g.compose(a.inverse()))
+            if h is not None:
+                break
+        split.append((name, g, g0, h))
     moves = [m for _, t in full_twist_generators(M.target)
              if _inner_conjugator(t) is None for m in (t, t.inverse())]
-    identity = Automorphism.identity(M.target)
     basis = [M]
     dists = [distill(M)]
     solvers: list[_KnitSolver | None] = [None]
@@ -404,13 +431,17 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     table: dict[tuple[str, int], TableEdge] = {}
     k = 0
     while k < len(basis):
-        for name, g, h in split:
+        for name, g, g0, h in split:
             if h is not None:
+                # g0's edge from k; the identity map's goes k -> k
+                e0 = table[(g0, k)] if g0 is not None else TableEdge(
+                    "", k, k, knitting_auto=identity,
+                    basis_change=BasisChange.identity(M.degree))
                 W = basis[k].evaluate(h)
                 table[(name, k)] = TableEdge(
-                    name, k, k, knitting_auto=identity,
-                    basis_change=BasisChange(tuple(map(winv, W.entries)),
-                                             W.perm))
+                    name, k, e0.target, knitting_auto=e0.knitting_auto,
+                    basis_change=e0.basis_change.then(BasisChange(
+                        tuple(map(winv, W.entries)), W.perm)))
                 continue
             N = pre_compose(basis[k], g)
             dN = distill(N)
@@ -438,7 +469,7 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
                 name, k, hit, knitting_auto=phi, basis_change=b)
         k += 1
     return MappingClassBiset(
-        alphabet=tuple(name for name, _ in gens),
+        alphabet=tuple(names),
         basis_names=tuple(f"b{i}" for i in range(len(basis))),
         table=table,
         machines=basis,

@@ -827,6 +827,15 @@ def test_cli_mcbiset_named_generators(capsys):
     assert "automorphism 'zz' not defined" in capsys.readouterr().err
 
 
+def test_cli_mcbiset_rejects_a_repeated_generator(capsys, tmp_path):
+    fb = str(MACHINES / "fbiset.mach")
+    out = tmp_path / "f.mcb"
+    assert run_cli("--json", "mcbiset", fb, "--gens", "s, t,s",
+                   "-o", str(out)) == 3
+    assert "--gens: 's' is named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_tensor_prints_a_machine(capsys):
     z2 = str(MACHINES / "z2.mach")
     assert run_cli("tensor", z2, z2) == 0
@@ -1017,6 +1026,8 @@ def _edge0(data):
      "machines of different degrees"),
     (lambda d: d["table"].append(dict(_edge0(d), to="b5")),
      "edge 's' from 'b0': duplicate table record"),
+    (lambda d: d["alphabet"].append("s"),
+     ".mcb: generator 's' appears twice in the alphabet"),
 ])
 def test_malformed_biset_fields_raise_parse_error(spoil, message):
     data = json.loads(_pilgrim_s_text())

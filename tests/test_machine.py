@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphmach import perms
 from sphmach.words import (
@@ -50,6 +51,39 @@ def test_evaluate_curve_words_match_known_values():
     assert [G.word_str(e) for e in wt.entries] == [
         "", "x3*x4", "x4^-1*x3^-1", "x2*x3*x4*x5",
         "x5^-1*x4^-1*x3^-1*x2^-1", "x2*x3*x4*x5"]
+
+
+ZOO_MACHINES = {"z2": zoo.z2, "pilgrim": zoo.pilgrim,
+                "z5belyi": zoo.z5_marked, "centralizer7": zoo.centralizer7}
+
+
+def _row_product(M, w):
+    """The rows of M multiplied left to right along the source word w,
+    each negative letter by its row inverted: the reference evaluate."""
+    d = M.degree
+    entries, perm = [()] * d, list(range(d))
+    for x in w:
+        row = M.rows[abs(x) - 1]
+        if x < 0:
+            row = row.inv()
+        entries = [wmul(entries[i], row.entries[perm[i]]) for i in range(d)]
+        perm = [row.perm[p] for p in perm]
+    return WreathElement(tuple(entries), tuple(perm))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ZOO_MACHINES)), st.data())
+def test_evaluate_is_the_row_product(name, data):
+    M = ZOO_MACHINES[name]().machine
+    n = M.source.n
+    letters = [x for i in range(1, n + 1) for x in (i, -i)]
+    # not reduced, so that letters cancel against their inverses too
+    w = data.draw(st.lists(st.sampled_from(letters), max_size=12))
+    assert M.evaluate(w) == _row_product(M, w)
+    bad = data.draw(st.sampled_from([0, n + 1, -n - 1, 10 * n]))
+    at = data.draw(st.integers(0, len(w)))
+    with pytest.raises(MachineError, match=f"letter {bad} outside"):
+        M.evaluate(w[:at] + [bad] + w[at:])
 
 
 def test_validation_of_fixtures():
@@ -172,6 +206,25 @@ def test_change_basis_round_trip_and_lift_invariance():
         assert change_basis(Mb, b.inv()) == M
         assert multiset_of_lifts(Mb, t) == base
         assert validate_sphere(Mb).is_sphere_biset
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ZOO_MACHINES)), st.randoms(use_true_random=False))
+def test_basis_change_then_is_one_change(name, rng):
+    M = ZOO_MACHINES[name]().machine
+    G, d = M.target, M.degree
+
+    def rand_change():
+        relabel = list(range(d))
+        rng.shuffle(relabel)
+        return BasisChange(tuple(rand_word(rng, G, rng.randint(0, 6))
+                                 for _ in range(d)), tuple(relabel))
+
+    b1, b2 = rand_change(), rand_change()
+    assert change_basis(change_basis(M, b1), b2) == \
+        change_basis(M, b1.then(b2))
+    assert b1.then(BasisChange.identity(d)) == b1
+    assert BasisChange.identity(d).then(b2) == b2
 
 
 def test_identity_basis_change():

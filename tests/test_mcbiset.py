@@ -343,6 +343,13 @@ def test_compute_mcbiset_identity_machine():
         assert edge.target == k
 
 
+def test_compute_mcbiset_rejects_a_repeated_generator():
+    z5 = zoo.z5_marked().machine
+    (_, t), (_, u) = full_twist_generators(z5.source)[:2]
+    with pytest.raises(MachineError, match="generator s is given twice"):
+        compute_mcbiset(z5, [("s", t), ("r", u), ("s", u)])
+
+
 def test_mcbiset_edges_verify():
     z5 = zoo.z5_marked().machine
     gens = full_twist_generators(z5.source)
@@ -356,8 +363,8 @@ def test_mcbiset_edges_verify():
         assert lhs == rhs
 
 
-def _inner_case(case):
-    """(machine, generators) of one fixture for the inner-generator test."""
+def _closed_form_case(case):
+    """(machine, generators) of one fixture for the closed-form test."""
     if case == "pilgrim":
         mf = zoo.pilgrim()
         return mf.machine, [(n, mf.autos[n]) for n in "stu"]
@@ -365,20 +372,24 @@ def _inner_case(case):
         G = SphereGroup("abcde"[:int(case[2:])])
         M = SphereMachine.identity(G)
     else:
-        M = (zoo.z5_marked if case == "z5belyi" else zoo.z2)().machine
+        M = {"pilgrim_full": zoo.pilgrim, "z5belyi": zoo.z5_marked,
+             "z2": zoo.z2}[case]().machine
     return M, full_twist_generators(M.source)
 
 
-@pytest.mark.parametrize("case", ["pilgrim", "z5belyi", "z2",
+@pytest.mark.parametrize("case", ["pilgrim", "pilgrim_full", "z5belyi", "z2",
                                   "id2", "id3", "id4", "id5"])
 def test_inner_generators_take_closed_form_edges(case, monkeypatch):
-    """The identity and inn_h for random h of 0-6 letters, added to the
-    generators, are never pre-composed: each edge goes k -> k, satisfies
-    the edge identity exactly, and is the knitting solve's own answer
-    where the distillation has one numbering.  Every generator that is
-    not inner, s . inn_h among them, still goes through the solve."""
+    """The identity, inn_h for random h of 0-6 letters and s . inn_h, s
+    the first generator, are added to the generators.  A generator that
+    is outer-equal to the identity or to an earlier generator g0 is never
+    pre-composed: each of its edges has the target of g0's edge (k
+    itself for the identity), satisfies the edge identity exactly, and
+    carries a knitting outer-equal to the one the knitting solve gives;
+    an inner generator's edge is the solve's own answer where the
+    distillation has one numbering."""
     rng = random.Random(sum(map(ord, case)))
-    M, gens = _inner_case(case)
+    M, gens = _closed_form_case(case)
     G = M.source
     letters = [x for i in range(1, G.n + 1) for x in (i, -i)]
     extra = [("id", Automorphism.identity(G))] + [
@@ -393,32 +404,52 @@ def test_inner_generators_take_closed_form_edges(case, monkeypatch):
                         lambda N, g: composed.append(g) or real(N, g))
     mcb = compute_mcbiset(M, gens)
     monkeypatch.undo()
-    inner = {name for name, g in gens if outer_normalize(g).is_identity_map()}
+    # the first of the identity ("") and the earlier generators that each
+    # generator is outer-equal to
+    identity = Automorphism.identity(G)
+    partner = {}
+    for i, (name, g) in enumerate(gens):
+        for name0, g0 in [("", identity)] + gens[:i]:
+            if outer_equal(g, g0):
+                partner[name] = name0
+                break
+    inner = {name for name, p in partner.items() if p == ""}
     assert {"id", "inn0", "inn1", "inn2", "inn3"} <= inner
-    if case in ("pilgrim", "z5belyi", "id4", "id5"):
-        # s . inn_h is outer-equal to s, a twist that is not inner
-        assert "s_inn" not in inner
+    # s . inn_h goes with s, or with the identity where s is inner
+    assert partner["s_inn"] == partner.get(gens[0][0], gens[0][0])
+    if case in ("pilgrim", "pilgrim_full", "z5belyi", "id4", "id5"):
+        # there s is a twist that is not inner
+        assert gens[0][0] not in partner
     if G.n >= 3:
         # t_{1,n} is the identity, t_{1,n-1} and t_{2,n} are inner
         twists = {f"t1_{G.n}", f"t1_{G.n - 1}", f"t2_{G.n}"}
         assert {n for n in inner if n.startswith("t")} == \
             (twists if case != "pilgrim" else set())
+    if G.n == 4 and case != "pilgrim":
+        # the curve around punctures 3 and 4 also bounds 1 and 2
+        assert partner["t3_4"] == "t1_2"
     for name, g in gens:
         assert sum(a is g for a in composed) == \
-            (0 if name in inner else mcb.size), name
+            (0 if name in partner else mcb.size), name
+    solvers = {}
     unique = 0
     for name, g in gens:
-        if name not in inner:
+        if name not in partner:
             continue
         for k, Mk in enumerate(mcb.machines):
             edge = mcb.table[(name, k)]
-            assert edge.target == k
+            t = mcb.table[(partner[name], k)].target if partner[name] else k
+            assert edge.target == t
             N = pre_compose(Mk, g)
-            assert N == change_basis(post_compose(Mk, edge.knitting_auto),
-                                     edge.basis_change)
-            if len(distill(Mk).numberings) == 1:
+            assert N == change_basis(
+                post_compose(mcb.machines[t], edge.knitting_auto),
+                edge.basis_change)
+            if t not in solvers:
+                solvers[t] = mcbiset._KnitSolver(mcb.machines[t])
+            knit, b = solvers[t].solve(N)
+            assert outer_equal(knit, edge.knitting_auto), (name, k)
+            if name in inner and len(solvers[t].d1.numberings) == 1:
                 unique += 1
-                knit, b = mcbiset._KnitSolver(Mk).solve(N)
                 assert knit == edge.knitting_auto
                 assert b == edge.basis_change
     # the one machine of z2 has two numberings: the deck swap
@@ -736,7 +767,7 @@ def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb,
     path = tmp_path / "full.mcb"
     save_mcb(mcb_full, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "fcc871a8dd334c01153c830658566a005cd443197e1b987d155d0b1b978a3067"
+        "87d0cfdae56b552f79236d41e8cea4b73adc9850ad1b44b992134375343004bb"
 
 
 def test_same_left_orbit_guards_group_mismatch():
