@@ -286,10 +286,14 @@ def _parse_lin_expr(text: str) -> LinExpr:
                            "is [-]int, [-]name or [-]int*name, and a name an "
                            "identifier not starting with '_'")
         sign = -1 if m[1] else 1
-        if m[2]:
-            expr = expr + LinExpr.of(sign * int(m[2]))
-        else:
-            expr = expr + LinExpr.var(m[4]).scale(sign * int(m[3] or 1))
+        try:
+            if m[2]:
+                expr = expr + LinExpr.of(sign * int(m[2]))
+            else:
+                expr = expr + LinExpr.var(m[4]).scale(sign * int(m[3] or 1))
+        except ValueError:  # more digits than int() converts
+            raise CliError(f"--theta: term {_quoted(term)} has too many "
+                           "digits") from None
     return expr
 
 
@@ -379,8 +383,12 @@ def _nonnegative(text: str) -> int:
     """The value of --bound or --max-steps: an integer >= 0."""
     if not re.fullmatch(r"[0-9]+", text):
         raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}")
-    return int(text)
+            f"expected a nonnegative integer, got {_quoted(text)}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(
+            f"{_quoted(text)} has too many digits") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import re
 from functools import reduce
-from itertools import repeat
 from operator import iadd
 from dataclasses import dataclass, field
 
@@ -54,9 +53,6 @@ _WS = re.compile(r"[ \t]*")
 # expanded.  2^21 letters is twice a million-letter twist power; reading
 # a word that long takes about 0.2 s and 80 MB of peak memory.
 MAX_WORD_LETTERS = 1 << 21
-# A reader's cache gives this for a factor text it has not read: longer
-# than any word, so one sum finds the factors to parse and a word too long.
-_UNREAD = range(MAX_WORD_LETTERS + 1)
 
 
 def _elided(text: str, show) -> str:
@@ -141,8 +137,8 @@ class _WordReader:
         the budget raises ParseError naming the top-level factor it lies
         in: outer, the (start, end) of that factor, or None at top level."""
         parts, end = _cut(text, start, end)
-        got = list(map(self.factors.get, parts, repeat(_UNREAD)))
-        if sum(map(len, got)) <= budget:
+        got = list(map(self.factors.get, parts))
+        if None not in got and sum(map(len, got)) <= budget:
             return reduce(iadd, got, []), end
         letters: list[int] = []
         at = start
@@ -150,7 +146,7 @@ class _WordReader:
             stop = at + len(part)
             room = budget - len(letters)
             span = outer or (at, stop)
-            if known is _UNREAD:
+            if known is None:
                 known = self.factors[part] = self._factor(
                     text, at, stop, room, line, span)
             elif len(known) > room:
@@ -515,18 +511,24 @@ def _needs_group(data: dict, keys, where):
             raise ParseError(f"{where}: {key!r} needs a group block")
 
 
+def _distinct(data: dict, key: str, what: str) -> tuple[str, ...]:
+    """The names of field key, ParseError on a name given twice."""
+    names = tuple(_field(data, key, (list, str)))
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f".mcb: {what} {_quoted(name)} appears "
+                             f"twice in the {key}")
+        seen.add(name)
+    return names
+
+
 def mcb_from_json(data: dict) -> MappingClassBiset:
     """Rebuild a biset from its JSON form; ParseError on a malformed one."""
     if not isinstance(data, dict):
         raise ParseError(".mcb: top level must be an object")
-    alphabet = tuple(_field(data, "alphabet", (list, str)))
-    seen = set()
-    for name in alphabet:
-        if name in seen:
-            raise ParseError(f".mcb: generator {_quoted(name)} appears "
-                             "twice in the alphabet")
-        seen.add(name)
-    basis = tuple(_field(data, "basis", (list, str)))
+    alphabet = _distinct(data, "alphabet", "generator")
+    basis = _distinct(data, "basis", "basis element")
     if not basis:
         raise ParseError(".mcb: empty basis")
     pos = {nm: i for i, nm in enumerate(basis)}
@@ -598,6 +600,20 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
         if (edge.gen, src) in table:
             raise ParseError(f".mcb: {where}: duplicate table record")
         table[(edge.gen, src)] = edge
+    # each generator permutes the basis: an edge from every element, and
+    # no element reached twice
+    for gen in alphabet:
+        into = set()
+        for k, name in enumerate(basis):
+            edge = table.get((gen, k))
+            if edge is None:
+                raise ParseError(f".mcb: generator {_quoted(gen)} has no "
+                                 f"edge from basis element {_quoted(name)}")
+            if edge.target in into:
+                raise ParseError(f".mcb: generator {_quoted(gen)} has two "
+                                 "edges into basis element "
+                                 f"{_quoted(basis[edge.target])}")
+            into.add(edge.target)
     base = basis_index(_field(data, "base", str, basis[0]))
     return MappingClassBiset(alphabet, basis, table, machines, gens, base)
 

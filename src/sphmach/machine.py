@@ -341,16 +341,26 @@ def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:
                           for row in M.rows])
 
 
+def tree_words(tree, back, d: int, label) -> tuple[list[Word], list[Word]]:
+    """The words along a perms.spanning_tree on d points, edge (p, r, q)
+    labelled label(r, p): the tree words ell, 1 at the root and any point
+    not reached and ell[q] = ell[p] * label(r, p) on a tree edge, and the
+    loop word ell[p] * label(r, p) * ell[q]^-1 of each back edge."""
+    ell: list[Word] = [EPSILON] * d
+    for p, r, q in tree:
+        ell[q] = wmul(ell[p], label(r, p))
+    return ell, [wmul(ell[p], label(r, p), winv(ell[q])) for p, r, q in back]
+
+
 def normalize_basis(M: SphereMachine) -> tuple[SphereMachine, BasisChange]:
     """Conjugate the basis so the entries along a breadth-first spanning
     tree of the action graph become trivial.  Keeps entries short after
     repeated twisting; the result presents the same biset."""
     d = M.degree
-    ell: list[Word] = [EPSILON] * d
-    for p, r, q in perms.spanning_tree(M.monodromy_perms())[0]:
-        ell[q] = wmul(ell[p], M.rows[r].entries[p])
+    tree = perms.spanning_tree(M.monodromy_perms())[0]
+    ell = tree_words(tree, (), d, lambda r, p: M.rows[r].entries[p])[0]
     # new entries are ell_i^-1 * e_i * ell_{pi(i)}, which vanish along tree
-    # edges when the conjugators are the inverted accumulated tree words
+    # edges when the conjugators are the inverted tree words
     b = BasisChange(tuple(winv(e) for e in ell), perms.identity(d))
     return change_basis(M, b), b
 
@@ -380,24 +390,20 @@ def stabilizer_subgroup(M: SphereMachine, s: int = 1) -> SubgroupPresentation:
     """Reidemeister-Schreier data for the stabilizer of basis point s under
     the right monodromy action of the source group.
 
-    The transversal is built breadth-first over the free generators in
-    declaration order; the Schreier generators of the non-tree edges are
-    returned unreduced (their count is d*(n-1) - d + 1)."""
+    The transversal and the Schreier generators, unreduced and d*(n-1) -
+    d + 1 of them, are the tree and loop words (tree_words) of the walk
+    from s over the free generators in declaration order."""
     G = M.source
     d = M.degree
     if not 1 <= s <= d:
         raise MachineError(f"basis point {s} out of range 1..{d}")
     free = G.free_gen_indices()
     action = [M.evaluate(G.gen(i)).perm for i in range(1, G.n + 1)]
-    free_action = [action[i - 1] for i in free]
-    if not perms.is_transitive(free_action, d):
+    tree, back = perms.spanning_tree([action[i - 1] for i in free],
+                                     start=s - 1)
+    if len(tree) != d - 1:
         raise MachineError("machine is not right-transitive")
-    tree, back = perms.spanning_tree(free_action, start=s - 1)
-    trans: list[Word] = [EPSILON] * d
-    for p, r, q in tree:
-        trans[q] = wmul(trans[p], G.gen(free[r]))
-    gens = [wmul(trans[p], G.gen(free[r]), winv(trans[q]))
-            for p, r, q in back]
+    trans, gens = tree_words(tree, back, d, lambda r, p: G.gen(free[r]))
     peripheral = []
     for i, pi in enumerate(action, 1):
         for cycle in perms.cycles(pi):

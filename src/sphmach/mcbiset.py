@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from . import perms
 from .perms import Perm
 from .words import (
-    Word, EPSILON, SphereGroup, ConjClass, Automorphism,
+    SphereGroup, ConjClass, Automorphism,
     winv, wmul, reduce_word, substitute_all,
-    outer_normal_images, is_conjugate, is_peripheral_preserving, dehn_twist,
+    outer_normal_images, inner_conjugator, is_conjugate,
+    is_peripheral_preserving, dehn_twist,
 )
 from .machine import (
     SphereMachine, WreathElement, BasisChange, change_basis, pre_compose,
-    normalize_basis, validate_sphere, cycle_classes, MachineError,
+    normalize_basis, tree_words, validate_sphere, cycle_classes, MachineError,
 )
 from .folding import SubgroupGraph
 
@@ -137,10 +138,11 @@ class _KnitSolver:
     (compute_mcbiset), same_left_orbit, and machine_isomorphism, which is
     the case of an inner knitting.
 
-    Writing the unknown conjugator at point p as  psi(alpha_p) * beta_p
-    along a spanning tree of M1's action graph turns every non-tree edge
-    k into an exact constraint  psi(x_k) = y_k, where the back-edge words
-    x_k depend on M1 alone and generate the target group.  Folding the
+    Writing the unknown conjugator at point p as  psi(alpha_p) * beta_p,
+    alpha the inverted tree words of M1 and beta those of M2 through the
+    relabeling (tree_words, on one spanning tree of M1's action graph),
+    turns back edge k into an exact constraint psi(x_k) = y_k on the loop
+    words; the x_k depend on M1 alone and generate the target.  Folding the
     x_k pins psi0 := psi (up to the outer normalisation) through the
     expressions of the free generators, and yields relators among the
     x_k (SubgroupGraph.relators).  A candidate relabeling gives the y_k;
@@ -153,15 +155,10 @@ class _KnitSolver:
         self.M1 = M1
         self.d1 = d1 or distill(M1)
         # edges (point, row, next) of the breadth-first walk
-        tree, back = perms.spanning_tree(M1.monodromy_perms())
-        alpha: list[Word] = [EPSILON] * M1.degree
-        for p, r, q in tree:
-            alpha[q] = wmul(winv(M1.rows[r].entries[p]), alpha[p])
-        self.alpha = alpha
-        self.tree = tree
-        self.back = back
-        xs = [wmul(winv(alpha[p]), M1.rows[r].entries[p], alpha[q])
-              for p, r, q in back]
+        self.tree, self.back = perms.spanning_tree(M1.monodromy_perms())
+        ell, xs = tree_words(self.tree, self.back, M1.degree,
+                             lambda r, p: M1.rows[r].entries[p])
+        self.alpha = list(map(winv, ell))
         self.empty_backs = [k for k, x in enumerate(xs) if not x]
         graph = SubgroupGraph(xs)
         self.relators = graph.relators
@@ -180,12 +177,8 @@ class _KnitSolver:
         M1 = self.M1
         d = M1.degree
         for sigma in _candidate_relabelings(self.d1, d2):
-            beta: list[Word | None] = [None] * d
-            beta[0] = EPSILON
-            for p, r, q in self.tree:
-                beta[q] = wmul(beta[p], M2.rows[r].entries[sigma[p]])
-            ys = [wmul(beta[p], M2.rows[r].entries[sigma[p]], winv(beta[q]))
-                  for p, r, q in self.back]
+            beta, ys = tree_words(self.tree, self.back, d,
+                                  lambda r, p: M2.rows[r].entries[sigma[p]])
             # psi0(x_k) == y_k for every k, checked exactly on the relators
             if any(ys[k] for k in self.empty_backs) or \
                     any(substitute_all(self.relators, ys)):
@@ -311,15 +304,6 @@ class MappingClassBiset:
         return all(e.knitting_word is not None for e in self.table.values())
 
 
-def _inner_conjugator(g: Automorphism) -> Word | None:
-    """h with g(x) = h * x * h^-1 when g is inner, else None:
-    outer_normal_images(g.images) returns the generators themselves
-    exactly when g is inner, and then also h."""
-    G = g.group
-    images, h = outer_normal_images(g.images)
-    return h if images == [G.gen(i) for i in range(1, G.n + 1)] else None
-
-
 def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     """post_compose(M, m) for the product m of moves chosen greedily:
     while some move strictly lowers the total entry letters, the one
@@ -368,7 +352,7 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     A generator g that is outer-equal to the identity or to an earlier
     generator g0, g(x) = h * g0(x) * h^-1, needs no solve: its edges are
     written down in closed form from g0's (g0 the first such, and h from
-    _inner_conjugator(g . g0^-1)).  The rows of pre_compose(M_k, g) are
+    inner_conjugator(g . g0^-1)).  The rows of pre_compose(M_k, g) are
     W * pre_compose(M_k, g0)(x) * W^-1 with W = M_k.evaluate(h), and
     conjugating a row by W is change_basis with the relabel W.perm and
     the conjugators W.entries inverted (point i of the new basis is old
@@ -387,7 +371,8 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     pre_compose, distill and the knitting solve.
 
     A new left orbit is stored by a short representative: N =
-    pre_compose(M_k, g) goes through normalize_basis, and then through
+    pre_compose(M_k, g) goes through normalize_basis, which leaves the
+    loop words (tree_words) as its only entries, and then through
     _shortened with the non-inner twists t_ij^+-1 of the target as
     moves.  Every post_compose(N, m), m a mapping class, lies in N's
     left orbit, and the distillation key shows it: post_compose keeps
@@ -418,12 +403,12 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     split = []
     for i, (name, g) in enumerate(gens):
         for g0, a in partners[:i + 1]:
-            h = _inner_conjugator(g.compose(a.inverse()))
+            h = inner_conjugator(g.compose(a.inverse()))
             if h is not None:
                 break
         split.append((name, g, g0, h))
     moves = [m for _, t in full_twist_generators(M.target)
-             if _inner_conjugator(t) is None for m in (t, t.inverse())]
+             if inner_conjugator(t) is None for m in (t, t.inverse())]
     basis = [M]
     dists = [distill(M)]
     solvers: list[_KnitSolver | None] = [None]

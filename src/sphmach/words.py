@@ -523,8 +523,8 @@ def outer_normal_images(images) -> tuple[list[Word], Word]:
     and i + m over i < m (the m + 1 rays from i to i + m share it).
 
     An automorphism phi is inner exactly when the result is the identity
-    map, which makes outer_normalize(phi).is_identity_map() the one exact
-    inner test (outer_equal, machine_isomorphism).  For phi = inn_h and
+    map, which makes inner_conjugator(phi) the one exact inner test
+    (outer_equal, compute_mcbiset).  For phi = inn_h and
     rank >= 2, the free generators are distinct letters a, b, and h^-1 a h
     conjugated by g is cyclically reduced only when hg lies in <a>; as
     <a> and <b> meet in 1, F attains its least value, the sum of the
@@ -563,12 +563,21 @@ def outer_normalize(phi: Automorphism) -> Automorphism:
                         check=False)
 
 
+def inner_conjugator(phi: Automorphism) -> Word | None:
+    """h with phi(x) = h * x * h^-1 for every x when phi is inner, else
+    None: outer_normal_images(phi.images) returns the generators
+    themselves exactly when phi is inner, and then also h."""
+    G = phi.group
+    images, h = outer_normal_images(phi.images)
+    return h if images == [G.gen(i) for i in range(1, G.n + 1)] else None
+
+
 def outer_equal(phi: Automorphism, psi: Automorphism) -> bool:
     """Do phi and psi agree as outer automorphisms, that is, is
-    psi^-1 . phi inner?  Exact (see outer_normal_images)."""
+    psi^-1 . phi inner?  Exact (see inner_conjugator)."""
     if phi.group != psi.group:
         raise ValueError("automorphisms over different groups")
-    return outer_normalize(psi.inverse().compose(phi)).is_identity_map()
+    return inner_conjugator(psi.inverse().compose(phi)) is not None
 
 
 def dehn_twist(i: int, j: int, G: SphereGroup) -> Automorphism:

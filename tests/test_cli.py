@@ -757,6 +757,20 @@ def test_cli_relabel_takes_machine_file_cycles(capsys):
     ('{"alphabet": ["t"], "basis": ["a"], "table": [{"gen": "t", "from": "a", '
      '"to": "a", "basis_change": {"conjugators": [], "relabel": [9, 9]}}]}',
      ".mcb: edge 't' from 'a': 'basis_change' needs a group block"),
+    # tables whose generator does not permute the basis
+    ('{"alphabet": ["t"], "basis": ["a", "b"], "base": "a", "table": '
+     '[{"gen": "t", "from": "a", "to": "b", "knitting": ""}]}',
+     ".mcb: generator 't' has no edge from basis element 'b'"),
+    ('{"alphabet": ["t"], "basis": ["a", "b"], "base": "a", "table": '
+     '[{"gen": "t", "from": "a", "to": "a", "knitting": ""}, '
+     '{"gen": "t", "from": "b", "to": "a", "knitting": "t"}]}',
+     ".mcb: generator 't' has two edges into basis element 'a'"),
+    ('{"alphabet": ["t"], "basis": ["a", "a"], "base": "a", "table": '
+     '[{"gen": "t", "from": "a", "to": "a", "knitting": ""}]}',
+     ".mcb: basis element 'a' appears twice in the basis"),
+    (json.dumps({"alphabet": ["t"], "basis": ["b" * 61] * 2, "table": []}),
+     ".mcb: basis element 'bbbbbbbbbbbbbbbbbbbbbbbb'...'bbbbbbbbbbbbbbbbbbbbbbbb' "
+     "(61 characters) appears twice in the basis"),
 ])
 def test_cli_malformed_mcb_exit_code(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.mcb"
@@ -1064,6 +1078,22 @@ def test_cli_negative_bound_exit_code(capsys):
     assert "--bound" in capsys.readouterr().err
     assert run_cli("split", c7, "--bound", "x") == 3
     assert "--bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, option", [
+    (("split", "c7", "--bound", "x" * 300), "--bound"),
+    (("split", "c7", "--bound", "9" * 5000), "--bound"),
+    (("classify-twist", "rabbit.mcb", "t", "--max-steps", "9" * 5000),
+     "--max-steps"),
+    (("solve-twists", "c7", f"--theta={'9' * 5001},b"), "--theta"),
+    (("solve-twists", "c7", f"--theta=a,{'9' * 5001}*b"), "--theta"),
+])
+def test_cli_long_option_values_are_elided(capsys, args, option):
+    paths = {"c7": str(MACHINES / "centralizer7.mach"),
+             "rabbit.mcb": str(MACHINES / "rabbit.mcb")}
+    assert run_cli(*(paths.get(a, a) for a in args)) == 3
+    err = capsys.readouterr().err
+    assert option in err and " characters)" in err and len(err) < 200, err
 
 
 def test_cli_unwritable_output_exit_code(tmp_path, capsys):

@@ -11,7 +11,7 @@ from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError, NotSphereBiset,
     validate_sphere, multiset_of_lifts, portrait, tensor, change_basis,
     pre_compose, post_compose, normalize_basis, stabilizer_subgroup,
-    LiftMultiset,
+    tree_words, LiftMultiset,
 )
 from sphmach.folding import SubgroupGraph
 
@@ -259,6 +259,38 @@ def test_normalize_basis_presents_the_same_biset():
     assert change_basis(Mb, b) == Mn
     assert multiset_of_lifts(Mn, G.normal_form([2, 3, 4, 5])) == \
         multiset_of_lifts(M, G.normal_form([2, 3, 4, 5]))
+
+
+def test_tree_and_loop_words_are_what_normalize_basis_leaves():
+    rng = random.Random(23)
+    for name, make in ZOO_MACHINES.items():
+        M = make().machine
+        d = M.degree
+        for _ in range(8):
+            relabel = list(range(d))
+            rng.shuffle(relabel)
+            conj = tuple(rand_word(rng, M.target, rng.randint(0, 6))
+                         for _ in range(d))
+            Mb = change_basis(M, BasisChange(conj, tuple(relabel)))
+            tree, back = perms.spanning_tree(Mb.monodromy_perms())
+            ell, loops = tree_words(tree, back, d,
+                                    lambda r, p: Mb.rows[r].entries[p])
+            Mn, b = normalize_basis(Mb)
+            assert list(b.conjugators) == [winv(w) for w in ell], name
+            assert loops == [Mn.rows[r].entries[p] for p, r, _ in back], name
+            assert all(not Mn.rows[r].entries[p] for p, r, _ in tree), name
+
+
+def test_stabilizer_rejects_an_intransitive_machine_from_every_start():
+    G = SphereGroup(["a", "b", "c"])
+    swap, fix = (1, 0, 2), perms.identity(3)
+    rows = [WreathElement(((), (1,), (2,)), swap),
+            WreathElement(((-1,), (), (-2, -1)), swap),
+            WreathElement(((), (), (1,)), fix)]
+    M = SphereMachine(G, G, rows)
+    for s in range(1, 4):
+        with pytest.raises(MachineError, match="not right-transitive"):
+            stabilizer_subgroup(M, s)
 
 
 def test_stabilizer_z2_by_hand():

@@ -9,7 +9,8 @@ from sphmach.machine import pre_compose
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism,
     reduce_word, wmul, winv, conjugate, cyclic_reduce, is_conjugate,
-    dehn_twist, outer_equal, outer_normalize, is_peripheral_preserving,
+    dehn_twist, outer_equal, outer_normalize, inner_conjugator,
+    is_peripheral_preserving,
 )
 
 import zoo
@@ -159,6 +160,34 @@ def test_outer_equal_matches_a_common_conjugator_oracle():
             assert oracle
         seen[oracle] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_inner_conjugator_recovers_the_conjugator_of_inner_maps():
+    rng = random.Random(23)
+    for n in range(2, 8):
+        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
+        for _ in range(30):
+            phi = zoo.inner(G, rand_word(rng, n - 1, rng.randint(0, 20)))
+            h = inner_conjugator(phi)
+            assert h is not None
+            assert all(wmul(h, G.gen(i), winv(h)) == phi.images[i - 1]
+                       for i in range(1, n + 1))
+
+
+def test_inner_conjugator_rejects_the_non_inner_twists():
+    for n in range(3, 8):
+        G = SphereGroup([f"x{i}" for i in range(1, n + 1)])
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                t = dehn_twist(i, j, G)
+                # t_{1,n}, t_{1,n-1} and t_{2,n} are the inner twists
+                inner = (i, j) in {(1, n), (1, n - 1), (2, n)}
+                assert _is_inner(G, t) == inner, (n, i, j)
+                h = inner_conjugator(t)
+                assert (h is not None) == inner, (n, i, j)
+                if inner:
+                    assert all(wmul(h, G.gen(k), winv(h)) == t.images[k - 1]
+                               for k in range(1, n + 1))
 
 
 def test_dehn_twist_formula():
