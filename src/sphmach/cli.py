@@ -20,7 +20,7 @@ from . import perms
 from .words import run_length_str
 from .machine import (
     BasisChange, validate_sphere, multiset_of_lifts, portrait,
-    tensor, change_basis,
+    tensor, change_basis, _quoted,
 )
 from .mcbiset import (
     compute_mcbiset, full_twist_generators, same_left_orbit, conjugacy_iterate,
@@ -35,7 +35,6 @@ from .multicurve import (
 from .machfile import (
     MachineFile, ParseError, parse_machine_file, print_machine_file,
     parse_word, parse_twist_word, parse_cycles, mcb_from_json, save_mcb,
-    _quoted,
 )
 
 

@@ -28,7 +28,8 @@ from . import perms
 from .words import (
     Word, EPSILON, SphereGroup, Automorphism, reduce_word, run_length_str,
 )
-from .machine import SphereMachine, WreathElement, BasisChange
+from .machine import (SphereMachine, WreathElement, BasisChange, MachineError,
+                      _elided, _quoted)
 from .mcbiset import MappingClassBiset, TableEdge
 from .multicurve import Multicurve, MulticurveError
 
@@ -53,19 +54,6 @@ _WS = re.compile(r"[ \t]*")
 # expanded.  2^21 letters is twice a million-letter twist power; reading
 # a word that long takes about 0.2 s and 80 MB of peak memory.
 MAX_WORD_LETTERS = 1 << 21
-
-
-def _elided(text: str, show) -> str:
-    """show(text) for a text of up to 60 characters; past that its head,
-    its tail and its length, so that no message prints unbounded input."""
-    if len(text) <= 60:
-        return show(text)
-    return f"{show(text[:24])}...{show(text[-24:])} ({len(text)} characters)"
-
-
-def _quoted(text: str) -> str:
-    """The text in quotes, elided past 60 characters (see _elided)."""
-    return _elided(text, repr)
 
 
 _STAR_OR_PAREN = re.compile(r"[*()]")
@@ -385,7 +373,7 @@ def parse_machine_file(text: str) -> MachineFile:
         except MulticurveError as exc:
             raise ParseError(f"bad curves: {exc}", ln)
     autos = {name: _automorphism(source, read_source, images_text.split(","),
-                                 f"automorphism {name}", ln)
+                                 f"automorphism {_elided(name, str)}", ln)
              for name, (images_text, ln) in auto_raw.items()}
     return MachineFile(machine, curves, autos)
 
@@ -600,22 +588,11 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
         if (edge.gen, src) in table:
             raise ParseError(f".mcb: {where}: duplicate table record")
         table[(edge.gen, src)] = edge
-    # each generator permutes the basis: an edge from every element, and
-    # no element reached twice
-    for gen in alphabet:
-        into = set()
-        for k, name in enumerate(basis):
-            edge = table.get((gen, k))
-            if edge is None:
-                raise ParseError(f".mcb: generator {_quoted(gen)} has no "
-                                 f"edge from basis element {_quoted(name)}")
-            if edge.target in into:
-                raise ParseError(f".mcb: generator {_quoted(gen)} has two "
-                                 "edges into basis element "
-                                 f"{_quoted(basis[edge.target])}")
-            into.add(edge.target)
     base = basis_index(_field(data, "base", str, basis[0]))
-    return MappingClassBiset(alphabet, basis, table, machines, gens, base)
+    try:
+        return MappingClassBiset(alphabet, basis, table, machines, gens, base)
+    except MachineError as exc:
+        raise ParseError(f".mcb: {exc}")
 
 
 def load_mcb(path: str) -> MappingClassBiset:

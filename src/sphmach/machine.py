@@ -23,6 +23,19 @@ class MachineError(ValueError):
     pass
 
 
+def _elided(text: str, show) -> str:
+    """show(text) for a text of up to 60 characters; past that its head,
+    its tail and its length, so that no message prints unbounded input."""
+    if len(text) <= 60:
+        return show(text)
+    return f"{show(text[:24])}...{show(text[-24:])} ({len(text)} characters)"
+
+
+def _quoted(text: str) -> str:
+    """The text in quotes, elided past 60 characters (see _elided)."""
+    return _elided(text, repr)
+
+
 class NotSphereBiset(MachineError):
     pass
 

@@ -22,6 +22,7 @@ from .words import (
 from .machine import (
     SphereMachine, WreathElement, BasisChange, change_basis, pre_compose,
     normalize_basis, tree_words, validate_sphere, cycle_classes, MachineError,
+    _elided, _quoted,
 )
 from .folding import SubgroupGraph
 
@@ -269,7 +270,10 @@ class TableEdge:
 @dataclass
 class MappingClassBiset:
     """Basis of machines (or bare basis names) with the right-action table
-    Psi_k * m = knitting * Psi_next."""
+    Psi_k * m = knitting * Psi_next.  Building it checks, once, that the
+    table is closed: each generator of the alphabet permutes the basis.
+    The edges into each element are kept, so a backward step of rewrite
+    is one lookup."""
 
     alphabet: tuple[str, ...]
     basis_names: tuple[str, ...]
@@ -278,27 +282,33 @@ class MappingClassBiset:
     gens: dict[str, Automorphism] = field(default_factory=dict)
     base: int = 0
 
+    def __post_init__(self):
+        self._into: dict[str, list[TableEdge]] = {}  # by gen, then target
+        for gen in self.alphabet:
+            into = self._into[gen] = [None] * self.size
+            for k, name in enumerate(self.basis_names):
+                edge = self.table.get((gen, k))
+                if edge is None:
+                    raise MachineError(f"generator {_quoted(gen)} has no edge "
+                                       f"from basis element {_quoted(name)}")
+                if edge.target not in range(self.size):
+                    raise MachineError(
+                        f"generator {_quoted(gen)} has an edge from basis "
+                        f"element {_quoted(name)} out of the basis")
+                if into[edge.target] is not None:
+                    raise MachineError(
+                        f"generator {_quoted(gen)} has two edges into basis "
+                        f"element {_quoted(self.basis_names[edge.target])}")
+                into[edge.target] = edge
+
     @property
     def size(self) -> int:
         return len(self.basis_names)
 
     def action_perm(self, gen: str) -> Perm:
-        img = [-1] * self.size
-        for k in range(self.size):
-            edge = self.table.get((gen, k))
-            if edge is None:
-                raise MachineError(f"table not closed at ({gen}, {k})")
-            img[k] = edge.target
-        if sorted(img) != list(range(self.size)):
-            raise MachineError(f"action of {gen} is not a bijection on the basis")
-        return tuple(img)
-
-    def edge_into(self, gen: str, target: int) -> TableEdge:
-        for k in range(self.size):
-            e = self.table[(gen, k)]
-            if e.target == target:
-                return e
-        raise MachineError(f"no {gen}-edge into basis element {target}")
+        if gen not in self._into:
+            raise MachineError(f"generator {_quoted(gen)} is not in the alphabet")
+        return tuple(self.table[(gen, k)].target for k in range(self.size))
 
     def word_knittings(self) -> bool:
         return all(e.knitting_word is not None for e in self.table.values())
@@ -389,10 +399,11 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     names = [name for name, _ in gens]
     if len(set(names)) < len(names):
         twice = next(name for name in names if names.count(name) > 1)
-        raise MachineError(f"generator {twice} is given twice")
+        raise MachineError(f"generator {_elided(twice, str)} is given twice")
     for name, g in gens:
         if not is_peripheral_preserving(g):
-            raise MachineError(f"generator {name} is not peripheral-preserving")
+            raise MachineError(f"generator {_elided(name, str)} is not "
+                               "peripheral-preserving")
     rep = validate_sphere(M)
     if not rep.is_sphere_biset:
         raise MachineError("input machine is not a sphere machine: "
@@ -472,22 +483,25 @@ def rewrite(mcb: MappingClassBiset, k: int, m: TwistWord):
     """Push a twist word through the recursion: Psi_k * m = m' * Psi_k'.
 
     Returns (m', k').  Every edge met must carry a twist-word knitting;
-    the step words are multiplied once, so the cost is linear in m.
+    the step words are multiplied once, so the cost is linear in m.  The
+    table is closed (MappingClassBiset), so each step is one lookup.
     """
+    if not 0 <= k < mcb.size:
+        raise MachineError(f"basis index {k} is outside 0..{mcb.size - 1}")
     steps = []
     for x in reduce_word(m):
         name = mcb.alphabet[abs(x) - 1]
         if x > 0:
-            edge = mcb.table.get((name, k))
-            if edge is None:
-                raise MachineError(f"table not closed at ({name}, {k})")
+            edge = mcb.table[(name, k)]
             k = edge.target
         else:
-            edge = mcb.edge_into(name, k)
+            edge = mcb._into[name][k]
             k = edge.source
         if edge.knitting_word is None:
-            raise MachineError(f"edge ({name}, {edge.source}) has no "
-                               "twist-word knitting")
+            raise MachineError(
+                f"edge ({_elided(name, str)}, "
+                f"{_elided(mcb.basis_names[edge.source], str)}) has no "
+                "twist-word knitting")
         steps.append(edge.knitting_word if x > 0 else winv(edge.knitting_word))
     return wmul(*steps), k
 
@@ -649,7 +663,8 @@ def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str) -> list[McbLiftEn
     for name, a in mcb.gens.items():
         fp = twist_fingerprint(a)
         if fp is None:
-            raise MachineError(f"generator {name} is not peripheral-preserving")
+            raise MachineError(f"generator {_elided(name, str)} is not "
+                               "peripheral-preserving")
         gen_fps.append((name, fp))
     out = []
     for cyc in perms.cycles(mcb.action_perm(gen)):
@@ -657,8 +672,10 @@ def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str) -> list[McbLiftEn
         for p in cyc:
             edge = mcb.table[(gen, p)]
             if edge.knitting_auto is None:
-                raise MachineError(f"edge ({gen}, {mcb.basis_names[p]}) has "
-                                   "no knitting automorphism")
+                raise MachineError(
+                    f"edge ({_elided(gen, str)}, "
+                    f"{_elided(mcb.basis_names[p], str)}) has no knitting "
+                    "automorphism")
             fps.append(twist_fingerprint(edge.knitting_auto))
         fp = None if None in fps else tuple(map(sum, zip(*fps)))
         out.append(McbLiftEntry(len(cyc), twist_power_label(fp, gen_fps)))

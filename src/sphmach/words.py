@@ -328,13 +328,14 @@ class SphereGroup:
     def complete_images(self, images: list[Word]) -> list[Word]:
         """All n images of a map from the normal-form images of the free
         generators (declaration order, eliminated one skipped); the
-        remaining image is forced by the relator."""
+        remaining image, if n > 0, is forced by the relator."""
         free = self.free_gen_indices()
         if len(images) != len(free):
             raise ValueError("need one image per free generator")
         by_index = dict(zip(free, images))
-        by_index[self.relator[-1]] = winv(
-            wmul(*[by_index[r] for r in self.relator[:-1]]))
+        if self.n:
+            by_index[self.relator[-1]] = winv(
+                wmul(*[by_index[r] for r in self.relator[:-1]]))
         return [by_index[i] for i in range(1, self.n + 1)]
 
     def word_str(self, w: Word) -> str:

@@ -67,6 +67,42 @@ def test_malformed_auto_lines_raise_parse_error(line, message):
     assert str(exc.value) == f"{message} at line {len(lines)}"
 
 
+def test_long_automorphism_name_is_elided():
+    # images that break the relator, under a 5,000-character name
+    name = "m" * 5000
+    text = (MACHINES / "fbiset.mach").read_text() + f"auto {name} = d,c,b,a\n"
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file(text)
+    message = str(exc.value)
+    assert message.startswith("automorphism " + "m" * 24 + "..." + "m" * 24 +
+                              " (5000 characters): ")
+    assert len(message) < 200
+
+
+def test_cli_mcbiset_elides_a_long_generator_that_is_not_peripheral(
+        tmp_path, capsys):
+    # a -> a*b is a Nielsen move, an automorphism of the free group on
+    # a, b, c, that keeps the relator but sends a to no conjugate of a
+    name = "w" * 5000
+    path = tmp_path / "nielsen.mach"
+    path.write_text((MACHINES / "fbiset.mach").read_text() +
+                    f"auto {name} = a*b,b,c,b^-1*a^-1*b^-1*c^-1\n")
+    assert run_cli("mcbiset", str(path), "--gens", name) == 3
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(" (5000 characters) is not "
+                                 "peripheral-preserving")
+    assert len(err) < 200
+
+
+def test_cli_iso_on_the_empty_group(tmp_path, capsys):
+    # n = 0: no free generator, and no image forced by the relator
+    path = str(tmp_path / "empty.mach")
+    Path(path).write_text("group:\n")
+    assert run_cli("--json", "iso", path, path) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "same_left_orbit": True, "knitting": []}
+
+
 # a degree-1 machine file with every header line, one curve and one auto
 _HEADED = ["group: a,b,c,d", "relator: a*b*c*d", "target: p,q,r,s",
            "target_relator: p*q*r*s", "degree: 1", "a=<p>", "b=<q>",

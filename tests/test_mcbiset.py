@@ -1,15 +1,17 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphmach import mcbiset, perms
 from sphmach.cli import main
 from sphmach.machfile import save_mcb
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, outer_equal, outer_normalize, wmul,
-    EPSILON,
+    winv, reduce_word, EPSILON,
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError,
@@ -350,6 +352,17 @@ def test_compute_mcbiset_rejects_a_repeated_generator():
         compute_mcbiset(z5, [("s", t), ("r", u), ("s", u)])
 
 
+def test_compute_mcbiset_elides_a_long_repeated_generator():
+    z5 = zoo.z5_marked().machine
+    (_, t), (_, u) = full_twist_generators(z5.source)[:2]
+    name = "s" * 5000
+    with pytest.raises(MachineError) as exc:
+        compute_mcbiset(z5, [(name, t), (name, u)])
+    message = str(exc.value)
+    assert message.endswith(" (5000 characters) is given twice")
+    assert len(message) < 200
+
+
 def test_mcbiset_edges_verify():
     z5 = zoo.z5_marked().machine
     gens = full_twist_generators(z5.source)
@@ -486,6 +499,113 @@ def test_rewrite_needs_twist_word_knittings():
     with pytest.raises(MachineError, match="twist-word knitting"):
         rewrite(mcb, 0, (-1,))
     assert rewrite(mcb, 0, ()) == ((), 0)
+
+
+def _rewrite_by_scan(mcb, k, m):
+    """rewrite with each backward step found by scanning the generator's
+    edges for the one into k."""
+    steps = []
+    for x in reduce_word(m):
+        name = mcb.alphabet[abs(x) - 1]
+        if x > 0:
+            edge = mcb.table[(name, k)]
+            k = edge.target
+        else:
+            edge = next(e for e in (mcb.table[(name, j)]
+                                    for j in range(mcb.size))
+                        if e.target == k)
+            k = edge.source
+        steps.append(edge.knitting_word if x > 0 else winv(edge.knitting_word))
+    return wmul(*steps), k
+
+
+@st.composite
+def closed_tables(draw):
+    """A biset over 1-3 generators and 1-6 basis elements: each generator
+    permutes the basis, and each edge carries a twist word of up to 2
+    letters."""
+    gens = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 6))
+    letters = st.sampled_from([x for g in range(1, gens + 1) for x in (g, -g)])
+    alphabet = tuple(f"g{i}" for i in range(gens))
+    table = {}
+    for name in alphabet:
+        targets = draw(st.permutations(range(size)))
+        for k, target in enumerate(targets):
+            knit = reduce_word(draw(st.lists(letters, max_size=2)))
+            table[(name, k)] = TableEdge(name, k, target, knitting_word=knit)
+    mcb = MappingClassBiset(alphabet, tuple(f"b{k}" for k in range(size)),
+                            table)
+    return mcb, letters
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rewrite_steps_backwards_as_a_scan_does(data):
+    mcb, letters = data.draw(closed_tables())
+    for _ in range(4):
+        word = tuple(data.draw(st.lists(letters, max_size=12)))
+        k = data.draw(st.integers(0, mcb.size - 1))
+        assert rewrite(mcb, k, word) == _rewrite_by_scan(mcb, k, word)
+        got = conjugacy_iterate(mcb, (word, k), max_steps=8)
+        with mock.patch.object(mcbiset, "rewrite", _rewrite_by_scan):
+            want = conjugacy_iterate(mcb, (word, k), max_steps=8)
+        assert got == want
+
+
+LONG = "n" * 70
+ELIDED = repr("n" * 24) + "..." + repr("n" * 24) + " (70 characters)"
+
+
+@pytest.mark.parametrize("gen, basis, targets, message", [
+    ("t", ("a", "b"), {0: 1},
+     "generator 't' has no edge from basis element 'b'"),
+    ("t", ("a", "b"), {0: 0, 1: 0},
+     "generator 't' has two edges into basis element 'a'"),
+    ("t", ("a", "b"), {0: 0, 1: -1},
+     "generator 't' has an edge from basis element 'b' out of the basis"),
+    ("t", ("a", "b"), {0: 2, 1: 0},
+     "generator 't' has an edge from basis element 'a' out of the basis"),
+    (LONG, ("a", LONG), {0: 0},
+     f"generator {ELIDED} has no edge from basis element {ELIDED}"),
+    (LONG, (LONG, "b"), {0: 0, 1: 0},
+     f"generator {ELIDED} has two edges into basis element {ELIDED}"),
+])
+def test_biset_is_built_on_a_closed_table_only(gen, basis, targets, message):
+    table = {(gen, k): TableEdge(gen, k, t, knitting_word=EPSILON)
+             for k, t in targets.items()}
+    with pytest.raises(MachineError) as exc:
+        MappingClassBiset((gen,), basis, table)
+    assert str(exc.value) == message
+
+
+def test_rewrite_and_action_perm_reject_what_is_not_in_the_biset():
+    mcb = zoo.rabbit_mcb()
+    for k in (-1, mcb.size, mcb.size + 5):
+        for word in ((1,), (-1,), ()):
+            with pytest.raises(MachineError, match="outside 0..1"):
+                rewrite(mcb, k, word)
+    with pytest.raises(MachineError, match="'x' is not in the alphabet"):
+        mcb.action_perm("x")
+
+
+def test_missing_knittings_name_the_basis_element():
+    # a two-element biset under one generator with a long name, whose
+    # edges carry neither kind of knitting
+    basis = ("b0", "e" * 5000)
+    table = {(LONG, k): TableEdge(LONG, k, 1 - k) for k in range(2)}
+    mcb = MappingClassBiset((LONG,), basis, table)
+    with pytest.raises(MachineError) as exc:
+        rewrite(mcb, 0, (-1,))
+    message = str(exc.value)
+    assert message.startswith(
+        f"edge ({'n' * 24}...{'n' * 24} (70 characters), "
+        f"{'e' * 24}...{'e' * 24} (5000 characters))")
+    assert message.endswith("has no twist-word knitting")
+    with pytest.raises(MachineError) as exc:
+        lift_multiset_in_mcbiset(mcb, LONG)
+    assert len(str(exc.value)) < 200
+    assert str(exc.value).endswith("has no knitting automorphism")
 
 
 def test_conjugacy_iterate_examples():
