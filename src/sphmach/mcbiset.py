@@ -319,31 +319,30 @@ def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     while some move strictly lowers the total entry letters, the one
     that lowers them most (the first of a tie).  None when no move does.
 
-    Each candidate is scored on the flat entry list alone: post_compose
-    keeps the permutations and keeps empty entries empty, so a machine
-    normalised by normalize_basis stays normalised, and one machine is
-    built at the end.  A candidate's images are summed only while their
-    running total stays below the best total so far: a candidate that
-    reaches it can no longer win, as only a strictly lower total does,
-    so its remaining images are never computed and the choices are those
-    of the full sums.
+    moves: (automorphism, table) pairs, the table a dict from an entry
+    word to its image under the move, which the caller keeps for as long
+    as it likes.  Each candidate is scored on the flat entry list alone:
+    post_compose keeps the permutations and keeps empty entries empty, so
+    a machine normalised by normalize_basis stays normalised, and one
+    machine is built at the end.  A candidate's score sums the lengths of
+    the images it looks up in its table; only the words the table lacks
+    go through the move, in one batch, so a word met again, in this
+    machine or in an earlier one, is never mapped twice.
     """
     entries = start = [e for row in M.rows for e in row.entries]
     size = sum(map(len, entries))
     while True:
         best = None
-        for m in moves:
-            letters, images = 0, []
-            for image in m.apply_all(entries):
-                letters += len(image)
-                if letters >= size:
-                    break
-                images.append(image)
+        for m, table in moves:
+            missing = list(dict.fromkeys(w for w in entries if w not in table))
+            if missing:
+                table.update(zip(missing, m.apply_all(missing)))
+            letters = sum(map(len, map(table.__getitem__, entries)))
             if letters < size:
-                size, best = letters, images
+                size, best = letters, table
         if best is None:
             break
-        entries = best
+        entries = list(map(best.__getitem__, entries))
     if entries is start:
         return None
     it = iter(entries)
@@ -393,7 +392,9 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     is the basis change of normalize_basis with the identity knitting;
     otherwise the edge is solved like any other.  The shortening keeps
     the entries, and with them the knittings, from growing with the
-    depth of the breadth-first search.
+    depth of the breadth-first search.  Each move keeps, for this one
+    build, a table from an entry word to its image, so a loop word met
+    in several new orbits is mapped by each move once.
     """
     gens = list(gens)
     names = [name for name, _ in gens]
@@ -418,7 +419,8 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
             if h is not None:
                 break
         split.append((name, g, g0, h))
-    moves = [m for _, t in full_twist_generators(M.target)
+    # each move with its table of entry images, for this build
+    moves = [(m, {}) for _, t in full_twist_generators(M.target)
              if inner_conjugator(t) is None for m in (t, t.inverse())]
     basis = [M]
     dists = [distill(M)]
@@ -490,7 +492,12 @@ def rewrite(mcb: MappingClassBiset, k: int, m: TwistWord):
         raise MachineError(f"basis index {k} is outside 0..{mcb.size - 1}")
     steps = []
     for x in reduce_word(m):
-        name = mcb.alphabet[abs(x) - 1]
+        try:
+            name = mcb.alphabet[abs(x) - 1]
+        except IndexError:
+            raise MachineError(
+                f"twist letter {x} is outside the alphabet of "
+                f"{len(mcb.alphabet)} generators") from None
         if x > 0:
             edge = mcb.table[(name, k)]
             k = edge.target

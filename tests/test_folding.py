@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sphmach.folding import SubgroupGraph, expand_expression
 from sphmach.words import (
     SphereGroup, Automorphism, dehn_twist, reduce_word, substitute_all,
-    winv, wmul,
+    winv, wmul, cyclic_reduce,
 )
 
 
@@ -202,3 +202,126 @@ def test_relator_check_matches_the_direct_check(gens, twists, perturb):
     assert by_relators == direct
     if perturb is None:
         assert direct
+
+
+# ---------------------------------------------------------------------------
+# read-then-add insertion against the petal fold
+
+class PetalGraph(SubgroupGraph):
+    """The decorated fold that lays out every generator's petal in full
+    and then folds them all off one worklist; its folded graph is the one
+    SubgroupGraph reaches by reading each word before adding it."""
+
+    def __init__(self, gens):
+        self.gens = [tuple(w) for w in gens]
+        nonzero = [(i, w) for i, w in enumerate(self.gens) if w]
+        self._symbol_of = [i for i, _ in nonzero]
+        adj, work = [{}], []
+
+        def attach(v, a, e):
+            bucket = adj[v].setdefault(a, [])
+            bucket.append(e)
+            if len(bucket) == 2:
+                work.append((v, a))
+
+        for k, (_, w) in enumerate(nonzero):
+            u = 0
+            for pos, x in enumerate(w):
+                if pos == len(w) - 1:
+                    v, dec = 0, ((k + 1,) if x > 0 else (-k - 1,))
+                else:
+                    v, dec = len(adj), ()
+                    adj.append({})
+                e = [u, x, v, dec] if x > 0 else [v, -x, u, dec]
+                attach(e[0], e[1], e)
+                attach(e[2], -e[1], e)
+                u = v
+        degree = [sum(map(len, a.values())) for a in adj]
+        relators = []
+        while work:
+            p, a = work.pop()
+            if adj[p] is None or len(adj[p].get(a, ())) < 2:
+                continue
+            bucket = adj[p][a]
+            e1, e2 = bucket[0], bucket[1]
+            if len(bucket) > 2:
+                work.append((p, a))
+            t1, t2 = (e1[2], e2[2]) if a > 0 else (e1[0], e2[0])
+            for at in (bucket, adj[t2][-a]):
+                del at[next(i for i, f in enumerate(at) if f is e2)]
+            degree[p] -= 1
+            degree[t2] -= 1
+            if t1 == t2:
+                relators.append(wmul(e1[3], winv(e2[3])))
+                continue
+            if t2 != 0 and (t1 == 0 or degree[t2] <= degree[t1]):
+                t, s, dt, ds = t2, t1, e2[3], e1[3]
+            else:
+                t, s, dt, ds = t1, t2, e1[3], e2[3]
+            c = wmul(winv(dt), ds) if a > 0 else wmul(dt, winv(ds))
+            moved, adj[t] = adj[t], None
+            degree[s] += degree[t]
+            for b, edges in moved.items():
+                for e in edges:
+                    if b > 0:
+                        e[0], e[3] = s, wmul(winv(c), e[3])
+                    else:
+                        e[2], e[3] = s, wmul(e[3], c)
+                    attach(s, b, e)
+        self._edges = [e for at in adj if at
+                       for b, edges in at.items() if b > 0 for e in edges]
+        self._trans = {}
+        for u, x, v, dec in self._edges:
+            self._trans[(u, x)] = (v, dec)
+            self._trans[(v, -x)] = (u, winv(dec))
+        self.relators = [cyclic_reduce(self._positions(r))[0]
+                         for r in relators]
+
+
+@st.composite
+def generator_lists(draw):
+    """(rank, 0-6 reduced words over 2 or 3 letters), some of them empty,
+    repeated, inverted or products of earlier ones."""
+    rank = draw(st.integers(2, 3))
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    gens = draw(st.lists(st.lists(st.sampled_from(letters), max_size=8)
+                         .map(reduce_word), max_size=6))
+    for _ in range(draw(st.integers(0, 6 - len(gens)))):
+        if not gens:
+            gens.append(())
+            continue
+        kind = draw(st.sampled_from(["repeat", "inverse", "member"]))
+        w = draw(st.sampled_from(gens))
+        if kind == "repeat":
+            gens.append(w)
+        elif kind == "inverse":
+            gens.append(winv(w))
+        else:
+            gens.append(wmul(w, draw(st.sampled_from(gens))))
+    return rank, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_lists(), st.data())
+def test_read_then_add_matches_the_petal_fold(drawn, data):
+    rank, gens = drawn
+    graph, petals = SubgroupGraph(gens), PetalGraph(gens)
+    assert len(graph.states()) == len(petals.states())
+    letters = range(1, rank + 1)
+    assert graph.index_in(letters) == petals.index_in(letters)
+    signed = [x for i in letters for x in (i, -i)]
+    probes = data.draw(st.lists(st.lists(st.sampled_from(signed), max_size=10)
+                                .map(reduce_word), max_size=6))
+    if gens:
+        expr = data.draw(st.lists(st.integers(-len(gens), len(gens))
+                                  .filter(bool), max_size=6))
+        probes.append(expand_expression(reduce_word(expr), gens))
+    for w in probes:
+        got = graph.express(w)
+        assert (got is None) == (petals.express(w) is None)
+        if got is not None:
+            assert expand_expression(got, gens) == w
+    assert all(graph.relators)
+    assert not any(substitute_all(graph.relators, gens))
+    assert len(graph.relators) == sum(1 for w in gens if w) - (
+        len(graph._edges) - len(graph.states()) + 1)

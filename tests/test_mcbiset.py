@@ -589,6 +589,20 @@ def test_rewrite_and_action_perm_reject_what_is_not_in_the_biset():
         mcb.action_perm("x")
 
 
+def test_rewrite_rejects_a_letter_past_the_alphabet():
+    mcb = zoo.rabbit_mcb()
+    assert len(mcb.alphabet) == 3
+    for word in ((4,), (-4,), (1, 2, -4, 3)):
+        x = next(x for x in word if abs(x) == 4)
+        message = f"twist letter {x} is outside the alphabet of 3 generators"
+        with pytest.raises(MachineError) as exc:
+            rewrite(mcb, 0, word)
+        assert str(exc.value) == message
+        with pytest.raises(MachineError) as exc:
+            conjugacy_iterate(mcb, (word, 0))
+        assert str(exc.value) == message
+
+
 def test_missing_knittings_name_the_basis_element():
     # a two-element biset under one generator with a long name, whose
     # edges carry neither kind of knitting
@@ -842,6 +856,69 @@ def test_pilgrim_mcbiset_edges_verify(pilgrim_mcb, pilgrim_full_mcb):
             rhs = change_basis(post_compose(mcb.machines[e.target],
                                             e.knitting_auto), e.basis_change)
             assert lhs == rhs, (e.gen, e.source)
+
+
+def _plain_shortened(M, moves):
+    """The greedy of mcbiset._shortened with no image table: each round
+    maps every entry by every move and takes the first move with the
+    strictly least total, while that total is below the current one."""
+    entries = start = [e for row in M.rows for e in row.entries]
+    size = sum(map(len, entries))
+    while True:
+        best = None
+        for m, _ in moves:
+            images = list(m.apply_all(entries))
+            letters = sum(map(len, images))
+            if letters < size:
+                size, best = letters, images
+        if best is None:
+            break
+        entries = best
+    if entries is start:
+        return None
+    it = iter(entries)
+    return SphereMachine(M.source, M.target,
+                         [WreathElement(tuple(next(it) for _ in row.entries),
+                                        row.perm)
+                          for row in M.rows])
+
+
+def _rebased(M, rng):
+    """M under a random basis change: conjugators of 0-3 letters and a
+    random relabel."""
+    letters = [x for i in range(1, M.target.n + 1) for x in (i, -i)]
+    relabel = list(range(M.degree))
+    rng.shuffle(relabel)
+    return change_basis(M, BasisChange(
+        tuple(tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+              for _ in range(M.degree)), tuple(relabel)))
+
+
+@pytest.mark.parametrize("case", ["z5belyi", "z2_rebased", "z5belyi_rebased",
+                                  "pilgrim_rebased"])
+def test_image_tables_keep_the_plain_greedy(case, monkeypatch):
+    """compute_mcbiset stores the machines a plain greedy, which maps
+    every entry by every move in every round, would store."""
+    stem = case.removesuffix("_rebased")
+    mf = {"z5belyi": zoo.z5_marked, "z2": zoo.z2, "pilgrim": zoo.pilgrim}[stem]()
+    M = mf.machine
+    if case.endswith("_rebased"):
+        M = _rebased(M, random.Random(case))
+    gens = ([(n, mf.autos[n]) for n in "stu"] if stem == "pilgrim"
+            else full_twist_generators(M.source))
+    mcb = compute_mcbiset(M, gens)
+    shortened = []
+    monkeypatch.setattr(mcbiset, "_shortened", lambda N, moves: shortened.append(
+        _plain_shortened(N, moves)) or shortened[-1])
+    plain = compute_mcbiset(M, gens)
+    assert mcb.machines == plain.machines
+    assert {key: (e.target, e.knitting_auto, e.basis_change)
+            for key, e in mcb.table.items()} == \
+        {key: (e.target, e.knitting_auto, e.basis_change)
+         for key, e in plain.table.items()}
+    # z2 has no twist that is not inner, and the new orbits of the
+    # rebased z5belyi are short already; elsewhere the greedy picks moves
+    assert any(shortened) == (case in ("z5belyi", "pilgrim_rebased"))
 
 
 def _entry_letters(M):

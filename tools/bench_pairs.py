@@ -20,6 +20,7 @@ import argparse
 import io
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -95,7 +96,9 @@ def main(argv=None):
     ap.add_argument("--change", default="HEAD", help="commit with the change")
     ap.add_argument("--number", required=True, type=int,
                     help="writes BENCH_<number>.json")
-    ap.add_argument("--host", default="", help="the machine, for the record")
+    ap.add_argument("--host", default="",
+                    help="the machine, for the record (default: the Python "
+                         "version and CPU count)")
     ap.add_argument("--note", default="", help="for the record")
     args = ap.parse_args(argv)
 
@@ -136,7 +139,8 @@ def main(argv=None):
                    f"{SEED_BASE} + pair; odd pairs run the parent first, "
                    "even pairs the change first; each side runs from an "
                    "extracted copy (git archive) of its commit",
-        "host": args.host,
+        "host": args.host or f"Python {platform.python_version()}, "
+                             f"{os.cpu_count()} CPUs",
         "summary": summarize(runs, workloads, metrics, better),
         "runs": runs,
     }
