@@ -55,9 +55,9 @@ class SubgroupGraph:
     keeps D(P) of every path, as a word: the gauge word and its inverse
     cancel at the gauged vertex, and the base is never gauged.  Each
     edge read forwards is the merge fold of the petal's next edge onto
-    it, done in advance: gauging the petal's fresh vertex by the inverse
-    of the product F read so far makes the two decorations agree, and
-    leaves F^-1 on the petal's next edge.  Reading the inverse from the
+    it, done in advance: the gauge at the petal's fresh vertex that
+    makes the two decorations agree leaves F^-1 on the petal's next
+    edge, F the product read so far.  Reading the inverse from the
     base merges the petal's last edges the same way and leaves B, the
     product read, on the far end.  Gauging the fresh vertices of the
     unread middle carries every correction to its last edge, which so
