@@ -908,8 +908,12 @@ def test_image_tables_keep_the_plain_greedy(case, monkeypatch):
             else full_twist_generators(M.source))
     mcb = compute_mcbiset(M, gens)
     shortened = []
-    monkeypatch.setattr(mcbiset, "_shortened", lambda N, moves: shortened.append(
-        _plain_shortened(N, moves)) or shortened[-1])
+
+    def plain_shortened(N, moves):
+        shortened.append(_plain_shortened(N, moves))
+        return shortened[-1]
+
+    monkeypatch.setattr(mcbiset, "_shortened", plain_shortened)
     plain = compute_mcbiset(M, gens)
     assert mcb.machines == plain.machines
     assert {key: (e.target, e.knitting_auto, e.basis_change)
