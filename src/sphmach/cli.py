@@ -96,9 +96,11 @@ def _gens_for(mf: MachineFile, arg: str | None):
         return full_twist_generators(M.source)
     out = {}
     for nm in (x.strip() for x in arg.split(",")):
+        if not nm:
+            raise CliError("--gens: empty generator name")
         if nm not in mf.autos:
             raise CliError(
-                f"automorphism {_quoted(nm)} not defined in the file")
+                f"--gens: automorphism {_quoted(nm)} not defined in the file")
         if nm in out:
             raise CliError(f"--gens: {_quoted(nm)} is named twice")
         out[nm] = mf.autos[nm]

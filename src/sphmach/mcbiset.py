@@ -317,32 +317,48 @@ class MappingClassBiset:
 def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     """post_compose(M, m) for the product m of moves chosen greedily:
     while some move strictly lowers the total entry letters, the one
-    that lowers them most (the first of a tie).  None when no move does.
+    that lowers them most (the first of a tie).  Where none does, one
+    step further: after the move with the least total (the first of a
+    tie), each move but its inverse, and the first pair with the least
+    total if that is strictly lower.  None when neither step lowers it.
 
-    moves: (automorphism, table) pairs, the table a dict from an entry
-    word to its image under the move, which the caller keeps for as long
-    as it likes.  Each candidate is scored on the flat entry list alone:
-    post_compose keeps the permutations and keeps empty entries empty, so
-    a machine normalised by normalize_basis stays normalised, and one
-    machine is built at the end.  A candidate's score sums the lengths of
-    the images it looks up in its table; only the words the table lacks
-    go through the move, in one batch, so a word met again, in this
-    machine or in an earlier one, is never mapped twice.
+    moves: (automorphism, table) pairs, in pairs (t, t^-1), so move j's
+    inverse is move j ^ 1, and a move followed by it is the identity;
+    the table a dict from an entry word to its image under the move,
+    which the caller keeps for as long as it likes.  Each candidate is
+    scored on the flat entry list alone: post_compose keeps the
+    permutations and keeps empty entries empty, so a machine normalised
+    by normalize_basis stays normalised, and one machine is built at the
+    end.  A candidate's score sums the lengths of the images it looks up
+    in its table; only the words the table lacks go through the move, in
+    one batch, so a word met again, in this machine or in an earlier one,
+    is never mapped twice.
     """
-    entries = start = [e for row in M.rows for e in row.entries]
-    size = sum(map(len, entries))
-    while True:
-        best = None
-        for m, table in moves:
-            missing = list(dict.fromkeys(w for w in entries if w not in table))
+    def scored(words, js):
+        """(total letters of the words' images, j) for each move j of js,
+        the move's table filled first."""
+        for j in js:
+            m, table = moves[j]
+            missing = list(dict.fromkeys(w for w in words if w not in table))
             if missing:
                 table.update(zip(missing, m.apply_all(missing)))
-            letters = sum(map(len, map(table.__getitem__, entries)))
-            if letters < size:
-                size, best = letters, table
-        if best is None:
-            break
-        entries = list(map(best.__getitem__, entries))
+            yield sum(map(len, map(table.__getitem__, words))), j
+
+    if not moves:
+        return None
+    entries = start = [e for row in M.rows for e in row.entries]
+    size = sum(map(len, entries))
+    every = range(len(moves))
+    while True:
+        letters, j = min(scored(entries, every))
+        step = list(map(moves[j][1].__getitem__, entries))
+        if letters >= size:
+            # a stall: one step further from the best move, but not back
+            letters, j = min(scored(step, (i for i in every if i != j ^ 1)))
+            if letters >= size:
+                break
+            step = list(map(moves[j][1].__getitem__, step))
+        size, entries = letters, step
     if entries is start:
         return None
     it = iter(entries)
@@ -392,9 +408,11 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
     is the basis change of normalize_basis with the identity knitting;
     otherwise the edge is solved like any other.  The shortening keeps
     the entries, and with them the knittings, from growing with the
-    depth of the breadth-first search.  Each move keeps, for this one
-    build, a table from an entry word to its image, so a loop word met
-    in several new orbits is mapped by each move once.
+    depth of the breadth-first search.  Where no single move shortens,
+    the greedy looks one move further, so a local minimum of one move is
+    left by a pair.  Each move keeps, for this one build, a table from an
+    entry word to its image, read by both steps, so a word met in several
+    new orbits, or again after the lookahead, is mapped by each move once.
     """
     gens = list(gens)
     names = [name for name, _ in gens]
@@ -419,7 +437,8 @@ def compute_mcbiset(M: SphereMachine, gens) -> MappingClassBiset:
             if h is not None:
                 break
         split.append((name, g, g0, h))
-    # each move with its table of entry images, for this build
+    # each move with its table of entry images, for this build, in pairs
+    # (t, t^-1) as _shortened expects
     moves = [(m, {}) for _, t in full_twist_generators(M.target)
              if inner_conjugator(t) is None for m in (t, t.inverse())]
     basis = [M]

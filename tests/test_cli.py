@@ -874,7 +874,15 @@ def test_cli_mcbiset_named_generators(capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert (result["basis_size"], result["generators"]) == (120, ["s", "t", "u"])
     assert run_cli("mcbiset", fb, "--gens", "s,zz") == 3
-    assert "automorphism 'zz' not defined" in capsys.readouterr().err
+    assert "--gens: automorphism 'zz' not defined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", ["s,,t", ",", "s, "])
+def test_cli_mcbiset_rejects_an_empty_generator_name(names, capsys):
+    assert run_cli("mcbiset", str(MACHINES / "fbiset.mach"),
+                   "--gens", names) == 3
+    assert capsys.readouterr().err.strip().endswith(
+        "--gens: empty generator name")
 
 
 def test_cli_mcbiset_rejects_a_repeated_generator(capsys, tmp_path):

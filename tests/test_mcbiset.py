@@ -11,7 +11,7 @@ from sphmach.cli import main
 from sphmach.machfile import save_mcb
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, outer_equal, outer_normalize, wmul,
-    winv, reduce_word, EPSILON,
+    winv, reduce_word, inner_conjugator, EPSILON,
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError,
@@ -858,22 +858,36 @@ def test_pilgrim_mcbiset_edges_verify(pilgrim_mcb, pilgrim_full_mcb):
             assert lhs == rhs, (e.gen, e.source)
 
 
+def _least_images(moves, entries, js):
+    """(letters, j, images) for the first move j of js whose images of
+    the entries have the least total letters."""
+    best = None
+    for j in js:
+        images = list(moves[j][0].apply_all(entries))
+        letters = sum(map(len, images))
+        if best is None or letters < best[0]:
+            best = letters, j, images
+    return best
+
+
 def _plain_shortened(M, moves):
     """The greedy of mcbiset._shortened with no image table: each round
     maps every entry by every move and takes the first move with the
-    strictly least total, while that total is below the current one."""
+    least total while that total is below the current one.  Where it is
+    not, it maps that move's images by every move but the move's inverse,
+    its partner in the pair (t, t^-1), and takes the first such pair with
+    the least total if that is below the current one."""
     entries = start = [e for row in M.rows for e in row.entries]
     size = sum(map(len, entries))
-    while True:
-        best = None
-        for m, _ in moves:
-            images = list(m.apply_all(entries))
-            letters = sum(map(len, images))
-            if letters < size:
-                size, best = letters, images
-        if best is None:
-            break
-        entries = best
+    while moves:
+        letters, j, images = _least_images(moves, entries, range(len(moves)))
+        if letters >= size:
+            inverse = j + 1 if j % 2 == 0 else j - 1
+            letters, _, images = _least_images(
+                moves, images, [i for i in range(len(moves)) if i != inverse])
+            if letters >= size:
+                break
+        size, entries = letters, images
     if entries is start:
         return None
     it = iter(entries)
@@ -929,15 +943,40 @@ def _entry_letters(M):
     return sum(len(e) for row in M.rows for e in row.entries)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["z5belyi", "pilgrim"]), st.integers(0, 2**32))
+def test_shortened_keeps_the_left_orbit_and_shortens(stem, seed):
+    mf = {"z5belyi": zoo.z5_marked, "pilgrim": zoo.pilgrim}[stem]()
+    N = normalize_basis(_rebased(mf.machine, random.Random(seed)))[0]
+    moves = [(m, {}) for _, t in full_twist_generators(N.target)
+             if inner_conjugator(t) is None for m in (t, t.inverse())]
+    short = mcbiset._shortened(N, moves)
+    if short is None:
+        return
+    assert (short.source, short.target) == (N.source, N.target)
+    assert [r.perm for r in short.rows] == [r.perm for r in N.rows]
+    assert [[not e for e in r.entries] for r in short.rows] == \
+        [[not e for e in r.entries] for r in N.rows]
+    assert distill(short).key == distill(N).key
+    assert _entry_letters(short) < _entry_letters(N)
+
+
 @pytest.mark.slow
 def test_pilgrim_mcbiset_stores_short_representatives(pilgrim_mcb,
                                                       pilgrim_full_mcb):
-    mcb_full = pilgrim_full_mcb()
-    assert max(sum(map(len, e.knitting_auto.images))
-               for e in mcb_full.table.values()) <= 1600
+    mcb_stu, mcb_full = pilgrim_mcb()[0], pilgrim_full_mcb()
+    # ceilings on the longest knitting and on all knitting letters; a
+    # local minimum of the one-move greedy left a 6,272-letter knitting
+    # in the s,t,u biset
+    for mcb, longest, total in ((mcb_stu, 512, 12_270),
+                                (mcb_full, 376, 16_506)):
+        letters = [sum(map(len, e.knitting_auto.images))
+                   for e in mcb.table.values()]
+        assert max(letters) <= longest
+        assert sum(letters) <= total
     # the first edge into each basis element, in the order of the
     # breadth-first search, is the one that found its left orbit
-    for mcb in (pilgrim_mcb()[0], mcb_full):
+    for mcb in (mcb_stu, mcb_full):
         found = {0}
         shortened = 0
         for k in range(mcb.size):
@@ -968,7 +1007,7 @@ def test_pilgrim_saturates_under_the_full_twist_set(pilgrim_mcb,
     path = tmp_path / "full.mcb"
     save_mcb(mcb_full, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "87d0cfdae56b552f79236d41e8cea4b73adc9850ad1b44b992134375343004bb"
+        "78392102e2072852b0513457e59911f52d3b7e65ee619896f6087982e6b64ca5"
 
 
 def test_same_left_orbit_guards_group_mismatch():
@@ -983,7 +1022,7 @@ def test_pilgrim_mcb_file_bytes_are_pinned(pilgrim_mcb, tmp_path):
     path = tmp_path / "stu.mcb"
     save_mcb(mcb, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "19122480277072f1921a8f8ac887d04765ac187b8007b1ba5ebbd005465543c6"
+        "99e8ab0f7fac5ba7eeef530d39ad2805e37fda5b067366fc37c063bcb2548ae6"
 
 
 # sha256 of each generator's action_perm, written "0,3,1,...", as the
