@@ -332,7 +332,9 @@ def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     end.  A candidate's score sums the lengths of the images it looks up
     in its table; only the words the table lacks go through the move, in
     one batch, so a word met again, in this machine or in an earlier one,
-    is never mapped twice.
+    is never mapped twice.  The batch goes to substitute_all directly:
+    machine entries and automorphism images are in normal form, and so
+    is the reduced product of normal forms.
     """
     def scored(words, js):
         """(total letters of the words' images, j) for each move j of js,
@@ -341,7 +343,7 @@ def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
             m, table = moves[j]
             missing = list(dict.fromkeys(w for w in words if w not in table))
             if missing:
-                table.update(zip(missing, m.apply_all(missing)))
+                table.update(zip(missing, substitute_all(missing, m.images)))
             yield sum(map(len, map(table.__getitem__, words))), j
 
     if not moves:

@@ -125,7 +125,8 @@ def substitute_all(words, images):
 
     The images must be freely reduced.  The signed pieces and their
     inverse lists are built once per batch, only for the letters met, so
-    every product is one _append_reduced per letter.  A word with a wing,
+    every letter costs one extend, and one _append_reduced only where its
+    piece cancels against the product so far.  A word with a wing,
     c * u * c^-1 with c nonempty, is mapped as phi(c) * phi(u) *
     phi(c)^-1: the letters of c are substituted once, not twice.
     """
@@ -137,7 +138,12 @@ def substitute_all(words, images):
             if piece is None:
                 img = images[x - 1] if x > 0 else winv(images[-x - 1])
                 piece = pieces[x] = (img, list(map(neg, reversed(img))))
-            _append_reduced(out, *piece)
+            img = piece[0]
+            # most junctions cancel nothing: skip the kernel's call for them
+            if out and img and out[-1] == -img[0]:
+                _append_reduced(out, img, piece[1])
+            else:
+                out.extend(img)
         return out
 
     for w in words:
