@@ -9,6 +9,7 @@ witness  Psi_k * m  =  knitting * Psi_next.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import perms
@@ -329,22 +330,35 @@ def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     scored on the flat entry list alone: post_compose keeps the
     permutations and keeps empty entries empty, so a machine normalised
     by normalize_basis stays normalised, and one machine is built at the
-    end.  A candidate's score sums the lengths of the images it looks up
-    in its table; only the words the table lacks go through the move, in
-    one batch, so a word met again, in this machine or in an earlier one,
-    is never mapped twice.  The batch goes to substitute_all directly:
-    machine entries and automorphism images are in normal form, and so
-    is the reduced product of normal forms.
+    end.  A candidate's total starts from the images its table holds;
+    only the words the table lacks go through the move, in one lazy
+    batch, so a word met again, in this machine or in an earlier one, is
+    never mapped twice.  A candidate stops at the first word that brings
+    its total to the least so far (the stall's, in the lookahead): it
+    cannot win, and its words not yet mapped stay out of the table.  The
+    batch goes to substitute_all directly: machine entries and
+    automorphism images are in normal form, and so is the reduced
+    product of normal forms.
     """
-    def scored(words, js):
-        """(total letters of the words' images, j) for each move j of js,
-        the move's table filled first."""
+    def least(words, js, bound):
+        """(letters, j) for the first move j of js whose images of the
+        words total the fewest letters, fewer than bound; (bound, None)
+        when none does."""
+        counts = Counter(words)
+        best = None
         for j in js:
             m, table = moves[j]
-            missing = list(dict.fromkeys(w for w in words if w not in table))
-            if missing:
-                table.update(zip(missing, substitute_all(missing, m.images)))
-            yield sum(map(len, map(table.__getitem__, words))), j
+            letters = sum(len(table[w]) * c for w, c in counts.items()
+                          if w in table)
+            missing = [w for w in counts if w not in table]
+            for w, image in zip(missing, substitute_all(missing, m.images)):
+                table[w] = image
+                letters += len(image) * counts[w]
+                if letters >= bound:
+                    break
+            if letters < bound:
+                bound, best = letters, j
+        return bound, best
 
     if not moves:
         return None
@@ -352,12 +366,12 @@ def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     size = sum(map(len, entries))
     every = range(len(moves))
     while True:
-        letters, j = min(scored(entries, every))
+        letters, j = least(entries, every, float("inf"))
         step = list(map(moves[j][1].__getitem__, entries))
         if letters >= size:
             # a stall: one step further from the best move, but not back
-            letters, j = min(scored(step, (i for i in every if i != j ^ 1)))
-            if letters >= size:
+            letters, j = least(step, (i for i in every if i != j ^ 1), size)
+            if j is None:
                 break
             step = list(map(moves[j][1].__getitem__, step))
         size, entries = letters, step
