@@ -125,8 +125,8 @@ def substitute_all(words, images):
 
     The images must be freely reduced.  The signed pieces and their
     inverse lists are built once per batch, only for the letters met, so
-    every letter costs one extend, and one _append_reduced only where its
-    piece cancels against the product so far.  A word with a wing,
+    every letter costs one extend, or one _append_reduced where its piece
+    cancels against the product so far.  A word with a wing,
     c * u * c^-1 with c nonempty, is mapped as phi(c) * phi(u) *
     phi(c)^-1: the letters of c are substituted once, not twice.
     """

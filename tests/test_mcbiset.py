@@ -946,6 +946,8 @@ def _entry_letters(M):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["z5belyi", "pilgrim"]), st.integers(0, 2**32))
 def test_shortened_keeps_the_left_orbit_and_shortens(stem, seed):
+    """Post-composing with pure twists stays in the left orbit, and a
+    machine comes back only when it has strictly fewer entry letters."""
     mf = {"z5belyi": zoo.z5_marked, "pilgrim": zoo.pilgrim}[stem]()
     N = normalize_basis(_rebased(mf.machine, random.Random(seed)))[0]
     moves = [(m, {}) for _, t in full_twist_generators(N.target)
