@@ -512,7 +512,14 @@ def _distinct(data: dict, key: str, what: str) -> tuple[str, ...]:
 
 
 def mcb_from_json(data: dict) -> MappingClassBiset:
-    """Rebuild a biset from its JSON form; ParseError on a malformed one."""
+    """Rebuild a biset from its JSON form; ParseError on a malformed one.
+
+    A table has few distinct knittings, so edges with the same
+    knitting_images list share one Automorphism, built at the first of
+    them, and with it the values kept on it (its inverse, its peripheral
+    test, its twist_fingerprint).  A list that fails to build is not
+    kept and fails at the first edge that carries it.
+    """
     if not isinstance(data, dict):
         raise ParseError(".mcb: top level must be an object")
     alphabet = _distinct(data, "alphabet", "generator")
@@ -558,6 +565,7 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
             gens[name] = _automorphism(group, read, _check(
                 images, (list, str), what), f".mcb: {what}")
     read_twist = _WordReader(alphabet, reduce_word)
+    knittings: dict[tuple[str, ...], Automorphism] = {}
     table: dict[tuple[str, int], TableEdge] = {}
     for rec in _field(data, "table", (list, dict)):
         src = basis_index(_field(rec, "from", str))
@@ -572,9 +580,11 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
             _needs_group(rec, ("knitting_images", "basis_change"),
                          f".mcb: {where}")
         if "knitting_images" in rec:
-            edge.knitting_auto = _automorphism(
-                group, read, _field(rec, "knitting_images", (list, str)),
-                f".mcb: {where}: knitting_images")
+            texts = tuple(_field(rec, "knitting_images", (list, str)))
+            edge.knitting_auto = knittings.get(texts)
+            if edge.knitting_auto is None:
+                edge.knitting_auto = knittings[texts] = _automorphism(
+                    group, read, texts, f".mcb: {where}: knitting_images")
         if "basis_change" in rec:
             bc = _field(rec, "basis_change", dict)
             conj = tuple(read(w)

@@ -15,7 +15,7 @@ from . import perms
 from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, is_peripheral_preserving, _append_reduced,
+    winv, wmul, substitute_all, is_peripheral_preserving, _append_reduced,
 )
 
 
@@ -347,7 +347,9 @@ def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:
         raise MachineError("post_compose needs an automorphism of the target group")
     if not is_peripheral_preserving(psi):
         raise MachineError("automorphism does not preserve peripheral classes")
-    images = psi.apply_all(e for row in M.rows for e in row.entries)
+    # machine entries are normal forms: no apply_all normalisation needed
+    images = substitute_all((e for row in M.rows for e in row.entries),
+                            psi.images)
     return SphereMachine(M.source, M.target,
                          [WreathElement(tuple(next(images) for _ in row.entries),
                                         row.perm)

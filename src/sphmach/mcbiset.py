@@ -18,7 +18,7 @@ from .words import (
     SphereGroup, ConjClass, Automorphism,
     winv, wmul, reduce_word, substitute_all,
     outer_normal_images, inner_conjugator, is_conjugate,
-    is_peripheral_preserving, dehn_twist,
+    is_peripheral_preserving, dehn_twist, _NOT_COMPUTED,
 )
 from .machine import (
     SphereMachine, WreathElement, BasisChange, change_basis, pre_compose,
@@ -641,7 +641,19 @@ def twist_fingerprint(psi: Automorphism):
     shift that normalises it is linear, so the fingerprint of p.compose(q)
     is the elementwise sum of those of p and q.  None if psi is not
     peripheral-preserving.
+
+    The result, None and () (n = 2) included, is kept on psi, so each
+    automorphism is fingerprinted once however often it is asked; the
+    edges of a loaded biset that share a knitting share its automorphism
+    (machfile.mcb_from_json), and with it the fingerprint.
     """
+    if psi._fingerprint is _NOT_COMPUTED:
+        psi._fingerprint = _fingerprint(psi)
+    return psi._fingerprint
+
+
+def _fingerprint(psi: Automorphism):
+    """twist_fingerprint(psi), computed."""
     G = psi.group
     free = G.free_gen_indices()
     ref = G.relator[-1]
@@ -699,7 +711,10 @@ def lift_multiset_in_mcbiset(mcb: MappingClassBiset, gen: str) -> list[McbLiftEn
     factors' fingerprints (see twist_fingerprint), so each cycle is
     labelled by twist_power_label on that sum against the biset's own
     generators, and nothing is composed; unidentified cycles keep label
-    None.
+    None.  Fingerprints are kept on the automorphisms, so over all its
+    calls a biset is fingerprinted once per generator and once per
+    distinct knitting automorphism: a loaded biset holds one per
+    distinct knitting (machfile.mcb_from_json).
     """
     gen_fps = []
     for name, a in mcb.gens.items():

@@ -21,7 +21,8 @@ extend.  wmul and substitution thus cost time linear in the letters
 written, at C speed, plus O(log k) interpreted steps per junction that
 cancels k letters.  substitute_all is the one substitution kernel: it
 maps a batch of words and builds the signed images it needs once per
-batch; Automorphism.apply_all and folding.expand_expression call it.
+batch; Automorphism.apply_all and compose, machine.post_compose and
+folding.expand_expression call it.
 It maps a word with a wing, c * u * c^-1, as phi(c) * phi(u) *
 phi(c)^-1, so the letters of c are substituted once.  cyclic_reduce is
 linear.  run_length_str prints a word with no two equal neighbours,
@@ -418,11 +419,19 @@ def is_conjugate(u: Word, v: Word):
     return None
 
 
+# the value of a derived slot not yet computed: distinct from every
+# value the slot can hold, None and () included
+_NOT_COMPUTED = object()
+
+
 class Automorphism:
     """An automorphism of a sphere group, given by generator images.
 
     Images are stored in normal form for all n generators; the product
-    of the images along the relator must reduce to the identity.
+    of the images along the relator must reduce to the identity.  The
+    images are never changed after construction, so values derived from
+    them (the inverse, the peripheral test, mcbiset.twist_fingerprint)
+    are kept on the automorphism once computed.
     """
 
     def __init__(self, group: SphereGroup, images, check: bool = True):
@@ -434,6 +443,7 @@ class Automorphism:
             raise ValueError("generator images do not satisfy the relator")
         self._inverse: Automorphism | None = None
         self._ppres: bool | None = None
+        self._fingerprint = _NOT_COMPUTED
 
     @classmethod
     def identity(cls, group: SphereGroup) -> "Automorphism":
@@ -444,7 +454,9 @@ class Automorphism:
 
     def apply_all(self, words):
         """Yield self(w) for each w in words, in order (see
-        substitute_all; nothing is kept on the automorphism)."""
+        substitute_all; nothing is kept on the automorphism).  Each word
+        is brought to normal form first; a caller holding normal forms
+        can call substitute_all(words, self.images) directly."""
         return substitute_all(map(self.group.normal_form, words), self.images)
 
     def __eq__(self, other):
@@ -464,7 +476,9 @@ class Automorphism:
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if self.group != other.group:
             raise ValueError("automorphisms over different groups")
-        return Automorphism(self.group, list(self.apply_all(other.images)),
+        # other's images are normal forms, and so are their images
+        return Automorphism(self.group,
+                            list(substitute_all(other.images, self.images)),
                             check=False)
 
     def is_identity_map(self) -> bool:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from sphmach import cli
 from sphmach.mcbiset import (
     compute_mcbiset, conjugacy_iterate, full_twist_generators,
+    lift_multiset_in_mcbiset,
 )
 from sphmach.words import SphereGroup, conjugate, reduce_word, wmul
 from sphmach.machine import tensor
@@ -832,6 +833,22 @@ def test_cli_mcbiset_and_reload(tmp_path, capsys):
     for key in mcb.table:
         assert again.table[key].knitting_auto == mcb.table[key].knitting_auto
         assert again.table[key].basis_change == mcb.table[key].basis_change
+
+
+def test_loaded_biset_shares_one_automorphism_per_knitting(pilgrim_mcb,
+                                                            tmp_path):
+    # the pinned {s,t,u} file: 360 edges spell 118 distinct knittings,
+    # and the lifts read off the shared automorphisms are the built ones
+    mcb, _ = pilgrim_mcb()
+    path = tmp_path / "stu.mcb"
+    save_mcb(mcb, str(path))
+    loaded = load_mcb(str(path))
+    edges = loaded.table.values()
+    assert len(edges) == 360
+    assert len({id(e.knitting_auto) for e in edges}) == 118
+    for gen in "stu":
+        assert lift_multiset_in_mcbiset(loaded, gen) == \
+            lift_multiset_in_mcbiset(mcb, gen)
 
 
 def test_cli_entry_point_runs():

@@ -753,7 +753,7 @@ def test_correspondence_invariants_examples():
         correspondence_invariants([a, perms.identity(2), perms.identity(2)])
 
 
-def test_twist_fingerprint_classifies_conjugated_powers():
+def test_twist_fingerprint_classifies_conjugated_powers(monkeypatch):
     P = zoo.pilgrim()
     G = P.machine.source
     autos = P.autos
@@ -769,6 +769,22 @@ def test_twist_fingerprint_classifies_conjugated_powers():
     assert twist_power_label(twist_fingerprint(ident), gen_fps) == ("1", 0)
     assert twist_power_label(twist_fingerprint(autos["s"].inverse()),
                              gen_fps) is None
+    # the value is kept on the automorphism, None and () included: a
+    # second call tests no conjugacy, and an equal copy gets the same value
+    tests = []
+    real = mcbiset.is_conjugate
+    monkeypatch.setattr(mcbiset, "is_conjugate",
+                        lambda u, v: tests.append(1) or real(u, v))
+    G3, G2 = SphereGroup("abc"), SphereGroup("ab")
+    # a -> a*b is not conjugate to a: not peripheral-preserving
+    skew = Automorphism(G3, [(1, 2), (2,), winv((1, 2, 2))])
+    for phi, want in ((psi, twist_fingerprint(psi)), (skew, None),
+                      (Automorphism.identity(G2), ())):
+        assert twist_fingerprint(phi) == want
+        tests.clear()
+        assert twist_fingerprint(phi) is twist_fingerprint(phi)
+        assert not tests
+        assert twist_fingerprint(Automorphism(phi.group, phi.images)) == want
 
 
 def test_twist_fingerprint_is_additive_and_ignores_inner_maps():

@@ -12,6 +12,11 @@ SEED_BASE + p; odd pairs run the parent first, even pairs the change
 first, so a drift of the machine's speed falls on both sides alike.  The file holds every run's result and, per workload
 and end-to-end metric, both sides' median and quartiles, the pairs in
 which the change is better and worse, and the median change in percent.
+
+The host string ends with whether bytecode caches are written: the runs
+inherit this process's setting (PYTHONDONTWRITEBYTECODE or -B), and
+without caches every run compiles sphmach from source, which shows in
+setup_s, so setup_s compares only between files made with one setting.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ def main(argv=None):
                     help="writes BENCH_<number>.json")
     ap.add_argument("--host", default="",
                     help="the machine, for the record (default: the Python "
-                         "version and CPU count)")
+                         "version and CPU count); whether bytecode caches "
+                         "are written is added to it")
     ap.add_argument("--note", default="", help="for the record")
     args = ap.parse_args(argv)
 
@@ -139,8 +145,10 @@ def main(argv=None):
                    f"{SEED_BASE} + pair; odd pairs run the parent first, "
                    "even pairs the change first; each side runs from an "
                    "extracted copy (git archive) of its commit",
-        "host": args.host or f"Python {platform.python_version()}, "
-                             f"{os.cpu_count()} CPUs",
+        "host": (args.host or f"Python {platform.python_version()}, "
+                              f"{os.cpu_count()} CPUs")
+                + (", bytecode caches not written" if sys.dont_write_bytecode
+                   else ", bytecode caches written"),
         "summary": summarize(runs, workloads, metrics, better),
         "runs": runs,
     }
