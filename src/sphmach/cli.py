@@ -223,7 +223,7 @@ def cmd_iso(args):
 def cmd_classify_twist(args):
     try:
         mcb = mcb_from_json(json.loads(_read(args.mcb)))
-    except (KeyError, ValueError) as exc:
+    except (RecursionError, ValueError) as exc:  # json.loads on deep nesting
         raise CliError(f"{args.mcb}: {exc}")
     word = parse_twist_word(args.word, mcb.alphabet)
     term = conjugacy_iterate(mcb, (word, mcb.base), max_steps=args.max_steps)

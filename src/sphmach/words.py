@@ -14,20 +14,18 @@ eliminated, no letter next to its inverse), so re-normalising costs a
 few linear passes at C speed and no rewriting.
 
 Products of reduced words cancel only at each junction, so one kernel,
-_append_reduced, does all free reduction of products: it walks a short
-cancellation letter by letter, finds a long one by comparing list
-slices in doubling, then halving, chunks, and copies the rest with one
-extend.  wmul and substitution thus cost time linear in the letters
-written, at C speed, plus O(log k) interpreted steps per junction that
-cancels k letters.  substitute_all is the one substitution kernel: it
-maps a batch of words and builds the signed images it needs once per
-batch; Automorphism.apply_all and compose, machine.post_compose and
-folding.expand_expression call it.
+_append_reduced, does all free reduction of products: it walks the
+cancellation letter by letter and copies the rest with one extend.
+Each letter is cancelled at most once, so wmul and substitution cost
+time linear in the letters written.  substitute_all is the one
+substitution kernel: it maps a batch of words and builds the signed
+images it needs once per batch; Automorphism.apply_all and compose,
+machine.post_compose and folding.expand_expression call it.
 It maps a word with a wing, c * u * c^-1, as phi(c) * phi(u) *
-phi(c)^-1, so the letters of c are substituted once.  cyclic_reduce is
-linear.  run_length_str prints a word with no two equal neighbours,
-such as almost every knitting image, with one join over a table of
-letter tokens.
+phi(c)^-1, so the letters of c are substituted once.  cyclic_reduce
+walks the wing letter by letter and is linear.  run_length_str prints
+a word with no two equal neighbours, such as almost every knitting
+image, with one join over a table of letter tokens.
 """
 
 from __future__ import annotations
@@ -54,45 +52,19 @@ def reduce_word(letters) -> Word:
     return tuple(out)
 
 
-# cancellations, and wings in cyclic_reduce, up to this long are walked
-# letter by letter
-_WALK = 8
-
-
-def _append_reduced(out: list[int], w, w_inv: list[int] | None = None) -> None:
+def _append_reduced(out: list[int], w) -> None:
     """Append the reduced word w to the reduced list out, in place.
 
-    Only the junction can cancel.  A short cancellation, the common case,
-    is walked letter by letter.  A longer one is the longest suffix of
-    out equal to a suffix of w_inv, the inverse of w as a list (built
-    here when not given): list slices are compared in chunks that double
-    while they match, then halve inside the first chunk that does not, so
-    k cancelled letters cost O(log k) comparisons of total length O(k).
-    The rest of w is copied with one extend.
+    Only the junction can cancel: the letters at the end of out that meet
+    their inverses at the start of w are walked off letter by letter, and
+    the rest of w is copied with one extend.  A letter is cancelled at
+    most once, so a product costs time linear in its letters.
     """
-    n, m = len(out), len(w)
-    lim = n if n < m else m
+    n = len(out)
+    lim = n if n < len(w) else len(w)
     k = 0
-    while k < lim and k < _WALK and out[n - 1 - k] == -w[k]:
+    while k < lim and out[n - 1 - k] == -w[k]:
         k += 1
-    if k == _WALK:
-        if w_inv is None:
-            w_inv = list(map(neg, reversed(w)))
-        step = _WALK
-        while k < lim:
-            s = step if step < lim - k else lim - k
-            if out[n - k - s:n - k] != w_inv[m - k - s:m - k]:
-                break
-            k += s
-            step *= 2
-        else:
-            step = 1
-        step //= 2
-        while step:
-            if k + step <= lim and \
-                    out[n - k - step:n - k] == w_inv[m - k - step:m - k]:
-                k += step
-            step //= 2
     if k:
         del out[n - k:]
         out.extend(w[k:])
@@ -104,7 +76,8 @@ def wmul(*words: Word) -> Word:
     """Product of freely reduced words, freely reduced.
 
     Linear in the total length: each factor cancels only at its junction
-    with the product so far (see _append_reduced).
+    with the product so far, walked letter by letter (see
+    _append_reduced), and no letter is cancelled twice.
     """
     out: list[int] = []
     for w in words:
@@ -124,25 +97,23 @@ def substitute_all(words, images):
     """Yield, for each word in words, the freely reduced product of the
     images it spells: images[i-1] for a letter i > 0, its inverse for -i.
 
-    The images must be freely reduced.  The signed pieces and their
-    inverse lists are built once per batch, only for the letters met, so
-    every letter costs one extend, or one _append_reduced where its piece
-    cancels against the product so far.  A word with a wing,
-    c * u * c^-1 with c nonempty, is mapped as phi(c) * phi(u) *
-    phi(c)^-1: the letters of c are substituted once, not twice.
+    The images must be freely reduced.  The signed pieces are built once
+    per batch, only for the letters met, so every letter costs one
+    extend, or one _append_reduced where its piece cancels against the
+    product so far.  A word with a wing, c * u * c^-1 with c nonempty,
+    is mapped as phi(c) * phi(u) * phi(c)^-1: the letters of c are
+    substituted once, not twice.
     """
-    pieces: dict[int, tuple[Word, list[int]]] = {}
+    pieces: dict[int, Word] = {}
 
     def spell(w, out: list[int]) -> list[int]:
         for x in w:
-            piece = pieces.get(x)
-            if piece is None:
-                img = images[x - 1] if x > 0 else winv(images[-x - 1])
-                piece = pieces[x] = (img, list(map(neg, reversed(img))))
-            img = piece[0]
+            img = pieces.get(x)
+            if img is None:
+                img = pieces[x] = images[x - 1] if x > 0 else winv(images[-x - 1])
             # most junctions cancel nothing: skip the kernel's call for them
             if out and img and out[-1] == -img[0]:
-                _append_reduced(out, img, piece[1])
+                _append_reduced(out, img)
             else:
                 out.extend(img)
         return out
@@ -152,8 +123,7 @@ def substitute_all(words, images):
             core, c = cyclic_reduce(w)
             wing = spell(c, [])
             out = spell(core, wing.copy())
-            # the inverse of winv(wing) is wing itself
-            _append_reduced(out, winv(wing), wing)
+            _append_reduced(out, winv(wing))
             yield tuple(out)
         else:
             yield tuple(spell(w, []))
@@ -164,40 +134,27 @@ def conjugate(w: Word, by: Word) -> Word:
     return wmul(winv(by), w, by)
 
 
-def _common_prefix(a, b, lim: int, k: int = 0) -> int:
-    """The length of the longest common prefix of the sequences a and b
-    (of one type), at most lim, given that their first k letters agree:
-    slices are compared in chunks that double while they match, then
-    halve, so a common prefix of p letters costs O(log p) compares of
-    total length O(p)."""
-    s = 1
-    while k + s <= lim and a[k:k + s] == b[k:k + s]:
-        k += s
-        s *= 2
-    # the prefix ends fewer than s letters after k
-    while s > 1:
-        s //= 2
-        if k + s <= lim and a[k:k + s] == b[k:k + s]:
-            k += s
+def _common_prefix(a, b) -> int:
+    """The length of the longest common prefix of the sequences a and b."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
     return k
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Return (core, c) with w = c * core * c^-1 and core cyclically reduced.
 
-    The wing c is the common prefix of w and w^-1, capped at half of w: a
-    short one is walked letter by letter, a longer one found by slice
-    compares (_common_prefix), so it is linear in len(w), at C speed.
+    The wing c is the common prefix of w and w^-1, capped at half of w,
+    walked letter by letter from both ends of w: linear in len(w).
     """
     w = tuple(w)
     m = len(w)
     k = 0
     while m - 2 * k >= 2 and w[k] == -w[m - 1 - k]:
         k += 1
-        if k == _WALK:
-            half = m // 2
-            k = _common_prefix(w, winv(w[m - half:]), half, k)
-            break
     return w[k:m - k], w[:k]
 
 
@@ -567,7 +524,7 @@ def outer_normal_images(images) -> tuple[list[Word], Word]:
         reps = (L - k) // len(u) + 1
         rays += ((w[:k] + u * reps)[:L], (w[:k] + winv(u) * reps)[:L])
     rays.sort()
-    k, i = max((_common_prefix(rays[i], rays[i + m], L), i) for i in range(m))
+    k, i = max((_common_prefix(rays[i], rays[i + m]), i) for i in range(m))
     g = rays[i][:k]
     del rays  # as long as the images together: gone before the conjugates
     ginv = winv(g)

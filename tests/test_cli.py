@@ -818,6 +818,15 @@ def test_cli_malformed_mcb_exit_code(tmp_path, capsys, text, message):
         mcb_from_json(json.loads(text))
 
 
+def test_cli_deeply_nested_mcb_exit_code(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    bad = tmp_path / "deep.mcb"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    assert run_cli("classify-twist", str(bad), "t") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "recursion" in err
+
+
 def test_cli_mcbiset_and_reload(tmp_path, capsys):
     out = tmp_path / "z5.mcb"
     assert run_cli("mcbiset", str(MACHINES / "z5belyi.mach"),
@@ -995,6 +1004,32 @@ def test_benchmark_trace_targets_resolve():
             assert name in vars(getattr(mod, cls_name)), (modname, attr)
         else:
             assert callable(getattr(mod, attr)), (modname, attr)
+
+
+def test_benchmark_tracer_wraps_every_target_and_restores_it():
+    # a traced run installs the tracer on the loaded sphmach modules: each
+    # target must come back wrapped, and unwrapped after uninstall
+    import importlib
+
+    tracer = _perfbench_module("tracer")
+
+    def owner(modname, attr):
+        mod = importlib.import_module(f"sphmach.{modname}")
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            return vars(getattr(mod, cls_name)), attr
+        return vars(mod), attr
+
+    before = [(ns, name, ns[name]) for ns, name in
+              (owner(m, a) for m, a, _ in tracer.TARGETS)]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for ns, name, orig in before:
+            assert ns[name] is not orig and ns[name].__wrapped__ is orig, name
+    finally:
+        tr.uninstall()
+    assert all(ns[name] is orig for ns, name, orig in before)
 
 
 def test_benchmark_reads_both_knitting_forms(tmp_path):

@@ -254,6 +254,25 @@ def test_machine_isomorphism_round_trip():
             assert change_basis(M, found) == Mb
 
 
+def test_machine_isomorphism_rejects_before_the_solve(pilgrim_mcb):
+    # machines over different groups: the relators of fbiset (dcba) and
+    # z5belyi (abcd) differ, so nothing is distilled or solved
+    P, Z = zoo.pilgrim().machine, zoo.z5_marked().machine
+    assert P.degree == Z.degree and P.source != Z.source
+    with mock.patch.object(mcbiset, "distill", side_effect=AssertionError), \
+            mock.patch.object(mcbiset, "_KnitSolver", side_effect=AssertionError):
+        assert machine_isomorphism(P, Z) is None
+    # two basis elements of one biset: same groups and degree, different
+    # distillation keys, so no knitting solve is tried
+    mcb, _ = pilgrim_mcb()
+    M0, M1 = mcb.machines[:2]
+    assert (M0.source, M0.target, M0.degree) == \
+        (M1.source, M1.target, M1.degree)
+    assert distill(M0).key != distill(M1).key
+    with mock.patch.object(mcbiset, "_KnitSolver", side_effect=AssertionError):
+        assert machine_isomorphism(M0, M1) is None
+
+
 def test_same_left_orbit_identity_and_twists():
     P = zoo.pilgrim().machine
     assert outer_equal(same_left_orbit(P, P), Automorphism.identity(P.target))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -415,6 +416,25 @@ def test_solver_fixture():
     bad = {"a": 5, "b": 4}
     bad.update({p: 7 for p in sol.free_params})
     assert not verify_fixed_point(sol, prob, bad)
+
+
+def test_verify_fixed_point_rejects_a_wrong_solution_entry():
+    # the values satisfy the constraints, so only the check of
+    # v = theta + T v can reject a solution whose pinned entry v_t is off
+    # by one (entry 0 is the free parameter, any shift of it still solves)
+    M, C, _ = fixture()
+    prob = TwistFixedPointProblem(
+        thurston_matrix(M, C),
+        [LinExpr.var("a").scale(2), LinExpr.var("b").scale(2)])
+    sol = solve_twist_fixed_point(prob)
+    values = {"a": 5, "b": 5}
+    values.update({p: 7 for p in sol.free_params})
+    assert all(c.evaluate(values) == 0 for c in sol.constraints)
+    assert verify_fixed_point(sol, prob, values)
+    assert [str(e) for e in sol.solution] == [sol.free_params[0], "-a"]
+    wrong = [sol.solution[0], sol.solution[1] + LinExpr.of(1)]
+    assert not verify_fixed_point(
+        dataclasses.replace(sol, solution=wrong), prob, values)
 
 
 def test_solver_congruence_modulus_drops_the_content():

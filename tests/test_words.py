@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sphmach import mcbiset, words
 from sphmach.machine import pre_compose
@@ -412,9 +412,26 @@ def test_conjclass_equality_and_inversion():
 
 # ---------------------------------------------------------------------------
 # junction cancellation: every product agrees with reducing the plain
-# concatenation, also when the cancelled stretch spans several chunks
+# concatenation, also when the letter-by-letter walk cancels a stretch of
+# about 10^5 letters
 
 LETTERS3 = [1, -1, 2, -2, 3, -3]
+
+
+def _random_reduced_word(seed, size):
+    """A reduced word of size letters over three generators."""
+    rng = random.Random(seed)
+    w = [rng.choice(LETTERS3)]
+    while len(w) < size:
+        x = rng.choice(LETTERS3)
+        if x != -w[-1]:
+            w.append(x)
+    return tuple(w)
+
+
+# 10^5 letters: products and wings that cancel this long are walked
+# letter by letter
+LONG = _random_reduced_word(5, 10 ** 5)
 
 
 def reduced_words(max_size=90):
@@ -432,6 +449,7 @@ def cancelling_pair(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cancelling_pair(), reduced_words(30))
+@example((LONG, reduce_word(winv(LONG[5:]) + (2, 3))), LONG)
 def test_wmul_matches_reduce_word(pair, c):
     a, w = pair
     assert wmul(a, w) == reduce_word(a + w)
@@ -564,6 +582,7 @@ def _cyclic_reduce_reference(w):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(long_reduced_words(), reduced_words(20)),
        st.one_of(reduced_words(2), reduced_words(20)))
+@example(LONG, (1, 3))
 def test_cyclic_reduce_splits_off_the_wings(c, u):
     w = wmul(c, u, winv(c))
     core, wing = cyclic_reduce(w)
@@ -579,7 +598,8 @@ def test_cyclic_reduce_splits_off_the_wings(c, u):
         assert cyclic_reduce(v) == _cyclic_reduce_reference(v)
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 16, 17, 450, 899, 900])
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 9, 16, 17, 450, 899, 900,
+                                  10 ** 5])
 @pytest.mark.parametrize("u", [(1,), (-2,), (1, 2), (3, -1), (2, 2)])
 def test_cyclic_reduce_peels_long_wings_off_one_and_two_letter_cores(size, u):
     rng = random.Random(size)
