@@ -16,7 +16,7 @@ from . import perms
 from .perms import Perm
 from .words import (
     SphereGroup, ConjClass, Automorphism,
-    winv, wmul, reduce_word, substitute_all,
+    winv, wmul, reduce_word, substitute_all, _append_reduced,
     outer_normal_images, inner_conjugator, is_conjugate,
     is_peripheral_preserving, dehn_twist, _NOT_COMPUTED,
 )
@@ -273,8 +273,14 @@ class MappingClassBiset:
     """Basis of machines (or bare basis names) with the right-action table
     Psi_k * m = knitting * Psi_next.  Building it checks, once, that the
     table is closed: each generator of the alphabet permutes the basis.
-    The edges into each element are kept, so a backward step of rewrite
-    is one lookup."""
+
+    The same pass builds the step table that rewrite walks: for each
+    basis element k, a dict from each signed letter +-i to the twist
+    word of that step (None where the edge has no twist-word knitting)
+    and the element it leads to.  A backward letter -i at k steps back
+    along generator i's edge into k, whose knitting is inverted once,
+    here.  The table is read at construction, so the edges, with their
+    targets and knitting words, are fixed from then on."""
 
     alphabet: tuple[str, ...]
     basis_names: tuple[str, ...]
@@ -284,9 +290,10 @@ class MappingClassBiset:
     base: int = 0
 
     def __post_init__(self):
-        self._into: dict[str, list[TableEdge]] = {}  # by gen, then target
-        for gen in self.alphabet:
-            into = self._into[gen] = [None] * self.size
+        # by basis element, then signed letter: (step word, next element)
+        steps: list[dict[int, tuple[TwistWord | None, int]]] = [
+            {} for _ in self.basis_names]
+        for i, gen in enumerate(self.alphabet, 1):
             for k, name in enumerate(self.basis_names):
                 edge = self.table.get((gen, k))
                 if edge is None:
@@ -296,18 +303,22 @@ class MappingClassBiset:
                     raise MachineError(
                         f"generator {_quoted(gen)} has an edge from basis "
                         f"element {_quoted(name)} out of the basis")
-                if into[edge.target] is not None:
+                into = steps[edge.target]
+                if -i in into:
                     raise MachineError(
                         f"generator {_quoted(gen)} has two edges into basis "
                         f"element {_quoted(self.basis_names[edge.target])}")
-                into[edge.target] = edge
+                w = edge.knitting_word
+                steps[k][i] = (w, edge.target)
+                into[-i] = (None if w is None else winv(w), k)
+        self._steps = steps
 
     @property
     def size(self) -> int:
         return len(self.basis_names)
 
     def action_perm(self, gen: str) -> Perm:
-        if gen not in self._into:
+        if gen not in self.alphabet:
             raise MachineError(f"generator {_quoted(gen)} is not in the alphabet")
         return tuple(self.table[(gen, k)].target for k in range(self.size))
 
@@ -519,33 +530,36 @@ def full_twist_generators(G: SphereGroup):
 def rewrite(mcb: MappingClassBiset, k: int, m: TwistWord):
     """Push a twist word through the recursion: Psi_k * m = m' * Psi_k'.
 
-    Returns (m', k').  Every edge met must carry a twist-word knitting;
-    the step words are multiplied once, so the cost is linear in m.  The
-    table is closed (MappingClassBiset), so each step is one lookup.
+    Returns (m', k').  One pass over the reduced word: each letter reads
+    its step word and next element from the biset's step table (see
+    MappingClassBiset) and appends the word to m', calling the junction
+    kernel only where it cancels.  So the cost is linear in the letters
+    read and written.  Every step met must carry a twist-word knitting.
     """
     if not 0 <= k < mcb.size:
         raise MachineError(f"basis index {k} is outside 0..{mcb.size - 1}")
-    steps = []
+    steps = mcb._steps
+    out: list[int] = []
     for x in reduce_word(m):
         try:
-            name = mcb.alphabet[abs(x) - 1]
-        except IndexError:
+            w, nxt = steps[k][x]
+        except KeyError:
             raise MachineError(
                 f"twist letter {x} is outside the alphabet of "
                 f"{len(mcb.alphabet)} generators") from None
-        if x > 0:
-            edge = mcb.table[(name, k)]
-            k = edge.target
-        else:
-            edge = mcb._into[name][k]
-            k = edge.source
-        if edge.knitting_word is None:
+        if w is None:
+            source = k if x > 0 else nxt
             raise MachineError(
-                f"edge ({_elided(name, str)}, "
-                f"{_elided(mcb.basis_names[edge.source], str)}) has no "
+                f"edge ({_elided(mcb.alphabet[abs(x) - 1], str)}, "
+                f"{_elided(mcb.basis_names[source], str)}) has no "
                 "twist-word knitting")
-        steps.append(edge.knitting_word if x > 0 else winv(edge.knitting_word))
-    return wmul(*steps), k
+        # most junctions cancel nothing: skip the kernel's call for them
+        if out and w and out[-1] == -w[0]:
+            _append_reduced(out, w)
+        else:
+            out.extend(w)
+        k = nxt
+    return tuple(out), k
 
 
 @dataclass
@@ -557,7 +571,11 @@ class Terminal:
 
 def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) -> Terminal:
     """Iterate the conjugation move m*b ~ b*m followed by rewriting until
-    the twist word empties or a previously seen state recurs."""
+    the twist word empties or a previously seen state recurs.
+
+    A cycle's states are listed from its least state under the key
+    (len(word), word, basis index), so every start that ends in the same
+    cycle reports it alike."""
     if not mcb.word_knittings():
         raise MachineError("conjugacy iteration needs twist-word knittings")
     w, k = reduce_word(start[0]), start[1]
@@ -571,7 +589,9 @@ def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) ->
         step += 1
         state = (w, k)
         if state in seen:
-            return Terminal("cycle", trace[seen[state]:], step)
+            cycle = trace[seen[state]:]
+            i = cycle.index(min(cycle, key=lambda s: (len(s[0]), s)))
+            return Terminal("cycle", cycle[i:] + cycle[:i], step)
         seen[state] = len(trace)
         trace.append(state)
     return Terminal("fixed", [(w, k)], step)

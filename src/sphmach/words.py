@@ -11,10 +11,14 @@ inverse of i), always freely reduced.  Words passed between sphmach
 functions are normal-form tuples; SphereGroup.normal_form hands such a
 tuple back unchanged after two C-level scans (letters in range and none
 eliminated, no letter next to its inverse), so re-normalising costs a
-few linear passes at C speed and no rewriting.
+few linear passes at C speed and no rewriting.  reduce_word does the
+same for any word (no letter 0, no letter next to its inverse), so
+re-reducing a reduced word, such as a twist word that rewrite or
+conjugacy iteration is handed, costs no stack walk either.
 
 Products of reduced words cancel only at each junction, so one kernel,
-_append_reduced, does all free reduction of products: it walks the
+_append_reduced, does all free reduction of products (mcbiset.rewrite
+calls it at the junctions of its step words too): it walks the
 cancellation letter by letter and copies the rest with one extend.
 Each letter is cancelled at most once, so wmul and substitution cost
 time linear in the letters written.  substitute_all is the one
@@ -40,9 +44,18 @@ EPSILON: Word = ()
 
 
 def reduce_word(letters) -> Word:
-    """Freely reduce a sequence of signed generator indices."""
+    """Freely reduce a sequence of signed generator indices.
+
+    A sequence that is already reduced comes back as a tuple, unchanged,
+    after two C-level scans: no letter is 0 and no letter is followed by
+    its inverse.  Any other sequence is reduced on a stack; a letter 0
+    raises ValueError.
+    """
+    w = tuple(letters)
+    if 0 not in w and all(map(add, w, w[1:])):
+        return w
     out: list[int] = []
-    for x in letters:
+    for x in w:
         if x == 0:
             raise ValueError("generator index 0 is not allowed")
         if out and out[-1] == -x:

@@ -1053,6 +1053,27 @@ def test_benchmark_reads_both_knitting_forms(tmp_path):
             assert tracer.knitting_letters(edge) >= 0
 
 
+def test_benchmark_rabbit_oracle_passes(tmp_path, monkeypatch):
+    # one full-size repetition of perfbench's rabbit_twists, run as the
+    # benchmark's child process runs it (perfbench/ on the path, the
+    # repository root as cwd): the powers t^n up to |n| = 2,000 against
+    # the base-4 rule and the 1,500-letter conjugate pairs
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    monkeypatch.chdir(root)
+    workloads = _perfbench_module("workloads")
+    workload = workloads.RabbitTwists(11, "full", str(tmp_path))
+    ctx = workload.context()
+    ops = workload.ops()
+    failures = []
+    for op in ops:
+        err = op.check(ctx, op.run(ctx))
+        if err:
+            failures.append(f"{op.name}: {err}")
+    assert failures == []
+    assert len(ops) == 1 + 48 + 2 * 48
+
+
 @functools.cache
 def _pilgrim_s_text():
     mf = zoo.pilgrim()

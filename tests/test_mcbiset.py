@@ -495,18 +495,46 @@ def test_rewrite_rabbit_relations():
     assert rewrite(mcb, 0, (u, u)) == ((s,), 0)
     assert rewrite(mcb, 1, ()) == ((), 1)
     # stepwise composition agrees with one-shot rewriting, on short words
-    # and on words of up to 2,000 letters
+    # and on words of up to 100,000 letters
     rng = random.Random(2)
-    for length in [rng.randint(0, 8) for _ in range(50)] + [500, 1000, 2000]:
+    for length in [rng.randint(0, 8) for _ in range(50)] + [500, 1000, 2000,
+                                                            100_000]:
         word = tuple(rng.choice([1, -1, 2, -2, 3, -3])
                      for _ in range(length))
         one, k1 = rewrite(mcb, 0, word)
-        acc, k2 = (), 0
-        from sphmach.words import reduce_word
+        steps, k2 = [], 0
         for x in reduce_word(word):
             step, k2 = rewrite(mcb, k2, (x,))
-            acc = wmul(acc, step)
-        assert (one, k1) == (acc, k2)
+            steps.append(step)
+        assert (one, k1) == (wmul(*steps), k2)
+
+
+def _in_free_st(w):
+    """The rabbit twist word w over s, t, u in F(s,t): u -> s^-1 t^-1,
+    freely reduced."""
+    s, t, u = 1, 2, 3
+    images = {u: (-s, -t), -u: (t, s)}
+    return reduce_word(itertools.chain.from_iterable(
+        images.get(x, (x,)) for x in w))
+
+
+def test_u_rewrites_as_its_word_in_s_and_t():
+    # t*s*u is inner, so PMod(S_0,4) is free on s, t with u = s^-1 t^-1:
+    # rewriting u and s^-1 t^-1 gives the same element of F(s,t) and
+    # the same basis element, from either basis element
+    mcb = zoo.rabbit_mcb()
+    assert mcb.alphabet == ("s", "t", "u")
+    rng = random.Random(5)
+    words = [(3,), (-3,)] + [
+        reduce_word(rng.choice([1, -1, 2, -2, 3, -3])
+                    for _ in range(rng.randint(1, 50)))
+        for _ in range(200)]
+    for k in range(mcb.size):
+        for word in words:
+            got, k1 = rewrite(mcb, k, word)
+            want, k2 = rewrite(mcb, k, _in_free_st(word))
+            assert k1 == k2, (k, word)
+            assert _in_free_st(got) == _in_free_st(want), (k, word)
 
 
 def test_rewrite_needs_twist_word_knittings():
@@ -653,6 +681,18 @@ def test_conjugacy_iterate_examples():
     term = conjugacy_iterate(mcb, ((-t,), 0))
     assert term.kind == "cycle"
     assert ((-t,), 0) in term.states
+
+
+def test_a_cycle_is_reported_from_its_least_state():
+    # the corabbit cycle t^-1 @ f_R -> u^-1 @ f_R.t -> s^-1 @ f_R reads
+    # the same from each of its states: u^-1 @ f_R.t first, the least
+    # under (letters, word, basis index)
+    mcb = zoo.rabbit_mcb()
+    s, t, u = 1, 2, 3
+    corabbit = [((-u,), 1), ((-s,), 0), ((-t,), 0)]
+    for start in corabbit:
+        term = conjugacy_iterate(mcb, start)
+        assert (term.kind, term.states, term.steps) == ("cycle", corabbit, 3)
 
 
 def test_conjugacy_iterate_invariant_under_start_conjugation():

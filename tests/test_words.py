@@ -554,6 +554,36 @@ def test_normal_form_rejects_out_of_range_letters(drawn, at, bad):
         G.normal_form(tuple(letters))
 
 
+def _reduce_word_reference(letters):
+    """Free reduction on a stack, one letter at a time."""
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LETTERS3), max_size=40),
+       st.sampled_from(["tuple", "list", "generator"]))
+def test_reduce_word_matches_a_stack_reference(letters, form):
+    expected = _reduce_word_reference(letters)
+    for w in (letters, expected):
+        seq = {"tuple": tuple, "list": list, "generator": iter}[form](w)
+        got = reduce_word(seq)
+        assert type(got) is tuple and got == expected
+    # a reduced tuple comes back as it is
+    assert reduce_word(expected) is expected
+
+
+@pytest.mark.parametrize("letters", [(0,), (1, 0), (2, 0, -2), [0], iter([1, 0])])
+def test_reduce_word_rejects_the_letter_0(letters):
+    with pytest.raises(ValueError, match="index 0"):
+        reduce_word(letters)
+
+
 @st.composite
 def long_reduced_words(draw):
     """A reduced word of 100 to 900 letters, grown from a drawn seed
