@@ -571,14 +571,16 @@ def _reduce_word_reference(letters):
 def test_reduce_word_matches_a_stack_reference(letters, form):
     expected = _reduce_word_reference(letters)
     for w in (letters, expected):
-        seq = {"tuple": tuple, "list": list, "generator": iter}[form](w)
+        seq = {"tuple": tuple, "list": list,
+               "generator": lambda w: (x for x in w)}[form](w)
         got = reduce_word(seq)
         assert type(got) is tuple and got == expected
     # a reduced tuple comes back as it is
     assert reduce_word(expected) is expected
 
 
-@pytest.mark.parametrize("letters", [(0,), (1, 0), (2, 0, -2), [0], iter([1, 0])])
+@pytest.mark.parametrize("letters", [(0,), (1, 0), (2, 0, -2), [0],
+                                     (x for x in (1, 0))])
 def test_reduce_word_rejects_the_letter_0(letters):
     with pytest.raises(ValueError, match="index 0"):
         reduce_word(letters)
