@@ -516,8 +516,8 @@ def mcb_from_json(data: dict) -> MappingClassBiset:
 
     A table has few distinct knittings, so edges with the same
     knitting_images list share one Automorphism, built at the first of
-    them, and with it the values kept on it (its inverse, its peripheral
-    test, its twist_fingerprint).  A list that fails to build is not
+    them, and with it the values kept on it (its inverse, and its one
+    peripheral pass, which gives its twist_fingerprint).  A list that fails to build is not
     kept and fails at the first edge that carries it.
     """
     if not isinstance(data, dict):

@@ -79,8 +79,7 @@ class SphereMachine:
 
     @classmethod
     def identity(cls, G: SphereGroup) -> "SphereMachine":
-        return cls(G, G, [WreathElement((G.gen(i),), (0,))
-                          for i in range(1, G.n + 1)])
+        return cls(G, G, [WreathElement((g,), (0,)) for g in G.gens])
 
     def __eq__(self, other):
         return (isinstance(other, SphereMachine)
@@ -165,11 +164,14 @@ class LiftMultiset:
 def cycle_classes(w: WreathElement, target: SphereGroup):
     """Yield (cycle, class) for each cycle of w's permutation, in action
     order from its least point, with the target conjugacy class of the
-    product of w's entries along it."""
+    product of w's entries along it, built in one list that each entry
+    is appended to in place (words._append_reduced): linear in the
+    letters, and no tuple per point for the many short cycles."""
+    entries = w.entries
     for cycle in perms.cycles(w.perm):
-        h = EPSILON
+        h: list[int] = []
         for p in cycle:
-            h = wmul(h, w.entries[p])
+            _append_reduced(h, entries[p])
         yield cycle, ConjClass(target, h)
 
 
@@ -336,9 +338,8 @@ def pre_compose(M: SphereMachine, phi: Automorphism) -> SphereMachine:
         raise MachineError("pre_compose needs an automorphism of the source group")
     if not is_peripheral_preserving(phi):
         raise MachineError("automorphism does not preserve peripheral classes")
-    gens = (M.source.gen(i) for i in range(1, M.source.n + 1))
     return SphereMachine(M.source, M.target,
-                         [M.evaluate(w) for w in phi.apply_all(gens)])
+                         [M.evaluate(w) for w in phi.apply_all(M.source.gens)])
 
 
 def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:
@@ -413,7 +414,7 @@ def stabilizer_subgroup(M: SphereMachine, s: int = 1) -> SubgroupPresentation:
     if not 1 <= s <= d:
         raise MachineError(f"basis point {s} out of range 1..{d}")
     free = G.free_gen_indices()
-    action = [M.evaluate(G.gen(i)).perm for i in range(1, G.n + 1)]
+    action = [M.evaluate(g).perm for g in G.gens]
     tree, back = perms.spanning_tree([action[i - 1] for i in free],
                                      start=s - 1)
     if len(tree) != d - 1:

@@ -17,8 +17,8 @@ from .perms import Perm
 from .words import (
     SphereGroup, ConjClass, Automorphism,
     winv, wmul, reduce_word, substitute_all, _append_reduced,
-    outer_normal_images, inner_conjugator, is_conjugate,
-    is_peripheral_preserving, dehn_twist, _NOT_COMPUTED,
+    outer_normal_images, inner_conjugator, is_peripheral_preserving,
+    dehn_twist, _fingerprint,
 )
 from .machine import (
     SphereMachine, WreathElement, BasisChange, change_basis, pre_compose,
@@ -322,9 +322,6 @@ class MappingClassBiset:
             raise MachineError(f"generator {_quoted(gen)} is not in the alphabet")
         return tuple(self.table[(gen, k)].target for k in range(self.size))
 
-    def word_knittings(self) -> bool:
-        return all(e.knitting_word is not None for e in self.table.values())
-
 
 def _shortened(M: SphereMachine, moves) -> SphereMachine | None:
     """post_compose(M, m) for the product m of moves chosen greedily:
@@ -575,9 +572,9 @@ def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) ->
 
     A cycle's states are listed from its least state under the key
     (len(word), word, basis index), so every start that ends in the same
-    cycle reports it alike."""
-    if not mcb.word_knittings():
-        raise MachineError("conjugacy iteration needs twist-word knittings")
+    cycle reports it alike.  Each step is one rewrite, so a step met
+    without a twist-word knitting raises the MachineError that names its
+    edge; the empty word is fixed on any biset."""
     w, k = reduce_word(start[0]), start[1]
     trace = [(w, k)]
     seen = {(w, k): 0}
@@ -640,8 +637,7 @@ def correspondence_invariants(action: list[Perm]) -> CorrespondenceInvariants:
     punctures = sum(len(perms.cycles(g)) for g in action)
     chi_open = -n
     chi_closed = chi_open + punctures
-    if (2 - chi_closed) % 2:
-        raise MachineError("inconsistent Euler characteristic")
+    # 2 - chi_closed is even: signs multiply to 1, so 3n - punctures is even
     return CorrespondenceInvariants(n, punctures, chi_open, (2 - chi_closed) // 2)
 
 
@@ -660,42 +656,14 @@ def twist_fingerprint(psi: Automorphism):
     equal fingerprints.  The matrix is returned flat, row by row, and the
     shift that normalises it is linear, so the fingerprint of p.compose(q)
     is the elementwise sum of those of p and q.  None if psi is not
-    peripheral-preserving.
+    peripheral-preserving; () for n <= 2.
 
-    The result, None and () (n = 2) included, is kept on psi, so each
-    automorphism is fingerprinted once however often it is asked; the
-    edges of a loaded biset that share a knitting share its automorphism
-    (machfile.mcb_from_json), and with it the fingerprint.
+    The value is kept on psi by the one peripheral pass (words._fingerprint),
+    which is_peripheral_preserving reads too; the edges of a loaded biset
+    that share a knitting share its automorphism (machfile.mcb_from_json),
+    and with it the fingerprint.
     """
-    if psi._fingerprint is _NOT_COMPUTED:
-        psi._fingerprint = _fingerprint(psi)
-    return psi._fingerprint
-
-
-def _fingerprint(psi: Automorphism):
-    """twist_fingerprint(psi), computed."""
-    G = psi.group
-    free = G.free_gen_indices()
-    ref = G.relator[-1]
-    col = {j: c for c, j in enumerate(free)}
-    rows = {}
-    for i in range(1, G.n + 1):
-        got = is_conjugate(G.gen(i), psi.images[i - 1])
-        if got is None:
-            return None
-        counts = [0] * len(free)
-        for x in got:
-            j = abs(x)
-            if j in col and j != i:
-                counts[col[j]] += 1 if x > 0 else -1
-        rows[i] = counts
-    base = rows[ref]
-    fp = [rows[i][col[j]] - base[col[j]]
-          for i in range(1, G.n + 1) if i != ref for j in free if j != i]
-    # normalize modulo a uniform shift of all cells, the ambiguity left by
-    # the relator generator's conjugator
-    mu = fp[0] if fp else 0
-    return tuple(x - mu for x in fp)
+    return _fingerprint(psi)
 
 
 def twist_power_label(fp, gen_fps):

@@ -656,7 +656,7 @@ def mc_to_gog(G: SphereGroup, curves: Multicurve, bound: int = 4) -> TreeOfGroup
         raise MulticurveError("multicurve lives over the wrong group")
     # the pieces are named S0, S1, ... in tree order once the split is done
     pieces = [SphereVertex("", G, [("puncture", i) for i in range(1, G.n + 1)],
-                           [G.gen(i) for i in range(1, G.n + 1)])]
+                           list(G.gens))]
     curve_vertices = []
     for cid, curve in enumerate(curves):
         # locate the unique piece containing the curve
@@ -755,7 +755,7 @@ def _class_bijection_iso(dst: SphereGroup, beta: list[int]) -> Automorphism:
     """
     n = dst.n
     perm = list(range(1, n + 1))
-    images = [dst.gen(i) for i in range(1, n + 1)]
+    images = list(dst.gens)
     for slot in range(n):
         j = perm.index(beta[slot], slot)
         while j > slot:

@@ -218,9 +218,11 @@ class SphereGroup:
     """A sphere group: n named generators of infinite order with relator
     g1*...*gn, or the generators in the order ``relator`` lists them.
 
-    The group keys its peripheral classes once, (sign_insensitive,
-    canonical word) -> least i with gi in the class, for
-    ConjClass.peripheral_index; for n = 2, g1 and g2 = g1^-1 key to 1.
+    The group builds its n generators in normal form once, as the tuple
+    gens (the eliminated one spelt through the relator), and keys its
+    peripheral classes once, (sign_insensitive, canonical word) -> least
+    i with gi in the class, for ConjClass.peripheral_index; for n = 2,
+    g1 and g2 = g1^-1 key to 1.
 
     Orbisphere groups (generators of finite order) are not modelled.
     """
@@ -243,11 +245,14 @@ class SphereGroup:
                 raise ValueError("relator must use every generator exactly once")
             self.relator = rel
         self._eliminated = self.relator[-1] if self.n else None
+        self.gens: tuple[Word, ...] = tuple(
+            winv(self.relator[:-1]) if i == self._eliminated else (i,)
+            for i in range(1, self.n + 1))
         # the letters of normal-form words
         self._letters = frozenset(
             s * i for i in self.free_gen_indices() for s in (1, -1))
         # built from the last generator down, so the least index wins
-        self._punctures = {(flag, cyclic_canonical(self.gen(i), flag)): i
+        self._punctures = {(flag, cyclic_canonical(self.gens[i - 1], flag)): i
                            for i in range(self.n, 0, -1) for flag in (False, True)}
 
     def __repr__(self):
@@ -272,9 +277,7 @@ class SphereGroup:
         """Generator number i (1-based) in normal form."""
         if not 1 <= i <= self.n:
             raise IndexError(f"generator index {i} out of range 1..{self.n}")
-        if i == self._eliminated:
-            return winv(tuple(self.relator[:-1]))
-        return (i,)
+        return self.gens[i - 1]
 
     def index_of(self, name: str) -> int:
         if name not in self._index:
@@ -400,8 +403,9 @@ class Automorphism:
     Images are stored in normal form for all n generators; the product
     of the images along the relator must reduce to the identity.  The
     images are never changed after construction, so values derived from
-    them (the inverse, the peripheral test, mcbiset.twist_fingerprint)
-    are kept on the automorphism once computed.
+    them are kept on the automorphism once computed: the inverse, and
+    the result of the one peripheral pass (see _fingerprint), which
+    serves both is_peripheral_preserving and mcbiset.twist_fingerprint.
     """
 
     def __init__(self, group: SphereGroup, images, check: bool = True):
@@ -412,12 +416,11 @@ class Automorphism:
         if check and wmul(*[self.images[r - 1] for r in group.relator]) != EPSILON:
             raise ValueError("generator images do not satisfy the relator")
         self._inverse: Automorphism | None = None
-        self._ppres: bool | None = None
         self._fingerprint = _NOT_COMPUTED
 
     @classmethod
     def identity(cls, group: SphereGroup) -> "Automorphism":
-        return cls(group, [group.gen(i) for i in range(1, group.n + 1)], check=False)
+        return cls(group, group.gens, check=False)
 
     def __call__(self, w) -> Word:
         return next(self.apply_all((w,)))
@@ -452,8 +455,7 @@ class Automorphism:
                             check=False)
 
     def is_identity_map(self) -> bool:
-        return all(self.images[i - 1] == self.group.gen(i)
-                   for i in range(1, self.group.n + 1))
+        return self.images == self.group.gens
 
     def inverse(self) -> "Automorphism":
         if self._inverse is None:
@@ -558,9 +560,8 @@ def inner_conjugator(phi: Automorphism) -> Word | None:
     """h with phi(x) = h * x * h^-1 for every x when phi is inner, else
     None: outer_normal_images(phi.images) returns the generators
     themselves exactly when phi is inner, and then also h."""
-    G = phi.group
     images, h = outer_normal_images(phi.images)
-    return h if images == [G.gen(i) for i in range(1, G.n + 1)] else None
+    return h if tuple(images) == phi.group.gens else None
 
 
 def outer_equal(phi: Automorphism, psi: Automorphism) -> bool:
@@ -582,23 +583,50 @@ def dehn_twist(i: int, j: int, G: SphereGroup) -> Automorphism:
     if not 1 <= i <= j <= G.n:
         raise IndexError(f"bad twist indices ({i},{j}) for n={G.n}")
     segment = [G.relator[k - 1] for k in range(i, j + 1)]
-    w = wmul(*[G.gen(k) for k in segment])
-    twist, inverse = (Automorphism(G, [conjugate(G.gen(k), by)
-                                       if k in segment else G.gen(k)
-                                       for k in range(1, G.n + 1)],
+    w = wmul(*map(G.gen, segment))
+    twist, inverse = (Automorphism(G, [conjugate(g, by) if k in segment else g
+                                       for k, g in enumerate(G.gens, 1)],
                                    check=False)
                       for by in (w, winv(w)))
     twist._inverse, inverse._inverse = inverse, twist
     return twist
 
 
-def is_peripheral_preserving(phi: Automorphism) -> bool:
+def _fingerprint(phi: Automorphism):
+    """mcbiset.twist_fingerprint(phi), or None when phi is not peripheral-
+    preserving: the one peripheral pass, which finds z_i with phi(g_i) =
+    g_i^{z_i} for each generator and counts its letters.  The value is
+    kept in phi._fingerprint, which is_peripheral_preserving reads too."""
+    fp = phi._fingerprint
+    if fp is not _NOT_COMPUTED:
+        return fp
     G = phi.group
-    cached = getattr(phi, "_ppres", None)
-    if cached is None:
-        cached = all(
-            is_conjugate(G.gen(i), phi.images[i - 1]) is not None
-            for i in range(1, G.n + 1)
-        )
-        phi._ppres = cached
-    return cached
+    free = G.free_gen_indices()
+    ref = G._eliminated
+    col = {j: c for c, j in enumerate(free)}
+    rows = {}
+    for i, g in enumerate(G.gens, 1):
+        got = is_conjugate(g, phi.images[i - 1])
+        if got is None:
+            phi._fingerprint = None
+            return None
+        counts = [0] * len(free)
+        for x in got:
+            j = abs(x)
+            if j in col and j != i:
+                counts[col[j]] += 1 if x > 0 else -1
+        rows[i] = counts
+    # rows relative to the relator generator's: empty for n = 0
+    fp = [rows[i][col[j]] - rows[ref][col[j]]
+          for i in range(1, G.n + 1) if i != ref for j in free if j != i]
+    # normalize modulo a uniform shift of all cells, the ambiguity left by
+    # the relator generator's conjugator
+    mu = fp[0] if fp else 0
+    fp = phi._fingerprint = tuple(x - mu for x in fp)
+    return fp
+
+
+def is_peripheral_preserving(phi: Automorphism) -> bool:
+    """Does phi send each generator into its own peripheral class?  Read
+    from the one peripheral pass kept on phi (see _fingerprint)."""
+    return _fingerprint(phi) is not None

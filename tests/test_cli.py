@@ -1054,24 +1054,30 @@ def test_benchmark_reads_both_knitting_forms(tmp_path):
 
 
 def test_benchmark_rabbit_oracle_passes(tmp_path, monkeypatch):
-    # one full-size repetition of perfbench's rabbit_twists, run as the
-    # benchmark's child process runs it (perfbench/ on the path, the
-    # repository root as cwd): the powers t^n up to |n| = 2,000 against
-    # the base-4 rule and the 1,500-letter conjugate pairs
+    # one full-size repetition of perfbench workloads, run as the
+    # benchmark's child process runs them (perfbench/ on the path, the
+    # repository root as cwd).  rabbit_twists: the powers t^n up to
+    # |n| = 2,000 against the base-4 rule and the 1,500-letter conjugate
+    # pairs.  mcb_stu and mcb_full: the .mcb table oracle, the exact
+    # table-edge identities and, under {s,t,u}, the criterion-4 lift
+    # multisets, which read the twist fingerprints
     root = Path(__file__).resolve().parent.parent
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     monkeypatch.chdir(root)
     workloads = _perfbench_module("workloads")
-    workload = workloads.RabbitTwists(11, "full", str(tmp_path))
-    ctx = workload.context()
-    ops = workload.ops()
-    failures = []
-    for op in ops:
-        err = op.check(ctx, op.run(ctx))
-        if err:
-            failures.append(f"{op.name}: {err}")
-    assert failures == []
-    assert len(ops) == 1 + 48 + 2 * 48
+    for workload_class, n_ops in ((workloads.RabbitTwists, 1 + 48 + 2 * 48),
+                                  (workloads.McbStu, 2 + 3 + 120),
+                                  (workloads.McbFull, 2 + 240)):
+        workload = workload_class(11, "full", str(tmp_path))
+        ctx = workload.context()
+        ops = workload.ops()
+        failures = []
+        for op in ops:
+            err = op.check(ctx, op.run(ctx))
+            if err:
+                failures.append(f"{op.name}: {err}")
+        assert failures == [], workload.name
+        assert len(ops) == n_ops, workload.name
 
 
 @functools.cache
@@ -1242,6 +1248,20 @@ def test_malformed_mcb_machine_row_names_its_basis_element(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert run_cli("classify-twist", str(bad), "s") == 3
     assert "machine 'b2'" in capsys.readouterr().err
+
+
+def test_cli_classify_twist_on_an_automorphism_only_mcb(tmp_path, capsys):
+    # a computed biset carries automorphism knittings only: a nonempty word
+    # stops at the first edge it meets, named, and the empty word is fixed
+    path = tmp_path / "pilgrim_s.mcb"
+    path.write_text(_pilgrim_s_text())
+    assert run_cli("classify-twist", str(path), "s") == 3
+    assert "error: edge (s, b0) has no twist-word knitting" in \
+        capsys.readouterr().err
+    assert run_cli("--json", "classify-twist", str(path), "1") == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "kind": "fixed", "steps": 0,
+        "terminal": [{"twist": "1", "basis": "b0"}]}
 
 
 @pytest.mark.parametrize("line", [

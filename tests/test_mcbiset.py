@@ -6,12 +6,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphmach import mcbiset, perms
+from sphmach import mcbiset, perms, words
 from sphmach.cli import main
 from sphmach.machfile import save_mcb
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, outer_equal, outer_normalize, wmul,
-    winv, reduce_word, inner_conjugator, EPSILON,
+    winv, reduce_word, inner_conjugator, is_peripheral_preserving, EPSILON,
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError,
@@ -22,7 +22,7 @@ from sphmach.mcbiset import (
     compute_mcbiset, full_twist_generators, rewrite, conjugacy_iterate,
     monodromy, correspondence_invariants, twist_fingerprint, twist_power_label,
     lift_multiset_in_mcbiset, ReconstructionError,
-    MappingClassBiset, TableEdge,
+    MappingClassBiset, TableEdge, Terminal,
 )
 
 import zoo
@@ -546,6 +546,12 @@ def test_rewrite_needs_twist_word_knittings():
     with pytest.raises(MachineError, match="twist-word knitting"):
         rewrite(mcb, 0, (-1,))
     assert rewrite(mcb, 0, ()) == ((), 0)
+    # conjugacy iteration steps by rewrite: a nonempty word meets the
+    # missing knitting, and the empty word is fixed with no step
+    with pytest.raises(MachineError,
+                       match=r"edge \(t1_2, b0\) has no twist-word knitting"):
+        conjugacy_iterate(mcb, ((1,), 0))
+    assert conjugacy_iterate(mcb, ((), 0)) == Terminal("fixed", [((), 0)], 0)
 
 
 def _rewrite_by_scan(mcb, k, m):
@@ -810,6 +816,17 @@ def test_correspondence_invariants_examples():
     assert inv2.genus == 0
     with pytest.raises(MachineError):
         correspondence_invariants([a, perms.identity(2), perms.identity(2)])
+    # every transitive triple (a, b, (ab)^-1) of degree <= 4: Riemann-Hurwitz
+    # gives a whole genus, never negative
+    for d in range(1, 5):
+        for a, b in itertools.product(itertools.permutations(range(d)),
+                                      repeat=2):
+            c = perms.inverse(perms.compose(a, b))
+            if not perms.is_transitive([a, b, c], d):
+                continue
+            inv = correspondence_invariants([a, b, c])
+            assert 2 * inv.genus == 2 - (inv.punctures - d)
+            assert inv.genus >= 0
 
 
 def test_twist_fingerprint_classifies_conjugated_powers(monkeypatch):
@@ -831,8 +848,8 @@ def test_twist_fingerprint_classifies_conjugated_powers(monkeypatch):
     # the value is kept on the automorphism, None and () included: a
     # second call tests no conjugacy, and an equal copy gets the same value
     tests = []
-    real = mcbiset.is_conjugate
-    monkeypatch.setattr(mcbiset, "is_conjugate",
+    real = words.is_conjugate
+    monkeypatch.setattr(words, "is_conjugate",
                         lambda u, v: tests.append(1) or real(u, v))
     G3, G2 = SphereGroup("abc"), SphereGroup("ab")
     # a -> a*b is not conjugate to a: not peripheral-preserving
@@ -842,8 +859,24 @@ def test_twist_fingerprint_classifies_conjugated_powers(monkeypatch):
         assert twist_fingerprint(phi) == want
         tests.clear()
         assert twist_fingerprint(phi) is twist_fingerprint(phi)
+        assert is_peripheral_preserving(phi) == (want is not None)
         assert not tests
         assert twist_fingerprint(Automorphism(phi.group, phi.images)) == want
+    # one peripheral pass serves both readings: on a fresh automorphism the
+    # first call, of either, tests each of the n generators once, and the
+    # other call then tests none
+    for first, second in ((twist_fingerprint, is_peripheral_preserving),
+                          (is_peripheral_preserving, twist_fingerprint)):
+        fresh = Automorphism(G, psi.images)
+        tests.clear()
+        first(fresh)
+        assert len(tests) == G.n
+        tests.clear()
+        second(fresh)
+        assert not tests
+    G0 = SphereGroup("")
+    assert twist_fingerprint(Automorphism.identity(G0)) == ()
+    assert is_peripheral_preserving(Automorphism.identity(G0))
 
 
 def test_twist_fingerprint_is_additive_and_ignores_inner_maps():
