@@ -9,6 +9,7 @@ timing is only attached when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -81,7 +82,7 @@ def _load_machine_file(path: str) -> MachineFile:
 
 
 def _curves_for(mf: MachineFile, arg: str | None) -> Multicurve:
-    if arg:
+    if arg is not None:
         reps = [parse_word(x.strip(), mf.machine.source)
                 for x in arg.split(",")]
         return Multicurve(mf.machine.source, reps)
@@ -92,7 +93,7 @@ def _curves_for(mf: MachineFile, arg: str | None) -> Multicurve:
 
 def _gens_for(mf: MachineFile, arg: str | None):
     M = mf.machine
-    if not arg or arg == "twists":
+    if arg is None or arg == "twists":
         return full_twist_generators(M.source)
     out = {}
     for nm in (x.strip() for x in arg.split(",")):
@@ -173,7 +174,7 @@ def cmd_tensor(args):
     m2 = _load_machine_file(args.other)
     M = tensor(m1.machine, m2.machine)
     text = print_machine_file(MachineFile(M))
-    if args.output:
+    if args.output is not None:
         _write(args.output, lambda: Path(args.output).write_text(text))
         return {"written": args.output, "degree": M.degree}, 0
     sys.stdout.write(text)
@@ -198,7 +199,7 @@ def cmd_mcbiset(args):
     mf = _load_machine_file(args.machine)
     gens = _gens_for(mf, args.gens)
     mcb = compute_mcbiset(mf.machine, gens)
-    if args.output:
+    if args.output is not None:
         _write(args.output, lambda: save_mcb(mcb, args.output))
     return {
         "basis_size": mcb.size,
@@ -392,7 +393,21 @@ def _nonnegative(text: str) -> int:
             f"{_quoted(text)} has too many digits") from None
 
 
+def _nonempty(text: str) -> str:
+    """The value of an option whose absence has a meaning of its own (a
+    default file block, all twists, standard output): an empty value is
+    an input error, not that default."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty value")
+    return text
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process on first use (not
+    at import, so a one-shot run pays nothing extra) and shared by every
+    later main() call: it holds only the fn=cmd_* defaults and no
+    per-call state."""
     ap = _ArgumentParser(
         prog="sphmach",
         description="Exact computation with sphere machines, mapping class "
@@ -419,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tensor", cmd_tensor, help="compose two machines")
     p.add_argument("machine")
     p.add_argument("other")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", type=_nonempty)
     p = add("rebase", cmd_rebase, help="apply a basis change")
     p.add_argument("machine")
     p.add_argument("--conjugators", required=True,
@@ -427,9 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relabel", help="relabeling in cycle notation")
     p = add("mcbiset", cmd_mcbiset, help="enumerate the mapping class biset")
     p.add_argument("machine")
-    p.add_argument("--gens", help="'twists' (default) or comma-separated "
-                                  "automorphism names from the file")
-    p.add_argument("-o", "--output", help="write the biset as JSON")
+    p.add_argument("--gens", type=_nonempty,
+                   help="'twists' (default) or comma-separated "
+                        "automorphism names from the file")
+    p.add_argument("-o", "--output", type=_nonempty,
+                   help="write the biset as JSON")
     p = add("iso", cmd_iso, help="left-orbit test with knitting witness")
     p.add_argument("machine")
     p.add_argument("other")
@@ -443,29 +460,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("thurston-matrix", cmd_thurston_matrix,
             help="exact rational transition matrix of a multicurve")
     p.add_argument("machine")
-    p.add_argument("--curves")
+    p.add_argument("--curves", type=_nonempty)
     p = add("obstructed", cmd_obstructed,
             help="annular obstruction test (spectral radius >= 1)")
     p.add_argument("machine")
-    p.add_argument("--curves")
+    p.add_argument("--curves", type=_nonempty)
     p = add("solve-twists", cmd_solve_twists,
             help="integer fixed-point solver v = theta + T v")
     p.add_argument("machine")
-    p.add_argument("--curves")
+    p.add_argument("--curves", type=_nonempty)
     p.add_argument("--theta", required=True,
                    help="comma-separated affine expressions; write one "
                         "starting with '-' as --theta=-a,2*b")
     p = add("split", cmd_split, help="sphere tree of groups of a multicurve")
     p.add_argument("machine")
-    p.add_argument("--curves")
+    p.add_argument("--curves", type=_nonempty)
     p.add_argument("--bound", type=_nonnegative, default=4)
     p.add_argument("--dot", action="store_true")
     p = add("promote", cmd_promote,
             help="promote a class bijection to a tree conjugator")
     p.add_argument("machine")
     p.add_argument("other")
-    p.add_argument("--curves")
-    p.add_argument("--curves-other")
+    p.add_argument("--curves", type=_nonempty)
+    p.add_argument("--curves-other", type=_nonempty)
     p.add_argument("--map", required=True,
                    help="comma-separated tag pairs like x1:y2,c0:c0")
     p.add_argument("--bound", type=_nonnegative, default=4)
@@ -476,6 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  The parser is built on
+    the first call in a process and reused by every later one (see
+    build_parser); only _inputs is per-call state, cleared here."""
     _inputs.clear()
     try:
         args = build_parser().parse_args(argv)

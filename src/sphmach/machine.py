@@ -166,13 +166,23 @@ def cycle_classes(w: WreathElement, target: SphereGroup):
     order from its least point, with the target conjugacy class of the
     product of w's entries along it, built in one list that each entry
     is appended to in place (words._append_reduced): linear in the
-    letters, and no tuple per point for the many short cycles."""
+    letters, and no tuple per point for the many short cycles.
+
+    Cycles whose product is the empty list (most of them at high degree)
+    share one trivial class, built on the first such cycle; a non-empty
+    product goes through ConjClass even when it is trivial in the group."""
     entries = w.entries
+    trivial = None
     for cycle in perms.cycles(w.perm):
         h: list[int] = []
         for p in cycle:
             _append_reduced(h, entries[p])
-        yield cycle, ConjClass(target, h)
+        if h:
+            yield cycle, ConjClass(target, h)
+            continue
+        if trivial is None:
+            trivial = ConjClass(target, EPSILON)
+        yield cycle, trivial
 
 
 def multiset_of_lifts(M: SphereMachine, c) -> LiftMultiset:

@@ -71,10 +71,11 @@ class Multicurve:
 
 def classify_lifts(M: SphereMachine, downstairs: Multicurve,
                    upstairs: Multicurve | None = None):
-    """For each curve of the lifted multicurve, tag every lift as isotopic
-    to an upstairs curve, trivial, peripheral, or other, in that order of
+    """For each curve of the lifted multicurve, tag every lift as trivial,
+    isotopic to an upstairs curve, peripheral, or other, in that order of
     precedence; the upstairs curve and the puncture are looked up by the
-    lift's unoriented class."""
+    lift's unoriented class, which a trivial lift does not need (a
+    Multicurve holds no trivial curve)."""
     if downstairs.group != M.source:
         raise MulticurveError("multicurve lives over the wrong group")
     curve_index = {delta.canonical: j for j, delta in enumerate(upstairs or ())}
@@ -82,11 +83,12 @@ def classify_lifts(M: SphereMachine, downstairs: Multicurve,
     for curve in downstairs:
         tags = []
         for deg, cls in multiset_of_lifts(M, curve.rep).entries:
+            if cls.is_trivial():
+                tags.append((deg, ("trivial",)))
+                continue
             unoriented = ConjClass(M.target, cls.rep, sign_insensitive=True)
             if unoriented.canonical in curve_index:
                 tag = ("curve", curve_index[unoriented.canonical])
-            elif cls.is_trivial():
-                tag = ("trivial",)
             elif (i := unoriented.peripheral_index()) is not None:
                 tag = ("peripheral", i)
             else:

@@ -719,6 +719,49 @@ def test_cli_usage_error_exit_code(capsys):
     assert run_cli("--json", "validate", mach) == 0
 
 
+_C7 = str(MACHINES / "centralizer7.mach")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["mcbiset", str(MACHINES / "z2.mach"), "-o", ""], "-o/--output"),
+    (["tensor", str(MACHINES / "z2.mach"), str(MACHINES / "z2.mach"),
+      "-o", ""], "-o/--output"),
+    (["mcbiset", str(MACHINES / "fbiset.mach"), "--gens", ""], "--gens"),
+    (["thurston-matrix", _C7, "--curves", ""], "--curves"),
+    (["split", _C7, "--curves="], "--curves"),
+    (["promote", _C7, _C7, "--map", "x1:x1", "--curves-other", ""],
+     "--curves-other"),
+], ids=["mcbiset-o", "tensor-o", "gens", "thurston-matrix-curves",
+        "split-curves", "promote-curves-other"])
+def test_cli_rejects_an_empty_option_value(argv, option, capsys):
+    # an empty value is an input error, not the option's default (no file
+    # written, standard output, all twists or the file's curves: block)
+    assert run_cli("--json", *argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: sphmach {argv[0]}: argument {option}: "
+                   "expected a non-empty value\n")
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(capsys):
+    # one parser serves every call in a process: a usage error, --timing,
+    # --essential and plain output leave no trace in a later report
+    assert cli.build_parser() is cli.build_parser()
+    args = ("lifts", _C7, "x3*x4")
+    assert run_cli("--json", *args) == 0
+    first = capsys.readouterr().out
+    assert run_cli("--json", "lifts", _C7) == 3
+    assert "required: word" in capsys.readouterr().err
+    assert run_cli("--json", "--timing", *args, "--essential") == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert "timing_ms" in timed and len(timed["result"]["lifts"]) == 1
+    assert run_cli(*args) == 0
+    assert "total_degree: 6" in capsys.readouterr().out
+    assert run_cli("--json", *args) == 0
+    assert capsys.readouterr().out == first
+    assert "timing_ms" not in json.loads(first)
+
+
 def test_cli_negative_max_steps_exit_code(capsys):
     mcb = str(MACHINES / "rabbit.mcb")
     capsys.readouterr()
@@ -1060,14 +1103,19 @@ def test_benchmark_rabbit_oracle_passes(tmp_path, monkeypatch):
     # |n| = 2,000 against the base-4 rule and the 1,500-letter conjugate
     # pairs.  mcb_stu and mcb_full: the .mcb table oracle, the exact
     # table-edge identities and, under {s,t,u}, the criterion-4 lift
-    # multisets, which read the twist fingerprints
+    # multisets, which read the twist fingerprints.  thurston_tower: the
+    # centralizer7 tower to degree 216, the README's commands with their
+    # exit codes, and the deferred Perron answers against exact sympy
+    # root isolation, as the benchmark's parent process checks them
     root = Path(__file__).resolve().parent.parent
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     monkeypatch.chdir(root)
     workloads = _perfbench_module("workloads")
+    oracles = _perfbench_module("oracles")
     for workload_class, n_ops in ((workloads.RabbitTwists, 1 + 48 + 2 * 48),
                                   (workloads.McbStu, 2 + 3 + 120),
-                                  (workloads.McbFull, 2 + 240)):
+                                  (workloads.McbFull, 2 + 240),
+                                  (workloads.ThurstonTower, 53)):
         workload = workload_class(11, "full", str(tmp_path))
         ctx = workload.context()
         ops = workload.ops()
@@ -1076,8 +1124,15 @@ def test_benchmark_rabbit_oracle_passes(tmp_path, monkeypatch):
             err = op.check(ctx, op.run(ctx))
             if err:
                 failures.append(f"{op.name}: {err}")
+        for i, item in sorted(workload.pending.items()):
+            bad = oracles.perron_oracle(item["entries"], item["obstructed"],
+                                        item["low"], item["high"])
+            if bad:
+                failures.append(f"{ops[i].name}: {bad}")
         assert failures == [], workload.name
         assert len(ops) == n_ops, workload.name
+    # the tower defers one Perron answer per seeded matrix, 2x2 to 8x8
+    assert len(workload.pending) == 14
 
 
 @functools.cache

@@ -11,7 +11,7 @@ from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError, NotSphereBiset,
     validate_sphere, multiset_of_lifts, portrait, tensor, change_basis,
     pre_compose, post_compose, normalize_basis, stabilizer_subgroup,
-    tree_words, LiftMultiset,
+    tree_words, LiftMultiset, cycle_classes,
 )
 from sphmach.folding import SubgroupGraph
 
@@ -140,6 +140,57 @@ def test_lift_multisets_of_the_obstruction_curves():
         (1, ConjClass(G, t)),
     ])
     assert lt == expected_t
+
+
+def _reference_cycle_classes(w, target):
+    """(cycle, product, class) for each cycle of w, with a ConjClass built
+    for every cycle product, empty or not."""
+    for cycle in perms.cycles(w.perm):
+        product = wmul(*(w.entries[p] for p in cycle))
+        yield cycle, product, ConjClass(target, product)
+
+
+def _cycle_class_inputs():
+    """Wreath elements from every fixture and the centralizer7 tower: the
+    rows, the same rows under a seeded basis change, and the evaluations
+    of the multicurves; plus a row whose one non-empty product is the
+    relator, trivial in the group."""
+    rng = random.Random(31)
+    machines = [mf().machine for mf in ZOO_MACHINES.values()]
+    machines += zoo.centralizer7_tower()[1:]
+    for M in machines:
+        conj = tuple(rand_word(rng, M.target, rng.randint(0, 4))
+                     for _ in range(M.degree))
+        rebased = change_basis(M, BasisChange(conj, tuple(range(M.degree))))
+        for N in (M, rebased):
+            yield from ((N.target, row) for row in N.rows)
+            yield N.target, N.evaluate(N.source.relator)
+        if M.source == zoo.centralizer7().machine.source:
+            for curve in zoo.centralizer7().curves:
+                yield M.target, M.evaluate(curve.rep)
+    G = centralizer7().target
+    yield G, WreathElement((G.relator, ()), (0, 1))
+
+
+def test_cycle_classes_match_a_class_per_cycle():
+    # empty products share one trivial class; every other product, the
+    # relator included, is its own ConjClass: the answers are the same
+    trivial_products = 0
+    for target, w in _cycle_class_inputs():
+        got = list(cycle_classes(w, target))
+        want = list(_reference_cycle_classes(w, target))
+        assert [(cyc, c.canonical, c.is_trivial(), c.peripheral_index())
+                for cyc, c in got] == \
+            [(cyc, c.canonical, c.is_trivial(), c.peripheral_index())
+             for cyc, _, c in want]
+        assert [c for _, c in got] == [c for _, _, c in want]
+        shared = {id(c) for (_, c), (_, product, _) in zip(got, want)
+                  if not product}
+        assert len(shared) <= 1
+        trivial_products += sum(1 for (_, c), (_, product, _) in zip(got, want)
+                                if product and c.is_trivial())
+    # the relator row: a non-empty product that is trivial in the group
+    assert trivial_products >= 1
 
 
 def test_lift_degrees_sum_to_degree():

@@ -12,7 +12,9 @@ from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, wmul, conjugate, is_conjugate,
     dehn_twist, outer_equal,
 )
-from sphmach.machine import SphereMachine, WreathElement, multiset_of_lifts
+from sphmach.machine import (
+    SphereMachine, WreathElement, BasisChange, multiset_of_lifts, change_basis,
+)
 from sphmach.mcbiset import compute_mcbiset, twist_fingerprint
 from sphmach.multicurve import (
     Multicurve, MulticurveError, SplitFailed, PromoteFailed,
@@ -639,6 +641,56 @@ def test_classify_lifts_peripheral_and_other_tags():
                         (2, ("peripheral", 5)), (2, ("trivial",))]
     [(_, tags)] = classify_lifts(M, curve, C)
     assert tags == [(2, ("curve", 0)), (2, ("peripheral", 5)), (2, ("trivial",))]
+
+
+def _reference_classify_lifts(M, downstairs, upstairs):
+    """classify_lifts with the unoriented class of every lift built first,
+    the trivial tag second: the order before trivial lifts skipped it."""
+    curve_index = {delta.canonical: j for j, delta in enumerate(upstairs or ())}
+    report = []
+    for curve in downstairs:
+        w = M.evaluate(curve.rep)
+        tags = []
+        for cycle in perms.cycles(w.perm):
+            cls = ConjClass(M.target, wmul(*(w.entries[p] for p in cycle)))
+            unoriented = ConjClass(M.target, cls.rep, sign_insensitive=True)
+            if unoriented.canonical in curve_index:
+                tag = ("curve", curve_index[unoriented.canonical])
+            elif cls.is_trivial():
+                tag = ("trivial",)
+            elif (i := unoriented.peripheral_index()) is not None:
+                tag = ("peripheral", i)
+            else:
+                tag = ("other", cls)
+            tags.append((len(cycle), tag))
+        report.append((curve, tags))
+    return report
+
+
+def test_classify_lifts_matches_the_reference_on_the_tower():
+    # centralizer7 and its tensor square and cube, each also under a
+    # seeded basis change, with the curves of the file and x3*x4*x5,
+    # whose lifts are also peripheral and other
+    _, C, _ = fixture()
+    rng = random.Random(31)
+    kinds = set()
+    for B in zoo.centralizer7_tower():
+        G, d = B.source, B.degree
+        letters = [x for i in range(1, G.n + 1) for x in (i, -i)]
+        conj = tuple(G.normal_form([rng.choice(letters)
+                                    for _ in range(rng.randint(0, 4))])
+                     for _ in range(d))
+        relabel = list(range(d))
+        rng.shuffle(relabel)
+        for M in (B, change_basis(B, BasisChange(conj, tuple(relabel)))):
+            for downstairs in (C, Multicurve(G, [(3, 4, 5)] +
+                                             [c.rep for c in C])):
+                for upstairs in (None, C, downstairs):
+                    got = classify_lifts(M, downstairs, upstairs)
+                    assert got == _reference_classify_lifts(M, downstairs,
+                                                            upstairs)
+                    kinds |= {t[0] for _, tags in got for _, t in tags}
+    assert kinds == {"curve", "trivial", "peripheral", "other"}
 
 
 def test_z2_unoriented_class_of_b_is_puncture_1():

@@ -2,8 +2,10 @@
 from its file under machines/, and the inner automorphisms the tests
 conjugate by."""
 
+import functools
 from pathlib import Path
 
+from sphmach.machine import SphereMachine, tensor
 from sphmach.machfile import MachineFile, parse_machine_file, load_mcb
 from sphmach.mcbiset import MappingClassBiset
 from sphmach.words import Automorphism, SphereGroup, conjugate
@@ -38,6 +40,17 @@ def centralizer7() -> MachineFile:
     centralizer, its obstruction multicurve {s, t} and the four twists
     sigma, tau, alpha, beta."""
     return _machine("centralizer7")
+
+
+@functools.cache
+def centralizer7_tower() -> tuple[SphereMachine, ...]:
+    """The centralizer7 machine and its tensor square and cube: degrees 6,
+    36 and 216, where most cycles of a row carry an empty product."""
+    B = centralizer7().machine
+    levels = [B]
+    for _ in range(2):
+        levels.append(tensor(levels[-1], B))
+    return tuple(levels)
 
 
 def rabbit_mcb() -> MappingClassBiset:
