@@ -156,6 +156,7 @@ def _cycle_class_inputs():
     of the multicurves; plus a row whose one non-empty product is the
     relator, trivial in the group."""
     rng = random.Random(31)
+    c7 = zoo.centralizer7()
     machines = [mf().machine for mf in ZOO_MACHINES.values()]
     machines += zoo.centralizer7_tower()[1:]
     for M in machines:
@@ -165,10 +166,10 @@ def _cycle_class_inputs():
         for N in (M, rebased):
             yield from ((N.target, row) for row in N.rows)
             yield N.target, N.evaluate(N.source.relator)
-        if M.source == zoo.centralizer7().machine.source:
-            for curve in zoo.centralizer7().curves:
+        if M.source == c7.machine.source:
+            for curve in c7.curves:
                 yield M.target, M.evaluate(curve.rep)
-    G = centralizer7().target
+    G = c7.machine.target
     yield G, WreathElement((G.relator, ()), (0, 1))
 
 
