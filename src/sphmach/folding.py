@@ -35,11 +35,14 @@ decorations, and so the expressions found, may.
 
 from __future__ import annotations
 
-from .words import Word, EPSILON, winv, wmul, cyclic_reduce, substitute_all
+from .words import Word, EPSILON, winv, wmul, walk, cyclic_reduce, substitute_all
 
 
 class SubgroupGraph:
     """Folded core graph of <gens> with expression decorations.
+
+    The folded graph is kept as a step table (words.walk) whose step
+    words are the decorations; trace, states and index_in read it.
 
     relators: cyclically reduced words over 1-based positions into gens,
     one for each parallel-edge removal, and never empty.  A homomorphism
@@ -185,10 +188,11 @@ class SubgroupGraph:
         # every edge sits once under a positive letter, at its source
         self._edges = [e for at in adj if at
                        for b, edges in at.items() if b > 0 for e in edges]
-        self._trans: dict[tuple[int, int], tuple[int, Word]] = {}
+        # by signed letter, then state: (decoration, next state)
+        self._steps: dict[int, dict[int, tuple[Word, int]]] = {}
         for u, x, v, dec in self._edges:
-            self._trans[(u, x)] = (v, dec)
-            self._trans[(v, -x)] = (u, winv(dec))
+            self._steps.setdefault(x, {})[u] = (dec, v)
+            self._steps.setdefault(-x, {})[v] = (winv(dec), u)
         self.relators = [cyclic_reduce(self._positions(r))[0]
                          for r in relators]
 
@@ -202,31 +206,23 @@ class SubgroupGraph:
     def trace(self, w: Word):
         """(end state, decoration product) after reading w from the base,
         or None if w leaves the graph."""
-        v, decs = 0, []
-        for x in w:
-            step = self._trans.get((v, x))
-            if step is None:
-                return None
-            v, d = step
-            decs.append(d)
-        return v, wmul(*decs)
+        try:
+            (dec,), (v,) = walk(self._steps, (0,), w)
+        except KeyError:
+            return None
+        return v, dec
 
     def states(self) -> set[int]:
-        out = {0}
-        for (v, _), (w, _) in self._trans.items():
-            out.add(v)
-            out.add(w)
-        return out
+        return {0}.union(*self._steps.values())
 
     def index_in(self, letters):
         """Subgroup index in the free group on the given positive letters:
         the number of core graph states when the graph is complete over
         them, None when the index is infinite."""
         sts = self.states()
-        for v in sts:
-            for x in letters:
-                if (v, x) not in self._trans or (v, -x) not in self._trans:
-                    return None
+        if any(len(self._steps.get(a, ())) != len(sts)
+               for x in letters for a in (x, -x)):
+            return None
         return len(sts)
 
     def express(self, w) -> Word | None:

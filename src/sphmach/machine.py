@@ -15,7 +15,7 @@ from . import perms
 from .perms import Perm
 from .words import (
     Word, EPSILON, SphereGroup, ConjClass, Automorphism,
-    winv, wmul, substitute_all, is_peripheral_preserving, _append_reduced,
+    winv, wmul, walk, substitute_all, is_peripheral_preserving, _append_reduced,
 )
 
 
@@ -75,7 +75,7 @@ class SphereMachine:
         self.rows: tuple[WreathElement, ...] = tuple(
             WreathElement(tuple(target.normal_form(e) for e in r.entries), r.perm)
             for r in rows)
-        self._inverse_rows: tuple[WreathElement, ...] | None = None
+        self._steps: dict[int, list[tuple[Word, int]]] = {}
 
     @classmethod
     def identity(cls, G: SphereGroup) -> "SphereMachine":
@@ -95,40 +95,27 @@ class SphereMachine:
     def evaluate(self, w) -> WreathElement:
         """Multiplicative extension of the rows to any source word.
 
-        Entry i of the product is read along the walk of w from basis
-        point i: each letter appends its row's entry at the current point,
-        reduced in place (words._append_reduced), and moves the point by
-        the row's permutation, which ends the walk at perm[i].  A negative
-        letter reads the inverse row, built once per machine.
+        One walk (words.walk) reads w from every basis point: letter x
+        at point p steps with its row's entry at p to its row's image of
+        p, and -x steps back along the row.  A letter's steps are built
+        the first time the machine meets it, so a positive word inverts
+        no row.
         """
-        n = self.source.n
-        steps = []
+        n, steps = self.source.n, self._steps
+        w = tuple(w)
         for x in w:
+            if x in steps:
+                continue
             if 0 < x <= n:
                 row = self.rows[x - 1]
+                steps[x] = list(zip(row.entries, row.perm))
             elif 0 < -x <= n:
-                if self._inverse_rows is None:
-                    self._inverse_rows = tuple(r.inv() for r in self.rows)
-                row = self._inverse_rows[-x - 1]
+                row = self.rows[-x - 1]
+                steps[x] = [(winv(row.entries[p]), p)
+                            for p in perms.inverse(row.perm)]
             else:
                 raise MachineError(f"letter {x} outside source group")
-            steps.append((row.entries, row.perm))
-        entries: list[Word] = []
-        ends: list[int] = []
-        for i in range(self.degree):
-            out: list[int] = []
-            p = i
-            for row_entries, row_perm in steps:
-                e = row_entries[p]
-                # most junctions cancel nothing: skip the kernel's call
-                if out and e and out[-1] == -e[0]:
-                    _append_reduced(out, e)
-                else:
-                    out += e
-                p = row_perm[p]
-            entries.append(tuple(out))
-            ends.append(p)
-        return WreathElement(tuple(entries), tuple(ends))
+        return WreathElement(*walk(steps, range(self.degree), w))
 
     def relator_ok(self) -> bool:
         return self.evaluate(self.source.relator).is_identity()
@@ -228,7 +215,10 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
     mapping: dict[int, tuple[int, int]] = {}
     ok3 = True
     for i in range(1, M.source.n + 1):
-        for d, cls in multiset_of_lifts(M, M.source.gen(i)).entries:
+        # kept generators' wreath images are their rows: evaluate the other
+        g = M.source.gen(i)
+        w = M.rows[i - 1] if g == (i,) else M.evaluate(g)
+        for cycle, cls in cycle_classes(w, M.target):
             if cls.is_trivial():
                 continue
             j = cls.peripheral_index()
@@ -238,7 +228,7 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
                     f"lift of class {i} hits non-peripheral class {cls!r}")
             else:
                 found.append(j)
-                mapping[j] = (i, d)
+                mapping[j] = (i, len(cycle))
     # the n oriented peripheral classes are distinct: indices stand for them
     if sorted(found) != list(range(1, M.target.n + 1)):
         ok3 = False
@@ -274,18 +264,13 @@ def tensor(M1: SphereMachine, M2: SphereMachine) -> SphereMachine:
     """
     if M1.target != M2.source:
         raise MachineError("tensor: M1.target must equal M2.source")
-    d1, d2 = M1.degree, M2.degree
+    d2 = M2.degree
     rows = []
-    for i0 in range(1, M1.source.n + 1):
-        outer = M1.rows[i0 - 1]
+    for outer in M1.rows:
         inner = [M2.evaluate(e) for e in outer.entries]
-        entries: list[Word] = [EPSILON] * (d1 * d2)
-        img: list[int] = [0] * (d1 * d2)
-        for i in range(d1):
-            for j in range(d2):
-                entries[i * d2 + j] = inner[i].entries[j]
-                img[i * d2 + j] = outer.perm[i] * d2 + inner[i].perm[j]
-        rows.append(WreathElement(tuple(entries), tuple(img)))
+        rows.append(WreathElement(
+            tuple(e for w in inner for e in w.entries),
+            tuple(p * d2 + q for p, w in zip(outer.perm, inner) for q in w.perm)))
     return SphereMachine(M1.source, M2.target, rows)
 
 
@@ -331,13 +316,10 @@ def change_basis(M: SphereMachine, b: BasisChange) -> SphereMachine:
     ell = [M.target.normal_form(w) for w in b.conjugators]
     rows = []
     for row in M.rows:
-        entries: list[Word] = [EPSILON] * M.degree
-        img: list[int] = [0] * M.degree
-        for i in range(M.degree):
-            j = rho_inv[row.perm[rho[i]]]
-            entries[i] = wmul(winv(ell[i]), row.entries[rho[i]], ell[j])
-            img[i] = j
-        rows.append(WreathElement(tuple(entries), tuple(img)))
+        img = tuple(rho_inv[row.perm[p]] for p in rho)
+        rows.append(WreathElement(
+            tuple(wmul(winv(ell[i]), row.entries[p], ell[j])
+                  for i, (p, j) in enumerate(zip(rho, img))), img))
     return SphereMachine(M.source, M.target, rows)
 
 

@@ -16,7 +16,7 @@ from . import perms
 from .perms import Perm
 from .words import (
     SphereGroup, ConjClass, Automorphism,
-    winv, wmul, reduce_word, substitute_all, _append_reduced,
+    winv, wmul, walk, reduce_word, substitute_all,
     outer_normal_images, inner_conjugator, is_peripheral_preserving,
     dehn_twist, _fingerprint,
 )
@@ -274,13 +274,12 @@ class MappingClassBiset:
     Psi_k * m = knitting * Psi_next.  Building it checks, once, that the
     table is closed: each generator of the alphabet permutes the basis.
 
-    The same pass builds the step table that rewrite walks: for each
-    basis element k, a dict from each signed letter +-i to the twist
-    word of that step (None where the edge has no twist-word knitting)
-    and the element it leads to.  A backward letter -i at k steps back
-    along generator i's edge into k, whose knitting is inverted once,
-    here.  The table is read at construction, so the edges, with their
-    targets and knitting words, are fixed from then on."""
+    The same pass builds the step table that rewrite walks (words.walk):
+    for each signed letter +-i and basis element k, the twist word of the
+    step and the element it leads to.  A backward letter -i at k steps
+    back along generator i's edge into k, whose knitting is inverted
+    once, here; an edge with no twist-word knitting is left out.  The
+    table is read at construction, so the edges are fixed from then on."""
 
     alphabet: tuple[str, ...]
     basis_names: tuple[str, ...]
@@ -290,10 +289,11 @@ class MappingClassBiset:
     base: int = 0
 
     def __post_init__(self):
-        # by basis element, then signed letter: (step word, next element)
-        steps: list[dict[int, tuple[TwistWord | None, int]]] = [
-            {} for _ in self.basis_names]
+        # by signed letter, then basis element: (step word, next element)
+        steps: dict[int, dict[int, tuple[TwistWord, int]]] = {}
         for i, gen in enumerate(self.alphabet, 1):
+            forward, back = steps[i], steps[-i] = {}, {}
+            into: set[int] = set()
             for k, name in enumerate(self.basis_names):
                 edge = self.table.get((gen, k))
                 if edge is None:
@@ -303,14 +303,15 @@ class MappingClassBiset:
                     raise MachineError(
                         f"generator {_quoted(gen)} has an edge from basis "
                         f"element {_quoted(name)} out of the basis")
-                into = steps[edge.target]
-                if -i in into:
+                if edge.target in into:
                     raise MachineError(
                         f"generator {_quoted(gen)} has two edges into basis "
                         f"element {_quoted(self.basis_names[edge.target])}")
+                into.add(edge.target)
                 w = edge.knitting_word
-                steps[k][i] = (w, edge.target)
-                into[-i] = (None if w is None else winv(w), k)
+                if w is not None:
+                    forward[k] = (w, edge.target)
+                    back[edge.target] = (winv(w), k)
         self._steps = steps
 
     @property
@@ -524,39 +525,33 @@ def full_twist_generators(G: SphereGroup):
             for i in range(1, G.n + 1) for j in range(i + 1, G.n + 1)]
 
 
+def _check_basis_index(mcb: MappingClassBiset, k: int) -> None:
+    if not 0 <= k < mcb.size:
+        raise MachineError(f"basis index {k} is outside 0..{mcb.size - 1}")
+
+
 def rewrite(mcb: MappingClassBiset, k: int, m: TwistWord):
     """Push a twist word through the recursion: Psi_k * m = m' * Psi_k'.
 
-    Returns (m', k').  One pass over the reduced word: each letter reads
-    its step word and next element from the biset's step table (see
-    MappingClassBiset) and appends the word to m', calling the junction
-    kernel only where it cancels.  So the cost is linear in the letters
+    Returns (m', k') from one walk of the reduced word through the
+    biset's step table (see MappingClassBiset), linear in the letters
     read and written.  Every step met must carry a twist-word knitting.
     """
-    if not 0 <= k < mcb.size:
-        raise MachineError(f"basis index {k} is outside 0..{mcb.size - 1}")
-    steps = mcb._steps
-    out: list[int] = []
-    for x in reduce_word(m):
-        try:
-            w, nxt = steps[k][x]
-        except KeyError:
+    _check_basis_index(mcb, k)
+    try:
+        (out,), (k,) = walk(mcb._steps, (k,), reduce_word(m))
+    except KeyError as exc:
+        k, x = exc.args
+        if x not in mcb._steps:
             raise MachineError(
                 f"twist letter {x} is outside the alphabet of "
                 f"{len(mcb.alphabet)} generators") from None
-        if w is None:
-            source = k if x > 0 else nxt
-            raise MachineError(
-                f"edge ({_elided(mcb.alphabet[abs(x) - 1], str)}, "
-                f"{_elided(mcb.basis_names[source], str)}) has no "
-                "twist-word knitting")
-        # most junctions cancel nothing: skip the kernel's call for them
-        if out and w and out[-1] == -w[0]:
-            _append_reduced(out, w)
-        else:
-            out.extend(w)
-        k = nxt
-    return tuple(out), k
+        gen = mcb.alphabet[abs(x) - 1]
+        source = k if x > 0 else mcb.action_perm(gen).index(k)
+        raise MachineError(
+            f"edge ({_elided(gen, str)}, {_elided(mcb.basis_names[source], str)})"
+            " has no twist-word knitting") from None
+    return out, k
 
 
 @dataclass
@@ -574,8 +569,9 @@ def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) ->
     (len(word), word, basis index), so every start that ends in the same
     cycle reports it alike.  Each step is one rewrite, so a step met
     without a twist-word knitting raises the MachineError that names its
-    edge; the empty word is fixed on any biset."""
+    edge; the empty word is fixed at any basis index of the biset."""
     w, k = reduce_word(start[0]), start[1]
+    _check_basis_index(mcb, k)
     trace = [(w, k)]
     seen = {(w, k): 0}
     step = 0

@@ -17,14 +17,16 @@ re-reducing a reduced word, such as a twist word that rewrite or
 conjugacy iteration is handed, costs no stack walk either.
 
 Products of reduced words cancel only at each junction, so one kernel,
-_append_reduced, does all free reduction of products (mcbiset.rewrite
-calls it at the junctions of its step words too): it walks the
+_append_reduced, does all free reduction of products: it walks the
 cancellation letter by letter and copies the rest with one extend.
-Each letter is cancelled at most once, so wmul and substitution cost
-time linear in the letters written.  substitute_all is the one
-substitution kernel: it maps a batch of words and builds the signed
-images it needs once per batch; Automorphism.apply_all and compose,
-machine.post_compose and folding.expand_expression call it.
+Each letter is cancelled at most once, so wmul, substitution and walk
+cost time linear in the letters written.  walk is the one reader of a
+step table, (state, signed letter) -> (word, next state), such as a
+machine's wreath recursion, a biset's twist recursion and a folded
+subgroup graph.  substitute_all is the one substitution kernel: it
+maps a batch of words and builds the signed images it needs once per
+batch; Automorphism.apply_all and compose, machine.post_compose and
+folding.expand_expression call it.
 It maps a word with a wing, c * u * c^-1, as phi(c) * phi(u) *
 phi(c)^-1, so the letters of c are substituted once.  cyclic_reduce
 walks the wing letter by letter and is linear.  run_length_str prints
@@ -100,6 +102,29 @@ def wmul(*words: Word) -> Word:
         else:
             out.extend(w)
     return tuple(out)
+
+
+def walk(steps, starts, letters) -> tuple[tuple[Word, ...], tuple[int, ...]]:
+    """(Products, end states): the sequence letters read from each start
+    through steps, where steps[x][k] is the (reduced word, next state) of
+    the signed letter x at the state k, or missing.  Each product is the
+    reduced product of the words met.  The first missing step raises
+    KeyError(k, x)."""
+    words, ends = [], []
+    for k in starts:
+        out: list[int] = []
+        try:
+            for x in letters:
+                w, k = steps[x][k]
+                if out and w and out[-1] == -w[0]:
+                    _append_reduced(out, w)
+                else:
+                    out.extend(w)
+        except KeyError:  # from the lookup, before k moves on
+            raise KeyError(k, x) from None
+        words.append(tuple(out))
+        ends.append(k)
+    return tuple(words), tuple(ends)
 
 
 def winv(w: Word) -> Word:

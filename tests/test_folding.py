@@ -138,7 +138,7 @@ def test_fold_matches_plain_stallings(gens, expr, probes):
     complete = all((v, x) in trans for v in states for x in LETTERS2)
     assert graph.index_in(range(1, 3)) == (len(states) if complete else None)
     # no two edges share a (vertex, signed letter)
-    assert len(graph._trans) == 2 * len(graph._edges)
+    assert sum(map(len, graph._steps.values())) == 2 * len(graph._edges)
     expr = tuple(x for x in expr if abs(x) <= len(gens))
     member = expand_expression(reduce_word(expr), gens)
     for w in [member] + probes:
@@ -270,10 +270,10 @@ class PetalGraph(SubgroupGraph):
                     attach(s, b, e)
         self._edges = [e for at in adj if at
                        for b, edges in at.items() if b > 0 for e in edges]
-        self._trans = {}
+        self._steps = {}
         for u, x, v, dec in self._edges:
-            self._trans[(u, x)] = (v, dec)
-            self._trans[(v, -x)] = (u, winv(dec))
+            self._steps.setdefault(x, {})[u] = (dec, v)
+            self._steps.setdefault(-x, {})[v] = (winv(dec), u)
         self.relators = [cyclic_reduce(self._positions(r))[0]
                          for r in relators]
 

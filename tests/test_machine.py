@@ -11,7 +11,7 @@ from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError, NotSphereBiset,
     validate_sphere, multiset_of_lifts, portrait, tensor, change_basis,
     pre_compose, post_compose, normalize_basis, stabilizer_subgroup,
-    tree_words, LiftMultiset, cycle_classes,
+    tree_words, LiftMultiset, cycle_classes, ValidationReport,
 )
 from sphmach.folding import SubgroupGraph
 
@@ -84,6 +84,112 @@ def test_evaluate_is_the_row_product(name, data):
     at = data.draw(st.integers(0, len(w)))
     with pytest.raises(MachineError, match=f"letter {bad} outside"):
         M.evaluate(w[:at] + [bad] + w[at:])
+
+
+def _fresh(M):
+    """A copy of M whose evaluation has built no steps yet."""
+    return SphereMachine(M.source, M.target, M.rows)
+
+
+def test_evaluate_names_a_letter_outside_the_source_group():
+    for name, fixture in ZOO_MACHINES.items():
+        M = fixture().machine
+        n = M.source.n
+        for x in (0, n + 1, -(n + 1)):
+            for w in ((x,), (1, -2, x), (x, 1)):
+                with pytest.raises(MachineError) as exc:
+                    _fresh(M).evaluate(w)
+                assert str(exc.value) == f"letter {x} outside source group"
+
+
+def test_evaluate_reads_a_one_shot_iterator_from_every_point():
+    # the walk reads the word once from each of the degree basis points
+    rng = random.Random(32)
+    for name, fixture in ZOO_MACHINES.items():
+        M = fixture().machine
+        for length in (1, 5, 12):
+            w = rand_word(rng, M.source, length)
+            assert _fresh(M).evaluate(iter(w)) == _row_product(M, w), name
+            assert _fresh(M).evaluate(iter(w)) == M.evaluate(w), name
+
+
+def test_a_positive_word_inverts_no_row(monkeypatch):
+    inverted = []
+    inv = WreathElement.inv
+    monkeypatch.setattr(WreathElement, "inv",
+                        lambda self: inverted.append(self) or inv(self))
+    machines = [fixture().machine for fixture in ZOO_MACHINES.values()]
+    for M in machines + list(zoo.centralizer7_tower()[1:]):
+        assert _fresh(M).relator_ok()
+    assert inverted == []
+    monkeypatch.undo()
+    for M in machines:
+        for i, row in enumerate(M.rows, 1):
+            assert _fresh(M).evaluate((-i,)) == row.inv()
+
+
+def _validation_evaluating_every_generator(M):
+    """validate_sphere with the lifts of every generator read from its
+    evaluation: the reference for the rows that validate_sphere reads."""
+    details = []
+    relator_ok = M.evaluate(M.source.relator).is_identity()
+    if not relator_ok:
+        details.append("malformed machine: wreath image of the relator "
+                       "is not the identity")
+    gens = M.monodromy_perms()
+    transitive = perms.is_transitive(gens, M.degree)
+    if not transitive:
+        details.append("monodromy action is not transitive")
+    deficit = sum(perms.deficit(p) for p in gens)
+    rh = deficit == 2 * M.degree - 2
+    if not rh:
+        details.append(f"cycle deficit {deficit} != 2d-2 = {2 * M.degree - 2}")
+    found, mapping, ok3 = [], {}, True
+    for i in range(1, M.source.n + 1):
+        for d, cls in multiset_of_lifts(M, M.source.gen(i)).entries:
+            if cls.is_trivial():
+                continue
+            j = cls.peripheral_index()
+            if j is None:
+                ok3 = False
+                details.append(
+                    f"lift of class {i} hits non-peripheral class {cls!r}")
+            else:
+                found.append(j)
+                mapping[j] = (i, d)
+    if sorted(found) != list(range(1, M.target.n + 1)):
+        ok3 = False
+        details.append("peripheral classes of the target are not hit exactly once")
+    return ValidationReport(relator_ok, transitive, rh, ok3, details, mapping)
+
+
+def test_validation_reads_the_rows_of_the_kept_generators(monkeypatch):
+    machines = [fixture().machine for fixture in ZOO_MACHINES.values()]
+    machines += zoo.centralizer7_tower()[1:]
+    # a machine whose relator fails, which lifts a class non-peripherally
+    M = centralizer7()
+    rows = list(M.rows)
+    entries = list(rows[2].entries)
+    entries[0] = M.target.normal_form([3, 3])
+    rows[2] = WreathElement(tuple(entries), rows[2].perm)
+    machines.append(SphereMachine(M.source, M.target, rows))
+    evaluated = []
+    evaluate = SphereMachine.evaluate
+    for M in machines:
+        want = _validation_evaluating_every_generator(M)
+        monkeypatch.setattr(SphereMachine, "evaluate", lambda self, w:
+                            evaluated.append(w) or evaluate(self, w))
+        got = validate_sphere(M)
+        monkeypatch.undo()
+        assert got == want
+        assert (got.details, got._mapping) == (want.details, want._mapping)
+        # the relator and the one generator that is not a kept letter
+        G = M.source
+        eliminated = [g for i, g in enumerate(G.gens, 1) if g != (i,)]
+        assert len(eliminated) == 1
+        assert evaluated == [G.relator] + eliminated
+        evaluated.clear()
+    assert not want.relator_ok and not want.lifts_partition
 
 
 def test_validation_of_fixtures():

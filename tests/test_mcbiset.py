@@ -638,6 +638,12 @@ def test_rewrite_and_action_perm_reject_what_is_not_in_the_biset():
         for word in ((1,), (-1,), ()):
             with pytest.raises(MachineError, match="outside 0..1"):
                 rewrite(mcb, k, word)
+    # the empty word reaches no rewrite, yet names no basis element either
+    for k in (-1, mcb.size, 99):
+        for word in ((), [], (1, -1)):
+            with pytest.raises(MachineError) as exc:
+                conjugacy_iterate(mcb, (word, k))
+            assert str(exc.value) == f"basis index {k} is outside 0..1"
     with pytest.raises(MachineError, match="'x' is not in the alphabet"):
         mcb.action_perm("x")
 

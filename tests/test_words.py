@@ -456,6 +456,58 @@ def test_wmul_matches_reduce_word(pair, c):
 
 
 @st.composite
+def step_tables(draw):
+    """(states, a letter-major step table over LETTERS3): in about half
+    the tables some steps, and some whole letters, are left out."""
+    states = draw(st.integers(1, 3))
+    holes = draw(st.booleans())
+    steps = {}
+    for x in LETTERS3:
+        if holes and draw(st.integers(0, 5)) == 0:
+            continue
+        steps[x] = {}
+        for k in range(states):
+            if holes and draw(st.integers(0, 5)) == 0:
+                continue
+            steps[x][k] = (draw(reduced_words(6)),
+                           draw(st.integers(0, states - 1)))
+    return states, steps
+
+
+def _walk_by_products(steps, k, letters):
+    """(product of the step words by wmul, end state) from state k, or
+    KeyError(state, letter) at the first missing step."""
+    met = []
+    for x in letters:
+        if k not in steps.get(x, {}):
+            raise KeyError(k, x)
+        w, k = steps[x][k]
+        met.append(w)
+    return wmul(*met), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_tables(), st.data())
+def test_walk_matches_the_products_of_its_steps(table, data):
+    states, steps = table
+    starts = data.draw(st.lists(st.integers(0, states - 1), max_size=4))
+    # not reduced, so that step words cancel against each other too
+    letters = tuple(data.draw(st.lists(
+        st.sampled_from(LETTERS3 * 3 + [4, -4]), max_size=12)))
+    want = []
+    for k in starts:
+        try:
+            want.append(_walk_by_products(steps, k, letters))
+        except KeyError as missing:
+            with pytest.raises(KeyError) as exc:
+                words.walk(steps, starts, letters)
+            assert exc.value.args == missing.args
+            return
+    assert words.walk(steps, starts, letters) == (
+        tuple(w for w, _ in want), tuple(k for _, k in want))
+
+
+@st.composite
 def sphere_automorphisms(draw):
     """A product of Dehn twists and their inverses on four punctures:
     long images whose application cancels heavily."""
