@@ -104,17 +104,12 @@ class SphereMachine:
         n, steps = self.source.n, self._steps
         w = tuple(w)
         for x in w:
-            if x in steps:
-                continue
-            if 0 < x <= n:
-                row = self.rows[x - 1]
-                steps[x] = list(zip(row.entries, row.perm))
-            elif 0 < -x <= n:
-                row = self.rows[-x - 1]
-                steps[x] = [(winv(row.entries[p]), p)
-                            for p in perms.inverse(row.perm)]
-            else:
-                raise MachineError(f"letter {x} outside source group")
+            if x not in steps:
+                if not 0 < abs(x) <= n:
+                    raise MachineError(f"letter {x} outside source group")
+                row = self.rows[abs(x) - 1]
+                steps[x] = list(zip(row.entries, row.perm)) if x > 0 else [
+                    (winv(row.entries[p]), p) for p in perms.inverse(row.perm)]
         return WreathElement(*walk(steps, range(self.degree), w))
 
     def relator_ok(self) -> bool:
@@ -316,10 +311,13 @@ def change_basis(M: SphereMachine, b: BasisChange) -> SphereMachine:
     ell = [M.target.normal_form(w) for w in b.conjugators]
     rows = []
     for row in M.rows:
-        img = tuple(rho_inv[row.perm[p]] for p in rho)
-        rows.append(WreathElement(
-            tuple(wmul(winv(ell[i]), row.entries[p], ell[j])
-                  for i, (p, j) in enumerate(zip(rho, img))), img))
+        entries: list[Word] = [EPSILON] * M.degree
+        img: list[int] = [0] * M.degree
+        for i in range(M.degree):
+            j = rho_inv[row.perm[rho[i]]]
+            entries[i] = wmul(winv(ell[i]), row.entries[rho[i]], ell[j])
+            img[i] = j
+        rows.append(WreathElement(tuple(entries), tuple(img)))
     return SphereMachine(M.source, M.target, rows)
 
 
