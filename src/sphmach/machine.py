@@ -329,7 +329,8 @@ def pre_compose(M: SphereMachine, phi: Automorphism) -> SphereMachine:
     if not is_peripheral_preserving(phi):
         raise MachineError("automorphism does not preserve peripheral classes")
     return SphereMachine(M.source, M.target,
-                         [M.evaluate(w) for w in phi.apply_all(M.source.gens)])
+                         [M.evaluate(w)
+                          for w in substitute_all(M.source.gens, phi.images)])
 
 
 def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:
@@ -338,7 +339,7 @@ def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:
         raise MachineError("post_compose needs an automorphism of the target group")
     if not is_peripheral_preserving(psi):
         raise MachineError("automorphism does not preserve peripheral classes")
-    # machine entries are normal forms: no apply_all normalisation needed
+    # machine entries are normal forms, so they go to the kernel as they are
     images = substitute_all((e for row in M.rows for e in row.entries),
                             psi.images)
     return SphereMachine(M.source, M.target,

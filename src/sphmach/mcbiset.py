@@ -191,7 +191,7 @@ class _KnitSolver:
             rho = perms.inverse(sigma)
             ginv = winv(g)
             lam = [wmul(a, ginv, b)
-                   for a, b in zip(knit.apply_all(self.alpha), beta)]
+                   for a, b in zip(substitute_all(self.alpha, images), beta)]
             yield knit, BasisChange(tuple(lam[rho[i]] for i in range(d)), rho)
 
     def solve(self, M2: SphereMachine, d2: Distillation | None = None):
@@ -538,8 +538,13 @@ def rewrite(mcb: MappingClassBiset, k: int, m: TwistWord):
     read and written.  Every step met must carry a twist-word knitting.
     """
     _check_basis_index(mcb, k)
+    return _rewrite_reduced(mcb, k, reduce_word(m))
+
+
+def _rewrite_reduced(mcb: MappingClassBiset, k: int, m: TwistWord):
+    """rewrite of the reduced word m at the checked basis index k."""
     try:
-        (out,), (k,) = walk(mcb._steps, (k,), reduce_word(m))
+        (out,), (k,) = walk(mcb._steps, (k,), m)
     except KeyError as exc:
         k, x = exc.args
         if x not in mcb._steps:
@@ -567,9 +572,11 @@ def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) ->
 
     A cycle's states are listed from its least state under the key
     (len(word), word, basis index), so every start that ends in the same
-    cycle reports it alike.  Each step is one rewrite, so a step met
-    without a twist-word knitting raises the MachineError that names its
-    edge; the empty word is fixed at any basis index of the biset."""
+    cycle reports it alike.  Each step is one rewrite of the word the
+    last one returned, which is reduced, so only the start is reduced; a
+    step met without a twist-word knitting raises the MachineError that
+    names its edge.  The empty word is fixed at any basis index of the
+    biset."""
     w, k = reduce_word(start[0]), start[1]
     _check_basis_index(mcb, k)
     trace = [(w, k)]
@@ -578,7 +585,7 @@ def conjugacy_iterate(mcb: MappingClassBiset, start, max_steps: int = 10_000) ->
     while w:
         if step == max_steps:
             return Terminal("max-steps", [trace[-1]], max_steps)
-        w, k = rewrite(mcb, k, w)
+        w, k = _rewrite_reduced(mcb, k, w)
         step += 1
         state = (w, k)
         if state in seen:

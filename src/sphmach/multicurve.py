@@ -17,7 +17,7 @@ from .words import (
     is_peripheral_preserving,
 )
 from .folding import SubgroupGraph, expand_expression
-from .machine import SphereMachine, multiset_of_lifts
+from .machine import SphereMachine, multiset_of_lifts, _elided
 from .mcbiset import MappingClassBiset
 
 
@@ -151,6 +151,12 @@ def charpoly(A: list[list[Fraction]]) -> list[Fraction]:
     coefficients of det(xI - B), integers, so each division by k is
     exact; those of det(xI - A) are c_k / D^k."""
     D, B = _integer_matrix(A)
+    return [Fraction(c, D ** k) for k, c in enumerate(_integer_charpoly(B))]
+
+
+def _integer_charpoly(B: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - B), highest power first, for an integer
+    matrix B: the Faddeev-LeVerrier loop of charpoly."""
     n = len(B)
     coeffs = [1]
     Mk = [[0] * n for _ in range(n)]
@@ -160,7 +166,7 @@ def charpoly(A: list[list[Fraction]]) -> list[Fraction]:
         cols = list(zip(*Mk))
         Mk = [[sum(map(mul, row, col)) for col in cols] for row in B]
         coeffs.append(-sum(Mk[i][i] for i in range(n)) // k)
-    return [Fraction(c, D ** k) for k, c in enumerate(coeffs)]
+    return coeffs
 
 
 def _primitive(p):
@@ -253,10 +259,11 @@ def is_obstructed(T: ThurstonMatrix) -> ObstructionReport:
     if any(x < 0 for row in T.entries for x in row):
         raise MulticurveError("matrix has negative entries")
     D, B = _integer_matrix(T.entries)
-    p = charpoly(T.entries)
     # work in y = D*x: det(yI - B) = D^n p(y/D) has integer coefficients,
     # and its chain at y has the signs of p's chain at x = y/D
-    chain = _sturm_chain([c * D ** k for k, c in enumerate(p)])
+    q = _integer_charpoly(B)
+    p = [Fraction(c, D ** k) for k, c in enumerate(q)]
+    chain = _sturm_chain(q)
     # every real root lies below bound = (largest row sum) + 1, that is
     # y = top, so the distinct roots in (y, top] number V(y) - V(top)
     top = max(map(sum, B), default=0) + D
@@ -298,10 +305,16 @@ def twist_lift_check(mcb: MappingClassBiset, T: ThurstonMatrix,
     problems = []
     gens = mcb.gens
     for name in twist_names:
+        if name not in gens:
+            raise MulticurveError(f"twist {_elided(name, str)} has no automorphism")
         if not is_peripheral_preserving(gens[name]):
             raise MulticurveError(f"{name} is not peripheral-preserving")
     for col, name in enumerate(twist_names):
         edge = mcb.table[(name, mcb.base)]
+        if edge.knitting_auto is None:
+            base = _elided(mcb.basis_names[mcb.base], str)
+            raise MulticurveError(f"edge ({_elided(name, str)}, {base}) has no "
+                                  "knitting automorphism")
         if edge.target != mcb.base:
             problems.append(f"{name}: base element not fixed")
             continue
@@ -359,12 +372,8 @@ class LinExpr:
     def content(self) -> Fraction:
         """The positive rational c with self = +-c * normalized() (1 for 0)."""
         items = [v for _, v in self.coeffs] + ([self.const] if self.const else [])
-        denom = 1
-        for v in items:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        g = 0
-        for v in items:
-            g = gcd(g, abs(int(v * denom)))
+        denom = lcm(*(v.denominator for v in items))
+        g = gcd(*(v.numerator * (denom // v.denominator) for v in items))
         return Fraction(g or 1, denom)
 
     def normalized(self) -> "LinExpr":

@@ -23,13 +23,12 @@ Each letter is cancelled at most once, so wmul, substitution and walk
 cost time linear in the letters written.  walk is the one reader of a
 step table, (state, signed letter) -> (word, next state), such as a
 machine's wreath recursion, a biset's twist recursion and a folded
-subgroup graph.  substitute_all is the one substitution kernel: it
-maps a batch of words and builds the signed images it needs once per
-batch; Automorphism.apply_all and compose, machine.post_compose and
-folding.expand_expression call it.
-It maps a word with a wing, c * u * c^-1, as phi(c) * phi(u) *
-phi(c)^-1, so the letters of c are substituted once.  cyclic_reduce
-walks the wing letter by letter and is linear.  run_length_str prints
+subgroup graph.  substitute_all is the one substitution kernel: one
+loop that maps a batch of words letter by letter and builds the signed
+images it needs once per batch.  Automorphism.__call__ and compose,
+machine.pre_compose and post_compose, the knitting solver and
+folding.expand_expression call it.  cyclic_reduce walks the wings of
+a conjugate letter by letter and is linear.  run_length_str prints
 a word with no two equal neighbours, such as almost every knitting
 image, with one join over a table of letter tokens.
 """
@@ -138,13 +137,11 @@ def substitute_all(words, images):
     The images must be freely reduced.  The signed pieces are built once
     per batch, only for the letters met, so every letter costs one
     extend, or one _append_reduced where its piece cancels against the
-    product so far.  A word with a wing, c * u * c^-1 with c nonempty,
-    is mapped as phi(c) * phi(u) * phi(c)^-1: the letters of c are
-    substituted once, not twice.
+    product so far.
     """
     pieces: dict[int, Word] = {}
-
-    def spell(w, out: list[int]) -> list[int]:
+    for w in words:
+        out: list[int] = []
         for x in w:
             img = pieces.get(x)
             if img is None:
@@ -154,17 +151,7 @@ def substitute_all(words, images):
                 _append_reduced(out, img)
             else:
                 out.extend(img)
-        return out
-
-    for w in words:
-        if len(w) > 2 and w[0] == -w[-1]:
-            core, c = cyclic_reduce(w)
-            wing = spell(c, [])
-            out = spell(core, wing.copy())
-            _append_reduced(out, winv(wing))
-            yield tuple(out)
-        else:
-            yield tuple(spell(w, []))
+        yield tuple(out)
 
 
 def conjugate(w: Word, by: Word) -> Word:
@@ -448,14 +435,8 @@ class Automorphism:
         return cls(group, group.gens, check=False)
 
     def __call__(self, w) -> Word:
-        return next(self.apply_all((w,)))
-
-    def apply_all(self, words):
-        """Yield self(w) for each w in words, in order (see
-        substitute_all; nothing is kept on the automorphism).  Each word
-        is brought to normal form first; a caller holding normal forms
-        can call substitute_all(words, self.images) directly."""
-        return substitute_all(map(self.group.normal_form, words), self.images)
+        """The image of w, brought to normal form first."""
+        return next(substitute_all((self.group.normal_form(w),), self.images))
 
     def __eq__(self, other):
         return (isinstance(other, Automorphism)

@@ -190,7 +190,7 @@ def test_relator_check_matches_the_direct_check(gens, twists, perturb):
     psi = Automorphism.identity(F2)
     for k, inverse in twists:
         psi = psi.compose(TWISTS[k].inverse() if inverse else TWISTS[k])
-    ys = list(psi.apply_all(gens))
+    ys = list(substitute_all(gens, psi.images))
     if perturb is not None:
         k = perturb[0] % len(gens)
         ys[k] = wmul(ys[k], (perturb[1],))

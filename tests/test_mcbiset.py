@@ -12,6 +12,7 @@ from sphmach.machfile import save_mcb
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, outer_equal, outer_normalize, wmul,
     winv, reduce_word, inner_conjugator, is_peripheral_preserving, EPSILON,
+    substitute_all,
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError,
@@ -695,6 +696,20 @@ def test_conjugacy_iterate_examples():
     assert ((-t,), 0) in term.states
 
 
+def test_conjugacy_iterate_reduces_only_the_start(monkeypatch):
+    # each later step walks the word the last walk returned, reduced
+    mcb = zoo.rabbit_mcb()
+    start = (2, -1, 1, 2, 2, 2, 2, 2)   # t * s^-1 * s * t^5, not reduced
+    want = conjugacy_iterate(mcb, (start, 0))
+    calls = []
+    real = mcbiset.reduce_word
+    monkeypatch.setattr(mcbiset, "reduce_word",
+                        lambda w: calls.append(w) or real(w))
+    term = conjugacy_iterate(mcb, (start, 0))
+    assert calls == [start]
+    assert term == want == Terminal("fixed", [((), 1)], 3)
+
+
 def test_a_cycle_is_reported_from_its_least_state():
     # the corabbit cycle t^-1 @ f_R -> u^-1 @ f_R.t -> s^-1 @ f_R reads
     # the same from each of its states: u^-1 @ f_R.t first, the least
@@ -977,7 +992,7 @@ def _least_images(moves, entries, js):
     the entries have the least total letters."""
     best = None
     for j in js:
-        images = list(moves[j][0].apply_all(entries))
+        images = list(substitute_all(entries, moves[j][0].images))
         letters = sum(map(len, images))
         if best is None or letters < best[0]:
             best = letters, j, images

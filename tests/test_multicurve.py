@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -390,6 +391,21 @@ def test_twist_lift_check_sees_what_fingerprints_miss():
         f"{[int(T.entries[r][0]) for r in range(len(T.rows))]}"]
 
 
+def test_twist_lift_check_needs_the_automorphisms():
+    M, C, autos = fixture()
+    T = thurston_matrix(M, C)
+    identity = ThurstonMatrix(T.rows, T.cols,
+                              [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+    # the rabbit's biset holds twist-word knittings and no automorphisms
+    with pytest.raises(MulticurveError, match="^twist s has no automorphism$"):
+        twist_lift_check(zoo.rabbit_mcb(), identity, ["s", "t"])
+    mcb = compute_mcbiset(M, [("sigma", autos["sigma"]), ("tau", autos["tau"])])
+    mcb.table[("tau", mcb.base)].knitting_auto = None
+    with pytest.raises(MulticurveError,
+                       match=r"^edge \(tau, b0\) has no knitting automorphism$"):
+        twist_lift_check(mcb, T, ["sigma", "tau"])
+
+
 def test_twist_lift_check_identity_machine():
     G = SphereGroup(["a", "b", "c", "d", "e"])
     M = SphereMachine.identity(G)
@@ -437,6 +453,31 @@ def test_verify_fixed_point_rejects_a_wrong_solution_entry():
     wrong = [sol.solution[0], sol.solution[1] + LinExpr.of(1)]
     assert not verify_fixed_point(
         dataclasses.replace(sol, solution=wrong), prob, values)
+
+
+def _content_by_loops(e):
+    """LinExpr.content as two hand loops: the lcm of the denominators,
+    then the gcd of the cleared numerators."""
+    items = [v for _, v in e.coeffs] + ([e.const] if e.const else [])
+    denom = 1
+    for v in items:
+        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    g = 0
+    for v in items:
+        g = math.gcd(g, abs(int(v * denom)))
+    return Fraction(g or 1, denom)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10 ** 6).filter(bool), max_size=5),
+       st.fractions(max_denominator=10 ** 6))
+def test_content_matches_the_hand_loops(coeffs, const):
+    e = LinExpr(tuple((f"x{i}", v) for i, v in enumerate(coeffs)), const)
+    assert e.content() == _content_by_loops(e)
+    if not e.is_zero():
+        n = e.normalized()
+        assert all(v.denominator == 1 for _, v in n.coeffs)
+        assert e == n.scale(e.content()) or e == n.scale(-e.content())
 
 
 def test_solver_congruence_modulus_drops_the_content():

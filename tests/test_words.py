@@ -10,7 +10,7 @@ from sphmach.words import (
     SphereGroup, ConjClass, Automorphism,
     reduce_word, wmul, winv, conjugate, cyclic_reduce, is_conjugate,
     dehn_twist, outer_equal, outer_normalize, inner_conjugator,
-    is_peripheral_preserving,
+    is_peripheral_preserving, substitute_all,
 )
 
 import zoo
@@ -540,12 +540,29 @@ def test_automorphism_application_matches_reduce_word(phi, psi, w, batch):
     assert phi(w) == _apply_by_concatenation(phi, w)
     batch = [w] + batch + [tuple(v) for v in batch]
     expected = [_apply_by_concatenation(phi, v) for v in batch]
-    assert list(phi.apply_all(batch)) == expected
-    assert list(phi.apply_all(iter(batch))) == [phi(v) for v in batch]
+    assert [phi(v) for v in batch] == expected
+    forms = [phi.group.normal_form(v) for v in batch]
+    assert list(substitute_all(forms, phi.images)) == expected
+    # the kernel reads a one-shot iterator of words as well
+    assert list(substitute_all(iter(forms), phi.images)) == expected
     both = phi.compose(psi)
     assert both.images == tuple(_apply_by_concatenation(phi, im)
                                 for im in psi.images)
     assert both(w) == phi(psi(w))
+
+
+def test_automorphism_call_normalises_its_word():
+    G = SphereGroup(["a", "b", "c", "d"])
+    phi = dehn_twist(1, 2, G).compose(dehn_twist(2, 4, G).inverse())
+    # d, the eliminated generator, and words with adjacent inverse letters
+    for w in ([4], [-4, 1], [1, 2, -2, 3], [4, -4], [2, -4, 4, -2, 4]):
+        assert phi(w) == _apply_by_concatenation(phi, w) == phi(G.normal_form(w))
+    # a letter outside the group is refused by the normal form, not read
+    # as an image index
+    with pytest.raises(IndexError, match="letter 0 out of range"):
+        phi([1, 0])
+    with pytest.raises(IndexError, match="letter -5 out of range"):
+        phi([-5])
 
 
 # normal_form against a letter-by-letter reference, and cyclic_reduce on
@@ -692,8 +709,8 @@ def test_cyclic_reduce_peels_long_wings_off_one_and_two_letter_cores(size, u):
         _cyclic_reduce_reference(c + winv(c))
 
 
-# the wing path of substitute_all: a conjugate c * u * c^-1 is mapped as
-# phi(c) * phi(u) * phi(c)^-1
+# substitute_all on conjugates c * u * c^-1 with long c, whose images
+# cancel at both junctions of phi(u)
 
 @st.composite
 def winged_words(draw):
@@ -709,7 +726,7 @@ def winged_words(draw):
 @given(sphere_automorphisms(), st.lists(winged_words(), min_size=1, max_size=4),
        long_reduced_words())
 def test_substitution_of_winged_words_matches_concatenation(phi, batch, c):
-    assert list(phi.apply_all(batch)) == \
+    assert list(substitute_all(batch, phi.images)) == \
         [_apply_by_concatenation(phi, w) for w in batch]
     # composing with an inner map sends every image to a long conjugate
     inner = zoo.inner(phi.group, c)
