@@ -93,7 +93,7 @@ def _curves_for(mf: MachineFile, arg: str | None) -> Multicurve:
 
 def _gens_for(mf: MachineFile, arg: str | None):
     M = mf.machine
-    if arg is None or arg == "twists":
+    if arg is None:
         return full_twist_generators(M.source)
     out = {}
     for nm in (x.strip() for x in arg.split(",")):
@@ -443,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mcbiset", cmd_mcbiset, help="enumerate the mapping class biset")
     p.add_argument("machine")
     p.add_argument("--gens", type=_nonempty,
-                   help="'twists' (default) or comma-separated "
-                        "automorphism names from the file")
+                   help="comma-separated automorphism names from the "
+                        "file (default: all twists t_{i,j})")
     p.add_argument("-o", "--output", type=_nonempty,
                    help="write the biset as JSON")
     p = add("iso", cmd_iso, help="left-orbit test with knitting witness")

@@ -322,15 +322,13 @@ def change_basis(M: SphereMachine, b: BasisChange) -> SphereMachine:
 
 
 def pre_compose(M: SphereMachine, phi: Automorphism) -> SphereMachine:
-    """Rows looked up through phi: the recursion of the machine twisted on
-    its source side."""
+    """The machine evaluated on phi's images, one row per generator: the
+    recursion of the machine twisted on its source side."""
     if phi.group != M.source:
         raise MachineError("pre_compose needs an automorphism of the source group")
     if not is_peripheral_preserving(phi):
         raise MachineError("automorphism does not preserve peripheral classes")
-    return SphereMachine(M.source, M.target,
-                         [M.evaluate(w)
-                          for w in substitute_all(M.source.gens, phi.images)])
+    return SphereMachine(M.source, M.target, [M.evaluate(w) for w in phi.images])
 
 
 def post_compose(M: SphereMachine, psi: Automorphism) -> SphereMachine:

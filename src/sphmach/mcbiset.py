@@ -138,7 +138,7 @@ class _KnitSolver:
     with the M1-dependent part precomputed so one machine can be matched
     against many candidates cheaply.  It serves the biset build
     (compute_mcbiset), same_left_orbit, and machine_isomorphism, which is
-    the case of an inner knitting.
+    the case of an inner knitting; each passes in both distillations.
 
     Writing the unknown conjugator at point p as  psi(alpha_p) * beta_p,
     alpha the inverted tree words of M1 and beta those of M2 through the
@@ -153,9 +153,9 @@ class _KnitSolver:
     applied to the x_k: the relators are far shorter than those images.
     """
 
-    def __init__(self, M1: SphereMachine, d1: Distillation | None = None):
+    def __init__(self, M1: SphereMachine, d1: Distillation):
         self.M1 = M1
-        self.d1 = d1 or distill(M1)
+        self.d1 = d1
         # edges (point, row, next) of the breadth-first walk
         self.tree, self.back = perms.spanning_tree(M1.monodromy_perms())
         ell, xs = tree_words(self.tree, self.back, M1.degree,
@@ -187,38 +187,39 @@ class _KnitSolver:
                 continue
             images, g = outer_normal_images(M1.target.complete_images(
                 list(substitute_all(self.exprs, ys))))
-            knit = Automorphism(M1.target, images, check=False)
+            knit = Automorphism(M1.target, images)
             rho = perms.inverse(sigma)
             ginv = winv(g)
             lam = [wmul(a, ginv, b)
                    for a, b in zip(substitute_all(self.alpha, images), beta)]
             yield knit, BasisChange(tuple(lam[rho[i]] for i in range(d)), rho)
 
-    def solve(self, M2: SphereMachine, d2: Distillation | None = None):
-        """The first match of M2, or None when the distillations differ."""
-        d2 = d2 or distill(M2)
-        if self.d1.key != d2.key:
-            return None
+    def solve(self, M2: SphereMachine, d2: Distillation):
+        """The first match of M2, whose distillation d2 has M1's key; a
+        ReconstructionError when there is none."""
         for got in self.matches(M2, d2):
             return got
         raise ReconstructionError(
             "matching distillations but no knitting automorphism found")
 
 
-def _comparable(M1: SphereMachine, M2: SphereMachine) -> bool:
-    """One source, target and degree: the machines a knitting solve takes."""
-    return (M1.source, M1.target, M1.degree) == (M2.source, M2.target, M2.degree)
+def _distillations(M1: SphereMachine, M2: SphereMachine):
+    """(distill(M1), distill(M2)) when the machines have one source,
+    target, degree and distillation key, as a knitting solve needs; else
+    None, with nothing distilled where the groups or degrees differ."""
+    if (M1.source, M1.target, M1.degree) != (M2.source, M2.target, M2.degree):
+        return None
+    d1, d2 = distill(M1), distill(M2)
+    return (d1, d2) if d1.key == d2.key else None
 
 
 def same_left_orbit(M1: SphereMachine, M2: SphereMachine):
     """An automorphism m' with M2 isomorphic to m' . M1 (i.e. post_compose
     (M1, m') and M2 differ by a basis change), or None."""
-    if not _comparable(M1, M2):
+    ds = _distillations(M1, M2)
+    if ds is None:
         return None
-    got = _KnitSolver(M1).solve(M2)
-    if got is None:
-        return None
-    psi = got[0]
+    psi = _KnitSolver(M1, ds[0]).solve(M2, ds[1])[0]
     if not is_peripheral_preserving(psi):
         raise ReconstructionError(
             "knitting automorphism is not peripheral-preserving")
@@ -236,12 +237,10 @@ def machine_isomorphism(Ma: SphereMachine, Mb: SphereMachine) -> BasisChange | N
     Ma must be a sphere machine, whose loop words generate the target;
     otherwise ReconstructionError is raised.
     """
-    if not _comparable(Ma, Mb):
+    ds = _distillations(Ma, Mb)
+    if ds is None:
         return None
-    da, db = distill(Ma), distill(Mb)
-    if da.key != db.key:
-        return None
-    for knit, b in _KnitSolver(Ma, da).matches(Mb, db):
+    for knit, b in _KnitSolver(Ma, ds[0]).matches(Mb, ds[1]):
         if not knit.is_identity_map():
             continue
         if change_basis(Ma, b) != Mb:

@@ -774,7 +774,7 @@ def _class_bijection_iso(dst: SphereGroup, beta: list[int]) -> Automorphism:
             images[j - 1], images[j] = b, conjugate(a, b)
             perm[j - 1], perm[j] = perm[j], perm[j - 1]
             j -= 1
-    return Automorphism(dst, images, check=False)
+    return Automorphism(dst, images)
 
 
 def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
@@ -782,7 +782,7 @@ def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
     """Decide whether a bijection of distinguished classes promotes to a
     conjugator between the trees; h maps tag keys of tree1 to tag keys of
     tree2 (("puncture", i) and ("curve", cid), the first two fields of a
-    tag) and must map every tag of tree1.
+    tag) and must map every tag of tree1 and name only tags of the trees.
 
     Only steps 1 and 2 can fail.  Step 2 matches each vertex v of tree1
     to the vertex w of tree2 whose tag keys are the h-images of v's and
@@ -792,10 +792,16 @@ def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
     class of v into its h-image class (step 3), and the image of a curve
     class of v is conjugate to the generator of its slot in w (step 4).
     """
-    for v in tree1.spheres:
-        for t in v.tags:
-            if t[:2] not in h:
-                raise MulticurveError(f"the bijection leaves {t[0]} {t[1]} unmapped")
+    keys1, keys2 = ([t[:2] for v in tree.spheres for t in v.tags]
+                    for tree in (tree1, tree2))
+    for key in keys1:
+        if key not in h:
+            raise MulticurveError(f"the bijection leaves {key[0]} {key[1]} unmapped")
+    for key, image in h.items():
+        for tag, keys, side in ((key, keys1, "first"), (image, keys2, "second")):
+            if tag not in keys:
+                raise MulticurveError(f"the bijection names {tag[0]} {tag[1]}, "
+                                      f"which is no class of the {side} tree")
     # a list, so that a failure names the first bad curve in tree order
     curves1 = [("curve", c.cid) for c in tree1.curves]
     curves2 = {("curve", c.cid) for c in tree2.curves}

@@ -26,9 +26,9 @@ machine's wreath recursion, a biset's twist recursion and a folded
 subgroup graph.  substitute_all is the one substitution kernel: one
 loop that maps a batch of words letter by letter and builds the signed
 images it needs once per batch.  Automorphism.__call__ and compose,
-machine.pre_compose and post_compose, the knitting solver and
-folding.expand_expression call it.  cyclic_reduce walks the wings of
-a conjugate letter by letter and is linear.  run_length_str prints
+machine.post_compose, the knitting solver and folding.expand_expression
+call it.  cyclic_reduce walks the wings of a conjugate letter by letter
+and is linear.  run_length_str prints
 a word with no two equal neighbours, such as almost every knitting
 image, with one join over a table of letter tokens.
 """
@@ -412,27 +412,27 @@ _NOT_COMPUTED = object()
 class Automorphism:
     """An automorphism of a sphere group, given by generator images.
 
-    Images are stored in normal form for all n generators; the product
-    of the images along the relator must reduce to the identity.  The
+    Images are stored in normal form for all n generators; construction
+    checks that their product along the relator reduces to 1.  The
     images are never changed after construction, so values derived from
     them are kept on the automorphism once computed: the inverse, and
     the result of the one peripheral pass (see _fingerprint), which
     serves both is_peripheral_preserving and mcbiset.twist_fingerprint.
     """
 
-    def __init__(self, group: SphereGroup, images, check: bool = True):
+    def __init__(self, group: SphereGroup, images):
         self.group = group
         self.images: tuple[Word, ...] = tuple(group.normal_form(w) for w in images)
         if len(self.images) != group.n:
             raise ValueError(f"expected {group.n} images, got {len(self.images)}")
-        if check and wmul(*[self.images[r - 1] for r in group.relator]) != EPSILON:
+        if wmul(*[self.images[r - 1] for r in group.relator]) != EPSILON:
             raise ValueError("generator images do not satisfy the relator")
         self._inverse: Automorphism | None = None
         self._fingerprint = _NOT_COMPUTED
 
     @classmethod
     def identity(cls, group: SphereGroup) -> "Automorphism":
-        return cls(group, group.gens, check=False)
+        return cls(group, group.gens)
 
     def __call__(self, w) -> Word:
         """The image of w, brought to normal form first."""
@@ -457,8 +457,7 @@ class Automorphism:
             raise ValueError("automorphisms over different groups")
         # other's images are normal forms, and so are their images
         return Automorphism(self.group,
-                            list(substitute_all(other.images, self.images)),
-                            check=False)
+                            list(substitute_all(other.images, self.images)))
 
     def is_identity_map(self) -> bool:
         return self.images == self.group.gens
@@ -481,8 +480,7 @@ class Automorphism:
                 # give the preimage
                 inv_imgs.append(G.normal_form(
                     free[x - 1] if x > 0 else -free[-x - 1] for x in expr))
-            self._inverse = Automorphism(G, G.complete_images(inv_imgs),
-                                         check=False)
+            self._inverse = Automorphism(G, G.complete_images(inv_imgs))
             self._inverse._inverse = self
         return self._inverse
 
@@ -558,8 +556,7 @@ def outer_normal_images(images) -> tuple[list[Word], Word]:
 def outer_normalize(phi: Automorphism) -> Automorphism:
     """phi inner-adjusted to a least total image length, stripping
     accumulated conjugation bloat (see outer_normal_images)."""
-    return Automorphism(phi.group, outer_normal_images(phi.images)[0],
-                        check=False)
+    return Automorphism(phi.group, outer_normal_images(phi.images)[0])
 
 
 def inner_conjugator(phi: Automorphism) -> Word | None:
@@ -591,8 +588,7 @@ def dehn_twist(i: int, j: int, G: SphereGroup) -> Automorphism:
     segment = [G.relator[k - 1] for k in range(i, j + 1)]
     w = wmul(*map(G.gen, segment))
     twist, inverse = (Automorphism(G, [conjugate(g, by) if k in segment else g
-                                       for k, g in enumerate(G.gens, 1)],
-                                   check=False)
+                                       for k, g in enumerate(G.gens, 1)])
                       for by in (w, winv(w)))
     twist._inverse, inverse._inverse = inverse, twist
     return twist

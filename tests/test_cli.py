@@ -691,6 +691,23 @@ def test_cli_promote_rejects_a_label_mapped_twice(capsys):
     assert "'x1' is mapped twice" in capsys.readouterr().err
 
 
+def test_cli_promote_rejects_a_label_that_names_no_curve(capsys):
+    # centralizer7's curves are c0 and c1: a map that also names c7, or
+    # sends a generator to c9, is an input error, not a promotion
+    mach = str(MACHINES / "centralizer7.mach")
+    full = [f"x{i}:x{i}" for i in range(1, 8)] + ["c0:c0", "c1:c1"]
+    first = "the bijection names curve 7, which is no class of the first tree"
+    for extra in ("c7:c0", "c7:c9"):
+        assert run_cli("promote", mach, mach, "--map",
+                       ",".join(full + [extra])) == 3
+        assert capsys.readouterr().err == f"error: {first}\n"
+    assert run_cli("promote", mach, mach, "--map",
+                   ",".join(["x1:c9"] + full[1:])) == 3
+    assert capsys.readouterr().err == (
+        "error: the bijection names curve 9, which is no class of the "
+        "second tree\n")
+
+
 def test_cli_promote_reads_a_generator_named_like_a_curve(tmp_path, capsys):
     # z5belyi with its generators a, b, c, d renamed c1, c2, c3, c4
     z5 = MACHINES / "z5belyi.mach"
@@ -944,6 +961,23 @@ def test_cli_mcbiset_named_generators(capsys):
     assert (result["basis_size"], result["generators"]) == (120, ["s", "t", "u"])
     assert run_cli("mcbiset", fb, "--gens", "s,zz") == 3
     assert "--gens: automorphism 'zz' not defined" in capsys.readouterr().err
+
+
+def test_cli_mcbiset_gens_twists_is_a_name_like_any_other(capsys, tmp_path):
+    # all twists is what an omitted --gens means; "twists" names an
+    # automorphism of the file
+    fb = MACHINES / "fbiset.mach"
+    renamed = tmp_path / "twists.mach"
+    renamed.write_text(fb.read_text().replace("auto s =", "auto twists ="))
+    assert run_cli("--json", "mcbiset", str(fb), "--gens", "s") == 0
+    by_s = json.loads(capsys.readouterr().out)["result"]
+    assert run_cli("--json", "mcbiset", str(renamed), "--gens", "twists") == 0
+    got = json.loads(capsys.readouterr().out)["result"]
+    assert got["generators"] == ["twists"]
+    assert got["basis_size"] == by_s["basis_size"]
+    assert run_cli("mcbiset", str(fb), "--gens", "twists") == 3
+    assert capsys.readouterr().err == \
+        "error: --gens: automorphism 'twists' not defined in the file\n"
 
 
 @pytest.mark.parametrize("names", ["s,,t", ",", "s, "])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sphmach import perms
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, winv, wmul, conjugate, reduce_word,
+    substitute_all,
 )
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError, NotSphereBiset,
@@ -14,6 +15,7 @@ from sphmach.machine import (
     tree_words, LiftMultiset, cycle_classes, ValidationReport,
 )
 from sphmach.folding import SubgroupGraph
+from sphmach.mcbiset import full_twist_generators
 
 import zoo
 
@@ -113,16 +115,14 @@ def test_evaluate_reads_a_one_shot_iterator_from_every_point():
             assert _fresh(M).evaluate(iter(w)) == M.evaluate(w), name
 
 
-def test_a_positive_word_inverts_no_row(monkeypatch):
-    inverted = []
-    inv = WreathElement.inv
-    monkeypatch.setattr(WreathElement, "inv",
-                        lambda self: inverted.append(self) or inv(self))
+def test_a_positive_word_inverts_no_row():
+    # steps are built per letter met: the relator, a positive word with
+    # every generator once, builds the n forward steps and no inverse one
     machines = [fixture().machine for fixture in ZOO_MACHINES.values()]
     for M in machines + list(zoo.centralizer7_tower()[1:]):
-        assert _fresh(M).relator_ok()
-    assert inverted == []
-    monkeypatch.undo()
+        fresh = _fresh(M)
+        assert fresh.relator_ok()
+        assert sorted(fresh._steps) == list(range(1, M.source.n + 1))
     for M in machines:
         for i, row in enumerate(M.rows, 1):
             assert _fresh(M).evaluate((-i,)) == row.inv()
@@ -399,10 +399,33 @@ def test_pre_post_compose_invert():
         assert post_compose(post_compose(M, a), a.inverse()) == M
 
 
+def test_pre_compose_matches_substituting_the_generators():
+    """pre_compose evaluates the machine on phi's images; substituting
+    the generators through those images, as pre-composition once did,
+    gives the images back for an automorphism, whose images satisfy the
+    relator."""
+    rng = random.Random(34)
+    for name, fixture in ZOO_MACHINES.items():
+        mf = fixture()
+        M, G = mf.machine, mf.machine.source
+        twists = [t for _, t in full_twist_generators(G)]
+        autos = list(mf.autos.values()) + twists
+        for _ in range(10):
+            phi = Automorphism.identity(G)
+            for _ in range(rng.randint(1, 6)):
+                t = rng.choice(twists)
+                phi = phi.compose(t if rng.random() < 0.5 else t.inverse())
+            autos.append(phi)
+        for phi in autos:
+            substituted = substitute_all(G.gens, phi.images)
+            assert pre_compose(M, phi) == SphereMachine(
+                M.source, M.target, [M.evaluate(w) for w in substituted]), name
+
+
 def test_compose_rejects_non_peripheral():
     M = zoo.z2().machine
     G = M.source
-    swap = Automorphism(G, [(2,), G.normal_form([-2, 1, 2])], check=False)
+    swap = Automorphism(G, [(2,), G.normal_form([-2, 1, 2])])
     with pytest.raises(MachineError):
         pre_compose(M, swap)
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import random
 from unittest import mock
@@ -256,13 +257,22 @@ def test_machine_isomorphism_round_trip():
 
 
 def test_machine_isomorphism_rejects_before_the_solve(pilgrim_mcb):
-    # machines over different groups: the relators of fbiset (dcba) and
-    # z5belyi (abcd) differ, so nothing is distilled or solved
+    """Both knitting solves, machine_isomorphism and same_left_orbit, go
+    through one prelude.  Machines over different groups (the relators of
+    fbiset, dcba, and z5belyi, abcd, differ) or of different degrees are
+    rejected before anything is distilled or solved."""
     P, Z = zoo.pilgrim().machine, zoo.z5_marked().machine
+    PP = tensor(P, P)
     assert P.degree == Z.degree and P.source != Z.source
-    with mock.patch.object(mcbiset, "distill", side_effect=AssertionError), \
-            mock.patch.object(mcbiset, "_KnitSolver", side_effect=AssertionError):
-        assert machine_isomorphism(P, Z) is None
+    assert (PP.source, PP.target) == (P.source, P.target)
+    assert PP.degree != P.degree
+    for solve in (machine_isomorphism, same_left_orbit):
+        for M1, M2 in ((P, Z), (Z, P), (P, PP), (PP, P)):
+            with mock.patch.object(mcbiset, "distill",
+                                   side_effect=AssertionError), \
+                    mock.patch.object(mcbiset, "_KnitSolver",
+                                      side_effect=AssertionError):
+                assert solve(M1, M2) is None
     # two basis elements of one biset: same groups and degree, different
     # distillation keys, so no knitting solve is tried
     mcb, _ = pilgrim_mcb()
@@ -270,8 +280,28 @@ def test_machine_isomorphism_rejects_before_the_solve(pilgrim_mcb):
     assert (M0.source, M0.target, M0.degree) == \
         (M1.source, M1.target, M1.degree)
     assert distill(M0).key != distill(M1).key
-    with mock.patch.object(mcbiset, "_KnitSolver", side_effect=AssertionError):
-        assert machine_isomorphism(M0, M1) is None
+    for solve in (machine_isomorphism, same_left_orbit):
+        with mock.patch.object(mcbiset, "_KnitSolver",
+                               side_effect=AssertionError):
+            assert solve(M0, M1) is None and solve(M1, M0) is None
+    # one key: the prelude hands both distillations to the solve
+    N = post_compose(P, zoo.pilgrim().autos["s"])
+    d1, d2 = mcbiset._distillations(P, N)
+    assert (d1.key, d1.numberings) == (distill(P).key, distill(P).numberings)
+    assert (d2.key, d2.numberings) == (distill(N).key, distill(N).numberings)
+
+
+def test_the_knitting_solve_and_automorphisms_have_no_opt_outs():
+    solver = mcbiset._KnitSolver
+    for fn in (solver.__init__, solver.matches, solver.solve):
+        assert all(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(fn).parameters.values())
+    assert list(inspect.signature(Automorphism.__init__).parameters) == \
+        ["self", "group", "images"]
+    # every construction checks the relator
+    G = SphereGroup(["a", "b", "c", "d"])
+    with pytest.raises(ValueError, match="do not satisfy the relator"):
+        Automorphism(G, [(2,), (1,), (3,), (4,)])
 
 
 def test_same_left_orbit_identity_and_twists():
@@ -478,8 +508,9 @@ def test_inner_generators_take_closed_form_edges(case, monkeypatch):
                 post_compose(mcb.machines[t], edge.knitting_auto),
                 edge.basis_change)
             if t not in solvers:
-                solvers[t] = mcbiset._KnitSolver(mcb.machines[t])
-            knit, b = solvers[t].solve(N)
+                solvers[t] = mcbiset._KnitSolver(mcb.machines[t],
+                                                 distill(mcb.machines[t]))
+            knit, b = solvers[t].solve(N, distill(N))
             assert outer_equal(knit, edge.knitting_auto), (name, k)
             if name in inner and len(solvers[t].d1.numberings) == 1:
                 unique += 1

@@ -628,6 +628,19 @@ def test_promote_identity():
             [v.group.gen(k + 1) for k in range(v.group.n)]
 
 
+def test_promote_rejects_keys_and_images_that_name_no_tag():
+    M, C, _ = fixture()
+    tree = mc_to_gog(M.source, C, bound=4)
+    h = {("puncture", i): ("puncture", i) for i in range(1, 8)}
+    h.update({("curve", 0): ("curve", 0), ("curve", 1): ("curve", 1)})
+    with pytest.raises(MulticurveError, match=r"^the bijection names curve 7, "
+                       r"which is no class of the first tree$"):
+        promote_bijection(tree, tree, {**h, ("curve", 7): ("curve", 0)})
+    with pytest.raises(MulticurveError, match=r"^the bijection names "
+                       r"puncture 8, which is no class of the second tree$"):
+        promote_bijection(tree, tree, {**h, ("puncture", 1): ("puncture", 8)})
+
+
 def test_promote_fails_on_different_edge_sets():
     G = SphereGroup(["g1", "g2", "g3", "g4"])
     one = mc_to_gog(G, Multicurve(G, [(1, 2)]), bound=2)

@@ -63,4 +63,4 @@ def inner(group: SphereGroup, g) -> Automorphism:
     """The inner automorphism x -> x^g = g^-1 * x * g of group."""
     g = group.normal_form(g)
     return Automorphism(group, [conjugate(group.gen(i), g)
-                                for i in range(1, group.n + 1)], check=False)
+                                for i in range(1, group.n + 1)])
