@@ -262,6 +262,12 @@ def cmd_thurston_matrix(args):
 
 def cmd_obstructed(args):
     T = _thurston_matrix(args)
+    if T.outside:
+        # the Perron root decides an obstruction only on an invariant
+        # multicurve: name the lifts that leave this one
+        return {"invariant": False, "lifts_outside": [
+            {"curve": T.cols[col], "lift": cls.group.word_str(cls.canonical),
+             "degree": deg} for col, cls, deg in T.outside]}, 2
     rep = is_obstructed(T)
     return {
         "matrix": [[str(x) for x in row] for row in T.entries],

@@ -1,12 +1,12 @@
 """Constructive membership in finitely generated subgroups of free groups.
 
-Stallings folding, with every edge decorated by a word over abstract
-generator symbols.  Decorations are kept coherent through folds by gauge
-corrections at the merged vertex, so that the decoration product along
-any loop at the basepoint evaluates (symbols substituted by the given
-generators) to the loop's label word.  Tracing a word therefore decides
-membership and yields an expression at once, with no assumption that the
-generators are a free basis.
+Stallings folding, with every edge decorated by a word over the
+generators' 1-based positions.  Decorations are kept coherent through
+folds by gauge corrections at the merged vertex, so that the decoration
+product along any loop at the basepoint evaluates (each position
+replaced by its generator) to the loop's label word.  Tracing a word
+therefore decides membership and yields an expression at once, with no
+assumption that the generators are a free basis.
 
 Where two parallel edges fold together, the fold also records a relator
 among the generators (SubgroupGraph.relators), so it yields a
@@ -52,34 +52,34 @@ class SubgroupGraph:
     ys[k] for all k, and h(w) is ys substituted into express(w).
 
     Proof.  Write D(P) for the decoration product of a path P, a reduced
-    word over symbols.  Inserting gens[k] with symbol s acts as laying
-    out its petal, a loop at the base of fresh vertices and edges with D
-    = s, and then making some merge folds.  A merge fold with its gauge
-    keeps D(P) of every path, as a word: the gauge word and its inverse
-    cancel at the gauged vertex, and the base is never gauged.  Each
-    edge read forwards is the merge fold of the petal's next edge onto
-    it, done in advance: the gauge at the petal's fresh vertex that
-    makes the two decorations agree leaves F^-1 on the petal's next
-    edge, F the product read so far.  Reading the inverse from the
-    base merges the petal's last edges the same way and leaves B, the
-    product read, on the far end.  Gauging the fresh vertices of the
-    unread middle carries every correction to its last edge, which so
-    holds F^-1 * s * B, and the loop still has D = F * (F^-1 * s * B) *
-    B^-1 = s.  Removing e2, parallel to e1 with decorations d1 and d2 in
-    the same orientation, changes D(P) of a path through e2 only by
+    word over positions.  Inserting gens[k], at position s = k + 1, acts
+    as laying out its petal, a loop at the base of fresh vertices and
+    edges with D = s, and then making some merge folds.  A merge fold
+    with its gauge keeps D(P) of every path, as a word: the gauge word
+    and its inverse cancel at the gauged vertex, and the base is never
+    gauged.  Each edge read forwards is the merge fold of the petal's
+    next edge onto it, done in advance: the gauge at the petal's fresh
+    vertex that makes the two decorations agree leaves F^-1 on the
+    petal's next edge, F the product read so far.  Reading the inverse
+    from the base merges the petal's last edges the same way and leaves
+    B, the product read, on the far end.  Gauging the fresh vertices of
+    the unread middle carries every correction to its last edge, which
+    so holds F^-1 * s * B, and the loop still has D = F * (F^-1 * s * B)
+    * B^-1 = s.  Removing e2, parallel to e1 with decorations d1 and d2
+    in the same orientation, changes D(P) of a path through e2 only by
     replacing d2 with d1.  The relator recorded is d1 * d2^-1.  If each
-    relator goes to 1 under symbols -> ys, each such replacement keeps
-    the value of D(P), so the petal of gens[k], whose D was symbol k,
-    still has value ys[k] after the last fold; it now reads gens[k] from
-    the base, so h := (ys substituted into express) sends gens[k] to
-    ys[k], and h is a homomorphism because D is multiplicative along
-    loops.  Conversely, each relator is D of the loop L = P * e1 * e2^-1
-    * P^-1 for a path P from the base, up to conjugation, and L's label
-    is trivial; so any homomorphism with gens[k] -> ys[k] sends it to 1.
+    relator goes to 1 under positions -> ys, each such replacement keeps
+    the value of D(P), so the petal of gens[k], whose D was k + 1, still
+    has value ys[k] after the last fold; it now reads gens[k] from the
+    base, so h := (ys substituted into express) sends gens[k] to ys[k],
+    and h is a homomorphism because D is multiplicative along loops.
+    Conversely, each relator is D of the loop L = P * e1 * e2^-1 * P^-1
+    for a path P from the base, up to conjugation, and L's label is
+    trivial; so any homomorphism with gens[k] -> ys[k] sends it to 1.
     The relator is not empty: D is injective on loops at the base, and L
     is a nontrivial loop.  D is injective on the empty graph, and a
-    petal keeps it so, for D sends the loops of the graph so far into the
-    free group on the earlier symbols and the petal to the new symbol s,
+    petal keeps it so, for D sends the loops of the graph so far into
+    the free group on the earlier positions and the petal to its own, s,
     so the loops of the two, a free product, go to a free product.  A
     merge fold keeps it so, as it keeps D and sends the reduced loops at
     the base one to one onto those of the folded graph, and so does a
@@ -90,8 +90,6 @@ class SubgroupGraph:
 
     def __init__(self, gens):
         self.gens = [tuple(w) for w in gens]
-        nonzero = [(i, w) for i, w in enumerate(self.gens) if w]
-        self._symbol_of = [i for i, _ in nonzero]
         # adj[v][a]: edges at v read along signed letter a.  An edge is
         # [u, x, v, decoration] with x > 0; read from v along -x it carries
         # the inverse decoration.  A loop at v sits under both x and -x.
@@ -123,7 +121,9 @@ class SubgroupGraph:
                     decs.append(winv(e[3]))
             return len(decs), v, wmul(*decs)
 
-        for k, (_, w) in enumerate(nonzero):
+        for k, w in enumerate(self.gens):
+            if not w:
+                continue
             # read w forwards and w^-1 from the base, leaving w[i:j] unread
             i, u, front = read(w[:-1])
             j, q, back = read(winv(w[i + 1:]))
@@ -131,7 +131,7 @@ class SubgroupGraph:
             for pos in range(i, j):
                 x = w[pos]
                 if pos == j - 1:
-                    # the petal's symbol, k + 1, gauged by both reads
+                    # the petal's position, k + 1, gauged by both reads
                     v, dec = q, wmul(winv(front), (k + 1,), back)
                 else:
                     v, dec = len(adj), EPSILON
@@ -193,15 +193,7 @@ class SubgroupGraph:
         for u, x, v, dec in self._edges:
             self._steps.setdefault(x, {})[u] = (dec, v)
             self._steps.setdefault(-x, {})[v] = (winv(dec), u)
-        self.relators = [cyclic_reduce(self._positions(r))[0]
-                         for r in relators]
-
-    def _positions(self, symbols: Word) -> Word:
-        """A word over symbols as a word over 1-based positions into gens
-        (one-to-one on letters, so it stays reduced)."""
-        sym = self._symbol_of
-        return tuple(sym[x - 1] + 1 if x > 0 else -sym[-x - 1] - 1
-                     for x in symbols)
+        self.relators = [cyclic_reduce(r)[0] for r in relators]
 
     def trace(self, w: Word):
         """(end state, decoration product) after reading w from the base,
@@ -230,7 +222,7 @@ class SubgroupGraph:
         got = self.trace(tuple(w))
         if got is None or got[0] != 0:
             return None
-        return self._positions(got[1])
+        return got[1]
 
 
 def _remove(edges: list, e) -> None:

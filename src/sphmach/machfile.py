@@ -226,13 +226,11 @@ def parse_cycles(text: str, degree: int, line=None) -> perms.Perm:
         except ValueError:
             raise ParseError(
                 f"bad cycle point in ({_elided(cm.group(1), str)})", line)
-        if any(not 1 <= p <= degree for p in pts):
-            raise ParseError("cycle point outside 1..degree", line)
         cycles.append(pts)
     try:
         return perms.from_cycles(cycles, degree)
-    except ValueError as exc:
-        raise ParseError(str(exc), line)
+    except ValueError as exc:  # a point out of range may be long
+        raise ParseError(_elided(str(exc), str), line)
 
 
 @dataclass

@@ -146,11 +146,13 @@ class _KnitSolver:
     turns back edge k into an exact constraint psi(x_k) = y_k on the loop
     words; the x_k depend on M1 alone and generate the target.  Folding the
     x_k pins psi0 := psi (up to the outer normalisation) through the
-    expressions of the free generators, and yields relators among the
-    x_k (SubgroupGraph.relators).  A candidate relabeling gives the y_k;
-    it solves the whole system exactly when y_k is empty wherever x_k
-    is, and every relator evaluates to 1 on the y_k.  So psi0 is never
-    applied to the x_k: the relators are far shorter than those images.
+    expressions of all n target generators, letter k of each standing
+    for x_k, and yields relators among the x_k (SubgroupGraph.relators).
+    A candidate relabeling gives the y_k; it solves the whole system
+    exactly when y_k is empty wherever x_k is, and every relator
+    evaluates to 1 on the y_k, which makes psi0 a homomorphism.  So
+    psi0 is never applied to the x_k: the relators are far shorter than
+    those images.
     """
 
     def __init__(self, M1: SphereMachine, d1: Distillation):
@@ -164,13 +166,10 @@ class _KnitSolver:
         self.empty_backs = [k for k, x in enumerate(xs) if not x]
         graph = SubgroupGraph(xs)
         self.relators = graph.relators
-        self.exprs = []
-        for g in M1.target.free_gen_indices():
-            expr = graph.express(M1.target.gen(g))
-            if expr is None:
-                raise ReconstructionError(
-                    "loop words of the machine do not generate the target group")
-            self.exprs.append(expr)
+        self.exprs = [graph.express(g) for g in M1.target.gens]
+        if None in self.exprs:
+            raise ReconstructionError(
+                "loop words of the machine do not generate the target group")
 
     def matches(self, M2: SphereMachine, d2: Distillation):
         """Yield (knit, b) for every candidate relabeling that solves the
@@ -185,8 +184,8 @@ class _KnitSolver:
             if any(ys[k] for k in self.empty_backs) or \
                     any(substitute_all(self.relators, ys)):
                 continue
-            images, g = outer_normal_images(M1.target.complete_images(
-                list(substitute_all(self.exprs, ys))))
+            images, g = outer_normal_images(
+                list(substitute_all(self.exprs, ys)))
             knit = Automorphism(M1.target, images)
             rho = perms.inverse(sigma)
             ginv = winv(g)

@@ -6,7 +6,7 @@ the reported Perron root bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -101,11 +101,15 @@ def classify_lifts(M: SphereMachine, downstairs: Multicurve,
 @dataclass
 class ThurstonMatrix:
     """Rows indexed by the upstairs curves, columns by the downstairs ones;
-    entry = sum of 1/deg over lifts isotopic to the row curve."""
+    entry = sum of 1/deg over lifts isotopic to the row curve.  outside
+    holds the lifts tagged other by classify_lifts, as (column, lift
+    class, degree): the multicurve is invariant exactly when it is
+    empty."""
 
     rows: list[str]
     cols: list[str]
     entries: list[list[Fraction]]
+    outside: list[tuple[int, ConjClass, int]] = field(default_factory=list)
 
     def is_square(self):
         return len(self.rows) == len(self.cols)
@@ -121,16 +125,21 @@ class ThurstonMatrix:
 
 
 def thurston_matrix(M: SphereMachine, downstairs: Multicurve) -> ThurstonMatrix:
-    """The transition matrix of an invariant multicurve of a dynamical
-    machine, whose upstairs curves are the downstairs ones."""
+    """The transition matrix of a multicurve of a dynamical machine, whose
+    upstairs curves are the downstairs ones, with the lifts outside the
+    multicurve (ThurstonMatrix.outside) when it is not invariant."""
     if M.source != M.target:
         raise MulticurveError("thurston_matrix needs a dynamical machine")
     entries = [[Fraction(0)] * len(downstairs) for _ in downstairs]
+    outside = []
     for col, (curve, tags) in enumerate(classify_lifts(M, downstairs, downstairs)):
         for deg, tag in tags:
             if tag[0] == "curve":
                 entries[tag[1]][col] += Fraction(1, deg)
-    return ThurstonMatrix(downstairs.labels(), downstairs.labels(), entries)
+            elif tag[0] == "other":
+                outside.append((col, tag[1], deg))
+    return ThurstonMatrix(downstairs.labels(), downstairs.labels(), entries,
+                          outside)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ image, with one join over a table of letter tokens.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain
 from operator import add, eq, neg
 
@@ -197,18 +198,25 @@ def cyclic_canonical(w: Word, up_to_inversion: bool = False) -> Word:
     return best
 
 
+@cache
+def _letter_tokens(names: tuple[str, ...]) -> dict[int, str]:
+    """The printed token of each signed letter over names."""
+    tokens = {}
+    for i, name in enumerate(names, 1):
+        tokens[i], tokens[-i] = name, f"{name}^-1"
+    return tokens
+
+
 def run_length_str(names, w) -> str:
     """Print a word over the given generator names, runs of one letter
     as name^k ('' for the empty word).
 
     A word with no two equal neighbours, the common case for knitting
-    images, is printed with one join over a table of letter tokens.
+    images and machine entries, is printed with one join over a table
+    of letter tokens, built once per tuple of names.
     """
     if not any(map(eq, w, w[1:])):
-        tokens = {}
-        for i, name in enumerate(names, 1):
-            tokens[i], tokens[-i] = name, f"{name}^-1"
-        return "*".join(map(tokens.__getitem__, w))
+        return "*".join(map(_letter_tokens(tuple(names)).__getitem__, w))
     parts = []
     i = 0
     while i < len(w):
@@ -316,19 +324,6 @@ class SphereGroup:
         expand = {gone: winv(body), -gone: body}
         return reduce_word(chain.from_iterable(
             expand.get(x, (x,)) for x in w))
-
-    def complete_images(self, images: list[Word]) -> list[Word]:
-        """All n images of a map from the normal-form images of the free
-        generators (declaration order, eliminated one skipped); the
-        remaining image, if n > 0, is forced by the relator."""
-        free = self.free_gen_indices()
-        if len(images) != len(free):
-            raise ValueError("need one image per free generator")
-        by_index = dict(zip(free, images))
-        if self.n:
-            by_index[self.relator[-1]] = winv(
-                wmul(*[by_index[r] for r in self.relator[:-1]]))
-        return [by_index[i] for i in range(1, self.n + 1)]
 
     def word_str(self, w: Word) -> str:
         """Print a word in the machine text syntax (empty word prints '')."""
@@ -463,24 +458,19 @@ class Automorphism:
         return self.images == self.group.gens
 
     def inverse(self) -> "Automorphism":
+        """The inverse, from a fold of all n images: letter j of the
+        expression of a generator stands for the image of generator j, so
+        the same letters read as generators spell its preimage."""
         if self._inverse is None:
             from .folding import SubgroupGraph
 
             G = self.group
-            free = G.free_gen_indices()
-            graph = SubgroupGraph([self.images[i - 1] for i in free])
-            inv_imgs = []
-            for i in free:
-                expr = graph.express(G.gen(i))
-                if expr is None:
-                    raise ValueError("map is not invertible (images do not "
-                                     "generate the group)")
-                # symbol j of the expression stands for the image of the j-th
-                # free generator, so the same letters read back as generators
-                # give the preimage
-                inv_imgs.append(G.normal_form(
-                    free[x - 1] if x > 0 else -free[-x - 1] for x in expr))
-            self._inverse = Automorphism(G, G.complete_images(inv_imgs))
+            graph = SubgroupGraph(self.images)
+            exprs = [graph.express(g) for g in G.gens]
+            if None in exprs:
+                raise ValueError("map is not invertible (images do not "
+                                 "generate the group)")
+            self._inverse = Automorphism(G, exprs)
             self._inverse._inverse = self
         return self._inverse
 
@@ -605,21 +595,21 @@ def _fingerprint(phi: Automorphism):
     G = phi.group
     free = G.free_gen_indices()
     ref = G._eliminated
-    col = {j: c for c, j in enumerate(free)}
     rows = {}
     for i, g in enumerate(G.gens, 1):
+        # a normal form: every letter is a kept generator
         got = is_conjugate(g, phi.images[i - 1])
         if got is None:
             phi._fingerprint = None
             return None
-        counts = [0] * len(free)
+        counts = [0] * (G.n + 1)
         for x in got:
             j = abs(x)
-            if j in col and j != i:
-                counts[col[j]] += 1 if x > 0 else -1
+            if j != i:
+                counts[j] += 1 if x > 0 else -1
         rows[i] = counts
     # rows relative to the relator generator's: empty for n = 0
-    fp = [rows[i][col[j]] - rows[ref][col[j]]
+    fp = [rows[i][j] - rows[ref][j]
           for i in range(1, G.n + 1) if i != ref for j in free if j != i]
     # normalize modulo a uniform shift of all cells, the ambiguity left by
     # the relator generator's conjugator

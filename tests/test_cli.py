@@ -568,6 +568,37 @@ def test_cli_obstructed_exit_codes(capsys):
                    "--curves", "a*b") == 1
 
 
+def test_cli_obstructed_reports_on_invariant_multicurves_as_before(capsys):
+    # the file's own curves, and z5's single curve: both invariant
+    for name, curves, code, result in [
+            ("centralizer7.mach", [], 0,
+             '{"matrix": [["1", "2"], ["0", "3"]], "obstructed": true, '
+             '"perron_bracket": [3.0, 3.0000000009313226]}'),
+            ("z5belyi.mach", ["--curves", "a*b"], 1,
+             '{"matrix": [["1/5"]], "obstructed": false, "perron_bracket": '
+             '[0.19999999981373548, 0.20000000037252902]}')]:
+        assert run_cli("--json", "obstructed", str(MACHINES / name),
+                       *curves) == code
+        out = json.loads(capsys.readouterr().out)["result"]
+        assert json.dumps(out, sort_keys=True) == result
+
+
+def test_cli_obstructed_is_inconclusive_on_a_multicurve_that_is_not_invariant(capsys):
+    # two degree-1 lifts of x2*x3*x4*x5 are x3*x4, which is not in the
+    # multicurve, so its Perron root 3 decides nothing
+    c7 = str(MACHINES / "centralizer7.mach")
+    assert run_cli("--json", "obstructed", c7, "--curves", "x2*x3*x4*x5") == 2
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "invariant": False, "lifts_outside": [
+            {"curve": "x2*x3*x4*x5", "lift": "x3*x4", "degree": 1},
+            {"curve": "x2*x3*x4*x5", "lift": "x4^-1*x3^-1", "degree": 1}]}
+    assert run_cli("obstructed", c7, "--curves", "x2*x3*x4*x5") == 2
+    assert capsys.readouterr().out == (
+        "invariant: False\nlifts_outside:\n"
+        "  curve: x2*x3*x4*x5\n  lift: x3*x4\n  degree: 1\n"
+        "  curve: x2*x3*x4*x5\n  lift: x4^-1*x3^-1\n  degree: 1\n")
+
+
 def test_cli_classify_twist(capsys):
     assert run_cli("classify-twist", str(MACHINES / "rabbit.mcb"), "t^3") == 0
     out = capsys.readouterr().out
@@ -832,6 +863,23 @@ def test_cli_relabel_takes_machine_file_cycles(capsys):
     assert relabelled.rows[0].perm == (1, 0)
 
 
+def test_cycle_points_outside_the_degree_name_the_point_and_the_range(capsys):
+    z5 = (MACHINES / "z5belyi.mach").read_text()
+    with pytest.raises(ParseError) as exc:
+        parse_machine_file(z5.replace("(1,2,3,4,5)", "(1,2,3,4,9)"))
+    assert str(exc.value) == "cycle point 9 outside 1..5 at line 3"
+    assert run_cli("rebase", str(MACHINES / "z5belyi.mach"), "--conjugators",
+                   ",,,,", "--relabel", "(1,9)") == 3
+    assert capsys.readouterr().err == \
+        "error: --relabel: cycle point 9 outside 1..5\n"
+    # a point of many digits is elided like any long input
+    with pytest.raises(ParseError) as exc:
+        parse_cycles(f"(1,{'9' * 1000})", 5)
+    assert str(exc.value).startswith("cycle point 9999")
+    assert str(exc.value).endswith("9999 outside 1..5 (1025 characters)")
+    assert len(str(exc.value)) < 200
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "top level must be an object"),
     ('{"alphabet": ["t"], "basis": ["a"], "table": {}}',
@@ -1014,6 +1062,14 @@ def test_cli_split_exit_codes(capsys):
                    "--curves", "a*c^b", "--bound", "1") == 2
     assert json.loads(capsys.readouterr().out)["result"]["kind"] == \
         "bound-exhausted"
+
+    # a^2*b winds twice around a: no curve has that homology
+    assert run_cli("--json", "split", str(MACHINES / "z5belyi.mach"),
+                   "--curves", "a^2*b") == 1
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "split": False, "kind": "abelianization-inconsistent",
+        "detail": "abelianization-inconsistent: curve a^2*b has homology "
+                  "(2, 1, 0, 0) in its piece"}
 
 
 def test_cli_promote_failure_reports_its_step(capsys):

@@ -208,14 +208,13 @@ def test_relator_check_matches_the_direct_check(gens, twists, perturb):
 # read-then-add insertion against the petal fold
 
 class PetalGraph(SubgroupGraph):
-    """The decorated fold that lays out every generator's petal in full
-    and then folds them all off one worklist; its folded graph is the one
-    SubgroupGraph reaches by reading each word before adding it."""
+    """The decorated fold that lays out every generator's petal in full,
+    decorated with the generator's position, and then folds them all off
+    one worklist; its folded graph is the one SubgroupGraph reaches by
+    reading each word before adding it."""
 
     def __init__(self, gens):
         self.gens = [tuple(w) for w in gens]
-        nonzero = [(i, w) for i, w in enumerate(self.gens) if w]
-        self._symbol_of = [i for i, _ in nonzero]
         adj, work = [{}], []
 
         def attach(v, a, e):
@@ -224,7 +223,7 @@ class PetalGraph(SubgroupGraph):
             if len(bucket) == 2:
                 work.append((v, a))
 
-        for k, (_, w) in enumerate(nonzero):
+        for k, w in enumerate(self.gens):
             u = 0
             for pos, x in enumerate(w):
                 if pos == len(w) - 1:
@@ -274,8 +273,7 @@ class PetalGraph(SubgroupGraph):
         for u, x, v, dec in self._edges:
             self._steps.setdefault(x, {})[u] = (dec, v)
             self._steps.setdefault(-x, {})[v] = (winv(dec), u)
-        self.relators = [cyclic_reduce(self._positions(r))[0]
-                         for r in relators]
+        self.relators = [cyclic_reduce(r)[0] for r in relators]
 
 
 @st.composite

@@ -198,6 +198,24 @@ def test_validation_of_fixtures():
         assert rep.is_sphere_biset, rep.details
 
 
+def _two_sheets():
+    """A degree-2 machine whose relator holds but whose points are fixed
+    by every generator: two disjoint copies of the identity."""
+    G = SphereGroup(["a", "b"])
+    return SphereMachine(G, G, [WreathElement(((1,), (1,)), (0, 1)),
+                                WreathElement(((-1,), (-1,)), (0, 1))])
+
+
+def test_validation_names_an_intransitive_action():
+    rep = validate_sphere(_two_sheets())
+    assert (rep.relator_ok, rep.transitive, rep.riemann_hurwitz,
+            rep.lifts_partition) == (True, False, False, False)
+    assert rep.details == [
+        "monodromy action is not transitive",
+        "cycle deficit 0 != 2d-2 = 2",
+        "peripheral classes of the target are not hit exactly once"]
+
+
 def test_riemann_hurwitz_deficits():
     M = centralizer7()
     deficits = [perms.deficit(p) for p in M.monodromy_perms()]

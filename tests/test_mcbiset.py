@@ -413,6 +413,19 @@ def test_compute_mcbiset_elides_a_long_repeated_generator():
     assert len(message) < 200
 
 
+def test_compute_mcbiset_rejects_a_machine_that_is_not_a_sphere_machine():
+    # two disjoint copies of the identity over <a, b | ab>
+    G = SphereGroup(["a", "b"])
+    M = SphereMachine(G, G, [WreathElement(((1,), (1,)), (0, 1)),
+                             WreathElement(((-1,), (-1,)), (0, 1))])
+    with pytest.raises(MachineError) as exc:
+        compute_mcbiset(M, [])
+    assert str(exc.value) == (
+        "input machine is not a sphere machine: monodromy action is not "
+        "transitive; cycle deficit 0 != 2d-2 = 2; peripheral classes of "
+        "the target are not hit exactly once")
+
+
 def test_mcbiset_edges_verify():
     z5 = zoo.z5_marked().machine
     gens = full_twist_generators(z5.source)

@@ -16,7 +16,9 @@ from sphmach.words import (
 from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, multiset_of_lifts, change_basis,
 )
-from sphmach.mcbiset import compute_mcbiset, twist_fingerprint
+from sphmach.mcbiset import (
+    compute_mcbiset, full_twist_generators, twist_fingerprint,
+)
 from sphmach.multicurve import (
     Multicurve, MulticurveError, SplitFailed, PromoteFailed,
     classify_lifts, thurston_matrix, ThurstonMatrix, charpoly,
@@ -69,6 +71,16 @@ def test_thurston_matrix_fixture():
     assert T.entries == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
     # column consistency: total lift degree equals the machine degree
     assert [multiset_of_lifts(M, c.rep).total_degree() for c in C] == [6, 6]
+
+
+def test_thurston_matrix_keeps_the_lifts_outside_the_multicurve():
+    M, C, _ = fixture()
+    assert thurston_matrix(M, C).outside == []
+    G = M.source
+    T = thurston_matrix(M, Multicurve(G, [(2, 3, 4, 5)]))
+    assert T.entries == [[Fraction(3)]]
+    assert T.outside == [(0, ConjClass(G, (3, 4)), 1),
+                         (0, ConjClass(G, (-4, -3)), 1)]
 
 
 def test_thurston_matrix_needs_a_dynamical_machine():
@@ -404,6 +416,15 @@ def test_twist_lift_check_needs_the_automorphisms():
     with pytest.raises(MulticurveError,
                        match=r"^edge \(tau, b0\) has no knitting automorphism$"):
         twist_lift_check(mcb, T, ["sigma", "tau"])
+
+
+def test_twist_lift_check_reports_a_twist_that_moves_the_base():
+    M = zoo.z5_marked().machine
+    mcb = compute_mcbiset(M, full_twist_generators(M.target))
+    assert mcb.table[("t1_2", mcb.base)].target != mcb.base
+    T = ThurstonMatrix(["a*b"], ["a*b"], [[Fraction(1)]])
+    assert twist_lift_check(mcb, T, ["t1_2"]) == [
+        "t1_2: base element not fixed"]
 
 
 def test_twist_lift_check_identity_machine():

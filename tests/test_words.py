@@ -224,6 +224,33 @@ def test_twists_and_inverses():
         assert phi.compose(phi.inverse()).is_identity_map()
 
 
+def test_inverse_rejects_a_map_that_is_not_invertible():
+    # a -> a^2, b -> b, c -> (a^2 b)^-1 satisfies the relator, but its
+    # images generate a proper subgroup: a is no word in a^2 and b
+    G = SphereGroup(["a", "b", "c"])
+    phi = Automorphism(G, [(1, 1), (2,), (-2, -1, -1)])
+    with pytest.raises(ValueError) as exc:
+        phi.inverse()
+    assert str(exc.value) == \
+        "map is not invertible (images do not generate the group)"
+    assert phi._inverse is None
+
+
+def test_inverse_reads_each_expression_letter_as_a_generator():
+    # the fold takes all n images, so letter j of an expression is the
+    # image of generator j, the eliminated one included
+    G = SphereGroup(["a", "b", "c", "d"], relator="bdac")
+    rng = random.Random(11)
+    twists = [dehn_twist(i, j, G) for i in range(1, 5) for j in range(i, 5)]
+    for _ in range(30):
+        phi = Automorphism.identity(G)
+        for _ in range(rng.randint(1, 5)):
+            phi = phi.compose(rng.choice(twists))
+        inv = Automorphism(G, phi.images).inverse()
+        assert inv.compose(phi).is_identity_map()
+        assert phi.compose(inv).is_identity_map()
+
+
 def test_peripheral_detection():
     G = SphereGroup(["a", "b", "c", "d"])
     swap = Automorphism(G, [(2,), (-2, 1, 2), (3,), (4,)])
