@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 = success / positive answer, 1 = negative answer,
-2 = inconclusive (search bound or step limit reached), 3 = input error.
+2 = inconclusive (search bound or step limit reached, or a multicurve
+that is not invariant), 3 = input error.
 JSON reports for identical inputs are byte-identical across runs;
 timing is only attached when --timing is passed.
 """
@@ -251,8 +252,20 @@ def _thurston_matrix(args):
     return thurston_matrix(mf.machine, _curves_for(mf, args.curves))
 
 
+def _not_invariant(T):
+    """The inconclusive answer (exit 2) on a multicurve that is not
+    invariant, naming the lifts that leave it: the Thurston matrix, its
+    Perron root and the twist fixed points speak of an invariant
+    multicurve only."""
+    return {"invariant": False, "lifts_outside": [
+        {"curve": T.cols[col], "lift": cls.group.word_str(cls.canonical),
+         "degree": deg} for col, cls, deg in T.outside]}, 2
+
+
 def cmd_thurston_matrix(args):
     T = _thurston_matrix(args)
+    if T.outside:
+        return _not_invariant(T)
     return {
         "rows": T.rows,
         "cols": T.cols,
@@ -263,11 +276,7 @@ def cmd_thurston_matrix(args):
 def cmd_obstructed(args):
     T = _thurston_matrix(args)
     if T.outside:
-        # the Perron root decides an obstruction only on an invariant
-        # multicurve: name the lifts that leave this one
-        return {"invariant": False, "lifts_outside": [
-            {"curve": T.cols[col], "lift": cls.group.word_str(cls.canonical),
-             "degree": deg} for col, cls, deg in T.outside]}, 2
+        return _not_invariant(T)
     rep = is_obstructed(T)
     return {
         "matrix": [[str(x) for x in row] for row in T.entries],
@@ -310,6 +319,8 @@ def cmd_solve_twists(args):
     theta = [_parse_lin_expr(x) for x in args.theta.split(",")]
     if len(theta) != len(T.cols):
         raise CliError("need one theta entry per curve")
+    if T.outside:
+        return _not_invariant(T)
     sol = solve_twist_fixed_point(TwistFixedPointProblem(T, theta))
     return {
         "constraints": [str(c) + " = 0" for c in sol.constraints],

@@ -143,22 +143,30 @@ class LiftMultiset:
         return sum(d for d, _ in self.entries)
 
 
-def cycle_classes(w: WreathElement, target: SphereGroup):
-    """Yield (cycle, class) for each cycle of w's permutation, in action
-    order from its least point, with the target conjugacy class of the
-    product of w's entries along it, built in one list that each entry
-    is appended to in place (words._append_reduced): linear in the
-    letters, and no tuple per point for the many short cycles.
-
-    Cycles whose product is the empty list (most of them at high degree)
-    share one trivial class, built on the first such cycle; a non-empty
-    product goes through ConjClass even when it is trivial in the group."""
+def cycle_products(w: WreathElement):
+    """Yield (cycle, product) for each cycle of w's permutation, in action
+    order from its least point, with the product of w's entries along
+    it, built in one list that each entry is appended to in place
+    (words._append_reduced): linear in the letters, and no tuple per
+    point for the many short cycles.  The product of normal forms, such
+    as a machine's entries, is a normal form."""
     entries = w.entries
-    trivial = None
     for cycle in perms.cycles(w.perm):
         h: list[int] = []
         for p in cycle:
             _append_reduced(h, entries[p])
+        yield cycle, h
+
+
+def cycle_classes(w: WreathElement, target: SphereGroup):
+    """Yield (cycle, class) for each of w's cycle_products, with the
+    target conjugacy class of the product.
+
+    Cycles whose product is the empty list (most of them at high degree)
+    share one trivial class, built on the first such cycle; a non-empty
+    product goes through ConjClass even when it is trivial in the group."""
+    trivial = None
+    for cycle, h in cycle_products(w):
         if h:
             yield cycle, ConjClass(target, h)
             continue

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from . import perms
 from .perms import Perm
 from .words import (
-    SphereGroup, ConjClass, Automorphism,
+    SphereGroup, Automorphism, cyclic_canonical,
     winv, wmul, walk, reduce_word, substitute_all,
     outer_normal_images, inner_conjugator, is_peripheral_preserving,
     dehn_twist, _fingerprint,
 )
 from .machine import (
     SphereMachine, WreathElement, BasisChange, change_basis, pre_compose,
-    normalize_basis, tree_words, validate_sphere, cycle_classes, MachineError,
+    normalize_basis, tree_words, validate_sphere, cycle_products, MachineError,
     _elided, _quoted,
 )
 from .folding import SubgroupGraph
@@ -32,72 +32,105 @@ class ReconstructionError(MachineError):
     """Distillations matched but no knitting automorphism could be built."""
 
 
-def _label_key(cls: ConjClass):
-    if cls.is_trivial():
+def _label_key(G: SphereGroup, h) -> tuple:
+    """The label of a cycle whose entry product h is a normal form: (0,)
+    when h is empty, (1, i) for the class of gi, else (2, its
+    cyclic_canonical word).  A non-empty reduced word has a non-empty
+    cyclic core, so h is trivial only when empty; no ConjClass is built,
+    since h needs no normal_form."""
+    if not h:
         return (0,)
-    p = cls.peripheral_index()
-    if p is not None:
-        return (1, p)
-    return (2, cls.canonical)
+    c = cyclic_canonical(h)
+    i = G.peripheral_index(c, False)
+    return (2, c) if i is None else (1, i)
 
 
 class Distillation:
     """Permutations of a machine together with the conjugacy classes of the
     entry products along each cycle, canonicalized under simultaneous
-    relabeling of the basis."""
+    relabeling of the basis.
+
+    The key is the least encoding over the breadth-first numberings from
+    every start, and numberings holds every numbering that attains it, in
+    the order of the starts.  The numberings are built in lockstep and a
+    start is dropped, its numbering with it, at the first entry of its
+    relabelled first permutation above the least live one (_canonicalize
+    says why that is exact)."""
 
     def __init__(self, machine: SphereMachine):
         self.degree = machine.degree
         self.perm_tuple: tuple[Perm, ...] = tuple(machine.monodromy_perms())
         # (generator, cycle, label key), keyed once
-        keyed_cycles = [(i, cyc, _label_key(cls))
+        G = machine.target
+        keyed_cycles = [(i, cyc, _label_key(G, h))
                         for i, row in enumerate(machine.rows, 1)
-                        for cyc, cls in cycle_classes(row, machine.target)]
+                        for cyc, h in cycle_products(row)]
         self.key, self.numberings = self._canonicalize(keyed_cycles)
 
     def _canonicalize(self, keyed_cycles):
         """The least (relabelled permutations, sorted cycle labels) over
         the breadth-first numberings from every start, with every
-        numbering that attains it.  Labels only break ties, so a start
-        whose permutations already exceed the best builds none.
+        numbering that attains it, in the order of the starts.
 
-        A start is dropped as soon as it provably loses.  Its walk numbers
-        the points in the order reached, so the i-th point p has number
-        i, and the first edge walked out of p is the first generator's,
-        to q = g0[p].  Then q is numbered already (earlier, or by this
-        edge), so num[q] is final: it is entry i of the relabelled first
-        permutation, and the entries come in the order i = 0, 1, ...  The
-        key compares that permutation before anything else.  So while
-        entries 0..i-1 tie with the best key's, a larger entry i means
-        the start can neither win nor tie, and its walk stops; once an
-        entry is smaller, no entry is compared again.  A start that ties
-        on the whole first permutation is compared in full.  The first
-        start walks to the end, so an intransitive machine is caught.
+        The walks from all d starts advance together, one round per
+        point.  A walk numbers the points in the order reached, so its
+        i-th point p has number i.  In round i each live walk first takes
+        p's first-generator edge, to q = g0[p].  Then q is numbered
+        (earlier, or by this edge), so num[q] is final: it is entry i of
+        the walk's relabelled first permutation.  The key compares that
+        permutation before anything else, entry by entry.
+
+        The pruning is exact.  The live walks are those whose entries
+        0..i-1 equal those of the least first permutation over all
+        starts, so the least of their entries i is that permutation's
+        entry i.  A live walk with a larger entry i can neither attain
+        nor tie the least key, and it is dropped with its numbering.
+        Only the walks at the least entry stay live and take p's other
+        edges.  So each walk goes exactly as far as it ties with the
+        least first permutation, whatever the order of the starts.
+
+        After round d - 1 the live walks tie on the whole first
+        permutation; they are compared on all permutations, then on the
+        cycle labels, in the order of the starts.  The live set is never
+        empty, so on an intransitive machine a live walk runs out of
+        points before round d.  With no generator there is no first
+        permutation: every start stays live and reaches itself alone.
         """
         gens = self.perm_tuple
         d = self.degree
+        first = gens[0] if gens else None
+        rest = gens[1:]
+        # each live start's points in the order reached, and its numbering
+        # (-1 where not reached yet)
+        live = []
+        for start in range(d):
+            num = [-1] * d
+            num[start] = 0
+            live.append(([start], num))
+        for i in range(d):
+            if any(len(order) == i for order, _ in live):
+                raise MachineError("distillation requires a transitive machine")
+            if first is not None:
+                entries = []
+                for order, num in live:
+                    q = first[order[i]]
+                    if num[q] < 0:
+                        num[q] = len(order)
+                        order.append(q)
+                    entries.append(num[q])
+                least = min(entries)
+                live = [state for state, e in zip(live, entries)
+                        if e == least]
+            for order, num in live:
+                p = order[i]
+                for g in rest:
+                    q = g[p]
+                    if num[q] < 0:
+                        num[q] = len(order)
+                        order.append(q)
         best = None
         maps = []
-        for start in range(d):
-            num = [0] * d
-            order = [start]
-            first = best[0][0] if best is not None else None
-            lost = False
-            for p, r, q, new in perms.breadth_first(gens, start):
-                if new:
-                    num[q] = len(order)
-                    order.append(q)
-                if r == 0 and first is not None:
-                    entry, least = num[q], first[num[p]]
-                    if entry > least:
-                        lost = True
-                        break
-                    if entry < least:
-                        first = None
-            if lost:
-                continue
-            if len(order) < d:
-                raise MachineError("distillation requires a transitive machine")
+        for order, num in live:
             at = num.__getitem__
             new_perms = tuple(tuple(map(at, map(pi.__getitem__, order)))
                               for pi in gens)

@@ -241,7 +241,7 @@ class SphereGroup:
     The group builds its n generators in normal form once, as the tuple
     gens (the eliminated one spelt through the relator), and keys its
     peripheral classes once, (sign_insensitive, canonical word) -> least
-    i with gi in the class, for ConjClass.peripheral_index; for n = 2,
+    i with gi in the class, for peripheral_index; for n = 2,
     g1 and g2 = g1^-1 key to 1.
 
     Orbisphere groups (generators of finite order) are not modelled.
@@ -277,6 +277,12 @@ class SphereGroup:
 
     def __repr__(self):
         return f"SphereGroup({','.join(self.names)})"
+
+    def peripheral_index(self, canonical: Word, sign_insensitive: bool):
+        """The least 1-based index i with gi in the class whose
+        cyclic_canonical word (over both signs when sign_insensitive) is
+        canonical, or None: one lookup in the puncture keys."""
+        return self._punctures.get((sign_insensitive, canonical))
 
     def __eq__(self, other):
         return isinstance(other, SphereGroup) and self.names == other.names \
@@ -376,9 +382,8 @@ class ConjClass:
 
     def peripheral_index(self):
         """The least 1-based index i with this the class of gi (sign folded
-        in when sign_insensitive), or None: one lookup in the group's
-        puncture keys."""
-        return self.group._punctures.get((self.sign_insensitive, self.canonical))
+        in when sign_insensitive), or None: the group's peripheral_index."""
+        return self.group.peripheral_index(self.canonical, self.sign_insensitive)
 
 
 def is_conjugate(u: Word, v: Word):

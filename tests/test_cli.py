@@ -599,6 +599,28 @@ def test_cli_obstructed_is_inconclusive_on_a_multicurve_that_is_not_invariant(ca
         "  curve: x2*x3*x4*x5\n  lift: x4^-1*x3^-1\n  degree: 1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["thurston-matrix"], ["solve-twists", "--theta", "a"]],
+    ids=["thurston-matrix", "solve-twists"])
+def test_cli_matrix_commands_are_inconclusive_on_a_multicurve_that_is_not_invariant(
+        argv, capsys):
+    # the matrix [[3]] and a twist solution of x2*x3*x4*x5 alone would
+    # leave out its lift x3*x4: both commands answer as obstructed does
+    c7 = str(MACHINES / "centralizer7.mach")
+    args = (argv[0], c7, "--curves", "x2*x3*x4*x5", *argv[1:])
+    assert run_cli(*args) == 2
+    plain = capsys.readouterr().out
+    assert run_cli("obstructed", *args[1:4]) == 2
+    assert plain == capsys.readouterr().out
+    assert run_cli("--json", *args) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == argv[0]
+    assert report["result"] == {
+        "invariant": False, "lifts_outside": [
+            {"curve": "x2*x3*x4*x5", "lift": "x3*x4", "degree": 1},
+            {"curve": "x2*x3*x4*x5", "lift": "x4^-1*x3^-1", "degree": 1}]}
+
+
 def test_cli_classify_twist(capsys):
     assert run_cli("classify-twist", str(MACHINES / "rabbit.mcb"), "t^3") == 0
     out = capsys.readouterr().out
@@ -1225,6 +1247,56 @@ def test_benchmark_rabbit_oracle_passes(tmp_path, monkeypatch):
     assert len(workload.pending) == 14
 
 
+# a stand-in for perfbench/run.py: a result for seeds 11 and 12 of the
+# parent, a failure for the change's run of seed 12
+_FAKE_RUN = """import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 12 and {side!r} == "change":
+    sys.stderr.write("x" * 3000 + "boom")
+    sys.exit(5)
+metrics = {{m: {{"value": seed + ({side!r} == "change")}} for m in {metrics!r}}}
+print("noise")
+print(json.dumps({{"metrics": metrics, "failed": 0, "attempted": 4}}))
+"""
+
+
+def test_bench_pairs_writes_the_finished_runs_when_one_fails(
+        tmp_path, monkeypatch):
+    import importlib.util
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "_bench_pairs", root / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in bench["end_to_end"]]
+
+    def extract(commit, into):
+        (Path(into) / "perfbench").mkdir(parents=True)
+        (Path(into) / "perfbench" / "run.py").write_text(_FAKE_RUN.format(
+            side=Path(into).name, metrics=metrics))
+        return commit * 2
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    assert bench_pairs.main(["--parent", "p", "--change", "c",
+                             "--number", "7"]) == 1
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    # pair 1 ran both sides, pair 2 ran the change first, which failed
+    assert [(r["pair"], r["side"]) for r in record["runs"]] == \
+        [(1, "parent"), (1, "change")]
+    failed = record["failed_run"]
+    first = bench["workloads"][0]["name"]
+    assert (failed["workload"], failed["pair"], failed["side"],
+            failed["seed"], failed["exit_code"]) == (first, 2, "change", 12, 5)
+    assert "--seed 12" in failed["command"]
+    assert failed["stderr_tail"] == "x" * 1996 + "boom"
+    assert list(record["summary"]) == [first]
+    wall = record["summary"][first]["wall_s"]
+    assert (wall["pairs"], wall["parent"]["median"],
+            wall["change"]["median"]) == (1, 11, 12)
 @functools.cache
 def _pilgrim_s_text():
     mf = zoo.pilgrim()

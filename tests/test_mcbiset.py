@@ -233,6 +233,166 @@ def test_distill_of_the_degree_216_tower_rebased_with_conjugators():
     assert got.key == distill(M).key
 
 
+def _perm_reads(perm_tuple):
+    """How many entries of the permutations the canonicalisation reads."""
+    reads = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    dist = object.__new__(mcbiset.Distillation)
+    dist.perm_tuple = tuple(map(Counted, perm_tuple))
+    dist.degree = len(perm_tuple[0])
+    dist._canonicalize([])
+    return reads[0]
+
+
+def test_distill_walks_as_far_whatever_the_order_of_the_starts():
+    # lockstep rounds: each start walks exactly as far as it ties with
+    # the least first permutation, so relabelling the points, which
+    # reorders the starts, reads as many permutation entries
+    rng = random.Random(12)
+    B = zoo.centralizer7().machine
+    M = tensor(B, B)
+    reads = _perm_reads(M.monodromy_perms())
+    for _ in range(5):
+        sigma = list(range(M.degree))
+        rng.shuffle(sigma)
+        Mr = change_basis(M, BasisChange(((),) * M.degree, tuple(sigma)))
+        assert _perm_reads(Mr.monodromy_perms()) == reads
+        got = distill(Mr)
+        assert (got.key, got.numberings) == _reference_distillation(Mr)
+
+
+def test_distill_when_the_last_start_wins():
+    # the first generator fixes only the last point, so every other start
+    # is dropped at its first entry
+    G = SphereGroup(["a", "b", "c"])
+    for d in (3, 5, 9):
+        first = [(p + 1) % (d - 1) for p in range(d - 1)] + [d - 1]
+        second = [(p + 2) % d for p in range(d)]
+        M = _rows(G, [first, second, list(range(d))],
+                  [[(1,)] * d, [()] * d, [(2,)] + [()] * (d - 1)])
+        got = distill(M)
+        assert (got.key, got.numberings) == _reference_distillation(M)
+        assert [num.index(0) for num in got.numberings] == [d - 1]
+
+
+def test_distill_when_starts_tie_long_and_then_diverge():
+    # the first generator pairs 2j with 2j + 1 but for one swapped pair
+    # of pairs, and the second is a shift: the starts drop out two by two
+    # as their walks reach the swap, and the last four, which tie on the
+    # whole first permutation, are told apart by the shift
+    G = SphereGroup(["a", "b"])
+    for d in (8, 12, 20):
+        first = [p ^ 1 for p in range(d)]
+        first[d - 4], first[d - 1] = d - 1, d - 4
+        first[d - 3], first[d - 2] = d - 2, d - 3
+        shift = [(p + 1) % d for p in range(d)]
+        M = _rows(G, [first, shift], [[(1,)] * d, [(-1,)] + [()] * (d - 1)])
+        got = distill(M)
+        assert (got.key, got.numberings) == _reference_distillation(M)
+        assert len(got.numberings) == 1
+
+
+def _right_regular(gens):
+    """The permutations of the right action of the group generated by
+    gens on its elements, in order of discovery from the identity."""
+    elements = [perms.identity(len(gens[0]))]
+    index = {elements[0]: 0}
+    for x in elements:
+        for g in gens:
+            y = perms.compose(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    return [[index[perms.compose(x, g)] for x in elements] for g in gens]
+
+
+@pytest.mark.parametrize("name, gens", [
+    ("Z6", [(1, 2, 3, 4, 5, 0), (2, 3, 4, 5, 0, 1), (5, 0, 1, 2, 3, 4)]),
+    ("S3", [(1, 0, 2), (0, 2, 1), (2, 1, 0)]),
+    ("D4", [(1, 2, 3, 0), (3, 2, 1, 0), (1, 0, 3, 2)]),
+    ("A4", [(1, 2, 0, 3), (0, 2, 3, 1), (1, 0, 3, 2)]),
+])
+def test_distill_of_a_cayley_graph_is_decided_by_its_labels(name, gens):
+    # left multiplications commute with the right action, so every start
+    # ties on the permutations and the cycle labels pick the winners
+    G = SphereGroup(["a", "b", "c"])
+    action = _right_regular(gens)
+    d = len(action[0])
+    bare = distill(_rows(G, action, [[()] * d] * 3))
+    assert len(bare.numberings) == d
+    rng = random.Random(name)
+    for _ in range(10):
+        M = _rows(G, action, [[rng.choice([(), (), (1,), (-2,), (1, 2)])
+                               for _ in range(d)] for _ in range(3)])
+        got = distill(M)
+        assert (got.key, got.numberings) == _reference_distillation(M)
+        assert got.key[0] == bare.key[0]
+
+
+def test_distill_rejects_an_intransitive_machine_whose_small_part_leads():
+    # points 0..2: the first generator fixes them all and the second
+    # cycles them, so their starts lead the first rounds, then run out
+    # of points; points 3..8 lose at round 1
+    G = SphereGroup(["a", "b"])
+    first = [0, 1, 2, 3, 5, 4, 7, 6, 8]
+    second = [1, 2, 0, 4, 5, 6, 7, 8, 3]
+    M = _rows(G, [first, second], [[()] * 9] * 2)
+    assert not perms.is_transitive(M.monodromy_perms(), 9)
+    with pytest.raises(MachineError, match="transitive"):
+        distill(M)
+    # the same with the big part leading: it runs out too
+    M = _rows(G, [[0, 1, 2, 3, 4, 5, 7, 8, 6], [1, 2, 3, 4, 5, 0, 7, 8, 6]],
+              [[()] * 9] * 2)
+    with pytest.raises(MachineError, match="transitive"):
+        distill(M)
+
+
+def test_distill_of_the_empty_group():
+    # n = 0: no first permutation, one point, no cycle
+    G = SphereGroup([])
+    M = SphereMachine(G, G, [])
+    got = distill(M)
+    assert (got.key, got.numberings) == _reference_distillation(M)
+    assert (got.key, got.numberings) == (((), ()), [(0,)])
+
+
+def _paired(points):
+    """The involution swapping points 0 and 1, 2 and 3, ... of the list."""
+    inv = list(range(len(points)))
+    for a, b in zip(points[::2], points[1::2]):
+        inv[a], inv[b] = b, a
+    return inv
+
+
+@st.composite
+def _transitive_tuples(draw):
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 4))
+    # identities and involutions make ties, which the labels then break
+    perm = st.one_of(st.permutations(range(d)), st.just(list(range(d))),
+                     st.permutations(range(d)).map(_paired))
+    gens = [draw(perm) for _ in range(n)]
+    if not perms.is_transitive([tuple(g) for g in gens], d):
+        gens[-1] = [(p + 1) % d for p in range(d)]
+    words_ = st.sampled_from([(), (), (1,), (-2,), (1, 2), (2, -1)])
+    entries = [draw(st.lists(words_, min_size=d, max_size=d))
+               for _ in range(n)]
+    return _rows(SphereGroup([f"x{i}" for i in range(1, n + 1)]),
+                 gens, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_transitive_tuples())
+def test_distill_matches_reference_on_random_transitive_tuples(M):
+    got = distill(M)
+    assert (got.key, got.numberings) == _reference_distillation(M)
+
+
 def test_machine_isomorphism_round_trip():
     B = zoo.centralizer7().machine
     letters = [i for i in range(-6, 7) if i]

@@ -12,6 +12,10 @@ SEED_BASE + p; odd pairs run the parent first, even pairs the change
 first, so a drift of the machine's speed falls on both sides alike.  The file holds every run's result and, per workload
 and end-to-end metric, both sides' median and quartiles, the pairs in
 which the change is better and worse, and the median change in percent.
+When a run exits non-zero, no later run starts: the file holds the
+runs that finished and the failed run's command, exit code and the end
+of its stderr (failed_run), the summary covers complete pairs only, and
+the script exits 1.
 
 The host string ends with whether bytecode caches are written: the runs
 inherit this process's setting (PYTHONDONTWRITEBYTECODE or -B), and
@@ -49,28 +53,61 @@ def extract(commit: str, into: str) -> str:
     return full
 
 
-def run_one(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result, the last line of perfbench/run.py's output."""
+def run_one(root: str, workload: str, seed: int, seconds: float):
+    """(result, None) with the JSON result, the last line of
+    perfbench/run.py's output, or (None, failure) when the run exits
+    non-zero: its command, exit code and the end of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited "
-                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        return None, {"command": " ".join(cmd), "exit_code": proc.returncode,
+                      "stderr_tail": proc.stderr[-2000:]}
+    return json.loads(proc.stdout.strip().splitlines()[-1]), None
+
+
+def run_pairs(roots, workloads, metrics, seconds):
+    """(runs, failure): every run in pair order up to the first that
+    fails, and that run's failure (with its workload, pair and side), or
+    None when all ran."""
+    runs = []
+    for w in workloads:
+        for pair in range(1, PAIRS + 1):
+            seed = SEED_BASE + pair
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for s in order:
+                result, failure = run_one(roots[s], w, seed, seconds)
+                if failure is not None:
+                    print(f"{w} pair {pair} {s} failed: exit "
+                          f"{failure['exit_code']}", file=sys.stderr)
+                    return runs, {"workload": w, "pair": pair, "side": s,
+                                  "seed": seed, **failure}
+                runs.append({"workload": w, "pair": pair, "side": s,
+                             "seed": seed, "result": result})
+                print(f"{w} pair {pair} {s}: " + ", ".join(
+                    f"{m} {result['metrics'][m]['value']:.4g}"
+                    for m in metrics), file=sys.stderr, flush=True)
+    return runs, None
 
 
 def spread(values) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="exclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
 def summarize(runs, workloads, metrics, better) -> dict:
+    """Per workload with a complete pair, over its complete pairs only."""
     out = {}
     for w in workloads:
-        side = {s: sorted((r for r in runs if r["workload"] == w
-                           and r["side"] == s), key=lambda r: r["pair"])
+        side = {s: {r["pair"]: r for r in runs
+                    if r["workload"] == w and r["side"] == s}
                 for s in ("parent", "change")}
+        pairs = sorted(side["parent"].keys() & side["change"].keys())
+        if not pairs:
+            continue
+        side = {s: [side[s][p] for p in pairs] for s in side}
         out[w] = {}
         for m in metrics:
             pv, cv = ([r["result"]["metrics"][m]["value"] for r in side[s]]
@@ -120,18 +157,7 @@ def main(argv=None):
     try:
         commits = {s: extract(c, roots[s])
                    for s, c in (("parent", args.parent), ("change", args.change))}
-        runs = []
-        for w in workloads:
-            for pair in range(1, PAIRS + 1):
-                seed = SEED_BASE + pair
-                order = ("parent", "change") if pair % 2 else ("change", "parent")
-                for s in order:
-                    result = run_one(roots[s], w, seed, seconds)
-                    runs.append({"workload": w, "pair": pair, "side": s,
-                                 "seed": seed, "result": result})
-                    print(f"{w} pair {pair} {s}: " + ", ".join(
-                        f"{m} {result['metrics'][m]['value']:.4g}"
-                        for m in metrics), file=sys.stderr, flush=True)
+        runs, failure = run_pairs(roots, workloads, metrics, seconds)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -152,12 +178,14 @@ def main(argv=None):
         "summary": summarize(runs, workloads, metrics, better),
         "runs": runs,
     }
+    if failure is not None:
+        record["failed_run"] = failure
     out = f"BENCH_{args.number}.json"
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    return 0 if failure is None else 1
 
 
 if __name__ == "__main__":
