@@ -314,20 +314,29 @@ def _parse_lin_expr(text: str) -> LinExpr:
     return expr
 
 
+def _equations(constraints, congruences) -> tuple[list[str], list[str]]:
+    """The printed constraints and congruences of a twist solution."""
+    return ([f"{c} = 0" for c in constraints],
+            [f"{c} = 0 mod {m}" for c, m in congruences])
+
+
 def cmd_solve_twists(args):
     T = _thurston_matrix(args)
-    theta = [_parse_lin_expr(x) for x in args.theta.split(",")]
-    if len(theta) != len(T.cols):
-        raise CliError("need one theta entry per curve")
+    problem = TwistFixedPointProblem(
+        T, [_parse_lin_expr(x) for x in args.theta.split(",")])
     if T.outside:
         return _not_invariant(T)
-    sol = solve_twist_fixed_point(TwistFixedPointProblem(T, theta))
-    return {
-        "constraints": [str(c) + " = 0" for c in sol.constraints],
-        "congruences": [f"{c} = 0 mod {m}" for c, m in sol.congruences],
-        "solution": {lab: str(e) for lab, e in zip(T.cols, sol.solution)},
-        "free_rank": sol.free_rank,
-    }, 0
+    sol = solve_twist_fixed_point(problem)
+    constraints, congruences = _equations(sol.constraints, sol.congruences)
+    report = {"constraints": constraints, "congruences": congruences}
+    bad_constraints, bad_congruences = _equations(*sol.contradictions())
+    if bad_constraints or bad_congruences:
+        # no integer solution: the answer is no, and there is no v to print
+        report["contradictions"] = bad_constraints + bad_congruences
+        return report, 1
+    report["solution"] = {lab: str(e) for lab, e in zip(T.cols, sol.solution)}
+    report["free_rank"] = sol.free_rank
+    return report, 0
 
 
 def cmd_split(args):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import perms
 from .perms import Perm
 from .words import (
-    Word, EPSILON, SphereGroup, ConjClass, Automorphism,
+    Word, EPSILON, SphereGroup, ConjClass, Automorphism, cyclic_canonical,
     winv, wmul, walk, substitute_all, is_peripheral_preserving, _append_reduced,
 )
 
@@ -143,44 +143,42 @@ class LiftMultiset:
         return sum(d for d, _ in self.entries)
 
 
-def cycle_products(w: WreathElement):
-    """Yield (cycle, product) for each cycle of w's permutation, in action
-    order from its least point, with the product of w's entries along
-    it, built in one list that each entry is appended to in place
-    (words._append_reduced): linear in the letters, and no tuple per
-    point for the many short cycles.  The product of normal forms, such
-    as a machine's entries, is a normal form."""
+def cycle_labels(w: WreathElement, target: SphereGroup):
+    """Yield (cycle, label, product) for each cycle of w's permutation, in
+    action order from its least point, with the product of w's entries
+    along it and the label of its target class: (0,) when the product is
+    empty, (1, i) for the class of gi, else (2, its cyclic_canonical word).
+
+    w's entries must be normal forms, as a machine's rows and evaluations
+    are.  The product, each entry appended to one list in place
+    (words._append_reduced), is then a normal form, trivial only when
+    empty, and is labelled with no normal_form and no ConjClass."""
     entries = w.entries
     for cycle in perms.cycles(w.perm):
         h: list[int] = []
         for p in cycle:
             _append_reduced(h, entries[p])
-        yield cycle, h
-
-
-def cycle_classes(w: WreathElement, target: SphereGroup):
-    """Yield (cycle, class) for each of w's cycle_products, with the
-    target conjugacy class of the product.
-
-    Cycles whose product is the empty list (most of them at high degree)
-    share one trivial class, built on the first such cycle; a non-empty
-    product goes through ConjClass even when it is trivial in the group."""
-    trivial = None
-    for cycle, h in cycle_products(w):
-        if h:
-            yield cycle, ConjClass(target, h)
+        if not h:
+            yield cycle, (0,), h
             continue
-        if trivial is None:
-            trivial = ConjClass(target, EPSILON)
-        yield cycle, trivial
+        c = cyclic_canonical(h)
+        i = target.peripheral_index(c, False)
+        yield cycle, (2, c) if i is None else (1, i), h
 
 
 def multiset_of_lifts(M: SphereMachine, c) -> LiftMultiset:
     """Lifts of the conjugacy class of the source word c: orbit degrees of
-    the right action of c, with the classes of the return words."""
+    the right action of c, with the classes of the return words.  Lifts
+    of one label share one class, built from the first one's return
+    word; so the trivial lifts, most of them at high degree, share one."""
     w = M.evaluate(M.source.normal_form(c))
-    return LiftMultiset([(len(cycle), cls)
-                         for cycle, cls in cycle_classes(w, M.target)])
+    classes = {(0,): ConjClass(M.target, EPSILON)}
+    entries = []
+    for cycle, label, h in cycle_labels(w, M.target):
+        if label not in classes:
+            classes[label] = ConjClass(M.target, h)
+        entries.append((len(cycle), classes[label]))
+    return LiftMultiset(entries)
 
 
 @dataclass
@@ -221,17 +219,14 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
         # kept generators' wreath images are their rows: evaluate the other
         g = M.source.gen(i)
         w = M.rows[i - 1] if g == (i,) else M.evaluate(g)
-        for cycle, cls in cycle_classes(w, M.target):
-            if cls.is_trivial():
-                continue
-            j = cls.peripheral_index()
-            if j is None:
+        for cycle, label, h in cycle_labels(w, M.target):
+            if label[0] == 1:
+                found.append(label[1])
+                mapping[label[1]] = (i, len(cycle))
+            elif label[0] == 2:
                 ok3 = False
-                details.append(
-                    f"lift of class {i} hits non-peripheral class {cls!r}")
-            else:
-                found.append(j)
-                mapping[j] = (i, len(cycle))
+                details.append(f"lift of class {i} hits non-peripheral "
+                               f"class {ConjClass(M.target, h)!r}")
     # the n oriented peripheral classes are distinct: indices stand for them
     if sorted(found) != list(range(1, M.target.n + 1)):
         ok3 = False

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from . import perms
 from .perms import Perm
 from .words import (
-    SphereGroup, Automorphism, cyclic_canonical,
+    SphereGroup, Automorphism,
     winv, wmul, walk, reduce_word, substitute_all,
     outer_normal_images, inner_conjugator, is_peripheral_preserving,
     dehn_twist, _fingerprint,
 )
 from .machine import (
     SphereMachine, WreathElement, BasisChange, change_basis, pre_compose,
-    normalize_basis, tree_words, validate_sphere, cycle_products, MachineError,
+    normalize_basis, tree_words, validate_sphere, cycle_labels, MachineError,
     _elided, _quoted,
 )
 from .folding import SubgroupGraph
@@ -30,19 +30,6 @@ from .folding import SubgroupGraph
 
 class ReconstructionError(MachineError):
     """Distillations matched but no knitting automorphism could be built."""
-
-
-def _label_key(G: SphereGroup, h) -> tuple:
-    """The label of a cycle whose entry product h is a normal form: (0,)
-    when h is empty, (1, i) for the class of gi, else (2, its
-    cyclic_canonical word).  A non-empty reduced word has a non-empty
-    cyclic core, so h is trivial only when empty; no ConjClass is built,
-    since h needs no normal_form."""
-    if not h:
-        return (0,)
-    c = cyclic_canonical(h)
-    i = G.peripheral_index(c, False)
-    return (2, c) if i is None else (1, i)
 
 
 class Distillation:
@@ -60,11 +47,10 @@ class Distillation:
     def __init__(self, machine: SphereMachine):
         self.degree = machine.degree
         self.perm_tuple: tuple[Perm, ...] = tuple(machine.monodromy_perms())
-        # (generator, cycle, label key), keyed once
-        G = machine.target
-        keyed_cycles = [(i, cyc, _label_key(G, h))
+        # (generator, cycle, label), keyed once
+        keyed_cycles = [(i, cyc, label)
                         for i, row in enumerate(machine.rows, 1)
-                        for cyc, h in cycle_products(row)]
+                        for cyc, label, _ in cycle_labels(row, machine.target)]
         self.key, self.numberings = self._canonicalize(keyed_cycles)
 
     def _canonicalize(self, keyed_cycles):

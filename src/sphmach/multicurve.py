@@ -84,12 +84,10 @@ def classify_lifts(M: SphereMachine, downstairs: Multicurve,
         tags = []
         for deg, cls in multiset_of_lifts(M, curve.rep).entries:
             if cls.is_trivial():
-                tags.append((deg, ("trivial",)))
-                continue
-            unoriented = ConjClass(M.target, cls.rep, sign_insensitive=True)
-            if unoriented.canonical in curve_index:
-                tag = ("curve", curve_index[unoriented.canonical])
-            elif (i := unoriented.peripheral_index()) is not None:
+                tag = ("trivial",)
+            elif (key := cyclic_canonical(cls.canonical, True)) in curve_index:
+                tag = ("curve", curve_index[key])
+            elif (i := M.target.peripheral_index(key, True)) is not None:
                 tag = ("peripheral", i)
             else:
                 tag = ("other", cls)
@@ -317,7 +315,8 @@ def twist_lift_check(mcb: MappingClassBiset, T: ThurstonMatrix,
         if name not in gens:
             raise MulticurveError(f"twist {_elided(name, str)} has no automorphism")
         if not is_peripheral_preserving(gens[name]):
-            raise MulticurveError(f"{name} is not peripheral-preserving")
+            raise MulticurveError(
+                f"{_elided(name, str)} is not peripheral-preserving")
     for col, name in enumerate(twist_names):
         edge = mcb.table[(name, mcb.base)]
         if edge.knitting_auto is None:
@@ -470,6 +469,10 @@ class TwistFixedPointProblem:
     matrix: ThurstonMatrix
     theta: list[LinExpr]
 
+    def __post_init__(self):
+        if len(self.theta) != len(self.matrix.cols):
+            raise MulticurveError("need one theta entry per curve")
+
 
 @dataclass
 class TwistFixedPointSolution:
@@ -478,6 +481,15 @@ class TwistFixedPointSolution:
     solution: list[LinExpr]             # v per curve, over unknowns + free params
     free_rank: int
     free_params: list[str]
+
+    def contradictions(self):
+        """(constraints, congruences) that no values of the unknowns
+        satisfy: those with no unknown left.  A constraint kept is a
+        non-zero constant then, and a congruence 1 = 0 mod m with m > 1,
+        so the system has no integer solution exactly when either list
+        is non-empty."""
+        return ([c for c in self.constraints if not c.coeffs],
+                [(c, m) for c, m in self.congruences if not c.coeffs])
 
 
 def solve_twist_fixed_point(problem: TwistFixedPointProblem) -> TwistFixedPointSolution:
@@ -543,11 +555,17 @@ def solve_twist_fixed_point(problem: TwistFixedPointProblem) -> TwistFixedPointS
 def verify_fixed_point(sol: TwistFixedPointSolution,
                        problem: TwistFixedPointProblem, values: dict) -> bool:
     """Substitute numeric values (unknowns and free params) and verify
-    v = theta + T v; values must satisfy the constraints."""
+    that they satisfy the constraints and the congruences, that every
+    v_i is an integer and that v = theta + T v."""
     for c in sol.constraints:
         if c.evaluate(values) != 0:
             return False
+    for c, m in sol.congruences:
+        if c.evaluate(values) % m:
+            return False
     v = [e.evaluate(values) for e in sol.solution]
+    if any(x.denominator != 1 for x in v):
+        return False
     theta = [e.evaluate(values) for e in problem.theta]
     A = problem.matrix.entries
     n = len(v)
@@ -809,8 +827,9 @@ def promote_bijection(tree1: TreeOfGroups, tree2: TreeOfGroups,
     for key, image in h.items():
         for tag, keys, side in ((key, keys1, "first"), (image, keys2, "second")):
             if tag not in keys:
-                raise MulticurveError(f"the bijection names {tag[0]} {tag[1]}, "
-                                      f"which is no class of the {side} tree")
+                raise MulticurveError(
+                    f"the bijection names {tag[0]} {_elided(str(tag[1]), str)}, "
+                    f"which is no class of the {side} tree")
     # a list, so that a failure names the first bad curve in tree order
     curves1 = [("curve", c.cid) for c in tree1.curves]
     curves2 = {("curve", c.cid) for c in tree2.curves}

@@ -224,12 +224,16 @@ def test_cycle_row_and_option_messages_elide_long_input(capsys):
     c7 = str(MACHINES / "centralizer7.mach")
     fb = str(MACHINES / "fbiset.mach")
     long_curve = "c" + "0" * 4000 + "1"  # the label of curve 1
+    # a curve id int() reads, but no curve of the tree
+    no_curve = ",".join([f"x{i}:x{i}" for i in range(1, 8)]
+                        + ["c0:c0", "c1:c" + "7" * 3000])
     capsys.readouterr()
     for args in (("solve-twists", c7, f"--theta={'9' * 100000}a,b"),
                  ("promote", c7, c7, "--map", f"{name}:x1"),
                  ("promote", c7, c7, "--map", name),
                  ("promote", c7, c7, "--map",
                   f"{long_curve}:c1,{long_curve}:c0"),
+                 ("promote", c7, c7, "--map", no_curve),
                  ("mcbiset", fb, "--gens", name)):
         assert run_cli(*args) == 3
         err = capsys.readouterr().err
@@ -1119,6 +1123,24 @@ def test_cli_promote_report_is_the_same_under_every_hash_seed():
         reports.add(json.loads(proc.stdout)["result"]["detail"])
     assert reports == {"failed at step 1: ('curve', 0) does not map to a "
                        "curve class"}
+
+
+@pytest.mark.parametrize("theta, constraints, congruences, contradictions", [
+    # v2 = -1/2: the congruence has no unknown left
+    ("1,1", [], ["1 = 0 mod 2"], ["1 = 0 mod 2"]),
+    # the two equations for v2 ask a = a + 1
+    ("a,a+1", ["1 = 0"], ["a = 0 mod 2"], ["1 = 0"]),
+])
+def test_cli_solve_twists_answers_no_on_a_system_with_no_integer_solution(
+        theta, constraints, congruences, contradictions, capsys):
+    c7 = str(MACHINES / "centralizer7.mach")
+    assert run_cli("--json", "solve-twists", c7, f"--theta={theta}") == 1
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "constraints": constraints, "congruences": congruences,
+        "contradictions": contradictions}
+    assert run_cli("solve-twists", c7, f"--theta={theta}") == 1
+    plain = capsys.readouterr().out
+    assert "contradictions:" in plain and "solution" not in plain
 
 
 def test_cli_solve_twists_theta_count_and_leading_minus(capsys):

@@ -12,7 +12,7 @@ from sphmach.machine import (
     SphereMachine, WreathElement, BasisChange, MachineError, NotSphereBiset,
     validate_sphere, multiset_of_lifts, portrait, tensor, change_basis,
     pre_compose, post_compose, normalize_basis, stabilizer_subgroup,
-    tree_words, LiftMultiset, cycle_classes, ValidationReport,
+    tree_words, LiftMultiset, cycle_labels, ValidationReport,
 )
 from sphmach.folding import SubgroupGraph
 from sphmach.mcbiset import full_twist_generators
@@ -256,6 +256,8 @@ def test_lift_multisets_of_the_obstruction_curves():
     expected_s = LiftMultiset(
         [(1, ConjClass(G, s))] + [(1, ConjClass(G, ()))] * 5)
     assert ls == expected_s
+    # the five trivial lifts share one class
+    assert len({id(c) for _, c in ls.entries if c.is_trivial()}) == 1
     lt = multiset_of_lifts(M, t)
     expected_t = LiftMultiset([
         (1, ConjClass(G, ())),
@@ -266,19 +268,22 @@ def test_lift_multisets_of_the_obstruction_curves():
     assert lt == expected_t
 
 
-def _reference_cycle_classes(w, target):
-    """(cycle, product, class) for each cycle of w, with a ConjClass built
-    for every cycle product, empty or not."""
+def _reference_cycle_labels(w, target):
+    """(cycle, label, product) for each cycle of w, with a ConjClass built
+    for every cycle product, empty or not, and labelled from it."""
     for cycle in perms.cycles(w.perm):
         product = wmul(*(w.entries[p] for p in cycle))
-        yield cycle, product, ConjClass(target, product)
+        cls = ConjClass(target, product)
+        j = cls.peripheral_index()
+        yield cycle, ((0,) if cls.is_trivial() else (1, j) if j is not None
+                      else (2, cls.canonical)), product
 
 
-def _cycle_class_inputs():
-    """Wreath elements from every fixture and the centralizer7 tower: the
-    rows, the same rows under a seeded basis change, and the evaluations
-    of the multicurves; plus a row whose one non-empty product is the
-    relator, trivial in the group."""
+def _cycle_label_inputs():
+    """Wreath elements whose entries are normal forms, from every fixture
+    and the centralizer7 tower: the rows, the same rows under a seeded
+    basis change, and the evaluations of the relator and the
+    multicurves."""
     rng = random.Random(31)
     c7 = zoo.centralizer7()
     machines = [mf().machine for mf in ZOO_MACHINES.values()]
@@ -293,29 +298,17 @@ def _cycle_class_inputs():
         if M.source == c7.machine.source:
             for curve in c7.curves:
                 yield M.target, M.evaluate(curve.rep)
-    G = c7.machine.target
-    yield G, WreathElement((G.relator, ()), (0, 1))
 
 
-def test_cycle_classes_match_a_class_per_cycle():
-    # empty products share one trivial class; every other product, the
-    # relator included, is its own ConjClass: the answers are the same
-    trivial_products = 0
-    for target, w in _cycle_class_inputs():
-        got = list(cycle_classes(w, target))
-        want = list(_reference_cycle_classes(w, target))
-        assert [(cyc, c.canonical, c.is_trivial(), c.peripheral_index())
-                for cyc, c in got] == \
-            [(cyc, c.canonical, c.is_trivial(), c.peripheral_index())
-             for cyc, _, c in want]
-        assert [c for _, c in got] == [c for _, _, c in want]
-        shared = {id(c) for (_, c), (_, product, _) in zip(got, want)
-                  if not product}
-        assert len(shared) <= 1
-        trivial_products += sum(1 for (_, c), (_, product, _) in zip(got, want)
-                                if product and c.is_trivial())
-    # the relator row: a non-empty product that is trivial in the group
-    assert trivial_products >= 1
+def test_cycle_labels_match_a_class_per_cycle():
+    # every label, (0,), (1, i) or (2, canonical word), is the one read
+    # off a ConjClass of the cycle product, and so is the product
+    labels = set()
+    for target, w in _cycle_label_inputs():
+        got = [(cyc, label, tuple(h)) for cyc, label, h in cycle_labels(w, target)]
+        assert got == list(_reference_cycle_labels(w, target))
+        labels.update(label[0] for _, label, _ in got)
+    assert labels == {0, 1, 2}
 
 
 def test_lift_degrees_sum_to_degree():

@@ -412,6 +412,15 @@ def test_twist_lift_check_needs_the_automorphisms():
     with pytest.raises(MulticurveError, match="^twist s has no automorphism$"):
         twist_lift_check(zoo.rabbit_mcb(), identity, ["s", "t"])
     mcb = compute_mcbiset(M, [("sigma", autos["sigma"]), ("tau", autos["tau"])])
+    # a half-twist swaps the classes of x1 and x2; its long name is elided
+    G = M.target
+    name = "z" * 100000
+    mcb.gens[name] = Automorphism(
+        G, [(2,), (-2, 1, 2)] + [G.gen(i) for i in range(3, G.n + 1)])
+    with pytest.raises(MulticurveError) as exc:
+        twist_lift_check(mcb, T, [name, "tau"])
+    assert str(exc.value) == (f"{'z' * 24}...{'z' * 24} (100000 characters) "
+                              "is not peripheral-preserving")
     mcb.table[("tau", mcb.base)].knitting_auto = None
     with pytest.raises(MulticurveError,
                        match=r"^edge \(tau, b0\) has no knitting automorphism$"):
@@ -515,6 +524,45 @@ def test_solver_congruence_modulus_drops_the_content():
     values.update({p: 0 for p in sol.free_params})
     assert verify_fixed_point(sol, prob, values)
     assert sol.solution[1].evaluate(values) == -1
+
+
+def test_verify_fixed_point_requires_the_congruences_and_integer_entries():
+    # with T and theta as above, a = b = 2 meets the constraint a - b but
+    # not a = 0 mod 4, and gives v2 = -1/2; a = b = 4 with the free
+    # parameter 1/2 meets both, but v1 is 1/2: neither is a fixed point
+    T = ThurstonMatrix(["x", "y"], ["x", "y"],
+                       [[Fraction(1), Fraction(8)], [Fraction(0), Fraction(9)]])
+    prob = TwistFixedPointProblem(
+        T, [LinExpr.var("a").scale(2), LinExpr.var("b").scale(2)])
+    sol = solve_twist_fixed_point(prob)
+    [w] = sol.free_params
+    assert verify_fixed_point(sol, prob, {"a": 4, "b": 4, w: 0})
+    assert sol.solution[1].evaluate({"a": 2, "b": 2, w: 0}) == Fraction(-1, 2)
+    assert not verify_fixed_point(sol, prob, {"a": 2, "b": 2, w: 0})
+    assert not verify_fixed_point(sol, prob, {"a": 4, "b": 4, w: Fraction(1, 2)})
+
+
+def test_twist_fixed_point_problem_needs_one_theta_entry_per_curve():
+    # too many entries were ignored ([[1]] with (a, b) answered the
+    # constraint a), too few raised IndexError
+    T = ThurstonMatrix(["x"], ["x"], [[Fraction(1)]])
+    for theta in ([LinExpr.var("a"), LinExpr.var("b")], []):
+        with pytest.raises(MulticurveError,
+                           match="^need one theta entry per curve$"):
+            TwistFixedPointProblem(T, theta)
+
+
+def test_contradictions_are_the_entries_with_no_unknown():
+    T = ThurstonMatrix(["x", "y"], ["x", "y"],
+                       [[Fraction(1), Fraction(8)], [Fraction(0), Fraction(9)]])
+    for theta, want in [
+            ((LinExpr.var("a").scale(2), LinExpr.var("b").scale(2)), ([], [])),
+            ((LinExpr.of(1), LinExpr.of(2)), (["1"], [("1", 8)])),
+            ((LinExpr.var("a"), LinExpr.var("a") + LinExpr.of(1)), (["1"], []))]:
+        sol = solve_twist_fixed_point(TwistFixedPointProblem(T, list(theta)))
+        constraints, congruences = sol.contradictions()
+        assert ([str(c) for c in constraints],
+                [(str(c), m) for c, m in congruences]) == want
 
 
 def test_solver_trivial_and_invertible():
