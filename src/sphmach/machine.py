@@ -215,10 +215,13 @@ def validate_sphere(M: SphereMachine) -> ValidationReport:
     found: list[int] = []
     mapping: dict[int, tuple[int, int]] = {}
     ok3 = True
-    for i in range(1, M.source.n + 1):
-        # kept generators' wreath images are their rows: evaluate the other
-        g = M.source.gen(i)
-        w = M.rows[i - 1] if g == (i,) else M.evaluate(g)
+    G = M.source
+    for i in range(1, G.n + 1):
+        # kept generators' wreath images are their rows; the eliminated
+        # one's is the inverse of the image of the relator's other letters,
+        # positive letters whose steps relator_ok has built already
+        w = M.rows[i - 1] if G.gen(i) == (i,) \
+            else M.evaluate(G.relator[:-1]).inv()
         for cycle, label, h in cycle_labels(w, M.target):
             if label[0] == 1:
                 found.append(label[1])
@@ -312,13 +315,15 @@ def change_basis(M: SphereMachine, b: BasisChange) -> SphereMachine:
     rho = b.relabel
     rho_inv = perms.inverse(rho)
     ell = [M.target.normal_form(w) for w in b.conjugators]
+    # each conjugator is inverted once, not once per row
+    ell_inv = [winv(w) for w in ell]
     rows = []
     for row in M.rows:
         entries: list[Word] = [EPSILON] * M.degree
         img: list[int] = [0] * M.degree
         for i in range(M.degree):
             j = rho_inv[row.perm[rho[i]]]
-            entries[i] = wmul(winv(ell[i]), row.entries[rho[i]], ell[j])
+            entries[i] = wmul(ell_inv[i], row.entries[rho[i]], ell[j])
             img[i] = j
         rows.append(WreathElement(tuple(entries), tuple(img)))
     return SphereMachine(M.source, M.target, rows)

@@ -233,6 +233,17 @@ def _sign_changes(chain, a: int, b: int) -> int:
     return sum((u > 0) != (v > 0) for u, v in zip(values, values[1:]))
 
 
+def _exact_quotient(a, b):
+    """a / b for integer polynomials that b divides in Z[x]."""
+    a, lead, quotient = list(a), b[0], []
+    for k in range(len(a) - len(b) + 1):
+        c = a[k] // lead
+        quotient.append(c)
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+    return quotient
+
+
 def count_real_roots(p, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p (coefficients highest power
     first) in (lo, hi], by Sturm's theorem."""
@@ -259,8 +270,20 @@ def is_obstructed(T: ThurstonMatrix) -> ObstructionReport:
     division, see charpoly), so the decision is a Sturm count on
     [1, infinity).  The Sturm chain holds primitive integer polynomials,
     positive multiples of the rational chain's, and the sign of a member
-    p at a/b, b > 0, is that of the integer b^deg(p) * p(a/b).  Every
-    decision is exact; floats appear only in the reported bracket."""
+    p at a/b, b > 0, is that of the integer b^deg(p) * p(a/b).
+
+    The bracket comes from bisection on Sturm counts until a count shows
+    exactly one distinct root r above the lower end.  Every later query
+    lies above that end, so it asks only whether it is <= r, and the
+    square-free part s = q / gcd(q, q') of the chain's first member q
+    answers that: its roots are q's, all simple, so between that end and
+    the bound s changes sign at r and nowhere else, and a query lies at
+    or below r exactly when s there is 0 or has the sign opposite to s
+    at the bound.  The chain's last member is that gcd up to a constant,
+    and both it and q are primitive, so by Gauss's lemma the quotient is
+    an exact integer division.  Each step decides as the Sturm count
+    would, so the bracket is the same.  Every decision is exact; floats
+    appear only in the reported bracket."""
     if not T.is_square():
         raise MulticurveError("obstruction test needs a square matrix")
     if any(x < 0 for row in T.entries for x in row):
@@ -275,22 +298,31 @@ def is_obstructed(T: ThurstonMatrix) -> ObstructionReport:
     # y = top, so the distinct roots in (y, top] number V(y) - V(top)
     top = max(map(sum, B), default=0) + D
     v_top = _sign_changes(chain, top, 1)
-
-    def has_root_at_least(a: int, b: int) -> bool:  # y = a/b, b > 0
-        return _sign_changes(chain, a, b) > v_top \
-            or _scaled_value(chain[0], a, b) == 0
-
-    obstructed = has_root_at_least(D, 1)
-    # bracket the largest real root by bisection on the Sturm count; the
-    # bracket is [lo, hi] / (D * 2^j) in x
+    # a root at or above y = D, that is x = 1
+    obstructed = _sign_changes(chain, D, 1) > v_top \
+        or _scaled_value(chain[0], D, 1) == 0
+    # bracket the largest real root by bisection on the Sturm count, then,
+    # once one root is left above lo, on the sign of the square-free part;
+    # the bracket is [lo, hi] / (D * 2^j) in x
     lo, hi, j = 0, top, 0
     if not any(p[1:]):
         hi = lo  # charpoly x^n: the matrix is nilpotent, its Perron root 0
     else:
+        square_free = None
         while (hi - lo) * 10 ** 9 > D << j:
             lo, hi, j = 2 * lo, 2 * hi, j + 1
             mid = (lo + hi) // 2
-            if has_root_at_least(mid, 1 << j):
+            if square_free is not None:
+                v = _scaled_value(square_free, mid, 1 << j)
+                at_least = v == 0 or (v > 0) != top_positive
+            else:
+                roots_above = _sign_changes(chain, mid, 1 << j) - v_top
+                at_least = roots_above > 0 \
+                    or _scaled_value(chain[0], mid, 1 << j) == 0
+                if roots_above == 1:  # lo moves to mid, below the last root
+                    square_free = _exact_quotient(chain[0], chain[-1])
+                    top_positive = _scaled_value(square_free, top, 1) > 0
+            if at_least:
                 lo = mid
             else:
                 hi = mid
@@ -324,7 +356,7 @@ def twist_lift_check(mcb: MappingClassBiset, T: ThurstonMatrix,
             raise MulticurveError(f"edge ({_elided(name, str)}, {base}) has no "
                                   "knitting automorphism")
         if edge.target != mcb.base:
-            problems.append(f"{name}: base element not fixed")
+            problems.append(f"{_elided(name, str)}: base element not fixed")
             continue
         column = [int(T.entries[row][col]) for row in range(len(T.rows))]
         want = Automorphism.identity(edge.knitting_auto.group)
@@ -333,8 +365,8 @@ def twist_lift_check(mcb: MappingClassBiset, T: ThurstonMatrix,
             for _ in range(abs(k)):
                 want = want.compose(step)
         if not outer_equal(edge.knitting_auto, want):
-            problems.append(f"{name}: knitting does not match the twist "
-                            f"vector {column}")
+            problems.append(f"{_elided(name, str)}: knitting does not match "
+                            f"the twist vector {column}")
     return problems
 
 

@@ -183,11 +183,14 @@ def test_validation_reads_the_rows_of_the_kept_generators(monkeypatch):
         monkeypatch.undo()
         assert got == want
         assert (got.details, got._mapping) == (want.details, want._mapping)
-        # the relator and the one generator that is not a kept letter
+        # the relator, then the positive word whose inverse is the one
+        # generator that is not a kept letter
         G = M.source
-        eliminated = [g for i, g in enumerate(G.gens, 1) if g != (i,)]
-        assert len(eliminated) == 1
-        assert evaluated == [G.relator] + eliminated
+        eliminated = [i for i, g in enumerate(G.gens, 1) if g != (i,)]
+        assert eliminated == [G.relator[-1]]
+        assert evaluated == [G.relator, G.relator[:-1]]
+        assert M.evaluate(G.gen(eliminated[0])) \
+            == M.evaluate(G.relator[:-1]).inv()
         evaluated.clear()
     assert not want.relator_ok and not want.lifts_partition
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphmach import perms
+from sphmach import multicurve, perms
 from sphmach.words import (
     SphereGroup, ConjClass, Automorphism, wmul, conjugate, is_conjugate,
     dehn_twist, outer_equal,
@@ -308,14 +308,17 @@ def _seeded_matrices(seed):
                     for _ in range(n)] for _ in range(n)]
 
 
-@pytest.mark.parametrize("entries", [
+_EDGE_CASES = [
     [[2, 1], [0, 2]],                    # the Perron root 2 is a double root
     [[1, 2], [0, 3]],                    # exact rational roots 1 and 3
     [[0]], [[0, 1], [0, 0]], [[0, 2, 1], [0, 0, 3], [0, 0, 0]],  # nilpotent
     [[1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 2]],
     [[3, 1, 0], [2, 0, 5], [1, 1, 1]],
     [],
-])
+]
+
+
+@pytest.mark.parametrize("entries", _EDGE_CASES)
 def test_is_obstructed_matches_the_rational_oracle_on_int_entries(entries):
     want = _oracle_report([[Fraction(v) for v in row] for row in entries])
     assert _hex(_report(entries)) == _hex(want)
@@ -326,6 +329,99 @@ def test_is_obstructed_matches_the_rational_oracle_on_int_entries(entries):
 def test_is_obstructed_matches_the_rational_oracle_on_seeded_matrices():
     for entries in _seeded_matrices(12):
         assert _hex(_report(entries)) == _hex(_oracle_report(entries)), entries
+
+
+def _bisection_steps(entries):
+    """The steps of the bisection from [0, bound] down to 1e-9."""
+    bound = max(map(sum, entries)) + 1
+    steps = 0
+    while bound * 10 ** 9 > 2 ** steps:
+        steps += 1
+    return steps
+
+
+def test_perron_bisection_counts_until_one_root_is_left(monkeypatch):
+    calls = []
+    sign_changes = multicurve._sign_changes
+    monkeypatch.setattr(multicurve, "_sign_changes", lambda chain, a, b:
+                        calls.append(a) or sign_changes(chain, a, b))
+    entries = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]]
+    _report(entries)
+    # the bound, the test at 1 and the first midpoint, 2, above which 3 is
+    # the only root; the other 31 steps read the square-free part
+    assert len(calls) <= 3 < _bisection_steps(entries)
+    for entries in _seeded_matrices(12):
+        if len(entries) == 8:
+            calls.clear()
+            _report(entries)
+            assert len(calls) < _bisection_steps(entries), entries
+
+
+@st.composite
+def _nonnegative_matrices(draw):
+    """Nonnegative rational matrices up to 5 x 5: as drawn; block-diagonal
+    copies diag(A, A), whose Perron root repeats, so that the
+    characteristic polynomial is not square-free; and upper triangular
+    ones with dyadic diagonal entries, whose roots a bisection midpoint
+    can hit exactly."""
+    kind = draw(st.sampled_from(["plain", "block", "dyadic"]))
+    n = draw(st.integers(1, 2 if kind == "block" else 5))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(1, 9), st.integers(1, 12)))
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "block":
+        zeros = [Fraction(0)] * n
+        A = [row + zeros for row in A] + [zeros + row for row in A]
+    elif kind == "dyadic":
+        for i in range(n):
+            A[i][:i + 1] = [Fraction(0)] * i + [
+                Fraction(draw(st.integers(0, 16)), 2 ** draw(st.integers(0, 3)))]
+    return A
+
+
+def _below_one_by_a_positive_solution(A):
+    """Whether rho(A) < 1, for a nonnegative A, without Sturm: exactly when
+    (I - A) v = 1 has a solution with every v_i > 0 (Berman and
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, ch. 6).
+    Gauss-Jordan elimination in Fractions; a singular I - A has the
+    eigenvalue 1, so rho(A) >= 1."""
+    n = len(A)
+    rows = [[int(i == j) - Fraction(A[i][j]) for j in range(n)] + [Fraction(1)]
+            for i in range(n)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return all(rows[i][n] / rows[i][i] > 0 for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonnegative_matrices())
+def test_is_obstructed_matches_both_oracles_on_random_matrices(entries):
+    report = _report(entries)
+    assert _hex(report) == _hex(_oracle_report(entries))
+    assert report[0] == (not _below_one_by_a_positive_solution(entries))
+
+
+@pytest.mark.parametrize("entries", _EDGE_CASES + [
+    [[Fraction(1, 2), 0], [0, Fraction(1, 2)]],    # rho 1/2, repeated
+    [[0, Fraction(1, 2)], [2, 0]],                 # rho exactly 1
+    [[0, Fraction(1, 2)], [Fraction(199, 100), 0]],  # rho just below 1
+])
+def test_obstruction_matches_the_positive_solution_oracle(entries):
+    # [[1]], [[0, 1], [1, 0]] and [[1, 1], [0, 1]] have rho exactly 1
+    assert _report(entries)[0] == (not _below_one_by_a_positive_solution(entries))
+
+
+def test_obstruction_matches_the_positive_solution_oracle_on_seeded_matrices():
+    for entries in _seeded_matrices(12):
+        assert _report(entries)[0] \
+            == (not _below_one_by_a_positive_solution(entries)), entries
 
 
 def test_charpoly_matches_sympy():
@@ -434,6 +530,24 @@ def test_twist_lift_check_reports_a_twist_that_moves_the_base():
     T = ThurstonMatrix(["a*b"], ["a*b"], [[Fraction(1)]])
     assert twist_lift_check(mcb, T, ["t1_2"]) == [
         "t1_2: base element not fixed"]
+
+
+def test_twist_lift_check_elides_long_names_in_its_problems():
+    name = "z" * 5000
+    elided = f"{'z' * 24}...{'z' * 24} (5000 characters)"
+    M = zoo.z5_marked().machine
+    mcb = compute_mcbiset(M, [(name if n == "t1_2" else n, g)
+                              for n, g in full_twist_generators(M.target)])
+    T = ThurstonMatrix(["a*b"], ["a*b"], [[Fraction(1)]])
+    assert twist_lift_check(mcb, T, [name]) == [
+        f"{elided}: base element not fixed"]
+    M, C, autos = fixture()
+    mcb = compute_mcbiset(M, [(name, autos["sigma"]), ("tau", autos["tau"])])
+    T = thurston_matrix(M, C)
+    bad = ThurstonMatrix(T.rows, T.cols,
+                         [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]])
+    assert twist_lift_check(mcb, bad, [name, "tau"]) == [
+        f"{elided}: knitting does not match the twist vector [1, 1]"]
 
 
 def test_twist_lift_check_identity_machine():
